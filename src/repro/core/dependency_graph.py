@@ -271,6 +271,10 @@ class DependencyGraph:
         targets = self._successors.get(node)
         return targets.keys() if targets is not None else frozenset()
 
+    def edge_sources(self) -> List[int]:
+        """The nodes that have at least one outgoing edge."""
+        return [node for node, targets in self._successors.items() if targets]
+
     def predecessors(self, node: int) -> AbstractSet[int]:
         """Read-only view of ``node``'s predecessors (do not mutate)."""
         sources = self._predecessors.get(node)

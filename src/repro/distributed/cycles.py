@@ -15,9 +15,14 @@ looks for them:
   apply the sweep's newest-``ACTIVE`` victim rule.
 
 All three walk the same union graph: the per-site dependency graphs joined
-through the router's local-tid-to-global-tid maps (:meth:`global_successors`).
-Per-site graphs are individually acyclic — each site checks before adding
-edges — so any union cycle necessarily spans sites.
+through the router's local-tid-to-global-tid maps.  Per-site graphs are
+individually acyclic — each site checks before adding edges — and the maps
+are injective, so any union cycle necessarily spans sites.  The per-conflict
+checks expand one transaction at a time (:meth:`global_successors`); the
+sweep, which has no starting transaction, builds the whole adjacency from
+the sites' edge-bearing graph nodes (:meth:`_union_adjacency`), so a pass
+costs O(edges) — the few conflicting transactions the paper's unified graph
+holds — rather than O(live transactions x sites).
 
 The detector also owns the sweep's *mutation gate*: a sweep whose union
 mutation total is unchanged has nothing new to inspect and costs one
@@ -38,6 +43,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .router import TransactionRouter
 
 __all__ = ["UnionCycleDetector"]
+
+#: Statuses whose transactions can still be waited on (the sweep's DFS roots).
+_LIVE = (TransactionStatus.ACTIVE, TransactionStatus.PSEUDO_COMMITTED)
 
 
 class UnionCycleDetector:
@@ -76,7 +84,8 @@ class UnionCycleDetector:
             if not site.status.is_up or branch.generation != site.generation:
                 continue
             local_map = router._local_map[site_id]
-            for local_successor in sorted(site.scheduler.graph.successors(branch.local_tid)):
+            local_successors = site.scheduler.graph.successors(branch.local_tid)
+            for local_successor in local_successors:  # repro-lint: disable=REP002 (fills a set; callers sort)
                 successor_gtid = local_map.get(local_successor)
                 if successor_gtid is not None and successor_gtid != gtid:
                     successors.add(successor_gtid)
@@ -92,8 +101,6 @@ class UnionCycleDetector:
         seen = set(stack)
         while stack:
             node = stack.pop()
-            if node == gtid:
-                return True
             for successor in sorted(self.global_successors(node)):
                 if successor == gtid:
                     return True
@@ -163,7 +170,8 @@ class UnionCycleDetector:
         The simulator runs this sweep periodically from an engine event (a
         context where aborting is safe: no scheduler callback is on the
         stack).  Gated on the dependency graphs' mutation counters, a quiet
-        period costs one integer sum.
+        period costs one integer sum; a detection pass costs one scan of the
+        sites' edge-bearing nodes (see :meth:`_union_adjacency`).
 
         A late-closed cycle hurts either way: a wait cycle wedges its
         members' mpl slots, and a commit-dependency cycle that reaches the
@@ -180,7 +188,8 @@ class UnionCycleDetector:
         router = self.router
         if router.site_count <= 1:
             return 0
-        if self.union_mutations() == self._swept_mutations:
+        mutations = self.union_mutations()
+        if mutations == self._swept_mutations:
             return 0
         router.router_stats.cycle_sweeps += 1
         aborted = 0
@@ -196,59 +205,70 @@ class UnionCycleDetector:
             aborted += 1
         # Aborting mutates the graphs; snapshot afterwards so the next quiet
         # sweep is free again.
-        self._swept_mutations = self.union_mutations()
+        self._swept_mutations = self.union_mutations() if aborted else mutations
         return aborted
+
+    def _union_adjacency(self) -> Dict[int, List[int]]:
+        """The union graph as ``gtid -> sorted successor gtids``, keys ascending.
+
+        Only transactions owning an edge-bearing node of a live site's graph
+        can have successors, so only those are expanded.  Empty when fewer
+        than two sites hold an edge: one acyclic site graph under an
+        injective map has no cycle.
+        """
+        router = self.router
+        sources: Set[int] = set()
+        edge_sites = 0
+        for site in router.sites:
+            if not site.status.is_up:
+                continue
+            local_map = router._local_map[site.site_id]
+            edge_nodes = site.scheduler.graph.edge_sources()
+            owners = [local_map[node] for node in edge_nodes if node in local_map]
+            if owners:
+                edge_sites += 1
+                sources.update(owners)
+        if edge_sites < 2:
+            return {}
+        return {gtid: sorted(self.global_successors(gtid)) for gtid in sorted(sources)}
 
     def _find_sweep_victim(self) -> Optional[int]:
         """The victim of the first abortable union-graph cycle, or ``None``.
 
-        DFS over the union graph; in the first cycle found that has an
+        DFS over the union adjacency from its ``ACTIVE``/``PSEUDO_COMMITTED``
+        transactions, oldest first; in the first cycle found that has an
         ``ACTIVE`` member, the youngest such member is the victim.  Cycles
         with no abortable member are skipped (see :meth:`sweep`) and the
         search continues.
         """
+        adjacency = self._union_adjacency()
         transactions = self.router.transactions
         color: Dict[int, int] = {}  # 1 = on the DFS path, 2 = finished
         path: List[int] = []
-        roots = sorted(
-            gtid
-            for gtid, transaction in transactions.items()
-            if transaction.status
-            in (TransactionStatus.ACTIVE, TransactionStatus.PSEUDO_COMMITTED)
-        )
-        for root in roots:
-            if root in color:
+        for root in adjacency:
+            if root in color or transactions[root].status not in _LIVE:
                 continue
             color[root] = 1
             path.append(root)
-            stack = [(root, iter(sorted(self.global_successors(root))))]
+            stack = [(root, iter(adjacency[root]))]
             while stack:
                 node, successors = stack[-1]
-                descended = False
                 for successor in successors:
                     state = color.get(successor)
                     if state == 1:
-                        cycle = path[path.index(successor):]
-                        victim = max(
-                            (
-                                gtid
-                                for gtid in cycle
-                                if transactions[gtid].status
-                                is TransactionStatus.ACTIVE
-                            ),
-                            default=None,
-                        )
-                        if victim is not None:
-                            return victim
-                    elif state is None:
+                        active = [
+                            gtid
+                            for gtid in path[path.index(successor):]
+                            if transactions[gtid].status is TransactionStatus.ACTIVE
+                        ]
+                        if active:
+                            return max(active)
+                    elif state is None and successor in adjacency:
                         color[successor] = 1
                         path.append(successor)
-                        stack.append(
-                            (successor, iter(sorted(self.global_successors(successor))))
-                        )
-                        descended = True
+                        stack.append((successor, iter(adjacency[successor])))
                         break
-                if not descended:
+                else:
                     stack.pop()
                     path.pop()
                     color[node] = 2

@@ -110,6 +110,8 @@ class ReplicationProtocol:
     def __init__(self) -> None:
         self.router: "TransactionRouter" = None  # type: ignore[assignment]
         self.stats = ReplicationStatistics()
+        #: :meth:`_rotated` memo (a pure function: :meth:`reset` keeps it).
+        self._rotations: Dict[Tuple[object, ...], Tuple[int, ...]] = {}
 
     def attach(self, router: "TransactionRouter") -> None:
         """Bind the protocol to its router (called once, at construction)."""
@@ -131,16 +133,20 @@ class ReplicationProtocol:
     # ------------------------------------------------------------------
     # Shared helpers
     # ------------------------------------------------------------------
-    @staticmethod
-    def _rotated(object_name: str, placed: Sequence[int]) -> List[int]:
+    def _rotated(self, object_name: str, placed: Sequence[int]) -> Tuple[int, ...]:
         """The placement rotated by a stable hash of the object name.
 
         Each object gets a deterministic home replica so load spreads over
         the copies without a random draw (CRC32: identical across processes
-        and interpreter versions).
+        and interpreter versions); computed once per object.
         """
-        offset = zlib.crc32(object_name.encode("utf-8")) % len(placed)
-        return list(placed[offset:]) + list(placed[:offset])
+        key = (object_name, *placed)
+        try:
+            return self._rotations[key]
+        except KeyError:
+            offset = zlib.crc32(object_name.encode("utf-8")) % len(placed)
+            rotation = self._rotations[key] = (*placed[offset:], *placed[:offset])
+            return rotation
 
     def _readable_candidates(self, object_name: str, placed: Sequence[int]) -> List[int]:
         sites = self.router.sites
@@ -161,11 +167,15 @@ class ReplicationProtocol:
         """
         if len(candidates) <= 1:
             return candidates
-        domains = [self.router.sites[sid].domain for sid in candidates]
-        if any(domain is None for domain in domains):
-            return candidates
-        order = sorted((domains[index].load, index) for index in range(len(candidates)))
-        return [candidates[index] for _, index in order]
+        sites = self.router.sites
+        loads: List[int] = []
+        for sid in candidates:
+            domain = sites[sid].domain
+            if domain is None:
+                return candidates
+            loads.append(domain.load)
+        order = sorted(range(len(candidates)), key=loads.__getitem__)
+        return [candidates[index] for index in order]
 
     def _least_loaded(self, candidates: List[int]) -> int:
         """Pick a read replica: the least-loaded candidate, rotation ties."""

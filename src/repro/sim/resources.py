@@ -149,6 +149,8 @@ class _StepCharge:
         disk = self.disk
         assert disk is not None
         disk.release()
+        # Before ``done``: it may route the next read, which ranks by load.
+        self.domain.load -= 1
         done = self.done
         if done.__class__ is tuple:
             self.domain.engine.dispatch(done)
@@ -192,6 +194,10 @@ class ResourceDomain:
         self.io_time = io_time
         self.step_time = step_time
         self._single_disk_shortcut = single_disk_shortcut
+        #: Outstanding work at this domain (operations busy or queued at its
+        #: CPUs and disks; always zero when infinite).  The router's
+        #: least-loaded read-one selection ranks replicas by this.
+        self.load = 0
         if num_cpus <= 0:
             self.cpus: Optional[FifoServer] = None
             self.disks: List[FifoServer] = []
@@ -203,17 +209,6 @@ class ResourceDomain:
     def infinite(self) -> bool:
         """True when this domain models no CPU/disk contention."""
         return self.cpus is None
-
-    @property
-    def load(self) -> int:
-        """Outstanding work at this domain (busy plus queued, CPUs and disks).
-
-        The router's least-loaded read-one selection ranks replicas by this;
-        an infinite domain never queues, so its load is always zero.
-        """
-        if self.cpus is None:
-            return 0
-        return self.cpus.load + sum(disk.load for disk in self.disks)
 
     # ------------------------------------------------------------------
     def perform_step(self, done: Done) -> None:
@@ -228,6 +223,7 @@ class ResourceDomain:
         if self.cpus is None:
             self.engine.schedule(self.step_time, done)
             return
+        self.load += 1
         _StepCharge(self, done)
 
     def _choose_disk(self) -> FifoServer:

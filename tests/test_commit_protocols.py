@@ -26,7 +26,9 @@ from repro.distributed import (
 from repro.sim.params import SimulationParameters
 from repro.sim.simulator import run_simulation
 
+from test_cycle_sweep_oracle import DOUBLE_CRASH
 from test_replication_protocols import _MixedType
+from test_resources import counters_crc32
 
 
 def make_router(sites=3, commit="two-phase", protocol="quorum",
@@ -342,6 +344,20 @@ class TestSimulationWiring:
         assert counters["commit_prepare_rounds"] == expected["rounds"]
         assert counters["events_processed"] == expected["events"]
         assert round(metrics.simulated_time, 10) == expected["simulated_time"]
+
+    def test_long_double_crash_stream_is_pinned(self):
+        # ``q3-2pc-crash`` of ``benchmarks/perf`` at a twelfth of the size:
+        # every simulated statistic, recorded before the sweep became
+        # edge-driven and the replica rotation memoised.
+        metrics = run_simulation(SimulationParameters(
+            mpl_level=25, total_completions=300, seed=1, site_count=3,
+            replication="copies", replication_protocol="quorum", quorum_read=2,
+            quorum_write=2, commit_protocol="two-phase", msg_time=0.002,
+            failure_schedule=DOUBLE_CRASH), "readwrite")
+        counters = metrics.counters()
+        assert counters["replication_cycle_sweeps"] == 114
+        assert counters["replication_catchups"] == 17
+        assert counters_crc32(metrics) == 3498694962
 
     def test_one_phase_crash_opens_the_under_replication_window(self):
         counters = run_simulation(_sim_params("one-phase"), "readwrite").counters()

@@ -24,6 +24,7 @@ from repro.sim.resources import (
     ResourceModel,
     make_resource_charger,
 )
+from repro.sim.simulator import Simulation, run_simulation
 
 
 class CountingRandomSource(RandomSource):
@@ -345,3 +346,117 @@ class TestRouterResourceIntegration:
         # Write-all: the remote replica's phase starts msg_time later.
         assert done == [pytest.approx(0.5 + 0.015 + 0.035)]
         assert router.commit_network_delay(t.gtid) == 0.5
+
+
+def counters_crc32(metrics):
+    """crc32 over every simulated statistic of one run (a stream pin)."""
+    payload = repr((
+        sorted(metrics.counters().items()),
+        round(metrics.simulated_time, 10),
+        round(metrics.response_time_total, 10),
+    ))
+    return zlib.crc32(payload.encode("utf-8"))
+
+
+#: ``ac4-persite`` of ``benchmarks/perf`` at a tenth of the size.
+AC4_PER_SITE = dict(
+    mpl_level=50, total_completions=300, seed=1, write_probability=0.1,
+    site_count=4, replication="copies", resource_units=1,
+    resource_placement="per_site", msg_time=0.001,
+)
+
+
+def test_per_site_read_heavy_stream_is_pinned():
+    # Recorded before ``ResourceDomain.load`` became a maintained count and
+    # the sweep became edge-driven: replica choice and victims are unchanged.
+    metrics = run_simulation(SimulationParameters(**AC4_PER_SITE), "readwrite")
+    assert metrics.counters()["replication_cycle_sweeps"] == 215
+    assert counters_crc32(metrics) == 3100844291
+
+
+class TestMaintainedLoad:
+    """``ResourceDomain.load`` is a count kept by the charge pipeline; it must
+    equal the work sitting at the domain's servers wherever it can be read:
+    between any two engine events, and inside one whenever a read is routed
+    (``done`` of a finished operation may submit the next one)."""
+
+    CRASHES = ((0.5, "fail", 1), (1.0, "recover", 1), (1.3, "fail", 0), (1.6, "recover", 0))
+
+    @staticmethod
+    def domains_of(simulation):
+        charger = simulation.resources
+        return charger.domains if isinstance(charger, PerSiteResources) else [charger._domain]
+
+    def watch(self, simulation):
+        """Check the invariant at every event and at every replica ranking."""
+        seen = {"checks": 0, "peak": 0}
+
+        def check():
+            for domain in self.domains_of(simulation):
+                at_servers = 0 if domain.cpus is None else (
+                    domain.cpus.load + sum(disk.load for disk in domain.disks))
+                assert domain.load == at_servers >= 0
+                seen["peak"] = max(seen["peak"], domain.load)
+            seen["checks"] += 1
+
+        done = simulation._done
+        ranked = simulation.router.replication._load_ranked
+        simulation._done = lambda: check() or done()
+        simulation.router.replication._load_ranked = (
+            lambda candidates: check() or ranked(candidates))
+        return seen
+
+    @pytest.mark.parametrize("overrides", [
+        dict(AC4_PER_SITE, total_completions=150),
+        dict(AC4_PER_SITE, total_completions=150, resource_units=2),  # rng disk choice
+        dict(AC4_PER_SITE, total_completions=150, failure_schedule=CRASHES),
+        dict(mpl_level=20, total_completions=150, database_size=200, seed=3,
+             resource_units=1),  # the shared global pool
+    ], ids=["per-site", "multi-disk", "crashes", "global"])
+    def test_load_equals_the_work_at_the_servers(self, overrides):
+        simulation = Simulation(SimulationParameters(**overrides), "readwrite")
+        seen = self.watch(simulation)
+        metrics = simulation.run(max_events=1_000_000)  # predicate-driven engine loop
+        assert seen["checks"] > metrics.events_processed
+        assert seen["peak"] > 1
+        # Watching changed nothing.
+        assert metrics.counters() == run_simulation(
+            SimulationParameters(**overrides), "readwrite").counters()
+
+    def test_a_crash_leaves_the_in_flight_charges_counted(self):
+        params = SimulationParameters(
+            **dict(AC4_PER_SITE, total_completions=150, failure_schedule=self.CRASHES))
+        simulation = Simulation(params, "readwrite")
+        self.watch(simulation)
+        in_flight = []
+        fail_site = simulation.router.fail_site
+
+        def failing(site_id):
+            in_flight.append(simulation.resources.domains[site_id].load)
+            fail_site(site_id)
+
+        simulation.router.fail_site = failing
+        simulation.run(max_events=1_000_000)
+        assert len(in_flight) == 2 and min(in_flight) > 0
+
+    def test_reset_starts_from_a_fresh_zero_count(self):
+        params = SimulationParameters(**dict(AC4_PER_SITE, total_completions=150))
+        simulation = Simulation(params, "readwrite")
+        first = simulation.run()
+        stale = self.domains_of(simulation)
+        assert any(domain.load > 0 for domain in stale)  # stopped mid-flight
+        simulation.reset(params)
+        fresh = self.domains_of(simulation)
+        assert all(domain.load == 0 for domain in fresh)
+        assert not set(map(id, fresh)) & set(map(id, stale))
+        self.watch(simulation)
+        assert simulation.run(max_events=1_000_000).counters() == first.counters()
+
+    def test_infinite_domains_never_count(self):
+        params = SimulationParameters(
+            **dict(AC4_PER_SITE, total_completions=150, resource_units=None))
+        simulation = Simulation(params, "readwrite")
+        seen = self.watch(simulation)
+        simulation.run(max_events=1_000_000)
+        assert seen["checks"] > 0 and seen["peak"] == 0
+        assert all(domain.infinite for domain in simulation.resources.domains)
