@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 
 from .errors import SpecificationError
 from .specification import Invocation, TypeSpecification
@@ -245,6 +245,13 @@ class CompatibilitySpec:
     type_name: str
     commutativity: RelationTable
     recoverability: RelationTable
+    #: Flat tables compiled from the two relations, per conflict policy — see
+    #: ``ObjectManager._compile_policy``.  Kept here so every manager over
+    #: one shared spec (the read/write workload registers thousands) compiles
+    #: once; the relations must not be edited after the first compile.
+    compiled_tables: Dict[Any, Any] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         if set(self.commutativity.operations) != set(self.recoverability.operations):

@@ -198,11 +198,15 @@ class ObjectManager:
             }
         else:
             self._op_functions = None
-        #: Compiled tables per policy, built on first use.  A run exercises a
-        #: single policy, so the hot paths check ``_compiled_policy`` by
-        #: identity (no enum hash) before falling back to the dict.  Tables
-        #: are fixed for the manager's lifetime, so entries never go stale.
-        self._policy_tables: Dict[ConflictPolicy, _CompiledTables] = {}
+        #: Compiled tables per policy, built on first use and shared with
+        #: every other manager over the same compatibility spec.  A run
+        #: exercises a single policy, so the hot paths check
+        #: ``_compiled_policy`` by identity (no enum hash) before falling
+        #: back to the dict.  Tables are fixed once compiled, so entries
+        #: never go stale.
+        self._policy_tables: Dict[ConflictPolicy, _CompiledTables] = (
+            self.compatibility.compiled_tables
+        )
         self._compiled_policy: Optional[ConflictPolicy] = None
         self._compiled_tables: Optional[_CompiledTables] = None
         #: Group key per live uncommitted event (keyed by ``id(event)``;
@@ -590,22 +594,27 @@ class ObjectManager:
     # ------------------------------------------------------------------
     # Reset
     # ------------------------------------------------------------------
-    def reset(self) -> None:
-        """Restore the manager to its just-constructed state.
-
-        Run state (log, queue, indexes, visible state) goes back to the
-        initial committed state; the construction-time artifacts that make
+    def discard_volatile(self) -> None:
+        """Drop what a crash loses: the uncommitted log, the blocked queue
+        and their indexes.  The committed state is durable and becomes the
+        visible state again; the construction-time artifacts that make
         managers expensive to build — compiled policy tables, interned
-        operation ids, the direct-apply function table — are kept, which is
-        the whole point of resetting instead of rebuilding.
-        """
-        self.committed_state = self._initial_committed
-        self.current_state = self._initial_committed
+        operation ids, the direct-apply function table — are kept."""
+        self.current_state = self.committed_state
         self.uncommitted.clear()
         self.blocked.clear()
         self._op_groups.clear()
         self._events_by_tid.clear()
         self._group_key_by_event.clear()
+
+    def restore_initial_state(self) -> None:
+        """Rewind the committed (and visible) state to the registered one."""
+        self.committed_state = self.current_state = self._initial_committed
+
+    def reset(self) -> None:
+        """Restore the manager to its just-constructed state."""
+        self.discard_volatile()
+        self.restore_initial_state()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -497,20 +497,19 @@ class Scheduler:
     # ------------------------------------------------------------------
     # Reset
     # ------------------------------------------------------------------
-    def reset(self) -> None:
-        """Restore the scheduler to its just-constructed state.
+    def discard_volatile(self) -> None:
+        """Drop exactly what a crash loses, in place.
 
-        Everything expensive to build survives: the registered object
-        managers (with their compiled policy tables), the backend and its
-        fused submit binding, and the listener subscriptions.  Every piece of
-        per-run state — transactions, dependency graph, statistics, history,
-        blocked queues, tid/sequence counters — goes back to its initial
-        value, so a seeded run on a reset scheduler is bit-identical to one
-        on a freshly constructed scheduler.
+        Volatile: transactions, dependency graph, blocked queues, uncommitted
+        logs, the backend's protocol state (lock table), statistics, history,
+        tid/sequence counters — each goes back to its just-constructed value.
+        Durable or structural, and kept: the managers with their *committed*
+        states and compiled policy tables, the backend and its fused submit
+        binding, the listener subscriptions, the request freelists.
         """
         self.graph = DependencyGraph()
         for manager in self.objects.values():
-            manager.reset()
+            manager.discard_volatile()
         self.transactions.clear()
         self.stats = SchedulerStatistics()
         if self.history is not None:
@@ -519,6 +518,18 @@ class Scheduler:
         self._next_tid = 0
         self._sequence = 0
         self.backend.reset()
+
+    def reset(self) -> None:
+        """Restore the scheduler to its just-constructed state.
+
+        A crash (:meth:`discard_volatile`) that also loses the disk: every
+        manager additionally rewinds to its registered initial state, so a
+        seeded run on a reset scheduler is bit-identical to one on a freshly
+        constructed scheduler.
+        """
+        self.discard_volatile()
+        for manager in self.objects.values():
+            manager.restore_initial_state()
 
     # ------------------------------------------------------------------
     # Commit protocol

@@ -378,10 +378,10 @@ class TwoPhase(CommitProtocol):
         deficit = getattr(protocol, "write_stamp_deficit", None)
         if deficit is None:
             return True  # no stamped quorums: the surviving acks suffice
-        return all(
-            deficit(name, transaction.gtid) == 0
-            for name in sorted(transaction.written_objects())
-        )
+        for name in sorted(transaction.written_objects()):
+            if deficit(name, transaction.gtid) > 0:
+                return False
+        return True
 
     def _report_durable(self, transaction: "GlobalTransaction") -> bool:
         """Finalize if the durability condition holds (restoring if needed)."""

@@ -234,7 +234,7 @@ class ReplicationProtocol:
         """A site crashed (called after its scheduler state is discarded)."""
 
     def on_site_recovered(self, site: "Site") -> None:
-        """A site came back up (called after its scheduler is rebuilt).
+        """A site came back up (called after its volatile state is discarded).
 
         Available-copies performs no catch-up: the recovered copies stay
         unreadable until a committed write lands, the protocol's structural
@@ -329,43 +329,60 @@ class _VersionedCatchUp(ReplicationProtocol):
 
     def __init__(self) -> None:
         super().__init__()
-        #: Version of the copy at ``(site_id, object name)`` (missing: 0).
-        self._version: Dict[Tuple[int, str], int] = {}
+        #: Per site (indexed by site id): object name -> version of the copy
+        #: there (missing: 0).  Sized when the router attaches.
+        self._version: List[Dict[str, int]] = []
         #: Highest committed version per object (the next write goes above).
         self._latest: Dict[str, int] = {}
-        #: Version assigned to an in-flight commit, per (gtid, object name):
-        #: branches drain at different times but must stamp the same version.
-        self._commit_targets: Dict[Tuple[int, str], int] = {}
+        #: Per in-flight commit (gtid): object name -> the version assigned to
+        #: it — branches drain at different times but must stamp the same one.
+        self._commit_targets: Dict[int, Dict[str, int]] = {}
+
+    def attach(self, router: "TransactionRouter") -> None:
+        super().attach(router)
+        self._version = [{} for _ in range(router.placement.site_count)]
 
     def reset(self) -> None:
         super().reset()
-        self._version.clear()
+        for versions in self._version:
+            versions.clear()
         self._latest.clear()
         self._commit_targets.clear()
 
     def version_of(self, site_id: int, object_name: str) -> int:
         """The committed version of one copy (0 until its first write)."""
-        return self._version.get((site_id, object_name), 0)  # repro-lint: disable=REP008 (per-commit, not per-event)
+        return self._version[site_id].get(object_name, 0)
 
     def on_branch_committed(self, site: "Site", transaction: "GlobalTransaction") -> None:
         super().on_branch_committed(site, transaction)
-        for name in transaction.written_at.get(site.site_id, ()):
-            key = (transaction.gtid, name)
-            target = self._commit_targets.get(key)
+        written = transaction.written_at.get(site.site_id)
+        if not written:
+            return
+        targets = self._commit_targets.get(transaction.gtid)
+        if targets is None:
+            targets = self._commit_targets[transaction.gtid] = {}
+        versions = self._version[site.site_id]
+        for name in written:  # per-name updates: iteration order is immaterial
+            target = targets.get(name)
             if target is None:
                 target = self._latest.get(name, 0) + 1
                 self._latest[name] = target
-                self._commit_targets[key] = target
-            self._version[(site.site_id, name)] = target
+                targets[name] = target
+            versions[name] = target
 
     def on_transaction_finished(self, transaction: "GlobalTransaction") -> None:
-        written = transaction.written_objects()
-        for name in sorted(written):
-            self._commit_targets.pop((transaction.gtid, name), None)  # repro-lint: disable=REP008 (per-commit, not per-event)
-        # The finished transaction may have been the in-flight write that
-        # deferred a recovered copy's readability (see _refresh_copies):
-        # retry those copies now that the write either stamped fresher
-        # peers to catch up from or was aborted.
+        self._refresh_after(transaction, transaction.written_objects())
+
+    def _refresh_after(self, transaction: "GlobalTransaction", written: Set[str]) -> None:
+        """Release the finished transaction's commit targets, then retry the
+        recovered copies its in-flight write kept unreadable.
+
+        The finished transaction may have been the in-flight write that
+        deferred a recovered copy's readability (see _refresh_copies): retry
+        those copies now that the write either stamped fresher peers to
+        catch up from or was aborted.
+        """
+        self._commit_targets.pop(transaction.gtid, None)
         if written:
             for site in self.router.sites:
                 if site.status.is_up and site.unreadable & written:
@@ -440,9 +457,7 @@ class _VersionedCatchUp(ReplicationProtocol):
         return best
 
     def _on_caught_up(self, site: "Site", source_id: int, object_name: str) -> None:
-        self._version[(site.site_id, object_name)] = self.version_of(
-            source_id, object_name
-        )
+        self._version[site.site_id][object_name] = self.version_of(source_id, object_name)
 
 
 class QuorumConsensus(_VersionedCatchUp):
@@ -467,6 +482,9 @@ class QuorumConsensus(_VersionedCatchUp):
         super().__init__()
         self.read_quorum = read_quorum
         self.write_quorum = write_quorum
+        #: Copy count -> validated (R, W); an invalid pair is never stored,
+        #: so it raises on every use.
+        self._validated: Dict[int, Tuple[int, int]] = {}
 
     def _quorums(self, object_name: str, placed: Sequence[int]) -> Tuple[int, int]:
         """Effective (R, W) for one object — rejected, never clamped.
@@ -474,9 +492,12 @@ class QuorumConsensus(_VersionedCatchUp):
         Explicit sizes outside ``[1, N]`` raise instead of being silently
         rewritten, so direct router users get exactly the same validation
         as :meth:`SimulationParameters.validate`; ``None`` defaults to a
-        majority of the object's copy count.
+        majority of the object's copy count.  Validated once per copy count.
         """
         n = len(placed)
+        sizes = self._validated.get(n)
+        if sizes is not None:
+            return sizes
         majority = n // 2 + 1
         r = self.read_quorum if self.read_quorum is not None else majority
         w = self.write_quorum if self.write_quorum is not None else majority
@@ -498,6 +519,7 @@ class QuorumConsensus(_VersionedCatchUp):
                 f"write quorum W={w} must exceed half the copy count N={n} "
                 f"of {object_name!r} (write quorums must intersect)"
             )
+        self._validated[n] = r, w
         return r, w
 
     # ------------------------------------------------------------------
@@ -524,31 +546,29 @@ class QuorumConsensus(_VersionedCatchUp):
             return []
         selected = candidates[:r]
         # Serve the value from the member that sees the transaction's own
-        # writes, then from the freshest committed version (earlier
-        # rotation position breaks ties deterministically).
-        best = min(
-            range(len(selected)),
-            # One key allocation per quorum read, dwarfed by version_of.
-            key=lambda index: (  # repro-lint: disable=REP009
-                selected[index] not in own,
-                -self.version_of(selected[index], object_name),
-                index,
-            ),
-        )
-        request.value_site = selected[best]
+        # writes, then from the freshest committed version (the strict
+        # comparisons keep the earlier rotation position on ties).
+        best_own = False
+        best_version = -1
+        for sid in selected:
+            is_own = sid in own
+            version = self._version[sid].get(object_name, 0)
+            if (is_own and not best_own) or (is_own == best_own and version > best_version):
+                request.value_site = sid
+                best_own = is_own
+                best_version = version
         self.stats.messages += r - 1
         return selected
 
     def _own_write_sites(self, transaction_id: int, object_name: str) -> Set[int]:
         """Sites where this transaction's own writes of the object landed."""
+        own: Set[int] = set()
         transaction = self.router.transactions.get(transaction_id)
-        if transaction is None:
-            return set()
-        return {
-            site_id
-            for site_id, names in transaction.written_at.items()
-            if object_name in names
-        }
+        if transaction is not None and transaction.written_at:
+            for site_id, names in transaction.written_at.items():
+                if object_name in names:
+                    own.add(site_id)
+        return own
 
     def select_write(
         self,
@@ -600,12 +620,12 @@ class QuorumConsensus(_VersionedCatchUp):
         too — versions only move through states that include their
         predecessors — so ``>=`` is the durable-coverage test.
         """
-        return sum(
-            1
-            for sid in self.router.placement.sites_for(object_name)
-            if self.router.sites[sid].status.is_up
-            and self.version_of(sid, object_name) >= version
-        )
+        sites = self.router.sites
+        count = 0
+        for sid in self.router.placement.sites_for(object_name):
+            if sites[sid].status.is_up and self._version[sid].get(object_name, 0) >= version:
+                count += 1
+        return count
 
     def write_stamp_deficit(self, object_name: str, gtid: int) -> int:
         """Live stamped copies a transaction's write is short of ``W``.
@@ -615,7 +635,8 @@ class QuorumConsensus(_VersionedCatchUp):
         stamped copy died before draining) counts as fully missing.
         """
         w = self.effective_write_quorum(object_name)
-        target = self._commit_targets.get((gtid, object_name))  # repro-lint: disable=REP008 (per-commit, not per-event)
+        targets = self._commit_targets.get(gtid)
+        target = None if targets is None else targets.get(object_name)
         if target is None:
             return w
         return max(0, w - self.live_stamped_count(object_name, target))
@@ -663,7 +684,7 @@ class QuorumConsensus(_VersionedCatchUp):
                 ):
                     continue
                 site.install_committed(name, state)
-                self._version[(sid, name)] = source_version
+                self._version[sid][name] = source_version
                 stamped.append(sid)
                 copied += 1
         if copied:
@@ -675,11 +696,12 @@ class QuorumConsensus(_VersionedCatchUp):
         # written object below W live stamped copies at report time is one
         # opening of the under-replication window (the number the commit
         # protocols trade against latency).
+        written = transaction.written_objects()
         if transaction.status is TransactionStatus.COMMITTED:
-            for name in sorted(transaction.written_objects()):
+            for name in sorted(written):
                 if self.write_stamp_deficit(name, transaction.gtid) > 0:
                     self.stats.under_replicated_window += 1
-        super().on_transaction_finished(transaction)
+        self._refresh_after(transaction, written)
 
 
 class PrimaryCopy(_VersionedCatchUp):

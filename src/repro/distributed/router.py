@@ -107,7 +107,7 @@ class BranchRef:
     """A local transaction at one site, pinned to a scheduler generation.
 
     The generation guards against a site that crashed and recovered between
-    branch creation and use: local transaction ids restart on the fresh
+    branch creation and use: local transaction ids restart on the recovered
     scheduler, so a stale ``(site, tid)`` pair must never be dereferenced.
     """
 
@@ -365,11 +365,10 @@ class TransactionRouter:
         ]
         self.transactions: Dict[int, GlobalTransaction] = {}
         self.router_stats = RouterStatistics()
-        self._relays: List[_SiteRelay] = []
         for site in self.sites:
-            relay = _SiteRelay(self, site)
-            site.scheduler.add_listener(relay)
-            self._relays.append(relay)
+            # Subscribed once for the site's lifetime: recovery and reset
+            # happen in place and keep the scheduler's listeners.
+            site.scheduler.add_listener(_SiteRelay(self, site))
         #: Per-site map of local transaction id -> global transaction id.
         self._local_map: List[Dict[int, int]] = [{} for _ in range(site_count)]
         #: Object name -> type specification (read/write classification).
@@ -431,12 +430,8 @@ class TransactionRouter:
         queueing state of its own, so callers re-attach one (the simulator
         rebuilds it per run) before charging operations again.
         """
-        for site, relay in zip(self.sites, self._relays):
-            previous = site.scheduler
-            if site.reset() is not previous:
-                # The reset rebuilt the scheduler (the site had crashed);
-                # re-wire the relay like recover_site does.
-                site.scheduler.add_listener(relay)
+        for site in self.sites:
+            site.reset()
         self.transactions.clear()
         self.router_stats = RouterStatistics()
         for local in self._local_map:
@@ -666,16 +661,13 @@ class TransactionRouter:
         # so the (comparatively expensive) union-graph DFS below can be
         # skipped for the common conflict-free operation.  With one site no
         # cross-site cycle can exist — skip the snapshot machinery outright.
+        sites = self.sites
+        mutations_before = 0
         if self.site_count > 1:
-            watched_graphs = [
-                self.sites[sid].scheduler.graph
-                for sid in placed
-                if self.sites[sid].status.is_up
-            ]
-            mutations_before = sum(graph.mutations for graph in watched_graphs)
-        else:
-            watched_graphs = []
-            mutations_before = 0
+            for sid in placed:
+                site = sites[sid]
+                if site.status.is_up:
+                    mutations_before += site.scheduler.graph.mutations
 
         is_read_only = read_only_ops.get(invocation.op)
         if is_read_only is None:
@@ -693,7 +685,7 @@ class TransactionRouter:
             for sid in targets:
                 if transaction.status is not TransactionStatus.ACTIVE:
                     break  # a branch abort cascaded into a global abort
-                self._submit_branch(transaction, self.sites[sid], request)
+                self._submit_branch(transaction, sites[sid], request)
         else:
             targets = self.replication.select_write(object_name, placed, transaction)
             if not targets:
@@ -705,19 +697,26 @@ class TransactionRouter:
                     break  # a branch abort cascaded into a global abort
                 transaction.sites_written.add(sid)
                 transaction.written_at.setdefault(sid, set()).add(object_name)
-                self._submit_branch(transaction, self.sites[sid], request)
+                self._submit_branch(transaction, sites[sid], request)
 
         if (
             self.site_count > 1
             and transaction.status is TransactionStatus.ACTIVE
             and request.branch_handles
             and not request.failed
-            and sum(graph.mutations for graph in watched_graphs) != mutations_before
         ):
-            self.router_stats.cross_site_cycle_checks += 1
-            if self._cycles.closes_cycle(transaction.gtid):
-                self.router_stats.cross_site_deadlock_aborts += 1
-                self._global_abort(transaction, AbortReason.DEADLOCK, request)
+            # No site changes liveness inside a submit, so this re-reads
+            # exactly the graphs snapshotted above.
+            mutations_after = 0
+            for sid in placed:
+                site = sites[sid]
+                if site.status.is_up:
+                    mutations_after += site.scheduler.graph.mutations
+            if mutations_after != mutations_before:
+                self.router_stats.cross_site_cycle_checks += 1
+                if self._cycles.closes_cycle(transaction.gtid):
+                    self.router_stats.cross_site_deadlock_aborts += 1
+                    self._global_abort(transaction, AbortReason.DEADLOCK, request)
         return request
 
     def _submit_branch(
@@ -1025,8 +1024,7 @@ class TransactionRouter:
         the site up from a live replica so its copies serve reads at once.
         """
         site = self.sites[site_id]
-        scheduler = site.recover()
-        scheduler.add_listener(self._relays[site_id])
+        site.recover()
         self.router_stats.site_recoveries += 1
         self.replication.on_site_recovered(site)
         # After the catch-up: recovered stamps may satisfy a held 2PC commit.

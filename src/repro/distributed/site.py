@@ -6,9 +6,10 @@ concurrency-control backend — and adds the lifecycle the available-copies
 replication protocol needs:
 
 * **UP** — serving reads and writes normally;
-* **DOWN** — crashed: the scheduler (lock tables, dependency graph, blocked
-  queues, uncommitted operation logs) is lost wholesale, exactly as a real
-  site loses its volatile state;
+* **DOWN** — crashed: the scheduler is parked out of reach (``scheduler`` is
+  ``None``) and its volatile state — lock tables, dependency graph, blocked
+  queues, uncommitted operation logs, transactions, counters — is discarded
+  on recovery, exactly as a real site loses its memory but not its disk;
 * **recovering** — back up, but every *replicated* object is unreadable until
   a committed write refreshes its copy (the available-copies rule); objects
   with a single copy have nothing to catch up from and are readable at once.
@@ -19,9 +20,14 @@ copies (``Site.readable``) rather than a third scheduler state.  The router
 clears a copy's unreadable flag when a transaction that wrote the object at
 this site durably commits.
 
+Recovery is *in place*: the same scheduler and object managers come back,
+keeping what is durable or structural (committed states, compiled policy
+tables, listeners, freelists), so a crash costs what it destroyed rather than
+a rebuild of the database.
+
 Statistics survive crashes: :attr:`Site.stats` is the sum of the live
-scheduler's counters and the counters folded in from every scheduler a crash
-discarded, so simulation metrics stay monotonic across failures.
+scheduler's counters and the counters folded in at every crash, so
+simulation metrics stay monotonic across failures.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ import dataclasses
 import enum
 from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, Optional, Set
 
-from ..core.backends import ConcurrencyControlBackend, make_backend
+from ..core.backends import ConcurrencyControlBackend
 from ..core.errors import ReproError
 from ..core.policy import ConflictPolicy
 from ..core.scheduler import Scheduler, SchedulerStatistics
@@ -50,9 +56,10 @@ class SiteStatus(enum.Enum):
     UP = "up"
     DOWN = "down"
 
-    @property
-    def is_up(self) -> bool:
-        return self is SiteStatus.UP
+    def __init__(self, value: str) -> None:
+        #: Liveness as data: read once per routed operation and replica, so
+        #: a member attribute rather than a property call.
+        self.is_up = value == "up"
 
 
 def _fold_stats(into: SchedulerStatistics, stats: SchedulerStatistics) -> None:
@@ -63,11 +70,8 @@ def _fold_stats(into: SchedulerStatistics, stats: SchedulerStatistics) -> None:
 
 @dataclasses.dataclass(frozen=True)
 class _Registration:
-    """Everything needed to re-register an object on a fresh scheduler."""
+    """What the site itself needs to know about one of its copies."""
 
-    spec: TypeSpecification
-    compatibility: Optional[CompatibilitySpec]
-    initial_state: Any
     materialize_state: bool
     replicated: bool
 
@@ -87,11 +91,6 @@ class Site:
     ):
         self.site_id = site_id
         self.policy = policy
-        self.fair = fair
-        self.record_history = record_history
-        self.retain_terminated = retain_terminated
-        self.backend_factory = backend_factory
-        self.pool_requests = pool_requests
         self.status = SiteStatus.UP
         #: This site's hardware under per-site resource placement (a
         #: :class:`~repro.sim.resources.ResourceDomain`), attached by the
@@ -101,35 +100,25 @@ class Site:
         #: scheduler state, not the machines.
         self.domain: Optional["ResourceDomain"] = None
         #: Incremented on every crash; a (local tid, generation) pair uniquely
-        #: identifies a transaction branch across scheduler replacements.
+        #: identifies a transaction branch across crashes (local tids restart).
         self.generation = 0
         #: Replicated objects whose local copy awaits a committed write.
         self.unreadable: Set[str] = set()
         self.failures = 0
         self.recoveries = 0
         self._registrations: Dict[str, _Registration] = {}
-        #: Committed object states snapshotted at crash time (durable storage).
-        self._durable_states: Dict[str, Any] = {}
         self._retired_stats = SchedulerStatistics()
-        self.scheduler = self._make_scheduler()
-
-    # ------------------------------------------------------------------
-    # Construction helpers
-    # ------------------------------------------------------------------
-    def _make_backend(self) -> ConcurrencyControlBackend:
-        if self.backend_factory is not None:
-            return self.backend_factory()
-        return make_backend(self.policy)
-
-    def _make_scheduler(self) -> Scheduler:
-        return Scheduler(
-            policy=self.policy,
-            fair=self.fair,
-            record_history=self.record_history,
-            retain_terminated=self.retain_terminated,
-            backend=self._make_backend(),
-            pool_requests=self.pool_requests,
+        #: ``None`` while the site is down (a stale dereference fails loudly);
+        #: the crashed scheduler waits in ``_parked`` for :meth:`recover`.
+        self.scheduler: Scheduler = Scheduler(
+            policy=policy,
+            fair=fair,
+            record_history=record_history,
+            retain_terminated=retain_terminated,
+            backend=None if backend_factory is None else backend_factory(),
+            pool_requests=pool_requests,
         )
+        self._parked: Optional[Scheduler] = None
 
     # ------------------------------------------------------------------
     # Objects
@@ -143,17 +132,9 @@ class Site:
         materialize_state: bool = True,
         replicated: bool = False,
     ) -> None:
-        """Place a copy of an object at this site.
-
-        The registration is remembered so recovery can rebuild the scheduler
-        with the same object set.
-        """
+        """Place a copy of an object at this site."""
         self._registrations[name] = _Registration(
-            spec=spec,
-            compatibility=compatibility,
-            initial_state=initial_state,
-            materialize_state=materialize_state,
-            replicated=replicated,
+            materialize_state=materialize_state, replicated=replicated
         )
         self.scheduler.register_object(
             name,
@@ -215,7 +196,7 @@ class Site:
         """Catch-up: overwrite one copy's committed state, making it readable.
 
         Only safe while the copy has no uncommitted operations — i.e. right
-        after recovery, before any transaction touches the fresh scheduler —
+        after recovery, before any transaction touches the recovered scheduler —
         so installing onto a copy with in-flight work is rejected.
         """
         if not self.status.is_up:
@@ -249,91 +230,60 @@ class Site:
     def fail(self) -> None:
         """Crash the site: all *volatile* scheduler state is lost.
 
-        Committed object states are durable (they survived to "disk"): they
-        are snapshotted here and become the initial states of the recovered
-        scheduler.  Uncommitted operations, lock tables, blocked queues and
-        the dependency graph are volatile and vanish with the scheduler.
+        The scheduler is parked out of reach until :meth:`recover` discards
+        its volatile state (uncommitted operations, lock tables, blocked
+        queues, the dependency graph).  Committed object states are durable
+        — they survived to "disk" — and stay where they are.
         """
         if not self.status.is_up:
             raise ReproError(f"site {self.site_id} is already down")
         _fold_stats(self._retired_stats, self.scheduler.stats)
-        self._durable_states = {
-            name: copy.deepcopy(self.scheduler.object(name).committed_state)
-            for name, registration in self._registrations.items()
-            if registration.materialize_state
-        }
+        self._parked = self.scheduler
         self.scheduler = None  # type: ignore[assignment]
         self.status = SiteStatus.DOWN
         self.generation += 1
         self.failures += 1
         self.unreadable.clear()
 
-    def reset(self) -> Scheduler:
-        """Restore the site to its just-registered initial state.
-
-        A site that never crashed resets its scheduler in place (managers
-        rewind to their registered initial states); one that crashed — or is
-        down right now — rebuilds the scheduler from the remembered
-        registrations with the *original* initial states, because the
-        current managers were registered from durable crash snapshots.
-        Returns the (possibly new) scheduler so the caller can re-attach
-        listeners when it changed.
-        """
-        if self.status.is_up and self.generation == 0:
-            self.scheduler.reset()
-        else:
-            self.scheduler = self._make_scheduler()
-            for name, registration in self._registrations.items():
-                self.scheduler.register_object(
-                    name,
-                    registration.spec,
-                    compatibility=registration.compatibility,
-                    initial_state=registration.initial_state,
-                    materialize_state=registration.materialize_state,
-                )
+    def reset(self) -> None:
+        """Restore the site to its just-registered initial state, in place
+        (managers rewind to their registered initial states), up or down."""
+        if self._parked is not None:
+            self.scheduler, self._parked = self._parked, None
+        self.scheduler.reset()
         self.status = SiteStatus.UP
         self.generation = 0
         self.unreadable.clear()
         self.failures = 0
         self.recoveries = 0
         self.domain = None
-        self._durable_states = {}
         self._retired_stats = SchedulerStatistics()
-        return self.scheduler
 
-    def recover(self) -> Scheduler:
-        """Bring the site back up with a fresh scheduler.
+    def recover(self) -> None:
+        """Bring the site back up on its durable state.
 
+        The parked scheduler returns with everything volatile discarded and
+        every copy at the committed state it held when the site went down.
         Every replicated object starts unreadable (available-copies: a copy
         that missed writes while down must not serve reads until a committed
-        write lands); single-copy objects are readable immediately.  Returns
-        the new scheduler so the router can re-attach its listener.
+        write lands); single-copy objects are readable immediately.
         """
-        if self.status.is_up:
+        if self._parked is None:
             raise ReproError(f"site {self.site_id} is not down")
-        self.scheduler = self._make_scheduler()
+        self.scheduler, self._parked = self._parked, None
+        self.scheduler.discard_volatile()
         for name, registration in self._registrations.items():
-            self.scheduler.register_object(
-                name,
-                registration.spec,
-                compatibility=registration.compatibility,
-                # Durable storage survived the crash: restart each copy from
-                # the committed state it held when the site went down.
-                initial_state=self._durable_states.get(name, registration.initial_state),
-                materialize_state=registration.materialize_state,
-            )
             if registration.replicated:
                 self.unreadable.add(name)
         self.status = SiteStatus.UP
         self.recoveries += 1
-        return self.scheduler
 
     # ------------------------------------------------------------------
     # Statistics
     # ------------------------------------------------------------------
     @property
     def stats(self) -> SchedulerStatistics:
-        """Cumulative counters: the live scheduler plus crashed predecessors."""
+        """Cumulative counters: the live scheduler plus what crashes folded in."""
         total = SchedulerStatistics()
         _fold_stats(total, self._retired_stats)
         if self.scheduler is not None:

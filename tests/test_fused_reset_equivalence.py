@@ -109,9 +109,9 @@ class TestResetReuseEquivalence:
         assert signature(third) == signature(fresh_first)
 
     def test_reset_after_crash_and_recovery_rebuilds_sites(self):
-        # A site that failed and recovered registered its objects from crash
-        # snapshots; reset() must rebuild it from the original
-        # registrations, not rewind the snapshot state.
+        # A site that failed and recovered carries on from the committed
+        # states it held at the crash; reset() must rewind every copy to its
+        # registered initial state, not to that durable state.
         params = SimulationParameters(
             mpl_level=10, total_completions=80, database_size=80, seed=11,
             site_count=3, replication="copies",

@@ -98,6 +98,7 @@ _KERNEL_TRAJECTORY = {
     "fused_grant_path_indexed_queues": 96.79,  # compiled no-conflict submit
     "partial_callbacks_stop_flag": 93.72,  # partials + engine stop flag
     "typed_dispatch_pooled_submit": 76.61,  # kind-indexed events + slab pools
+    "shared_compiled_tables": 75.55,  # one table compile per spec, liveness as data
 }
 
 
