@@ -124,7 +124,8 @@ class ConcurrencyControlBackend:
         Consults the scheduler's blocked-object index rather than the full
         object table: an object with an empty queue has nothing to wake, so a
         termination touches exactly the objects with pending requests instead
-        of rescanning every queue it visited.
+        of rescanning every queue it visited.  ``retry_objects`` may be the
+        transaction's own ``objects_visited`` set, so it is only read.
         """
         scheduler = self.scheduler
         blocked_index = scheduler._blocked_objects
@@ -194,7 +195,10 @@ def _grant_fused(
     This is ``Scheduler.execute_operation`` + ``ObjectManager.execute`` +
     ``Transaction.record_event`` flattened into one frame, shared by the fused
     submit closures.  ``key`` is the precomputed ``(op id, conflict param)``
-    group identity, or ``None`` to index through the manager's general path.
+    group identity, or ``None`` to index through the manager's general path;
+    it must equal what ``ObjectManager._group_key`` derives from the
+    invocation, because removal re-derives the key from the event instead of
+    remembering it per event.
 
     Returns the executed event, or ``None`` when the manager's spec cannot be
     direct-applied — in that case *nothing has been mutated* and the caller
@@ -244,14 +248,12 @@ def _grant_fused(
             group = groups[key] = _OperationGroup(
                 invocation=invocation, op_id=key[0], param=key[1]
             )
-            manager._group_key_by_event[id(event)] = key
             group.owners[transaction_id] = 1
         except TypeError:
             # Unhashable conflict parameter: the general path gives the
             # event its own fallback group.
             manager._index_event(event)
         else:
-            manager._group_key_by_event[id(event)] = key
             owners = group.owners
             try:
                 owners[transaction_id] += 1
@@ -806,14 +808,17 @@ class TwoPhaseLockingBackend(ConcurrencyControlBackend):
         return TransactionStatus.COMMITTED
 
     def on_terminate(self, transaction: Transaction, retry_objects: Set[str]) -> None:
-        held = self._held.pop(transaction.tid, set())
-        for object_name in held:
-            holders = self._locks.get(object_name)
-            if holders is not None:
-                holders.pop(transaction.tid, None)
-                if not holders:
-                    del self._locks[object_name]
-        super().on_terminate(transaction, set(retry_objects) | held)
+        held = self._held.pop(transaction.tid, None)
+        if held:
+            for object_name in held:
+                holders = self._locks.get(object_name)
+                if holders is not None:
+                    holders.pop(transaction.tid, None)
+                    if not holders:
+                        del self._locks[object_name]
+            if self.scheduler._blocked_objects:
+                retry_objects = retry_objects | held
+        super().on_terminate(transaction, retry_objects)
 
     def reset(self) -> None:
         self._locks.clear()

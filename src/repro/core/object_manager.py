@@ -9,9 +9,13 @@ This module implements that manager.  State handling follows the paper's own
 abort semantics (Definition 4): the *committed* state of the object is kept
 separately from the log of uncommitted operations, and the visible state is
 the committed state with all uncommitted operations replayed over it.  Undoing
-a transaction is then literally "its operations are deleted from the log" —
-the visible state is recomputed from what remains, which is correct for any
-sound log and needs no type-specific undo code.
+a transaction is then literally "its operations are deleted from the log",
+which is correct for any sound log and needs no type-specific undo code.
+Replay happens only when the log is shared: the manager keeps
+``current_state == replay(committed_state, uncommitted)``, so a transaction
+that owns the whole log commits by promoting the visible state and aborts by
+falling back to the committed one; only surviving operations of *other*
+transactions are ever replayed.
 """
 
 from __future__ import annotations
@@ -209,10 +213,6 @@ class ObjectManager:
         )
         self._compiled_policy: Optional[ConflictPolicy] = None
         self._compiled_tables: Optional[_CompiledTables] = None
-        #: Group key per live uncommitted event (keyed by ``id(event)``;
-        #: entries are dropped in ``_unindex_event`` while the event is still
-        #: referenced, so ids cannot be recycled underneath the map).
-        self._group_key_by_event: Dict[int, Any] = {}
 
     # ------------------------------------------------------------------
     # Classification
@@ -473,7 +473,6 @@ class ObjectManager:
             param: Any = None
         else:
             op_id, param = key
-        self._group_key_by_event[id(event)] = key
         group = self._op_groups.get(key)
         if group is None:
             group = self._op_groups[key] = _OperationGroup(
@@ -483,11 +482,9 @@ class ObjectManager:
         owners[event.transaction_id] = owners.get(event.transaction_id, 0) + 1
 
     def _unindex_event(self, event: Event) -> None:
-        key = self._group_key_by_event.pop(id(event), None)
+        key = self._group_key(event.invocation)
         if key is None:
-            key = self._group_key(event.invocation)
-            if key is None:
-                key = ("__unhashable__", id(event))
+            key = ("__unhashable__", id(event))
         group = self._op_groups.get(key)
         if group is None:
             return
@@ -511,31 +508,40 @@ class ObjectManager:
         """Remove a transaction's operations from the uncommitted log.
 
         On *commit* the operations are folded into the committed state (in
-        their original execution order); on *abort* they are simply dropped.
-        Either way the visible state is recomputed by replaying the surviving
-        uncommitted operations over the committed state — the paper's
-        ``E || A_j`` semantics.
+        their original execution order); on *abort* they are simply dropped
+        — the paper's ``E || A_j`` semantics.  A transaction that owned the
+        whole log leaves nothing to recompute (the visible state is already
+        the post-commit committed state, the committed state the post-abort
+        visible one); otherwise the survivors are replayed over the
+        committed state.  ``uncommitted`` is rebound, never mutated, so a
+        caller iterating the log across a termination keeps its snapshot.
         """
-        removed = self._events_by_tid.pop(transaction_id, None)
+        by_tid = self._events_by_tid
+        removed = by_tid.pop(transaction_id, None)
         if not removed:
             return []
+        if not by_tid:
+            self.uncommitted = []
+            self._op_groups = {}
+            if commit:
+                self.committed_state = self.current_state
+            else:
+                self.current_state = self.committed_state
+            return removed
         self.uncommitted = [
             e for e in self.uncommitted if e.transaction_id != transaction_id
         ]
         for event in removed:
             self._unindex_event(event)
-        if commit and self.materialize_state:
-            self.committed_state = self._replay(self.committed_state, removed)
         if self.materialize_state:
-            if not self.uncommitted:
-                self.current_state = self.committed_state
-            elif commit and removed[-1].sequence < self.uncommitted[0].sequence:
-                # The committed operations formed a prefix of the uncommitted
-                # log, so folding them into the committed state leaves the
-                # visible state exactly as it was — no replay needed.
-                pass
-            else:
-                self.current_state = self._replay(self.committed_state, self.uncommitted)
+            if commit:
+                self.committed_state = self._replay(self.committed_state, removed)
+                if removed[-1].sequence < self.uncommitted[0].sequence:
+                    # The committed operations formed a prefix of the log, so
+                    # folding them into the committed state leaves the visible
+                    # state exactly as it was — no replay needed.
+                    return removed
+            self.current_state = self._replay(self.committed_state, self.uncommitted)
         return removed
 
     def _replay(self, state: Any, events: List[Event]) -> Any:
@@ -586,9 +592,12 @@ class ObjectManager:
 
     def remove_blocked_of(self, transaction_id: int) -> List[PendingRequest]:
         """Drop (and return) every queued request owned by ``transaction_id``."""
-        removed = [p for p in self.blocked if p.transaction_id == transaction_id]
+        removed: List[PendingRequest] = []
+        kept: List[PendingRequest] = []
+        for pending in self.blocked:
+            (removed if pending.transaction_id == transaction_id else kept).append(pending)
         if removed:
-            self.blocked = [p for p in self.blocked if p.transaction_id != transaction_id]
+            self.blocked = kept
         return removed
 
     # ------------------------------------------------------------------
@@ -605,7 +614,6 @@ class ObjectManager:
         self.blocked.clear()
         self._op_groups.clear()
         self._events_by_tid.clear()
-        self._group_key_by_event.clear()
 
     def restore_initial_state(self) -> None:
         """Rewind the committed (and visible) state to the registered one."""

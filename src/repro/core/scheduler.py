@@ -658,7 +658,7 @@ class Scheduler:
         # Let the backend release protocol state (e.g. locks) and retry
         # blocked requests on the objects the terminated transaction touched.
         if retry_objects is None:
-            retry_objects = set(transaction.objects_visited)
+            retry_objects = transaction.objects_visited
         self.backend.on_terminate(transaction, retry_objects)
 
         # Retire the terminated transaction's handles to the freelist.  Every

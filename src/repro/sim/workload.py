@@ -64,6 +64,11 @@ class Workload:
     def __init__(self, params: SimulationParameters, rng: RandomSource):
         self.params = params
         self.rng = rng
+        #: Every object name, formatted once; registration and the template
+        #: stream hand out these same string objects.
+        self._object_names: List[str] = [
+            f"obj{index:05d}" for index in range(1, params.database_size + 1)
+        ]
 
     def register_objects(self, scheduler: Scheduler) -> None:
         """Register every database object with the scheduler."""
@@ -89,11 +94,14 @@ class Workload:
     def _transaction_length(self) -> int:
         return self.rng.uniform_int(self.params.min_length, self.params.max_length)
 
-    def _object_name(self, index: int) -> str:
-        return f"obj{index:05d}"
-
     def _random_object(self) -> str:
-        return self._object_name(self.rng.uniform_int(1, self.params.database_size))
+        return self._object_names[self.rng.uniform_int(1, self.params.database_size) - 1]
+
+
+#: The read/write model's only two invocations.  ``Invocation`` is frozen, so
+#: every template step shares them instead of constructing an equal copy.
+_READ = Invocation("read")
+_WRITE = Invocation("write", (1,))
 
 
 class ReadWriteWorkload(Workload):
@@ -107,9 +115,9 @@ class ReadWriteWorkload(Workload):
 
     def register_objects(self, scheduler: Scheduler) -> None:
         compatibility = self._page_type.compatibility()
-        for index in range(1, self.params.database_size + 1):
+        for name in self._object_names:
             scheduler.register_object(
-                self._object_name(index),
+                name,
                 self._page_type,
                 compatibility=compatibility,
                 materialize_state=True,
@@ -120,9 +128,9 @@ class ReadWriteWorkload(Workload):
         for _ in range(self._transaction_length()):
             object_name = self._random_object()
             if self.rng.bernoulli(self.params.write_probability):
-                steps.append((object_name, Invocation("write", (1,))))
+                steps.append((object_name, _WRITE))
             else:
-                steps.append((object_name, Invocation("read")))
+                steps.append((object_name, _READ))
         return TransactionTemplate(steps=steps)
 
 
@@ -215,6 +223,8 @@ class AbstractDataTypeWorkload(Workload):
         self.operations = tuple(
             f"op{i}" for i in range(1, params.operations_per_object + 1)
         )
+        #: One shared (frozen) invocation per abstract operation.
+        self._invocations = tuple(Invocation(name) for name in self.operations)
         self._spec = FunctionalTypeSpecification(
             name="adt-object",
             initial_state=None,
@@ -241,15 +251,14 @@ class AbstractDataTypeWorkload(Workload):
                     self.params.pc,
                     self.params.pr,
                     table_rng,
-                    object_name=self._object_name(index),
+                    object_name=name,
                 )
-                for index in range(1, self.params.database_size + 1)
+                for name in self._object_names
             ]
             if len(_TABLE_SET_CACHE) >= _TABLE_SET_CACHE_LIMIT:
                 _TABLE_SET_CACHE.pop(next(iter(_TABLE_SET_CACHE)))
             _TABLE_SET_CACHE[cache_key] = table_set
-        for index, table in enumerate(table_set, start=1):
-            name = self._object_name(index)
+        for name, table in zip(self._object_names, table_set):
             self.tables[name] = table
             scheduler.register_object(
                 name,
@@ -262,8 +271,7 @@ class AbstractDataTypeWorkload(Workload):
         steps: List[Tuple[str, Invocation]] = []
         for _ in range(self._transaction_length()):
             object_name = self._random_object()
-            operation = self.rng.choice(self.operations)
-            steps.append((object_name, Invocation(operation)))
+            steps.append((object_name, self.rng.choice(self._invocations)))
         return TransactionTemplate(steps=steps)
 
 

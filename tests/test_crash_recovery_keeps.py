@@ -95,7 +95,6 @@ class TestWhatACrashDiscards:
         for manager in managers.values():
             assert manager.uncommitted == [] and manager.blocked == []
             assert manager._op_groups == {} and manager._events_by_tid == {}
-            assert manager._group_key_by_event == {}
             assert manager.current_state is manager.committed_state
         # The durable write survived; the uncommitted 8 did not.
         assert managers["x"].committed_state == 7

@@ -2,10 +2,15 @@
 
 
 from repro.adts import StackType, TableType
-from repro.core.compatibility import ConflictClass
+from repro.core.compatibility import Answer, CompatibilitySpec, ConflictClass, RelationTable
 from repro.core.object_manager import ObjectManager, PendingRequest
 from repro.core.policy import ConflictPolicy
-from repro.core.specification import Invocation
+from repro.core.specification import (
+    FunctionalTypeSpecification,
+    Invocation,
+    OperationResult,
+    OperationSpec,
+)
 
 
 def make_stack_manager(**kwargs):
@@ -99,11 +104,15 @@ class TestBlockedQueue:
 
     def test_remove_blocked_of(self):
         manager = make_stack_manager()
-        manager.enqueue_blocked(PendingRequest(transaction_id=1, invocation=Invocation("pop")))
-        manager.enqueue_blocked(PendingRequest(transaction_id=2, invocation=Invocation("pop")))
+        for owner in (1, 2, 1, 3):
+            manager.enqueue_blocked(
+                PendingRequest(transaction_id=owner, invocation=Invocation("pop"))
+            )
         removed = manager.remove_blocked_of(1)
-        assert [p.transaction_id for p in removed] == [1]
-        assert [p.transaction_id for p in manager.blocked] == [2]
+        assert [p.transaction_id for p in removed] == [1, 1]
+        assert [p.transaction_id for p in manager.blocked] == [2, 3]
+        kept = manager.blocked
+        assert manager.remove_blocked_of(9) == [] and manager.blocked is kept
 
 
 class TestExecutionAndRemoval:
@@ -165,3 +174,75 @@ class TestExecutionAndRemoval:
         manager = ObjectManager(name="S", spec=StackType(), initial_state=(9,))
         assert manager.current_state == (9,)
         assert manager.committed_state == (9,)
+
+
+def make_counting_manager():
+    """A stack-of-pushes manager whose operation function counts its calls."""
+    calls = []
+
+    def push(state, args):
+        calls.append(args)
+        return OperationResult(state=state + args, value="ok")
+
+    table = RelationTable("pushes", ("push",), {("push", "push"): Answer.NO})
+    spec = FunctionalTypeSpecification(
+        name="counting",
+        initial_state=(),
+        operations={"push": OperationSpec(name="push", function=push)},
+        compatibility=CompatibilitySpec("counting", commutativity=table, recoverability=table),
+    )
+    return ObjectManager(name="C", spec=spec), calls
+
+
+class TestRemovalCost:
+    """What a removal may re-apply: nothing when the log was the
+    transaction's own, exactly the survivors when it was shared."""
+
+    def test_sole_owner_commit_applies_no_operation(self):
+        manager, calls = make_counting_manager()
+        manager.execute(Invocation("push", (4,)), 1, 1)
+        manager.execute(Invocation("push", (2,)), 1, 2)
+        del calls[:]
+        removed = manager.remove_transaction(1, commit=True)
+        assert calls == []
+        assert [e.invocation.args for e in removed] == [(4,), (2,)]
+        assert manager.committed_state == manager.current_state == (4, 2)
+        assert manager.uncommitted == []
+        assert manager._op_groups == {} and manager._events_by_tid == {}
+
+    def test_sole_owner_abort_applies_no_operation(self):
+        manager, calls = make_counting_manager()
+        manager.execute(Invocation("push", (4,)), 1, 1)
+        manager.remove_transaction(1, commit=True)
+        manager.execute(Invocation("push", (2,)), 2, 2)
+        del calls[:]
+        manager.remove_transaction(2, commit=False)
+        assert calls == []
+        assert manager.committed_state == manager.current_state == (4,)
+        assert manager.uncommitted == []
+        assert manager._op_groups == {} and manager._events_by_tid == {}
+
+    def test_shared_abort_replays_exactly_the_survivors(self):
+        manager, calls = make_counting_manager()
+        manager.execute(Invocation("push", (4,)), 1, 1)
+        manager.execute(Invocation("push", (2,)), 2, 2)
+        manager.execute(Invocation("push", (6,)), 3, 3)
+        del calls[:]
+        manager.remove_transaction(2, commit=False)
+        assert calls == [(4,), (6,)]
+        assert manager.current_state == (4, 6)
+        assert manager.live_transactions() == {1, 3}
+
+    def test_log_is_rebound_not_cleared_in_place(self):
+        # replication._missed_inflight_write iterates ``uncommitted`` of a
+        # live peer; a termination inside that loop must not disturb it.
+        for others in (0, 1):
+            manager, _ = make_counting_manager()
+            manager.execute(Invocation("push", (4,)), 1, 1)
+            if others:
+                manager.execute(Invocation("push", (2,)), 2, 2)
+            log = manager.uncommitted
+            snapshot = list(log)
+            manager.remove_transaction(1, commit=True)
+            assert manager.uncommitted is not log
+            assert log == snapshot

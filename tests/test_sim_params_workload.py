@@ -1,5 +1,7 @@
 """Tests for simulation parameters and the two workload generators."""
 
+import zlib
+
 import pytest
 
 from repro.core.compatibility import Answer
@@ -8,6 +10,7 @@ from repro.core.policy import ConflictPolicy
 from repro.core.scheduler import Scheduler
 from repro.sim.params import INFINITE_RESOURCES, SimulationParameters
 from repro.sim.random_source import RandomSource
+from repro.sim.simulator import Simulation
 from repro.sim.workload import (
     AbstractDataTypeWorkload,
     ReadWriteWorkload,
@@ -185,3 +188,43 @@ class TestAbstractDataTypeWorkload:
         assert isinstance(make_workload(params, RandomSource(1), "adt"), AbstractDataTypeWorkload)
         with pytest.raises(SimulationError):
             make_workload(params, RandomSource(1), "graph")
+
+
+#: crc32 of the first 2 000 templates at seed 11, recorded on the commit
+#: before names and invocations became shared objects.
+TEMPLATE_STREAM_PINS = {"readwrite": 2247846356, "adt": 2931781493}
+
+
+def template_stream_crc(workload, count=2000):
+    crc = 0
+    for _ in range(count):
+        for name, invocation in workload.next_transaction().steps:
+            crc = zlib.crc32(f"{name}|{invocation.op}|{invocation.args!r};".encode(), crc)
+        crc = zlib.crc32(b"/", crc)
+    return crc
+
+
+@pytest.mark.parametrize("kind", sorted(TEMPLATE_STREAM_PINS))
+class TestTemplateStream:
+    def test_stream_is_pinned_and_survives_reuse(self, kind):
+        params = SimulationParameters(seed=11, total_completions=10)
+        simulation = Simulation(params, workload_kind=kind)
+        assert template_stream_crc(simulation.workload) == TEMPLATE_STREAM_PINS[kind]
+        simulation.reset(params)
+        assert template_stream_crc(simulation.workload) == TEMPLATE_STREAM_PINS[kind]
+        simulation.workload.reset(RandomSource(params.seed).spawn("workload"))
+        assert template_stream_crc(simulation.workload) == TEMPLATE_STREAM_PINS[kind]
+
+    def test_steps_share_registered_names_and_invocations(self, kind):
+        params = SimulationParameters(seed=3, database_size=30, total_completions=10)
+        workload = make_workload(params, RandomSource(3), kind)
+        scheduler = Scheduler()
+        workload.register_objects(scheduler)
+        registered = {name: name for name in scheduler.objects}
+        by_value = {}
+        for _ in range(200):
+            for name, invocation in workload.next_transaction().steps:
+                assert registered[name] is name
+                key = (invocation.op, invocation.args)
+                assert by_value.setdefault(key, invocation) is invocation
+        assert len(by_value) == (2 if kind == "readwrite" else params.operations_per_object)

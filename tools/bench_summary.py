@@ -99,6 +99,7 @@ _KERNEL_TRAJECTORY = {
     "partial_callbacks_stop_flag": 93.72,  # partials + engine stop flag
     "typed_dispatch_pooled_submit": 76.61,  # kind-indexed events + slab pools
     "shared_compiled_tables": 75.55,  # one table compile per spec, liveness as data
+    "sole_owner_log_removal": 70.35,  # no replay/un-index for an unshared log, shared templates
 }
 
 
