@@ -74,7 +74,9 @@ from .analysis import (
 from .adts import paper_types
 from .core.errors import SimulationError
 from .core.policy import ConflictPolicy
+from .distributed import RouterStatistics
 from .sim.params import SimulationParameters
+from .sim.routing import CentralCoordinator
 from .sim.simulator import Simulation
 
 _SCALES = {"smoke": SMOKE_SCALE, "bench": BENCH_SCALE, "paper": PAPER_SCALE}
@@ -423,6 +425,19 @@ def _command_lint(paths, as_json: bool, out) -> int:
     return 1 if violations else 0
 
 
+def _global_accounting(coordinator) -> RouterStatistics:
+    """Global transaction accounting of a run, whoever coordinated it."""
+    if not isinstance(coordinator, CentralCoordinator):
+        return coordinator.router_stats
+    # No router: the scheduler's transactions are the global ones, and
+    # nothing multi-site (failures, cross-site cycles) can have happened.
+    scheduler, stats = coordinator.scheduler, coordinator.stats
+    return RouterStatistics(
+        begins=scheduler.begun, commits=stats.commits,
+        pseudo_commits=stats.pseudo_commits, aborts=stats.aborts,
+    )
+
+
 def _command_simulate(arguments, out, error) -> int:
     replication = arguments.replication
     if replication is None:
@@ -460,7 +475,7 @@ def _command_simulate(arguments, out, error) -> int:
     simulation = Simulation(params, workload_kind=arguments.workload)
     metrics = simulation.run()
     if arguments.json:
-        router_stats = simulation.router.router_stats
+        router_stats = _global_accounting(simulation.router)
         payload = {
             "params": params.describe(),
             "workload": arguments.workload,

@@ -266,6 +266,11 @@ class Scheduler:
         self.graph.add_node(transaction.tid)
         return transaction
 
+    @property
+    def begun(self) -> int:
+        """Transactions begun since construction (or the last reset)."""
+        return self._next_tid
+
     def transaction(self, transaction_id: int) -> Transaction:
         """Return the record of an existing transaction."""
         try:

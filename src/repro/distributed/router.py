@@ -57,7 +57,9 @@ conflict-free stretches cost nothing.
 
 With ``site_count=1`` the router is a pass-through: one site, one branch per
 transaction, no replication fan-out and no cross-site checks, reproducing the
-centralized scheduler's decision stream bit for bit.
+centralized scheduler's decision stream bit for bit, on the same ``submit``
+as every other site count.  (A centralized *simulation* builds no router at
+all: :mod:`repro.sim.routing` hands it the scheduler directly.)
 """
 
 from __future__ import annotations
@@ -79,15 +81,9 @@ from ..core.specification import Event, Invocation, TypeSpecification
 from ..core.transaction import TransactionStatus
 from .commit import CommitProtocol, make_commit_protocol
 from .cycles import UnionCycleDetector
-from .placement import (
-    HashShardedPlacement,
-    PlacementPolicy,
-    ReplicatedPlacement,
-    SingleSitePlacement,
-    make_placement,
-)
+from .placement import PlacementPolicy, make_placement
 from .replication import ReplicationProtocol, make_replication_protocol
-from .site import Site, SiteStatus, _fold_stats
+from .site import Site, _fold_stats
 
 if TYPE_CHECKING:
     from ..core.backends import ConcurrencyControlBackend
@@ -373,9 +369,9 @@ class TransactionRouter:
         self._local_map: List[Dict[int, int]] = [{} for _ in range(site_count)]
         #: Object name -> type specification (read/write classification).
         self._specs: Dict[str, TypeSpecification] = {}
-        #: Object name -> {op name -> is_read_only}, filled lazily.  The
-        #: submit fast path consults this instead of re-resolving the
-        #: operation spec (and absorbing its try/except) per request.
+        #: Object name -> {op name -> is_read_only}, filled lazily: submit
+        #: consults this instead of re-resolving the operation spec (and
+        #: absorbing its try/except) per request.
         self._read_only_ops: Dict[str, Dict[str, bool]] = {}
         self._listeners: List[SchedulerListener] = []
         self._next_gtid = 0
@@ -388,7 +384,6 @@ class TransactionRouter:
         #: sweep and the commit-time certification — plus the sweep's
         #: monotonic mutation gate (see :mod:`repro.distributed.cycles`).
         self._cycles = UnionCycleDetector(self)
-        self._rebind_submit()
 
     # ------------------------------------------------------------------
     # Setup (Scheduler-compatible, so workloads can register blindly)
@@ -441,7 +436,6 @@ class TransactionRouter:
         self.replication.reset()
         self.commit_protocol.reset()
         self._cycles.reset()
-        self._rebind_submit()
 
     def attach_resources(self, charger: "ResourceCharger") -> None:
         """Wire up the hardware granted operations are charged to.
@@ -733,101 +727,6 @@ class TransactionRouter:
         )
         request.branch_handles[site.site_id] = handle
 
-    def _rebind_submit(self) -> None:
-        """Bind the fused single-site submit fast path when it is exact.
-
-        With one site and the *stock* replica-selection rules, the general
-        :meth:`submit` spends most of its work proving what is statically
-        true: every stock placement puts every object at site 0, the base
-        protocol's ``select_read`` reduces to "site 0 if the copy is
-        readable" (rotation over one candidate is the identity and the
-        load tie-break of a single candidate returns it unchanged, with no
-        stats mutation), ``select_write`` to "site 0 if writable" (the
-        message counter adds ``len(targets) - 1 == 0``), and no cross-site
-        cycle can close.  The fast path compiled here inlines exactly that
-        residue — precondition checks, request construction, branch
-        get-or-create and the local scheduler submit — and bails to the
-        general path *before mutating any state* on every unusual
-        condition, so errors, unavailability aborts and the pinned event
-        stream are bit-identical to the general path.
-
-        The binding is an instance attribute shadowing the method; it is
-        dropped when site 0 fails and recomputed on construction, reset and
-        recovery.  Subclassed replication protocols or placements that
-        override the involved hooks never get the fast path.
-        """
-        self.__dict__.pop("submit", None)
-        if self.site_count != 1:
-            return
-        replication_cls = type(self.replication)
-        if (
-            replication_cls.select_read is not ReplicationProtocol.select_read
-            or replication_cls.select_write is not ReplicationProtocol.select_write
-        ):
-            return
-        if type(self.placement) not in (
-            SingleSitePlacement,
-            HashShardedPlacement,
-            ReplicatedPlacement,
-        ):
-            return
-        site = self.sites[0]
-        if site.status is not SiteStatus.UP:
-            return
-
-        transactions = self.transactions
-        read_only_cache = self._read_only_ops
-        registrations = site._registrations
-        unreadable = site.unreadable
-        local_map = self._local_map[0]
-        general_submit = TransactionRouter.submit
-        active = TransactionStatus.ACTIVE
-        up = SiteStatus.UP
-
-        def fast_submit(
-            transaction_id: int, object_name: str, invocation: Invocation
-        ) -> GlobalRequest:
-            transaction = transactions.get(transaction_id)
-            if transaction is None or transaction.status is not active:
-                return general_submit(self, transaction_id, object_name, invocation)
-            previous = transaction.current_request
-            if previous is not None and previous.blocked:
-                return general_submit(self, transaction_id, object_name, invocation)
-            read_only_ops = read_only_cache.get(object_name)
-            if read_only_ops is None:
-                return general_submit(self, transaction_id, object_name, invocation)
-            is_read_only = read_only_ops.get(invocation.op)
-            if (
-                is_read_only is None
-                or site.status is not up
-                or object_name not in registrations
-                or (is_read_only and object_name in unreadable)
-            ):
-                return general_submit(self, transaction_id, object_name, invocation)
-            request = GlobalRequest(
-                transaction_id=transaction_id,
-                object_name=object_name,
-                invocation=invocation,
-            )
-            transaction.current_request = request
-            if not is_read_only:
-                transaction.sites_written.add(0)
-                written = transaction.written_at.get(0)
-                if written is None:
-                    written = transaction.written_at[0] = set()
-                written.add(object_name)
-            branch = transaction.branches.get(0)
-            if branch is None or branch.generation != site.generation:
-                local = site.scheduler.begin(label=transaction.label)
-                branch = BranchRef(local_tid=local.tid, generation=site.generation)
-                transaction.branches[0] = branch
-                local_map[local.tid] = transaction.gtid
-            handle = site.scheduler.submit(branch.local_tid, object_name, invocation)
-            request.branch_handles[0] = handle
-            return request
-
-        self.submit = fast_submit  # type: ignore[method-assign]
-
     def _is_read_only(self, object_name: str, invocation: Invocation) -> bool:
         cache = self._read_only_ops[object_name]
         op = invocation.op
@@ -988,8 +887,6 @@ class TransactionRouter:
         self._local_map[site_id].clear()
         self._cycles.retire_graph(site.scheduler.graph.mutations)
         site.fail()
-        # The fused submit binding (if any) assumed the site was up.
-        self.__dict__.pop("submit", None)
         self.router_stats.site_failures += 1
         self.replication.on_site_failed(site_id)
         for transaction in affected:
@@ -1029,7 +926,6 @@ class TransactionRouter:
         self.replication.on_site_recovered(site)
         # After the catch-up: recovered stamps may satisfy a held 2PC commit.
         self.commit_protocol.on_site_recovered(site)
-        self._rebind_submit()
 
     # ------------------------------------------------------------------
     # Relay handlers (local scheduler events -> global bookkeeping)

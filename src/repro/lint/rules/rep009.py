@@ -13,10 +13,9 @@ this rule keeps the pattern from creeping back.
 Checked: ``lambda`` expressions and nested function definitions inside
 function bodies of ``repro.sim`` and ``repro.distributed``.  Not checked:
 setup bodies (``__init__`` / ``__post_init__`` / ``reset`` run once per run
-or per parameter point), the allow-listed functions below (their closures
-are allocated a bounded number of times per run), lambdas at module or
-class scope (evaluated once at import), and anything under the standard
-pragma (``# repro-lint: disable=REP009``).
+or per parameter point), lambdas at module or class scope (evaluated once at
+import), and anything under the standard pragma
+(``# repro-lint: disable=REP009``).
 """
 
 from __future__ import annotations
@@ -33,12 +32,6 @@ _CHECKED_PREFIXES = ("repro.sim", "repro.distributed")
 
 #: Constructor-cadence methods: run once per run or per parameter point.
 _SETUP_FUNCTIONS = ("__init__", "__post_init__", "reset")
-
-#: Functions whose closures are allocated a bounded number of times per
-#: run, not per event — the closure is the clear way to write them.
-_ALLOWED_FUNCTIONS = {
-    "_rebind_submit",  # router: fused submit compiled once per (re)bind, not per event
-}
 
 
 class Rep009ClosureAllocation(Rule):
@@ -68,11 +61,7 @@ class Rep009ClosureAllocation(Rule):
         per call."""
         for child in nodes:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                child_exempt = (
-                    exempt
-                    or child.name in _SETUP_FUNCTIONS
-                    or child.name in _ALLOWED_FUNCTIONS
-                )
+                child_exempt = exempt or child.name in _SETUP_FUNCTIONS
                 if in_function and not child_exempt:
                     yield self._violation(
                         source, child, f"nested function '{child.name}'"
@@ -106,8 +95,6 @@ class Rep009ClosureAllocation(Rule):
                 f"{what} is allocated on every call of its enclosing "
                 "function; on a per-event path use a bound method or "
                 "functools.partial (they also profile without a wrapper "
-                "frame), allow-list the enclosing function in rep009.py if "
-                "its allocations are per-run, or suppress with "
-                "'# repro-lint: disable=REP009'"
+                "frame), or suppress with '# repro-lint: disable=REP009'"
             ),
         )

@@ -27,7 +27,7 @@ The module models *where* that hardware lives as well as what it is:
   work), which gives read-one/write-all-available routing its asymmetry.
 
 Both placements implement the :class:`ResourceCharger` interface the
-:class:`~repro.distributed.router.TransactionRouter` charges operations
+simulation's coordinator (:mod:`repro.sim.routing`) charges operations
 through; :func:`make_resource_charger` picks the placement from
 ``SimulationParameters.resource_placement``.
 """
@@ -258,7 +258,7 @@ class ResourceDomain:
 class ResourceCharger:
     """Where granted operations are charged for hardware and network time.
 
-    The :class:`~repro.distributed.router.TransactionRouter` calls
+    The simulation's coordinator (:mod:`repro.sim.routing`) calls
     :meth:`perform_operation` once per granted global operation with the set
     of sites whose replicas executed it and the transaction's home site; the
     charger decides which hardware serves the work and what network delay

@@ -5,12 +5,15 @@ One :class:`Simulation` object models the whole system of the paper's Figure 3:
 * a fixed population of terminals, each thinking for an exponential time and
   then submitting a transaction;
 * a ready queue bounded by the multiprogramming level (``mpl_level``);
-* a :class:`~repro.distributed.router.TransactionRouter` over one or more
-  sites (``site_count``, ``replication``), each running the recoverability-
-  or commutativity-based scheduler of :mod:`repro.core.scheduler` (or the
-  strict-2PL baseline) and deciding, per operation, whether the request
-  executes, blocks, or aborts the transaction; with one site this is exactly
-  the centralized system of the paper;
+* a coordinator built by :mod:`repro.sim.routing` (``Simulation.router``):
+  the recoverability- or commutativity-based scheduler of
+  :mod:`repro.core.scheduler` (or the strict-2PL baseline) deciding, per
+  operation, whether the request executes, blocks, or aborts the
+  transaction.  One site that never fails is exactly the centralized system
+  of the paper, and the simulator drives that scheduler directly; several
+  sites (``site_count``, ``replication``), or one site that can crash, get
+  a :class:`~repro.distributed.router.TransactionRouter` over per-site
+  schedulers;
 * scripted site crash/recover events (``failure_schedule``) whose meaning
   the selected ``replication_protocol`` decides: writers of a failed site
   abort and restart everywhere, while a recovered replica either stays
@@ -26,7 +29,7 @@ One :class:`Simulation` object models the whole system of the paper's Figure 3:
   ``prepare_timeout``;
 * a resource phase per executed operation (constant ``step_time`` under
   infinite resources; CPU then disk queueing under finite resources),
-  charged through the router to one shared global pool or to the domains
+  charged through the coordinator to one shared global pool or to the domains
   of the sites that executed the operation's replicas
   (``resource_placement``), with a ``msg_time`` network delay on work
   routed away from the transaction's home site;
@@ -64,7 +67,7 @@ from .metrics import MetricsCollector, RunMetrics
 from .params import SimulationParameters
 from .random_source import RandomSource
 from .resources import make_resource_charger
-from .routing import create_router
+from .routing import create_coordinator
 from .terminals import Terminal, TerminalPool
 from .workload import TransactionTemplate, Workload, make_workload
 
@@ -137,42 +140,15 @@ class Simulation(SchedulerListener):
         self.think_rng = root_rng.spawn("think")
         self.resource_rng = root_rng.spawn("resources")
         self.workload = workload or make_workload(params, self.workload_rng, workload_kind)
-        # ``params.policy`` selects the concurrency-control backend per site
-        # (the semantic scheduler, or strict 2PL for TWO_PHASE_LOCKING);
-        # passing a ``backend`` instance overrides that choice outright, but
-        # only for the centralized single-site configuration — multiple sites
-        # each need a backend of their own.
-        if backend is not None and (params.site_count != 1 or params.failure_schedule):
-            raise SimulationError(
-                "an explicit backend instance requires site_count=1 and no "
-                "failure schedule; select per-site backends through params.policy"
-            )
-        self.router = create_router(
-            site_count=params.site_count,
-            replication=params.replication,
-            policy=params.policy,
-            fair=params.fair_scheduling,
-            record_history=False,
-            retain_terminated=False,
-            backend_factory=(lambda: backend) if backend is not None else None,
-            replication_protocol=params.replication_protocol,
-            quorum_read=params.quorum_read,
-            quorum_write=params.quorum_write,
-            commit_protocol=params.commit_protocol,
-            prepare_timeout=params.prepare_timeout,
-            pool_requests=pool_requests,
+        # The scheduler itself for the centralized system, a router otherwise.
+        self.router = create_coordinator(
+            params, self.engine, backend=backend, pool_requests=pool_requests
         )
         self.router.add_listener(self)
-        # The commit protocol may need to schedule future work (the
-        # two-phase prepare timeout); hand it the engine's clock, plus the
-        # kind registry so its recurring timeout drains as a typed member.
-        self.router.commit_protocol.attach_clock(
-            self.engine.schedule, register_kind=self.engine.register_kind
-        )
         self.workload.register_objects(self.router)
         # The hardware: one shared pool (the paper's model) or one domain
-        # per site, per ``params.resource_placement``.  The router owns the
-        # charging — the simulator only sees "this operation's physical
+        # per site, per ``params.resource_placement``.  The coordinator owns
+        # the charging — the simulator only sees "this operation's physical
         # phase is done" — so hardware follows data placement.
         self.resources = make_resource_charger(self.engine, params, self.resource_rng)
         self.router.attach_resources(self.resources)

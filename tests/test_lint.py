@@ -513,16 +513,6 @@ class TestRep009:
         )
         assert "REP009" not in rules_in({"src/repro/sim/x.py": good})
 
-    def test_allows_allow_listed_function(self):
-        good = (
-            "class Router:\n"
-            "    def _rebind_submit(self):\n"
-            "        def fast_submit(tid):\n"
-            "            return tid\n"
-            "        self.submit = fast_submit\n"
-        )
-        assert "REP009" not in rules_in({"src/repro/distributed/x.py": good})
-
     def test_allows_method_default_evaluated_at_import(self):
         # A lambda default on a module-level function or method is built
         # once at definition time, not per call.

@@ -29,6 +29,7 @@ from repro.core.object_manager import ObjectManager
 from repro.core.policy import ConflictPolicy
 from repro.core.specification import Invocation
 from repro.sim.params import SimulationParameters
+from repro.sim.routing import CentralCoordinator
 from repro.sim.simulator import Simulation
 
 
@@ -269,7 +270,11 @@ END_TO_END = {
 
 
 def schedulers_of(simulation):
-    return [site.scheduler for site in simulation.router.sites if site.status.is_up]
+    """The run's live schedulers: the coordinator's own, or one per up site."""
+    coordinator = simulation.router
+    if isinstance(coordinator, CentralCoordinator):
+        return [coordinator.scheduler]
+    return [site.scheduler for site in coordinator.sites if site.status.is_up]
 
 
 def run_and_observe(params, workload_kind, manager_class, monkeypatch):

@@ -21,6 +21,7 @@ that honest:
 """
 
 import pytest
+from test_log_removal_oracle import schedulers_of
 
 from repro.core.errors import StaleHandleError
 from repro.core.pool import ObjectPool
@@ -83,7 +84,7 @@ class TestPooledUnpooledEquivalence:
         params = point_params(ConflictPolicy.RECOVERABILITY, 1)
         simulation = Simulation(params, workload_kind="readwrite")
         simulation.run()
-        pool = simulation.router.sites[0].scheduler.handle_pool
+        pool = simulation.router.scheduler.handle_pool
         assert pool.released > 0
         assert pool.reused > 0
         # Boxes sitting in the freelist = releases not yet re-acquired.
@@ -187,14 +188,14 @@ class TestResetReuseWithPooling:
         simulation = Simulation(params, workload_kind="readwrite")
         first = simulation.run()
         released_first = sum(
-            site.scheduler.handle_pool.released for site in simulation.router.sites
+            scheduler.handle_pool.released for scheduler in schedulers_of(simulation)
         )
         simulation.reset(other)
         second = simulation.run()
         simulation.reset(params)
         third = simulation.run()
         released_third = sum(
-            site.scheduler.handle_pool.released for site in simulation.router.sites
+            scheduler.handle_pool.released for scheduler in schedulers_of(simulation)
         )
 
         assert signature(first) == signature(fresh_first)

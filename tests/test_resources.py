@@ -400,10 +400,13 @@ class TestMaintainedLoad:
             seen["checks"] += 1
 
         done = simulation._done
-        ranked = simulation.router.replication._load_ranked
         simulation._done = lambda: check() or done()
-        simulation.router.replication._load_ranked = (
-            lambda candidates: check() or ranked(candidates))
+        # A centralized run drives its scheduler directly: no replicas ranked.
+        replication = getattr(simulation.router, "replication", None)
+        if replication is not None:
+            ranked = replication._load_ranked
+            replication._load_ranked = (
+                lambda candidates: check() or ranked(candidates))
         return seen
 
     @pytest.mark.parametrize("overrides", [

@@ -1,13 +1,16 @@
 """sites=1 must reproduce the pre-multi-site system bit for bit.
 
-The multi-site refactor routed every simulation through the
-:class:`~repro.distributed.router.TransactionRouter`.  With ``site_count=1``
-the router must be a pure pass-through: the constants below are the raw
-deterministic counters of the *pre-refactor* single-scheduler simulator,
-captured on the pinned seeds before the router existed (the random streams
-have been process-stable — CRC32-derived — since PR 1, so these values are
-reproducible on any interpreter).  Any drift here means the router changed
-the centralized system's decision stream.
+The constants below are the raw deterministic counters of the *pre-refactor*
+single-scheduler simulator, captured on the pinned seeds before the
+:class:`~repro.distributed.router.TransactionRouter` existed (the random
+streams have been process-stable — CRC32-derived — since PR 1, so these
+values are reproducible on any interpreter).  They hold for both
+coordinators a one-site run can get: the direct one this file exercises (a
+centralized simulation drives its scheduler through
+:class:`~repro.sim.routing.CentralCoordinator`), and a one-site router,
+which must be a pure pass-through — ``tests/test_central_coordinator.py``
+runs the same pins with the router forced.  Any drift means the coordinator
+changed the centralized system's decision stream.
 """
 
 import pytest

@@ -100,6 +100,7 @@ _KERNEL_TRAJECTORY = {
     "typed_dispatch_pooled_submit": 76.61,  # kind-indexed events + slab pools
     "shared_compiled_tables": 75.55,  # one table compile per spec, liveness as data
     "sole_owner_log_removal": 70.35,  # no replay/un-index for an unshared log, shared templates
+    "direct_central_coordinator": 53.91,  # a one-site run drives its scheduler; no router relay
 }
 
 
