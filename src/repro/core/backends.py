@@ -27,20 +27,30 @@ Two backends are provided:
 * :class:`TwoPhaseLockingBackend` — the classical baseline the paper measures
   against: page-level strict two-phase locking with shared/exclusive lock
   modes, FIFO waiting, and deadlock detection via the same wait-for graph.
+  Its lock table is one record per touched object (the holders and the
+  spec's ``op -> LockMode`` table) plus, per transaction, the list of records
+  it holds a lock in.
+
+Every grant — first submit or queue grant, either backend — executes through
+one kernel, :meth:`Scheduler.execute_operation
+<repro.core.scheduler.Scheduler.execute_operation>`.  ``compile_submit``
+closures decide the uncontended case inline and call the kernel directly;
+every other outcome is :meth:`~ConcurrencyControlBackend.admit`'s, which ends
+in the same kernel.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import TYPE_CHECKING, Callable, Dict, Optional, Set
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set
 
 from .compatibility import ConflictClass
 from .dependency_graph import EdgeKind
 from .errors import ReproError, TransactionStateError, UnknownObjectError, UnknownOperationError
-from .object_manager import ObjectManager, _OperationGroup
+from .object_manager import ObjectManager, PendingRequest
 from .policy import ConflictPolicy
-from .requests import AbortReason, RequestHandle, RequestStatus
-from .specification import Event, Invocation, OperationResult
+from .requests import AbortReason, RequestHandle
+from .specification import Event, Invocation, TypeSpecification
 from .transaction import Transaction, TransactionStatus
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -148,10 +158,11 @@ class ConcurrencyControlBackend:
 
         Called once at scheduler construction, after :meth:`attach`.  A
         backend may return a closure with the exact semantics of
-        ``Scheduler.submit`` that short-circuits the common no-conflict case
-        (falling back to :meth:`admit` whenever a protocol decision is
-        needed); returning ``None`` keeps the general path — the default, and
-        what subclasses of the built-in backends get unless they opt in.
+        ``Scheduler.submit`` that decides the common no-conflict case inline
+        and executes it through ``Scheduler.execute_operation`` (handing
+        every other request to :meth:`admit`); returning ``None`` keeps the
+        general path — the default, and what subclasses of the built-in
+        backends get unless they opt in.
         """
         return None
 
@@ -159,7 +170,8 @@ class ConcurrencyControlBackend:
     # Hooks used by the shared scheduler machinery
     # ------------------------------------------------------------------
     def after_execute(self, manager: "ObjectManager", event: Event) -> None:
-        """Called after every executed operation (blocked-waiter upkeep)."""
+        """Blocked-waiter upkeep: called after an operation executed on an
+        object whose blocked queue is not empty."""
 
     def blocking_conflicts(
         self,
@@ -179,98 +191,6 @@ class ConcurrencyControlBackend:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<{type(self).__name__} {self.name!r}>"
-
-
-def _grant_fused(
-    scheduler: "Scheduler",
-    transaction: Transaction,
-    manager: ObjectManager,
-    handle: RequestHandle,
-    invocation: Invocation,
-    transaction_id: int,
-    key: Optional[tuple],
-) -> Optional[Event]:
-    """Execute an already-admitted request without re-entering the scheduler.
-
-    This is ``Scheduler.execute_operation`` + ``ObjectManager.execute`` +
-    ``Transaction.record_event`` flattened into one frame, shared by the fused
-    submit closures.  ``key`` is the precomputed ``(op id, conflict param)``
-    group identity, or ``None`` to index through the manager's general path;
-    it must equal what ``ObjectManager._group_key`` derives from the
-    invocation, because removal re-derives the key from the event instead of
-    remembering it per event.
-
-    Returns the executed event, or ``None`` when the manager's spec cannot be
-    direct-applied — in that case *nothing has been mutated* and the caller
-    must fall back to the general admission path.
-    """
-    if manager.materialize_state:
-        fns = manager._op_functions
-        if fns is None:
-            return None
-        try:
-            fn = fns[invocation.op]
-        except KeyError:
-            return None
-        sequence = scheduler._sequence + 1
-        scheduler._sequence = sequence
-        result = fn(manager.current_state, invocation.args)
-        if result.__class__ is not OperationResult:
-            # Non-conforming return: re-run through the legacy chain for its
-            # exact validation error (functions are pure, so this is safe).
-            result = manager.spec.apply(manager.current_state, invocation)
-        manager.current_state = result.state
-        value = result.value
-    else:
-        sequence = scheduler._sequence + 1
-        scheduler._sequence = sequence
-        value = None
-    event = Event(
-        object_name=manager.name,
-        invocation=invocation,
-        value=value,
-        transaction_id=transaction_id,
-        sequence=sequence,
-    )
-    manager.uncommitted.append(event)
-    by_tid = manager._events_by_tid
-    try:
-        by_tid[transaction_id].append(event)
-    except KeyError:
-        by_tid[transaction_id] = [event]
-    if key is None:
-        manager._index_event(event)
-    else:
-        groups = manager._op_groups
-        try:
-            group = groups[key]
-        except KeyError:
-            group = groups[key] = _OperationGroup(
-                invocation=invocation, op_id=key[0], param=key[1]
-            )
-            group.owners[transaction_id] = 1
-        except TypeError:
-            # Unhashable conflict parameter: the general path gives the
-            # event its own fallback group.
-            manager._index_event(event)
-        else:
-            owners = group.owners
-            try:
-                owners[transaction_id] += 1
-            except KeyError:
-                owners[transaction_id] = 1
-    history = scheduler.history
-    if history is not None:
-        history.append_event(event)
-    transaction.events.append(event)
-    transaction.objects_visited.add(manager.name)
-    transaction.status = TransactionStatus.ACTIVE
-    handle.status = RequestStatus.EXECUTED
-    handle.value = value
-    scheduler.stats.operations_executed += 1
-    for on_executed in scheduler._on_executed:
-        on_executed(transaction_id, handle, event)
-    return event
 
 
 class SemanticBackend(ConcurrencyControlBackend):
@@ -332,18 +252,19 @@ class SemanticBackend(ConcurrencyControlBackend):
         The compiled closure replays ``Scheduler.submit``'s exact lookup and
         error sequence, then scans the manager's operation groups inline: if
         the object has no queued requests and the invocation commutes with
-        every uncommitted operation of other transactions, the grant is
-        executed in this same frame (``_grant_fused``).  Any other outcome —
-        a queued request (fairness), an operation outside the compiled
-        tables, a non-commutative pair — bails out to :meth:`admit`, which
-        recomputes the classification from scratch: the scan is pure, so the
-        fallback is bit-identical to never having taken the fast path.
+        every uncommitted operation of other transactions, the grant goes
+        straight to the execution kernel.  Any other outcome — a queued
+        request (fairness), an operation outside the compiled tables, a
+        non-commutative pair — is :meth:`admit`'s, which recomputes the
+        classification from scratch: the scan is pure, so that is
+        bit-identical to never having scanned.
         """
         if type(self) is not SemanticBackend:
             # Subclasses may override admission; they must opt in explicitly.
             return None
         scheduler = self.scheduler
         admit = self.admit
+        execute = scheduler.execute_operation
         active = TransactionStatus.ACTIVE
         commutative = ConflictClass.COMMUTATIVE
         pool_requests = scheduler.pool_requests
@@ -382,78 +303,47 @@ class SemanticBackend(ConcurrencyControlBackend):
                     object_name=object_name,
                     invocation=invocation,
                 )
-            if manager.blocked:
-                admit(transaction, manager, handle, False)
-                if pool_requests:
-                    handles = transaction.handles
-                    if handles is None:
-                        handles = transaction.handles = []
-                    handles.append(handle)
-                return handle
-            try:
-                requested_id = manager._op_index[invocation.op]
-            except KeyError:
-                admit(transaction, manager, handle, False)
-                if pool_requests:
-                    handles = transaction.handles
-                    if handles is None:
-                        handles = transaction.handles = []
-                    handles.append(handle)
-                return handle
-            if manager._param_is_args:
-                requested_param = invocation.args
-            else:
-                requested_param = manager.spec.conflict_parameter(invocation)
-            groups = manager._op_groups
-            if groups:
-                policy = scheduler.policy
-                if policy is manager._compiled_policy:
-                    tables = manager._compiled_tables
+            commutes = not manager.blocked
+            if commutes:
+                try:
+                    requested_id = manager._op_index[invocation.op]
+                except KeyError:
+                    commutes = False
                 else:
-                    tables = manager._tables_for(policy)
-                assert tables is not None
-                unconditional_table = tables[0]
-                base = requested_id * manager._n_ops
-                for group in groups.values():
-                    owners = group.owners
-                    if not owners or (len(owners) == 1 and transaction_id in owners):
-                        continue
-                    group_id = group.op_id
-                    if group_id < 0:
-                        admit(transaction, manager, handle, False)
-                        if pool_requests:
-                            handles = transaction.handles
-                            if handles is None:
-                                handles = transaction.handles = []
-                            handles.append(handle)
-                        return handle
-                    index = base + group_id
-                    pairwise = unconditional_table[index]
-                    if pairwise is None:
-                        if requested_param == group.param:
-                            pairwise = tables[1][index]
+                    if manager._param_is_args:
+                        requested_param = invocation.args
+                    else:
+                        requested_param = manager.spec.conflict_parameter(invocation)
+                    groups = manager._op_groups
+                    if groups:
+                        policy = scheduler.policy
+                        if policy is manager._compiled_policy:
+                            tables = manager._compiled_tables
                         else:
-                            pairwise = tables[2][index]
-                    if pairwise is not commutative:
-                        admit(transaction, manager, handle, False)
-                        if pool_requests:
-                            handles = transaction.handles
-                            if handles is None:
-                                handles = transaction.handles = []
-                            handles.append(handle)
-                        return handle
-            if (
-                _grant_fused(
-                    scheduler,
-                    transaction,
-                    manager,
-                    handle,
-                    invocation,
-                    transaction_id,
-                    (requested_id, requested_param),
-                )
-                is None
-            ):
+                            tables = manager._tables_for(policy)
+                        assert tables is not None
+                        unconditional_table = tables[0]
+                        base = requested_id * manager._n_ops
+                        for group in groups.values():
+                            owners = group.owners
+                            if not owners or (len(owners) == 1 and transaction_id in owners):
+                                continue
+                            group_id = group.op_id
+                            if group_id >= 0:
+                                index = base + group_id
+                                pairwise = unconditional_table[index]
+                                if pairwise is None:
+                                    if requested_param == group.param:
+                                        pairwise = tables[1][index]
+                                    else:
+                                        pairwise = tables[2][index]
+                                if pairwise is commutative:
+                                    continue
+                            commutes = False
+                            break
+            if commutes:
+                execute(transaction, manager, handle, False, (requested_id, requested_param))
+            else:
                 admit(transaction, manager, handle, False)
             if pool_requests:
                 handles = transaction.handles
@@ -475,8 +365,6 @@ class SemanticBackend(ConcurrencyControlBackend):
         if that edge closes a cycle the blocked transaction is the victim.
         """
         scheduler = self.scheduler
-        if not manager.blocked:
-            return
         for pending in list(manager.blocked):
             if pending.transaction_id == event.transaction_id:
                 continue
@@ -538,6 +426,41 @@ class LockMode(enum.Enum):
         return self is LockMode.EXCLUSIVE or other is LockMode.EXCLUSIVE
 
 
+class _ModeTable(Dict[str, LockMode]):
+    """One spec's ``op -> LockMode`` table, filled as operation names are seen.
+
+    A miss asks ``spec.operation(name)`` — so a spec that overrides the lookup
+    gets the modes its override reports — and remembers the answer; a name the
+    spec does not know takes the exclusive lock.
+    """
+
+    __slots__ = ("spec",)
+
+    def __init__(self, spec: TypeSpecification) -> None:
+        self.spec = spec
+
+    def __missing__(self, op_name: str) -> LockMode:
+        try:
+            read_only = self.spec.operation(op_name).is_read_only
+        except UnknownOperationError:
+            read_only = False
+        mode = self[op_name] = LockMode.SHARED if read_only else LockMode.EXCLUSIVE
+        return mode
+
+
+class _LockRecord:
+    """The lock of one object: who holds it, and what each operation needs
+    (``modes`` is shared by every record over the same spec)."""
+
+    __slots__ = ("name", "holders", "modes")
+
+    def __init__(self, name: str, modes: _ModeTable) -> None:
+        self.name = name
+        #: transaction id -> granted mode
+        self.holders: Dict[int, LockMode] = {}
+        self.modes = modes
+
+
 class TwoPhaseLockingBackend(ConcurrencyControlBackend):
     """Page-level strict two-phase locking — the paper's classical baseline.
 
@@ -551,81 +474,93 @@ class TwoPhaseLockingBackend(ConcurrencyControlBackend):
     detected with the scheduler's shared wait-for graph, and the requester
     that would close a cycle is the victim — the same victim rule as the
     semantic backend, which keeps the two backends comparable.
+
+    The lock table is one :class:`_LockRecord` per object, created on the
+    object's first lock request and kept — emptied, not deleted — until
+    :meth:`reset`, so every decision reaches an object's holders and mode
+    table with one lookup.  A transaction's locks are the records listed
+    under its id: a record is appended exactly when the transaction's first
+    lock on the object is granted (a covered request and an upgrade touch
+    nothing), so releasing is one ``del`` per entry.
     """
 
     name = "two-phase-locking"
 
     def __init__(self) -> None:
         super().__init__()
-        #: object name -> {transaction id -> granted mode}
-        self._locks: Dict[str, Dict[int, LockMode]] = {}
-        #: transaction id -> object names where it holds a lock
-        self._held: Dict[int, Set[str]] = {}
+        #: object name -> lock record
+        self._records: Dict[str, _LockRecord] = {}
+        #: transaction id -> records in which it holds a lock
+        self._held: Dict[int, List[_LockRecord]] = {}
+        #: id(spec) -> its mode table (which holds the spec, so the id cannot
+        #: be reused while the table is cached)
+        self._mode_tables: Dict[int, _ModeTable] = {}
 
     # ------------------------------------------------------------------
     # Lock-table helpers
     # ------------------------------------------------------------------
+    def _modes_of(self, spec: TypeSpecification) -> _ModeTable:
+        try:
+            return self._mode_tables[id(spec)]
+        except KeyError:
+            modes = self._mode_tables[id(spec)] = _ModeTable(spec)
+            return modes
+
+    def _new_record(self, manager: "ObjectManager") -> _LockRecord:
+        record = self._records[manager.name] = _LockRecord(
+            manager.name, self._modes_of(manager.spec)
+        )
+        return record
+
     def required_mode(self, manager: "ObjectManager", invocation: Invocation) -> LockMode:
         """The lock mode ``invocation`` needs on ``manager``'s object."""
-        try:
-            operation = manager.spec.operation(invocation.op)
-        except UnknownOperationError:
-            return LockMode.EXCLUSIVE
-        return LockMode.SHARED if operation.is_read_only else LockMode.EXCLUSIVE
+        return self._modes_of(manager.spec)[invocation.op]
 
     def holders(self, object_name: str) -> Dict[int, LockMode]:
         """Current lock holders of one object (empty when unlocked)."""
-        return dict(self._locks.get(object_name, {}))
+        record = self._records.get(object_name)
+        return dict(record.holders) if record is not None else {}
 
-    def _lock_conflicts(
-        self, manager: "ObjectManager", mode: LockMode, transaction_id: int
-    ) -> Set[int]:
-        holders = self._locks.get(manager.name)
-        if not holders:
-            return set()
-        return {
-            tid
-            for tid, granted in holders.items()
-            if tid != transaction_id and mode.conflicts_with(granted)
-        }
-
-    def _queued_conflicts(
-        self,
-        manager: "ObjectManager",
+    @staticmethod
+    def _conflicts(
+        record: _LockRecord,
+        queue: List[PendingRequest],
+        queued: int,
         mode: LockMode,
         transaction_id: int,
-        upto: Optional[int] = None,
     ) -> Set[int]:
-        queue = manager.blocked if upto is None else manager.blocked[:upto]
-        owners: Set[int] = set()
-        for pending in queue:
-            if pending.transaction_id == transaction_id:
-                continue
-            if mode.conflicts_with(self.required_mode(manager, pending.invocation)):
-                owners.add(pending.transaction_id)
-        return owners
+        """Who stands in the way of a ``mode`` request that no held lock covers.
 
-    def _acquire(self, object_name: str, transaction_id: int, mode: LockMode) -> bool:
-        """Grant (or extend) a lock; returns True when the table changed."""
-        holders = self._locks.setdefault(object_name, {})
-        current = holders.get(transaction_id)
-        changed = False
-        if current is not LockMode.EXCLUSIVE:
-            granted = mode if current is None else (
-                LockMode.EXCLUSIVE if mode is LockMode.EXCLUSIVE else current
-            )
-            changed = granted is not current
-            holders[transaction_id] = granted
-        self._held.setdefault(transaction_id, set()).add(object_name)
-        return changed
+        The other holders of a conflicting lock, plus the owners of
+        conflicting requests among the first ``queued`` entries of ``queue``.
+        """
+        conflicting: Set[int] = set()
+        if mode is LockMode.EXCLUSIVE:
+            for holder in record.holders:
+                if holder != transaction_id:
+                    conflicting.add(holder)
+            for position in range(queued):
+                owner = queue[position].transaction_id
+                if owner != transaction_id:
+                    conflicting.add(owner)
+            return conflicting
+        # A shared request is uncovered only while the requester holds nothing.
+        for holder, granted in record.holders.items():
+            if granted is LockMode.EXCLUSIVE:
+                conflicting.add(holder)
+        modes = record.modes
+        for position in range(queued):
+            pending = queue[position]
+            if (
+                pending.transaction_id != transaction_id
+                and modes[pending.invocation.op] is LockMode.EXCLUSIVE
+            ):
+                conflicting.add(pending.transaction_id)
+        return conflicting
 
     # ------------------------------------------------------------------
     # Protocol decisions
     # ------------------------------------------------------------------
-    def _covered(self, held: Optional[LockMode], mode: LockMode) -> bool:
-        """True when a held lock already licenses a request of ``mode``."""
-        return held is LockMode.EXCLUSIVE or (held is not None and mode is LockMode.SHARED)
-
     def admit(
         self,
         transaction: Transaction,
@@ -634,46 +569,61 @@ class TwoPhaseLockingBackend(ConcurrencyControlBackend):
         from_queue: bool,
     ) -> None:
         scheduler = self.scheduler
+        transaction_id = transaction.tid
         if from_queue:
-            scheduler.graph.remove_edges_from(transaction.tid, EdgeKind.WAIT_FOR)
-        mode = self.required_mode(manager, handle.invocation)
-        held = self._locks.get(manager.name, {}).get(transaction.tid)
-        if not self._covered(held, mode):
-            conflicting = self._lock_conflicts(manager, mode, transaction.tid)
+            scheduler.graph.remove_edges_from(transaction_id, EdgeKind.WAIT_FOR)
+        try:
+            record = self._records[manager.name]
+        except KeyError:
+            record = self._new_record(manager)
+        mode = record.modes[handle.invocation.op]
+        holders = record.holders
+        held = holders.get(transaction_id)
+        acquire = held is not LockMode.EXCLUSIVE and (held is None or mode is LockMode.EXCLUSIVE)
+        if acquire:
             # Fair FIFO queueing applies only to *new* lock requests.  An
             # upgrade (shared held, exclusive needed) waits on the other
             # holders alone: queueing it behind requests that are themselves
             # waiting on its shared lock would manufacture a deadlock.
-            if held is None and scheduler.fair and not from_queue:
-                conflicting |= self._queued_conflicts(manager, mode, transaction.tid)
+            queue = manager.blocked
+            fifo = held is None and scheduler.fair and not from_queue
+            conflicting = self._conflicts(
+                record, queue, len(queue) if fifo else 0, mode, transaction_id
+            )
             if conflicting:
                 scheduler.block_request(transaction, manager, handle, conflicting)
                 return
-        changed = self._acquire(manager.name, transaction.tid, mode)
-        scheduler.execute_operation(transaction, manager, handle, from_queue=from_queue)
-        # Waiters' conflict sets can only change when the lock table did, so
-        # operations under an already-held covering lock skip the refresh.
-        # (after_execute stays a no-op for this backend: the decision needs
-        # the acquire outcome, which lives in this frame — instance state
-        # would be clobbered if a listener ever re-entered the scheduler.)
-        if changed:
+            holders[transaction_id] = mode
+            if held is None:
+                self._held.setdefault(transaction_id, []).append(record)
+        scheduler.execute_operation(transaction, manager, handle, from_queue)
+        # Waiters' conflict sets can only change when the lock table did, and
+        # only a non-empty queue has waiters.  (after_execute stays a no-op
+        # for this backend: the decision needs the acquire outcome, which
+        # lives in this frame — instance state would be clobbered if a
+        # listener ever re-entered the scheduler.)
+        if acquire and manager.blocked:
             self._refresh_waiters(manager)
 
     def compile_submit(self) -> Optional[FusedSubmit]:
         """Fuse submit → lock check → execute for the uncontended case.
 
-        The fast path applies when the object has no queued requests and the
-        needed lock is either already covered or free of conflicting holders;
-        the lock table update still goes through :meth:`_acquire`, and the
-        waiter refresh is skipped because an empty queue has no edges to
-        re-point.  Everything else bails out to :meth:`admit`, whose lock
-        check is pure up to that point — the fallback is bit-identical.
+        The closure decides inline when the object has no queued requests and
+        the needed lock is either already covered (nothing is touched) or
+        free of conflicting holders (the lock record and the transaction's
+        held list are updated in this frame), then calls the execution
+        kernel.  With an empty queue there are no waiters to refresh.
+        Everything else is :meth:`admit`'s, whose lock check starts from the
+        same untouched record.
         """
         if type(self) is not TwoPhaseLockingBackend:
             return None
         scheduler = self.scheduler
-        backend = self
         admit = self.admit
+        execute = scheduler.execute_operation
+        records = self._records
+        new_record = self._new_record
+        held_records = self._held
         active = TransactionStatus.ACTIVE
         exclusive = LockMode.EXCLUSIVE
         shared = LockMode.SHARED
@@ -711,61 +661,35 @@ class TwoPhaseLockingBackend(ConcurrencyControlBackend):
                     object_name=object_name,
                     invocation=invocation,
                 )
-            if manager.blocked or (
-                manager.materialize_state and manager._op_functions is None
-            ):
-                admit(transaction, manager, handle, False)
-                if pool_requests:
-                    handles = transaction.handles
-                    if handles is None:
-                        handles = transaction.handles = []
-                    handles.append(handle)
-                return handle
-            mode = backend.required_mode(manager, invocation)
-            try:
-                holders = backend._locks[object_name]
-            except KeyError:
-                holders = None
-                held = None
-            else:
+            grant = not manager.blocked
+            if grant:
+                try:
+                    record = records[object_name]
+                except KeyError:
+                    record = new_record(manager)
+                mode = record.modes[invocation.op]
+                holders = record.holders
                 held = holders.get(transaction_id)
-            if not (held is exclusive or (held is not None and mode is shared)):
-                if holders:
-                    for tid, granted in holders.items():
-                        if tid != transaction_id and (
-                            mode is exclusive or granted is exclusive
-                        ):
-                            admit(transaction, manager, handle, False)
-                            if pool_requests:
-                                handles = transaction.handles
-                                if handles is None:
-                                    handles = transaction.handles = []
-                                handles.append(handle)
-                            return handle
-            changed = backend._acquire(object_name, transaction_id, mode)
-            if (
-                _grant_fused(
-                    scheduler,
-                    transaction,
-                    manager,
-                    handle,
-                    invocation,
-                    transaction_id,
-                    None,
-                )
-                is None
-            ):
-                # The spec cannot be direct-applied: finish through the
-                # general path (the second _acquire is a no-op).
+                if held is not exclusive and (held is None or mode is exclusive):
+                    if mode is shared:
+                        for granted in holders.values():
+                            if granted is exclusive:
+                                grant = False
+                                break
+                    elif len(holders) > (held is not None):
+                        # Somebody besides the requester holds the lock.
+                        grant = False
+                    if grant:
+                        holders[transaction_id] = mode
+                        if held is None:
+                            try:
+                                held_records[transaction_id].append(record)
+                            except KeyError:
+                                held_records[transaction_id] = [record]
+            if grant:
+                execute(transaction, manager, handle, False)
+            else:
                 admit(transaction, manager, handle, False)
-                if pool_requests:
-                    handles = transaction.handles
-                    if handles is None:
-                        handles = transaction.handles = []
-                    handles.append(handle)
-                return handle
-            if changed:
-                backend._refresh_waiters(manager)
             if pool_requests:
                 handles = transaction.handles
                 if handles is None:
@@ -808,21 +732,21 @@ class TwoPhaseLockingBackend(ConcurrencyControlBackend):
         return TransactionStatus.COMMITTED
 
     def on_terminate(self, transaction: Transaction, retry_objects: Set[str]) -> None:
-        held = self._held.pop(transaction.tid, None)
-        if held:
-            for object_name in held:
-                holders = self._locks.get(object_name)
-                if holders is not None:
-                    holders.pop(transaction.tid, None)
-                    if not holders:
-                        del self._locks[object_name]
-            if self.scheduler._blocked_objects:
-                retry_objects = retry_objects | held
+        transaction_id = transaction.tid
+        for record in self._held.pop(transaction_id, ()):
+            del record.holders[transaction_id]
+            if record.name not in retry_objects:
+                # A lock without a visit: the operation raised after the grant.
+                retry_objects = retry_objects | {record.name}
         super().on_terminate(transaction, retry_objects)
 
     def reset(self) -> None:
-        self._locks.clear()
+        # In place: the fused closure captured both tables.  Dropping the
+        # records (not just emptying their holders) lets an object that is
+        # re-registered under another spec start clean.
+        self._records.clear()
         self._held.clear()
+        self._mode_tables.clear()
 
     # ------------------------------------------------------------------
     # Retry support
@@ -834,14 +758,21 @@ class TwoPhaseLockingBackend(ConcurrencyControlBackend):
         transaction_id: int,
         upto: Optional[int] = None,
     ) -> Set[int]:
-        mode = self.required_mode(manager, invocation)
-        held = self._locks.get(manager.name, {}).get(transaction_id)
-        if self._covered(held, mode):
+        try:
+            record = self._records[manager.name]
+        except KeyError:
+            record = self._new_record(manager)
+        mode = record.modes[invocation.op]
+        held = record.holders.get(transaction_id)
+        if held is LockMode.EXCLUSIVE or (held is not None and mode is LockMode.SHARED):
             return set()
-        conflicting = self._lock_conflicts(manager, mode, transaction_id)
+        queue = manager.blocked
+        queued = 0
         if held is None and self.scheduler.fair:
-            conflicting |= self._queued_conflicts(manager, mode, transaction_id, upto=upto)
-        return conflicting
+            queued = len(queue)
+            if upto is not None and upto < queued:
+                queued = upto
+        return self._conflicts(record, queue, queued, mode, transaction_id)
 
 
 def make_backend(policy: ConflictPolicy) -> ConcurrencyControlBackend:

@@ -188,10 +188,10 @@ class ObjectManager:
         #: Raw operation functions keyed by op name, for specs that use the
         #: stock ``apply``/``operation`` dispatch.  Applying through the chain
         #: ``spec.apply -> spec.operation -> OperationSpec.apply -> function``
-        #: costs four interpreter frames per operation; on the hot execute and
-        #: replay paths the manager calls the function directly instead.  A
-        #: spec that overrides either hook keeps the full legacy path
-        #: (``_op_functions`` stays ``None``).
+        #: costs four interpreter frames per operation; the hot paths — the
+        #: scheduler's execution kernel and ``_replay`` — call the function
+        #: directly instead.  A spec that overrides either hook keeps the
+        #: full legacy path (``_op_functions`` stays ``None``).
         self._op_functions: Optional[Dict[str, Callable[[Any, Tuple[Any, ...]], Any]]]
         if (
             type(self.spec).apply is TypeSpecification.apply
@@ -410,26 +410,12 @@ class ObjectManager:
         """Execute an admitted invocation against the visible state.
 
         Returns the resulting :class:`Event` (already appended to the
-        manager's uncommitted log).
+        manager's uncommitted log).  This is the manager's own, plain form;
+        the scheduler's grants run ``Scheduler.execute_operation``, which
+        does the same work in one frame.
         """
         if self.materialize_state:
-            fns = self._op_functions
-            if fns is not None:
-                try:
-                    fn = fns[invocation.op]
-                except KeyError:
-                    fn = None
-                if fn is not None:
-                    result = fn(self.current_state, invocation.args)
-                    if result.__class__ is not OperationResult:
-                        # Non-conforming return: re-run through the legacy
-                        # chain for its exact validation error (functions are
-                        # pure, so the second application is safe).
-                        result = self.spec.apply(self.current_state, invocation)
-                else:
-                    result = self.spec.apply(self.current_state, invocation)
-            else:
-                result = self.spec.apply(self.current_state, invocation)
+            result = self.spec.apply(self.current_state, invocation)
             self.current_state = result.state
             value = result.value
         else:

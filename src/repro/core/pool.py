@@ -9,8 +9,8 @@ the acquiring site, so the pooled path produces byte-identical observable
 state to a fresh construction — the pinned equivalence suites prove the
 event and RNG streams unchanged.
 
-Safety comes from generation counters, not discipline: ``retire()`` bumps
-``generation`` and stamps the box ``RECYCLED``, so a caller that stashed a
+Safety comes from generation counters, not discipline: retiring a handle
+bumps ``generation`` and stamps it ``RECYCLED``, so a caller that stashed a
 reference across the recycle gets a loud
 :class:`~repro.core.errors.StaleHandleError` on its next status read rather
 than silently aliasing another request.
@@ -38,7 +38,7 @@ class ObjectPool(Generic[T]):
 
     def __init__(self) -> None:
         #: The freelist.  Public so hot paths can inline ``free.pop()`` /
-        #: ``free.append(obj)``; every object on it has been ``retire()``d.
+        #: ``free.extend(objs)``; every object on it has been retired.
         self.free: List[T] = []
         self.created = 0
         self.reused = 0
@@ -60,9 +60,9 @@ class ObjectPool(Generic[T]):
     def release(self, obj: T) -> None:
         """Push a retired instance onto the freelist.
 
-        The instance must already be ``retire()``d (generation bumped,
-        status stamped ``RECYCLED``): the pool does not call it, so inlined
-        release sites keep full control of the field resets.
+        The instance must already be retired (generation bumped, status
+        stamped ``RECYCLED``): the pool does not do it, so inlined release
+        sites keep full control of the field resets.
         """
         self.released += 1
         self.free.append(obj)

@@ -70,13 +70,6 @@ class RequestHandle:
     #: status properties do it automatically by raising on ``RECYCLED``.
     generation: int = 0
 
-    def retire(self) -> None:
-        """Return the handle to its pool: invalidate every observable field."""
-        self.generation += 1
-        self.status = RequestStatus.RECYCLED
-        self.value = None
-        self.abort_reason = None
-
     @property
     def executed(self) -> bool:
         status = self.status

@@ -43,11 +43,11 @@ from .compatibility import CompatibilitySpec
 from .dependency_graph import DependencyGraph, EdgeKind
 from .errors import TransactionStateError, UnknownObjectError
 from .history import ExecutionLog
-from .object_manager import ObjectManager, PendingRequest
+from .object_manager import ObjectManager, PendingRequest, _OperationGroup
 from .policy import ConflictPolicy
 from .pool import ObjectPool
 from .requests import AbortReason, RequestHandle, RequestStatus
-from .specification import Event, Invocation, TypeSpecification
+from .specification import Event, Invocation, OperationResult, TypeSpecification
 from .transaction import Transaction, TransactionStatus
 
 __all__ = [
@@ -344,7 +344,7 @@ class Scheduler:
             handle.object_name = object_name
             handle.invocation = invocation
             handle.status = None
-            # value and abort_reason were cleared by retire().
+            # value and abort_reason were cleared at retirement.
             return handle
         pool.created += 1
         return RequestHandle(
@@ -407,24 +407,107 @@ class Scheduler:
         manager: ObjectManager,
         handle: RequestHandle,
         from_queue: bool,
+        key: Optional[tuple] = None,
     ) -> Event:
-        """Execute an admitted request and publish the result."""
-        self._sequence += 1
-        event = manager.execute(handle.invocation, transaction.tid, self._sequence)
-        if self.history is not None:
-            self.history.append_event(event)
-        transaction.record_event(event)
+        """Execute an admitted request and publish the result.
+
+        The one execution kernel: every grant of either backend — decided
+        inline by a fused submit, by ``admit``, or on leaving a blocked queue
+        (``from_queue``: listeners hear ``on_granted`` instead of
+        ``on_executed``) — runs this frame, which applies the operation,
+        appends the event to the object's log and indexes, and records it on
+        the transaction.  The operation function is called directly when the
+        manager has a function table; ``spec.apply`` is the slow branch (and
+        the source of the exact error for an unknown operation or a
+        non-conforming return — functions are pure, so re-applying is safe).
+
+        ``key`` is the invocation's ``(op id, conflict param)`` group identity
+        when the caller already has it; it must equal what
+        ``ObjectManager._group_key`` derives, because removal re-derives the
+        key from the event instead of remembering it per event.
+        """
+        invocation = handle.invocation
+        transaction_id = transaction.tid
+        sequence = self._sequence + 1
+        self._sequence = sequence
+        if manager.materialize_state:
+            state = manager.current_state
+            fns = manager._op_functions
+            try:
+                fn = fns[invocation.op] if fns is not None else None
+            except KeyError:
+                fn = None
+            if fn is None:
+                result = manager.spec.apply(state, invocation)
+            else:
+                result = fn(state, invocation.args)
+                if result.__class__ is not OperationResult:
+                    result = manager.spec.apply(state, invocation)
+            manager.current_state = result.state
+            value = result.value
+        else:
+            value = None
+        event = Event(
+            object_name=manager.name,
+            invocation=invocation,
+            value=value,
+            transaction_id=transaction_id,
+            sequence=sequence,
+        )
+        manager.uncommitted.append(event)
+        by_tid = manager._events_by_tid
+        try:
+            by_tid[transaction_id].append(event)
+        except KeyError:
+            by_tid[transaction_id] = [event]
+        if key is None:
+            try:
+                op_id = manager._op_index[invocation.op]
+            except KeyError:
+                pass
+            else:
+                if manager._param_is_args:
+                    key = (op_id, invocation.args)
+                else:
+                    key = (op_id, manager.spec.conflict_parameter(invocation))
+        if key is None:
+            # Operation outside the tables: its own fallback group.
+            manager._index_event(event)
+        else:
+            groups = manager._op_groups
+            try:
+                group = groups[key]
+            except KeyError:
+                group = groups[key] = _OperationGroup(
+                    invocation=invocation, op_id=key[0], param=key[1]
+                )
+                group.owners[transaction_id] = 1
+            except TypeError:
+                # Unhashable conflict parameter: its own fallback group.
+                manager._index_event(event)
+            else:
+                owners = group.owners
+                try:
+                    owners[transaction_id] += 1
+                except KeyError:
+                    owners[transaction_id] = 1
+        history = self.history
+        if history is not None:
+            history.append_event(event)
+        transaction.events.append(event)
+        transaction.objects_visited.add(manager.name)
         transaction.status = TransactionStatus.ACTIVE
         handle.status = RequestStatus.EXECUTED
-        handle.value = event.value
+        handle.value = value
         self.stats.operations_executed += 1
         if from_queue:
             for on_granted in self._on_granted:
-                on_granted(transaction.tid, handle, event)
+                on_granted(transaction_id, handle, event)
         else:
             for on_executed in self._on_executed:
-                on_executed(transaction.tid, handle, event)
-        self.backend.after_execute(manager, event)
+                on_executed(transaction_id, handle, event)
+        if manager.blocked:
+            self.backend.after_execute(manager, event)
         return event
 
     def refresh_wait_edges(self, transaction: Transaction, conflicting: Set[int]) -> bool:
@@ -675,11 +758,15 @@ class Scheduler:
         # handles.
         handles = transaction.handles
         if handles:
+            # Retirement invalidates every observable field of a handle.
+            recycled = RequestStatus.RECYCLED
+            for handle in handles:
+                handle.generation += 1
+                handle.status = recycled
+                handle.value = None
+                handle.abort_reason = None
             pool = self.handle_pool
-            free = pool.free
-            for recycled in handles:
-                recycled.retire()  # type: ignore[attr-defined]
-                free.append(recycled)
+            pool.free.extend(handles)
             pool.released += len(handles)
             handles.clear()
 

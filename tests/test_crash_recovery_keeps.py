@@ -73,7 +73,7 @@ class TestWhatACrashDiscards:
         fused = scheduler.__dict__.get("submit")
         assert scheduler.graph.mutations > 0 and scheduler._next_tid > 0
         if policy is ConflictPolicy.TWO_PHASE_LOCKING:
-            assert backend._locks and backend._held
+            assert backend.holders("x")
 
         router.fail_site(site.site_id)
         assert site.scheduler is None  # a stale dereference fails loudly
@@ -99,7 +99,14 @@ class TestWhatACrashDiscards:
         # The durable write survived; the uncommitted 8 did not.
         assert managers["x"].committed_state == 7
         if policy is ConflictPolicy.TWO_PHASE_LOCKING:
-            assert backend._locks == {} and backend._held == {}
+            # The lock table went with the crash: nobody holds anything, and
+            # the object is free for the first transaction that asks.
+            assert all(backend.holders(name) == {} for name in managers)
+            newcomer = scheduler.begin()
+            assert scheduler.perform(newcomer.tid, "x", "write", 9).executed
+            assert list(backend.holders("x")) == [newcomer.tid]
+            scheduler.abort(newcomer.tid)
+            assert backend.holders("x") == {}
 
     def test_compiled_tables_survive_and_are_compiled_once_per_spec(self, monkeypatch):
         compiles = []

@@ -7,6 +7,8 @@ FIFO waiting, and deadlock detection through the scheduler's shared wait-for
 graph.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.adts import PageType, SetType, StackType
@@ -16,13 +18,14 @@ from repro.core.backends import (
     TwoPhaseLockingBackend,
     make_backend,
 )
+from repro.core.errors import UnknownOperationError
 from repro.core.policy import ConflictPolicy
 from repro.core.scheduler import AbortReason, Scheduler
 from repro.core.serializability import ObjectUniverse, is_log_sound, is_serializable
 from repro.core.specification import Invocation
 from repro.core.transaction import TransactionStatus
 from repro.sim.params import SimulationParameters
-from repro.sim.simulator import run_simulation
+from repro.sim.simulator import Simulation, run_simulation
 
 
 def locking_scheduler(*objects):
@@ -182,6 +185,92 @@ class TestCommitProtocol:
             scheduler.commit(transaction.tid)
         assert scheduler.stats.commit_dependency_edges == 0
         assert scheduler.stats.commits == 4
+
+
+class AliasingPage(PageType):
+    """Answers ``peek`` — a read absent from ``operations()`` — and reports
+    ``read`` as a mutator, both through an overridden ``operation``."""
+
+    def operation(self, op_name):
+        if op_name == "peek":
+            return dataclasses.replace(super().operation("read"), name="peek")
+        if op_name == "read":
+            return dataclasses.replace(super().operation("read"), is_read_only=False)
+        return super().operation(op_name)
+
+
+class TestLockTable:
+    def test_an_operation_outside_the_spec_takes_an_exclusive_lock(self):
+        scheduler = locking_scheduler(("P", PageType()))
+        backend = scheduler.backend
+        bogus = Invocation("bogus")
+        assert backend.required_mode(scheduler.object("P"), bogus) is LockMode.EXCLUSIVE
+        t1, t2 = scheduler.begin(), scheduler.begin()
+        with pytest.raises(UnknownOperationError):
+            scheduler.submit(t1.tid, "P", bogus)
+        # The lock was granted before the operation raised, and is released
+        # with its owner although the owner never visited the object.
+        assert backend.holders("P") == {t1.tid: LockMode.EXCLUSIVE}
+        waiting = scheduler.perform(t2.tid, "P", "read")
+        assert waiting.blocked
+        scheduler.abort(t1.tid)
+        assert waiting.executed
+        assert backend.holders("P") == {t2.tid: LockMode.SHARED}
+
+    def test_a_spec_that_overrides_operation_gets_the_modes_it_reports(self):
+        scheduler = locking_scheduler(("P", AliasingPage()))
+        backend, manager = scheduler.backend, scheduler.object("P")
+        assert backend.required_mode(manager, Invocation("peek")) is LockMode.SHARED
+        assert backend.required_mode(manager, Invocation("read")) is LockMode.EXCLUSIVE
+        t1, t2, t3 = scheduler.begin(), scheduler.begin(), scheduler.begin()
+        assert scheduler.perform(t1.tid, "P", "peek").executed
+        assert scheduler.perform(t2.tid, "P", "peek").value == 0
+        assert backend.holders("P") == {t1.tid: LockMode.SHARED, t2.tid: LockMode.SHARED}
+        assert scheduler.perform(t3.tid, "P", "read").blocked
+
+    def test_a_covered_request_and_an_upgrade_leave_one_entry_to_release(self):
+        scheduler = locking_scheduler(("P", PageType()), ("Q", PageType()))
+        backend = scheduler.backend
+        t1 = scheduler.begin()
+        steps = (("read", ()), ("read", ()), ("write", (4,)), ("read", ()), ("write", (5,)))
+        for op, args in steps:
+            assert scheduler.perform(t1.tid, "P", op, *args).executed
+        assert backend.holders("P") == {t1.tid: LockMode.EXCLUSIVE}
+        assert backend.holders("Q") == {} == backend.holders("never-registered")
+        assert scheduler.commit(t1.tid) is TransactionStatus.COMMITTED
+        assert backend.holders("P") == {}
+
+    @pytest.mark.parametrize("forget", ["reset", "discard_volatile"])
+    def test_reset_empties_the_table_the_fused_submit_captured(self, forget):
+        scheduler = locking_scheduler(("P", PageType()))
+        assert "submit" in scheduler.__dict__  # the fused closure is bound
+        stale = scheduler.begin()
+        assert scheduler.perform(stale.tid, "P", "write", 3).executed
+        assert scheduler.perform(scheduler.begin().tid, "P", "read").blocked
+        getattr(scheduler, forget)()
+        assert scheduler.backend.holders("P") == {}
+        fresh = scheduler.begin()
+        assert fresh.tid == stale.tid
+        assert scheduler.perform(fresh.tid, "P", "write", 4).executed
+        assert scheduler.backend.holders("P") == {fresh.tid: LockMode.EXCLUSIVE}
+        assert scheduler.commit(fresh.tid) is TransactionStatus.COMMITTED
+        assert scheduler.backend.holders("P") == {}
+
+    def test_simulation_reset_drops_the_locks_the_last_run_left_held(self):
+        params = SimulationParameters(
+            policy=ConflictPolicy.TWO_PHASE_LOCKING, seed=3, database_size=30,
+            mpl_level=12, total_completions=100,
+        )
+        fresh = run_simulation(params, workload_kind="readwrite").counters()
+        simulation = Simulation(params, workload_kind="readwrite")
+        assert simulation.run().counters() == fresh
+        backend = simulation.router.scheduler.backend
+        names = list(simulation.router.scheduler.objects)
+        # The run stops at its last completion with transactions in flight.
+        assert any(backend.holders(name) for name in names)
+        simulation.reset(params)
+        assert not any(backend.holders(name) for name in names)
+        assert simulation.run().counters() == fresh
 
 
 # ----------------------------------------------------------------------
