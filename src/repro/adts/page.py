@@ -26,12 +26,12 @@ _INITIAL_VALUE = 0
 
 
 def _read(state: Any, args: Tuple[Any, ...]) -> OperationResult:
-    return OperationResult(state=state, value=state)
+    return OperationResult(state, state)
 
 
 def _write(state: Any, args: Tuple[Any, ...]) -> OperationResult:
     (value,) = args
-    return OperationResult(state=value, value="ok")
+    return OperationResult(value, "ok")
 
 
 class PageType(AtomicType):

@@ -33,16 +33,18 @@ Two backends are provided:
 
 Every grant — first submit or queue grant, either backend — executes through
 one kernel, :meth:`Scheduler.execute_operation
-<repro.core.scheduler.Scheduler.execute_operation>`.  ``compile_submit``
-closures decide the uncontended case inline and call the kernel directly;
-every other outcome is :meth:`~ConcurrencyControlBackend.admit`'s, which ends
-in the same kernel.
+<repro.core.scheduler.Scheduler.execute_operation>`.  A first submit is
+decided by the backend's ``compile_submit`` closure: the semantic one decides
+every request itself, in one scan; the 2PL one decides the uncontended case
+and leaves the rest to :meth:`~ConcurrencyControlBackend.admit`.  ``admit`` is
+also the path of a request leaving a blocked queue and of a scheduler built
+without fusion, and ends in the same kernel.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set
+from typing import TYPE_CHECKING, AbstractSet, Callable, Dict, List, Optional, Set
 
 from .compatibility import ConflictClass
 from .dependency_graph import EdgeKind
@@ -158,11 +160,11 @@ class ConcurrencyControlBackend:
 
         Called once at scheduler construction, after :meth:`attach`.  A
         backend may return a closure with the exact semantics of
-        ``Scheduler.submit`` that decides the common no-conflict case inline
-        and executes it through ``Scheduler.execute_operation`` (handing
-        every other request to :meth:`admit`); returning ``None`` keeps the
-        general path — the default, and what subclasses of the built-in
-        backends get unless they opt in.
+        ``Scheduler.submit`` that decides requests inline and executes them
+        through ``Scheduler.execute_operation`` (whatever it does not decide
+        it hands to :meth:`admit`); returning ``None`` keeps the general
+        path — the default, and what subclasses of the built-in backends get
+        unless they opt in.
         """
         return None
 
@@ -217,6 +219,10 @@ class SemanticBackend(ConcurrencyControlBackend):
         handle: RequestHandle,
         from_queue: bool,
     ) -> None:
+        """Figure 2 over the manager's classification methods: the path of a
+        request leaving a blocked queue, of a scheduler built without fusion
+        and of subclasses.  A fused first submit makes the same decision in
+        its own frame (:meth:`compile_submit`) and never comes here."""
         scheduler = self.scheduler
         invocation = handle.invocation
         if from_queue:
@@ -225,48 +231,55 @@ class SemanticBackend(ConcurrencyControlBackend):
             # cause spurious deadlock aborts later).
             scheduler.graph.remove_edges_from(transaction.tid, EdgeKind.WAIT_FOR)
         classification = manager.classify_request(invocation, transaction.tid, scheduler.policy)
-        conflicting = set(classification.conflicting)
+        conflicting = classification.conflicting
         if scheduler.fair and not from_queue:
             conflicting |= manager.blocked_conflicts(invocation, transaction.tid, scheduler.policy)
-
         if conflicting:
             scheduler.block_request(transaction, manager, handle, conflicting)
-            return
+        elif not classification.recoverable or self._depend(
+            transaction, handle, classification.recoverable
+        ):
+            scheduler.execute_operation(transaction, manager, handle, from_queue=from_queue)
 
-        if classification.recoverable:
-            scheduler.stats.cycle_checks += 1
-            transaction.cycle_checks += 1
-            if scheduler.graph.creates_cycle(transaction.tid, classification.recoverable):
-                self.abort(transaction, AbortReason.DEPENDENCY_CYCLE, handle)
-                return
-            scheduler.graph.add_edges(
-                transaction.tid, classification.recoverable, EdgeKind.COMMIT_DEPENDENCY
-            )
-            scheduler.stats.commit_dependency_edges += len(classification.recoverable)
-
-        scheduler.execute_operation(transaction, manager, handle, from_queue=from_queue)
+    def _depend(
+        self, transaction: Transaction, handle: RequestHandle, recoverable: Set[int]
+    ) -> bool:
+        """Commit-dependency edges to ``recoverable``; ``False`` (and the
+        transaction aborted) when they would close a cycle."""
+        scheduler = self.scheduler
+        scheduler.stats.cycle_checks += 1
+        transaction.cycle_checks += 1
+        if scheduler.graph.creates_cycle(transaction.tid, recoverable):
+            self.abort(transaction, AbortReason.DEPENDENCY_CYCLE, handle)
+            return False
+        scheduler.graph.add_edges(transaction.tid, recoverable, EdgeKind.COMMIT_DEPENDENCY)
+        scheduler.stats.commit_dependency_edges += len(recoverable)
+        return True
 
     def compile_submit(self) -> Optional[FusedSubmit]:
-        """Fuse submit → admit → classification for the no-conflict case.
+        """Fuse submit → Figure 2 admission → execution into one frame.
 
         The compiled closure replays ``Scheduler.submit``'s exact lookup and
-        error sequence, then scans the manager's operation groups inline: if
-        the object has no queued requests and the invocation commutes with
-        every uncommitted operation of other transactions, the grant goes
-        straight to the execution kernel.  Any other outcome — a queued
-        request (fairness), an operation outside the compiled tables, a
-        non-commutative pair — is :meth:`admit`'s, which recomputes the
-        classification from scratch: the scan is pure, so that is
-        bit-identical to never having scanned.
+        error sequence and then decides the request itself, in one pass: one
+        loop over the manager's operation groups collects the owners of
+        conflicting and of recoverable uncommitted operations (the compiled
+        tables inline; ``classify_pair`` for a fallback group or an operation
+        outside the tables), one loop over the blocked queue — only when it
+        is non-empty and scheduling is fair — adds the owners of conflicting
+        requests queued ahead.  The request then blocks, or takes its commit
+        dependencies and executes through the kernel with the group key the
+        scan already derived.  Nothing is handed to :meth:`admit`.
         """
         if type(self) is not SemanticBackend:
             # Subclasses may override admission; they must opt in explicitly.
             return None
         scheduler = self.scheduler
-        admit = self.admit
+        depend = self._depend
         execute = scheduler.execute_operation
         active = TransactionStatus.ACTIVE
         commutative = ConflictClass.COMMUTATIVE
+        conflict = ConflictClass.CONFLICT
+        nobody: AbstractSet[int] = frozenset()  # an idle object allocates no sets
         pool_requests = scheduler.pool_requests
         handle_pool = scheduler.handle_pool
 
@@ -303,48 +316,65 @@ class SemanticBackend(ConcurrencyControlBackend):
                     object_name=object_name,
                     invocation=invocation,
                 )
-            commutes = not manager.blocked
-            if commutes:
-                try:
-                    requested_id = manager._op_index[invocation.op]
-                except KeyError:
-                    commutes = False
-                else:
-                    if manager._param_is_args:
-                        requested_param = invocation.args
-                    else:
-                        requested_param = manager.spec.conflict_parameter(invocation)
-                    groups = manager._op_groups
-                    if groups:
-                        policy = scheduler.policy
-                        if policy is manager._compiled_policy:
-                            tables = manager._compiled_tables
-                        else:
-                            tables = manager._tables_for(policy)
-                        assert tables is not None
-                        unconditional_table = tables[0]
-                        base = requested_id * manager._n_ops
-                        for group in groups.values():
-                            owners = group.owners
-                            if not owners or (len(owners) == 1 and transaction_id in owners):
-                                continue
-                            group_id = group.op_id
-                            if group_id >= 0:
-                                index = base + group_id
-                                pairwise = unconditional_table[index]
-                                if pairwise is None:
-                                    if requested_param == group.param:
-                                        pairwise = tables[1][index]
-                                    else:
-                                        pairwise = tables[2][index]
-                                if pairwise is commutative:
-                                    continue
-                            commutes = False
-                            break
-            if commutes:
-                execute(transaction, manager, handle, False, (requested_id, requested_param))
+            try:
+                op_id = manager._op_index[invocation.op]
+            except KeyError:
+                op_id = -1  # outside the tables: classify_pair, pair by pair
+            if manager._param_is_args:
+                param = invocation.args
             else:
-                admit(transaction, manager, handle, False)
+                param = manager.spec.conflict_parameter(invocation)
+            conflicting = recoverable = nobody
+            groups = manager._op_groups
+            queue = manager.blocked
+            if groups or queue:
+                conflicting, recoverable = set(), set()
+                policy = scheduler.policy
+                if policy is manager._compiled_policy:
+                    tables = manager._compiled_tables
+                else:
+                    tables = manager._tables_for(policy)
+                assert tables is not None
+                unconditional_table = tables[0]
+                base = op_id * manager._n_ops
+                for group in groups.values():
+                    owners = group.owners
+                    if len(owners) == 1 and transaction_id in owners:
+                        continue
+                    if op_id < 0 or group.op_id < 0:
+                        pairwise = manager.classify_pair(invocation, group.invocation, policy)
+                    else:
+                        index = base + group.op_id
+                        pairwise = unconditional_table[index]
+                        if pairwise is None:
+                            pairwise = tables[1 if param == group.param else 2][index]
+                    if pairwise is not commutative:
+                        others = conflicting if pairwise is conflict else recoverable
+                        others.update(owners)
+                        if transaction_id in owners:
+                            # A transaction never conflicts with itself.
+                            others.discard(transaction_id)
+                if queue and scheduler.fair:
+                    for pending in queue:
+                        if pending.transaction_id == transaction_id:
+                            continue
+                        if op_id < 0 or pending.op_id < 0:
+                            pairwise = manager.classify_pair(
+                                invocation, pending.invocation, policy
+                            )
+                        else:
+                            index = base + pending.op_id
+                            pairwise = unconditional_table[index]
+                            if pairwise is None:
+                                pairwise = tables[1 if param == pending.param else 2][index]
+                        if pairwise is conflict:
+                            conflicting.add(pending.transaction_id)
+            if conflicting:
+                scheduler.block_request(transaction, manager, handle, conflicting)
+            elif not recoverable or depend(transaction, handle, recoverable):
+                execute(
+                    transaction, manager, handle, False, (op_id, param) if op_id >= 0 else None
+                )
             if pool_requests:
                 handles = transaction.handles
                 if handles is None:

@@ -57,6 +57,13 @@ class EdgeKind(enum.Enum):
     COMMIT_DEPENDENCY = "commit-dependency"
 
 
+#: A (source, target) pair stores its kinds as a two-bit int: 1 wait-for,
+#: 2 commit-dependency.  ``bit = 1 if kind is _WAIT_FOR else 2`` keeps the
+#: enum's Python-level ``__hash__`` off every insertion and query.
+_WAIT_FOR = EdgeKind.WAIT_FOR
+_KINDS_OF = ((), (EdgeKind.WAIT_FOR,), (EdgeKind.COMMIT_DEPENDENCY,), tuple(EdgeKind))
+
+
 @dataclass(frozen=True)
 class Edge:
     """A directed edge ``source -> target`` of a given kind."""
@@ -79,8 +86,8 @@ class DependencyGraph:
     """
 
     def __init__(self) -> None:
-        # successors[node][target] -> set of edge kinds
-        self._successors: Dict[int, Dict[int, Set[EdgeKind]]] = {}
+        # successors[node][target] -> the pair's edge kinds, as bits
+        self._successors: Dict[int, Dict[int, int]] = {}
         self._predecessors: Dict[int, Set[int]] = {}
         #: Online topological position per node; invariant (while acyclic):
         #: ``ord[u] > ord[v]`` for every edge ``u -> v``.
@@ -147,21 +154,11 @@ class DependencyGraph:
     def add_edge(self, source: int, target: int, kind: EdgeKind) -> None:
         """Add a typed edge; self-loops are ignored (a transaction never
         depends on itself)."""
-        if source == target:
-            return
-        self.add_node(source)
-        self.add_node(target)
-        kinds = self._successors[source].setdefault(target, set())
-        if not kinds:
-            # Reachability only changes when the (source, target) pair gains
-            # its *first* edge; a second kind is a no-op for the order too.
-            self.mutations += 1
-            self._order_edge_added(source, target)
-        kinds.add(kind)
-        self._predecessors[target].add(source)
+        self.add_edges(source, (target,), kind)
 
     def _order_edge_added(self, source: int, target: int) -> None:
-        """Restore the topological invariant after inserting an edge."""
+        """Restore the topological invariant after inserting an edge that
+        violates it (or any edge, while the order is suspended)."""
         if self._back_edges:
             # Order suspended: just record whether this edge closes (another)
             # cycle, via an unbounded walk — the graph may already be cyclic.
@@ -171,8 +168,6 @@ class DependencyGraph:
         ord_ = self._ord
         lower = ord_[source]
         upper = ord_[target]
-        if lower > upper:
-            return  # order-respecting: the common case, O(1)
         # Affected region is [lower, upper].  Forward walk from ``target``
         # collecting nodes that may need to move below ``source``; meeting
         # ``source`` means the new edge closes a cycle.
@@ -217,8 +212,28 @@ class DependencyGraph:
 
     def add_edges(self, source: int, targets: Iterable[int], kind: EdgeKind) -> None:
         """Add edges from ``source`` to every node in ``targets``."""
+        bit = 1 if kind is _WAIT_FOR else 2
+        successors = self._successors
+        ord_ = self._ord
         for target in targets:
-            self.add_edge(source, target, kind)
+            if source == target:
+                continue
+            if source not in successors:
+                self.add_node(source)
+            if target not in successors:
+                self.add_node(target)
+            row = successors[source]
+            if target in row:
+                row[target] |= bit
+                continue
+            # Reachability only changes when the (source, target) pair gains
+            # its *first* edge; a second kind is a no-op for the order too.
+            row[target] = bit
+            self._predecessors[target].add(source)
+            self.mutations += 1
+            if self._back_edges or ord_[source] <= ord_[target]:
+                # Otherwise order-respecting: the common case, O(1).
+                self._order_edge_added(source, target)
 
     def remove_edges_from(self, source: int, kind: Optional[EdgeKind] = None) -> None:
         """Remove all outgoing edges of ``source`` (of one kind, or of any kind).
@@ -228,18 +243,17 @@ class DependencyGraph:
         spurious deadlock aborts later).  Removals never invalidate a valid
         topological order, so no maintenance is needed.
         """
-        if source not in self._successors:
+        row = self._successors.get(source)
+        if not row:
             return
+        keep = 0 if kind is None else 2 if kind is _WAIT_FOR else 1
         was_suspended = bool(self._back_edges)
         dropped_any = False
-        for target in list(self._successors[source]):
-            kinds = self._successors[source][target]
-            if kind is None:
-                kinds.clear()
+        for target in list(row):
+            if row[target] & keep:
+                row[target] &= keep
             else:
-                kinds.discard(kind)
-            if not kinds:
-                del self._successors[source][target]
+                del row[target]
                 self._predecessors[target].discard(source)
                 dropped_any = True
                 if was_suspended:
@@ -252,17 +266,17 @@ class DependencyGraph:
                 self._rebuild_order()
 
     def has_edge(self, source: int, target: int, kind: Optional[EdgeKind] = None) -> bool:
-        kinds = self._successors.get(source, {}).get(target)
-        if not kinds:
+        row = self._successors.get(source)
+        if not row or target not in row:
             return False
-        return kind is None or kind in kinds
+        return kind is None or bool(row[target] & (1 if kind is _WAIT_FOR else 2))
 
     def edges(self) -> List[Edge]:
         """All edges, one :class:`Edge` per (source, target, kind) triple."""
         result: List[Edge] = []
         for source, targets in self._successors.items():
             for target, kinds in targets.items():
-                for kind in kinds:
+                for kind in _KINDS_OF[kinds]:
                     result.append(Edge(source, target, kind))
         return result
 
@@ -285,19 +299,24 @@ class DependencyGraph:
         targets = self._successors.get(node)
         if not targets:
             return set()
-        return {target for target, kinds in targets.items() if kind in kinds}
+        bit = 1 if kind is _WAIT_FOR else 2
+        return {target for target, kinds in targets.items() if kinds & bit}
 
     def out_degree(self, node: int, kind: Optional[EdgeKind] = None) -> int:
         """Number of distinct successor nodes (optionally of one edge kind)."""
-        targets = self._successors.get(node, {})
+        targets = self._successors.get(node)
+        if not targets:
+            return 0
         if kind is None:
             return len(targets)
-        return sum(1 for kinds in targets.values() if kind in kinds)
+        bit = 1 if kind is _WAIT_FOR else 2
+        return sum(1 for kinds in targets.values() if kinds & bit)
 
     def edge_count(self, kind: Optional[EdgeKind] = None) -> int:
         """Number of typed edges (a pair linked by both kinds counts twice)."""
+        mask = 3 if kind is None else 1 if kind is _WAIT_FOR else 2
         return sum(
-            len(kinds) if kind is None else (1 if kind in kinds else 0)
+            (kinds & mask).bit_count()
             for targets in self._successors.values()
             for kinds in targets.values()
         )

@@ -15,13 +15,14 @@ Replay happens only when the log is shared: the manager keeps
 ``current_state == replay(committed_state, uncommitted)``, so a transaction
 that owns the whole log commits by promoting the visible state and aborts by
 falling back to the committed one; only surviving operations of *other*
-transactions are ever replayed.
+transactions are ever replayed, and none are when every removed operation is
+declared read-only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from .compatibility import CompatibilitySpec, ConflictClass
 from .policy import ConflictPolicy, effective_class
@@ -91,7 +92,7 @@ class _OperationGroup:
     invocation: Invocation
     op_id: int
     param: Any
-    owners: Dict[int, int] = field(default_factory=dict)
+    owners: Dict[int, int]
 
 
 @dataclass(slots=True)
@@ -185,23 +186,10 @@ class ObjectManager:
         self._param_is_args = (
             type(self.spec).conflict_parameter is TypeSpecification.conflict_parameter
         )
-        #: Raw operation functions keyed by op name, for specs that use the
-        #: stock ``apply``/``operation`` dispatch.  Applying through the chain
-        #: ``spec.apply -> spec.operation -> OperationSpec.apply -> function``
-        #: costs four interpreter frames per operation; the hot paths — the
-        #: scheduler's execution kernel and ``_replay`` — call the function
-        #: directly instead.  A spec that overrides either hook keeps the
-        #: full legacy path (``_op_functions`` stays ``None``).
-        self._op_functions: Optional[Dict[str, Callable[[Any, Tuple[Any, ...]], Any]]]
-        if (
-            type(self.spec).apply is TypeSpecification.apply
-            and type(self.spec).operation is TypeSpecification.operation
-        ):
-            self._op_functions = {
-                op_name: op.function for op_name, op in self.spec.operations().items()
-            }
-        else:
-            self._op_functions = None
+        #: The spec instance's raw operation functions (``None``: apply through
+        #: ``spec.apply``), which the execution kernel and ``_replay`` call
+        #: directly, and its read-only operations, which removal never replays.
+        self._op_functions, self._read_only_ops = spec.direct_dispatch()
         #: Compiled tables per policy, built on first use and shared with
         #: every other manager over the same compatibility spec.  A run
         #: exercises a single policy, so the hot paths check
@@ -420,13 +408,7 @@ class ObjectManager:
             value = result.value
         else:
             value = None
-        event = Event(
-            object_name=self.name,
-            invocation=invocation,
-            value=value,
-            transaction_id=transaction_id,
-            sequence=sequence,
-        )
+        event = Event(self.name, invocation, value, transaction_id, sequence)
         self.uncommitted.append(event)
         self._events_by_tid.setdefault(transaction_id, []).append(event)
         self._index_event(event)
@@ -461,26 +443,9 @@ class ObjectManager:
             op_id, param = key
         group = self._op_groups.get(key)
         if group is None:
-            group = self._op_groups[key] = _OperationGroup(
-                invocation=event.invocation, op_id=op_id, param=param
-            )
+            group = self._op_groups[key] = _OperationGroup(event.invocation, op_id, param, {})
         owners = group.owners
         owners[event.transaction_id] = owners.get(event.transaction_id, 0) + 1
-
-    def _unindex_event(self, event: Event) -> None:
-        key = self._group_key(event.invocation)
-        if key is None:
-            key = ("__unhashable__", id(event))
-        group = self._op_groups.get(key)
-        if group is None:
-            return
-        count = group.owners.get(event.transaction_id, 0) - 1
-        if count > 0:
-            group.owners[event.transaction_id] = count
-        else:
-            group.owners.pop(event.transaction_id, None)
-            if not group.owners:
-                del self._op_groups[key]
 
     def live_transactions(self) -> Set[int]:
         """Transactions with at least one uncommitted operation here."""
@@ -498,9 +463,13 @@ class ObjectManager:
         — the paper's ``E || A_j`` semantics.  A transaction that owned the
         whole log leaves nothing to recompute (the visible state is already
         the post-commit committed state, the committed state the post-abort
-        visible one); otherwise the survivors are replayed over the
-        committed state.  ``uncommitted`` is rebound, never mutated, so a
-        caller iterating the log across a termination keeps its snapshot.
+        visible one).  Otherwise the transaction is popped from the owners of
+        every operation group (an emptied group goes), and — unless every
+        removed operation is declared ``is_read_only``, in which case neither
+        state can have moved — the removed operations are folded and the
+        survivors replayed over the committed state.  ``uncommitted`` is
+        rebound, never mutated, so a caller iterating the log across a
+        termination keeps its snapshot.
         """
         by_tid = self._events_by_tid
         removed = by_tid.pop(transaction_id, None)
@@ -517,9 +486,20 @@ class ObjectManager:
         self.uncommitted = [
             e for e in self.uncommitted if e.transaction_id != transaction_id
         ]
-        for event in removed:
-            self._unindex_event(event)
+        groups = self._op_groups
+        for key, group in list(groups.items()):
+            owners = group.owners
+            if transaction_id in owners:
+                del owners[transaction_id]
+                if not owners:
+                    del groups[key]
         if self.materialize_state:
+            read_only = self._read_only_ops
+            for event in removed:
+                if event.invocation.op not in read_only:
+                    break
+            else:
+                return removed
             if commit:
                 self.committed_state = self._replay(self.committed_state, removed)
                 if removed[-1].sequence < self.uncommitted[0].sequence:

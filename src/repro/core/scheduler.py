@@ -422,9 +422,9 @@ class Scheduler:
         non-conforming return — functions are pure, so re-applying is safe).
 
         ``key`` is the invocation's ``(op id, conflict param)`` group identity
-        when the caller already has it; it must equal what
-        ``ObjectManager._group_key`` derives, because removal re-derives the
-        key from the event instead of remembering it per event.
+        when the caller already has it (the semantic fused submit derives it
+        for its scan); otherwise it is derived here.  Removal never needs it
+        again: it pops the transaction from every group's owners.
         """
         invocation = handle.invocation
         transaction_id = transaction.tid
@@ -447,13 +447,7 @@ class Scheduler:
             value = result.value
         else:
             value = None
-        event = Event(
-            object_name=manager.name,
-            invocation=invocation,
-            value=value,
-            transaction_id=transaction_id,
-            sequence=sequence,
-        )
+        event = Event(manager.name, invocation, value, transaction_id, sequence)
         manager.uncommitted.append(event)
         by_tid = manager._events_by_tid
         try:
@@ -478,10 +472,7 @@ class Scheduler:
             try:
                 group = groups[key]
             except KeyError:
-                group = groups[key] = _OperationGroup(
-                    invocation=invocation, op_id=key[0], param=key[1]
-                )
-                group.owners[transaction_id] = 1
+                groups[key] = _OperationGroup(invocation, key[0], key[1], {transaction_id: 1})
             except TypeError:
                 # Unhashable conflict parameter: its own fallback group.
                 manager._index_event(event)

@@ -30,9 +30,11 @@ from typing import (
     Any,
     Callable,
     Dict,
+    FrozenSet,
     Hashable,
     Iterable,
     Mapping,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -51,8 +53,21 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class OperationResult:
+# The two per-operation records are tuples underneath: a frozen dataclass
+# assigns each field through ``object.__setattr__`` (1.1 us for an ``Event``),
+# a tuple is filled in one allocation.  The ``NamedTuple`` field holder gives
+# accessors, ``repr``, value equality/hash, immutability and pickling; the
+# constructor is written out because the one ``NamedTuple`` compiles from a
+# string belongs to no file, so a profiler cannot attribute it.
+_tuple_new = tuple.__new__
+
+
+class _OperationResultFields(NamedTuple):
+    state: Any
+    value: Any
+
+
+class OperationResult(_OperationResultFields):
     """The outcome of applying an operation in a given state.
 
     Attributes
@@ -65,8 +80,10 @@ class OperationResult:
         in this package follow that convention (pure mutators return ``"ok"``).
     """
 
-    state: Any
-    value: Any
+    __slots__ = ()
+
+    def __new__(cls, state: Any, value: Any) -> "OperationResult":
+        return _tuple_new(cls, (state, value))
 
 
 @dataclass(frozen=True, slots=True)
@@ -82,7 +99,8 @@ class OperationSpec:
         mutate ``state``.
     is_read_only:
         ``True`` when the operation never changes the object state.  Read-only
-        operations need no undo information; recovery uses this flag.
+        operations need no undo information: recovery, the 2PL lock modes and
+        log removal (which neither folds nor replays them) trust this flag.
     inverse:
         Optional logical-undo constructor.  Given ``(state_before, args,
         value)`` of a completed execution it returns an :class:`Invocation`
@@ -120,8 +138,15 @@ class Invocation:
         return f"{self.op}({rendered})"
 
 
-@dataclass(frozen=True, slots=True)
-class Event:
+class _EventFields(NamedTuple):
+    object_name: str
+    invocation: Invocation
+    value: Any
+    transaction_id: int
+    sequence: int
+
+
+class Event(_EventFields):
     """A paired invocation and response, attributed to a transaction.
 
     Sequence (1) of the paper, ``X: (insert(3), ok, T1)``, is represented as
@@ -129,11 +154,17 @@ class Event:
     transaction_id=1)``.
     """
 
-    object_name: str
-    invocation: Invocation
-    value: Any
-    transaction_id: int
-    sequence: int = 0
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        object_name: str,
+        invocation: Invocation,
+        value: Any,
+        transaction_id: int,
+        sequence: int = 0,
+    ) -> "Event":
+        return _tuple_new(cls, (object_name, invocation, value, transaction_id, sequence))
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -186,6 +217,33 @@ class TypeSpecification:
     def apply(self, state: Any, invocation: Invocation) -> OperationResult:
         """Apply ``invocation`` to ``state`` (the ``S -> S x V`` function)."""
         return self.operation(invocation.op).apply(state, invocation.args)
+
+    def direct_dispatch(
+        self,
+    ) -> Tuple[Optional[Dict[str, Callable[..., OperationResult]]], FrozenSet[str]]:
+        """``(op name -> raw function, names of the read-only operations)``.
+
+        What a manager needs to apply an operation without the four frames of
+        ``apply -> operation -> OperationSpec.apply -> function``, and to know
+        which operations cannot move a state.  Derived once per spec instance
+        and shared by every manager over it.  A spec that overrides ``apply``
+        or ``operation`` decides its own dispatch and gets ``(None, {})``:
+        everything goes through ``apply`` and nothing is assumed read-only.
+        """
+        try:
+            return self._direct_dispatch
+        except AttributeError:
+            pass
+        cls = type(self)
+        if cls.apply is TypeSpecification.apply and cls.operation is TypeSpecification.operation:
+            operations = self.operations()
+            self._direct_dispatch = (
+                {name: op.function for name, op in operations.items()},
+                frozenset(name for name, op in operations.items() if op.is_read_only),
+            )
+        else:
+            self._direct_dispatch = (None, frozenset())
+        return self._direct_dispatch
 
     def return_value(self, state: Any, invocation: Invocation) -> Any:
         """``return(o, s)`` of the paper."""

@@ -195,7 +195,7 @@ def random_compatibility_table(
 
 def _noop(state: object, args: Tuple[object, ...]) -> OperationResult:
     """Executable body of an abstract operation (behaviour given by tables)."""
-    return OperationResult(state=state, value="ok")
+    return OperationResult(state, "ok")
 
 
 def _abstract_operation(name: str) -> OperationSpec:

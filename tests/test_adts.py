@@ -4,7 +4,11 @@ import pytest
 
 from repro.adts import StackType, available_types, get_type, paper_types, register_type
 from repro.core.errors import SpecificationError
+from repro.core.scheduler import Scheduler
 from repro.core.specification import Invocation
+from repro.sim.params import SimulationParameters
+from repro.sim.random_source import RandomSource
+from repro.sim.workload import make_workload
 
 
 class TestPage:
@@ -192,3 +196,35 @@ class TestRegistry:
 
     def test_extra_types_are_available(self):
         assert {"counter", "queue"} <= set(available_types())
+
+
+class TestReadOnlyOperationsAreHonest:
+    """``ObjectManager.remove_transaction`` neither folds nor replays an
+    operation declared ``is_read_only`` — so the declaration must be true."""
+
+    @pytest.mark.parametrize("type_name", ["counter", "page", "queue", "set", "stack", "table"])
+    def test_a_read_only_operation_returns_a_state_equal_to_its_input(self, type_name):
+        spec = get_type(type_name)
+        checked = 0
+        for name, operation in spec.operations().items():
+            if not operation.is_read_only:
+                continue
+            for state in spec.sample_states():
+                for invocation in spec.sample_invocations(name):
+                    assert spec.states_equal(spec.apply(state, invocation).state, state)
+                    checked += 1
+        assert checked, "every bundled type declares a read-only operation"
+        assert spec.direct_dispatch()[1] == {
+            name for name, operation in spec.operations().items() if operation.is_read_only
+        }
+
+    def test_the_adt_workload_declares_none_and_moves_no_state_anyway(self):
+        params = SimulationParameters(database_size=2)
+        scheduler = Scheduler()
+        make_workload(params, RandomSource(1), "adt").register_objects(scheduler)
+        (spec,) = {id(manager.spec): manager.spec for manager in scheduler.objects.values()}.values()
+        functions, read_only = spec.direct_dispatch()
+        assert read_only == frozenset() and len(functions) == params.operations_per_object
+        for function in functions.values():
+            state = object()
+            assert function(state, ()).state is state

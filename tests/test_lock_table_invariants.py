@@ -129,11 +129,12 @@ class CheckedSimulation(Simulation):
     with ``run(max_events=...)`` that is between every two engine events."""
 
     checks = 0
+    check = staticmethod(check_scheduler)
 
     def _done(self):
         self.checks += 1
         for scheduler in schedulers_of(self):
-            check_scheduler(scheduler)
+            self.check(scheduler)
         return super()._done()
 
 

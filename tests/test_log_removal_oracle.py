@@ -1,14 +1,14 @@
 """Removing a transaction from an object's log must match the literal rebuild.
 
 ``ObjectManager.remove_transaction`` skips all recomputation when the
-terminating transaction owns the whole log, and un-indexes event by event
-otherwise.  The reference below is the removal it replaced, taken to its
+terminating transaction owns the whole log; otherwise it pops the transaction
+from every operation group and replays only if a removed operation may have
+moved the state.  The reference below is the removal it replaced, taken to its
 literal extreme: *every* termination rebuilds the log list, rebuilds both
 indexes from the surviving log and replays the operations through the spec's
 ``next_state`` chain — no sole-owner case, no prefix-commit shortcut, no
-per-event un-indexing, no direct-apply kernel.  It overrides
-``remove_transaction`` outright and shares no code with it, ``_unindex_event``
-or ``_replay``.
+read-only shortcut, no direct-apply kernel.  It overrides
+``remove_transaction`` outright and shares no code with it or ``_replay``.
 
 Random interleavings of execute / commit / abort over page, stack, set and
 table objects (with unhashable-parameter and table-unknown operations) must

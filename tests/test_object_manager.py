@@ -1,7 +1,9 @@
 """Tests for the per-object manager: classification, execution, removal."""
 
+import pytest
+from test_log_removal_oracle import RebuildingManager
 
-from repro.adts import StackType, TableType
+from repro.adts import PageType, StackType, TableType
 from repro.core.compatibility import Answer, CompatibilitySpec, ConflictClass, RelationTable
 from repro.core.object_manager import ObjectManager, PendingRequest
 from repro.core.policy import ConflictPolicy
@@ -246,3 +248,96 @@ class TestRemovalCost:
             manager.remove_transaction(1, commit=True)
             assert manager.uncommitted is not log
             assert log == snapshot
+
+
+def make_counting_page(manager_class=ObjectManager, spec_class=FunctionalTypeSpecification):
+    """A page whose operation functions record every application."""
+    calls = []
+
+    def read(state, args):
+        calls.append("read")
+        return OperationResult(state, state)
+
+    def write(state, args):
+        calls.append("write")
+        return OperationResult(args[0], "ok")
+
+    spec = spec_class(
+        name="counting page",
+        initial_state=3,
+        operations={
+            "read": OperationSpec(name="read", function=read, is_read_only=True),
+            "write": OperationSpec(name="write", function=write),
+        },
+        compatibility=PageType().compatibility(),
+    )
+    return manager_class(name="P", spec=spec), calls
+
+
+#: (transaction, invocation) scripts over transactions 1 (reads only) and 2.
+_READ, _WRITE_5, _WRITE_6 = Invocation("read"), Invocation("write", (5,)), Invocation("write", (6,))
+READER_SCRIPTS = {
+    "prefix": [(1, _READ), (1, _READ), (2, _WRITE_5), (2, _READ)],
+    "interleaved": [(2, _WRITE_5), (1, _READ), (2, _WRITE_6), (1, _READ), (2, _READ)],
+}
+
+
+class TestReadOnlyRemoval:
+    """Removing operations declared ``is_read_only`` moves neither state, so
+    it applies nothing — and ends where the always-rebuild reference ends."""
+
+    @pytest.mark.parametrize("commit", [True, False], ids=["commit", "abort"])
+    @pytest.mark.parametrize("script", sorted(READER_SCRIPTS))
+    def test_removing_a_reader_applies_nothing_and_matches_the_rebuild(self, script, commit):
+        manager, calls = make_counting_page()
+        reference, _ = make_counting_page(RebuildingManager)
+        for sequence, (transaction_id, invocation) in enumerate(READER_SCRIPTS[script], start=1):
+            assert manager.execute(invocation, transaction_id, sequence) == reference.execute(
+                invocation, transaction_id, sequence
+            )
+        del calls[:]
+        assert manager.remove_transaction(1, commit) == reference.remove_transaction(1, commit)
+        assert calls == []
+        for removal in (None, True):  # then the surviving writer commits
+            if removal is not None:
+                manager.remove_transaction(2, commit=removal)
+                reference.remove_transaction(2, commit=removal)
+            assert manager.committed_state == reference.committed_state
+            assert manager.current_state == reference.current_state
+            assert manager.uncommitted == reference.uncommitted
+            assert len(manager._op_groups) == len(reference._op_groups)
+            assert all(group.owners for group in manager._op_groups.values())
+
+    def test_removing_a_writer_still_replays_the_surviving_reads(self):
+        manager, calls = make_counting_page()
+        manager.execute(_READ, 1, 1)
+        manager.execute(_WRITE_5, 2, 2)
+        manager.execute(_READ, 1, 3)
+        del calls[:]
+        manager.remove_transaction(2, commit=False)
+        assert calls == ["read", "read"]
+        assert manager.committed_state == manager.current_state == 3
+
+    def test_a_spec_overriding_apply_replays_everything(self):
+        applied = []
+
+        class LoudSpec(FunctionalTypeSpecification):
+            def apply(self, state, invocation):
+                applied.append(invocation.op)
+                return super().apply(state, invocation)
+
+        manager, _ = make_counting_page(spec_class=LoudSpec)
+        assert manager._op_functions is None and not manager._read_only_ops
+        manager.execute(_READ, 1, 1)
+        manager.execute(_WRITE_5, 2, 2)
+        del applied[:]
+        manager.remove_transaction(1, commit=True)
+        assert applied == ["read"]  # folded, although declared read-only
+        assert manager.committed_state == 3 and manager.current_state == 5
+
+    def test_dispatch_tables_are_derived_once_per_spec_instance(self):
+        spec = StackType()
+        first, second = ObjectManager("A", spec), ObjectManager("B", spec)
+        assert first._op_functions is second._op_functions
+        assert first._read_only_ops is second._read_only_ops == frozenset({"top"})
+        assert ObjectManager("C", StackType())._op_functions is not first._op_functions

@@ -59,6 +59,24 @@ table_invocations = st.one_of(
 )
 
 
+typed_cases = st.one_of(
+    st.tuples(st.just(SetType()), set_states, set_invocations),
+    st.tuples(st.just(StackType()), stack_states, stack_invocations),
+    st.tuples(st.just(TableType()), table_states, table_invocations),
+)
+
+
+# ----------------------------------------------------------------------
+# Declared read-only operations (log removal trusts the flag)
+# ----------------------------------------------------------------------
+@_settings
+@given(case=typed_cases)
+def test_a_read_only_operation_never_moves_a_state(case):
+    spec, state, invocation = case
+    if spec.operation(invocation.op).is_read_only:
+        assert spec.states_equal(spec.apply(state, invocation).state, state)
+
+
 # ----------------------------------------------------------------------
 # Lemma 1 and table/semantics agreement
 # ----------------------------------------------------------------------

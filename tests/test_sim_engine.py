@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.errors import SimulationError
+from repro.core.specification import Event, Invocation
 from repro.sim.engine import EventEngine
 from repro.sim.params import SimulationParameters
 from repro.sim.random_source import RandomSource
@@ -110,6 +111,17 @@ class TestEventEngine:
         metrics = simulation.run()
         assert metrics.completions >= 40
         assert simulation.engine.events_processed < 100_000
+
+    @pytest.mark.parametrize("drain", ["step", "run", "run_until_stop"])
+    def test_a_tuple_subclass_is_never_a_typed_member(self, drain):
+        # ``core.specification.Event`` is a tuple underneath; the engine's
+        # member test is exact, so scheduling one is an error, not a dispatch
+        # on its first field.
+        engine = EventEngine()
+        engine.register_kind(lambda member: pytest.fail("dispatched as a typed member"))
+        engine.schedule(1.0, Event(1, Invocation("read"), 0, 1))
+        with pytest.raises(TypeError, match="not callable"):
+            getattr(engine, drain)()
 
 
 class TestRandomSource:

@@ -1,8 +1,12 @@
 """Unit tests for the operation/type specification framework."""
 
+import pickle
+
 import pytest
 
+from repro.adts import PageType
 from repro.core.errors import SpecificationError, UnknownOperationError
+from repro.core.scheduler import Scheduler
 from repro.core.specification import (
     Event,
     FunctionalTypeSpecification,
@@ -73,6 +77,77 @@ class TestEvent:
         event = Event("X", Invocation("insert", (3,)), "ok", 1, sequence=7)
         assert event.sequence == 7
         assert hash(event) == hash(Event("X", Invocation("insert", (3,)), "ok", 1, sequence=7))
+
+
+class TestRecordValueSemantics:
+    """``Event`` and ``OperationResult`` are tuples underneath; everything a
+    caller could observe of the frozen dataclasses they replaced still holds."""
+
+    EVENT = Event("X", Invocation("insert", (3,)), "ok", 1, 7)
+    RESULT = OperationResult((4,), "ok")
+
+    def test_keyword_positional_and_default_construction_agree(self):
+        assert self.EVENT == Event(
+            object_name="X", invocation=Invocation("insert", (3,)), value="ok",
+            transaction_id=1, sequence=7,
+        )
+        assert Event("X", Invocation("read"), 0, 1).sequence == 0
+        assert Event("X", Invocation("read"), 0, transaction_id=1) == Event(
+            "X", Invocation("read"), 0, 1, 0
+        )
+        assert self.RESULT == OperationResult(state=(4,), value="ok")
+        with pytest.raises(TypeError):
+            Event("X", Invocation("read"), 0)
+        with pytest.raises(TypeError):
+            OperationResult((4,))
+
+    def test_equality_and_hash_are_by_value(self):
+        twin = Event("X", Invocation("insert", (3,)), "ok", 1, 7)
+        assert twin == self.EVENT and twin is not self.EVENT
+        assert hash(twin) == hash(self.EVENT)
+        assert self.EVENT != Event("X", Invocation("insert", (3,)), "ok", 1, 8)
+        assert self.RESULT != OperationResult((4,), "no")
+        assert len({self.RESULT, OperationResult((4,), "ok")}) == 1
+
+    @pytest.mark.parametrize("record,field", [(EVENT, "value"), (RESULT, "state")])
+    def test_records_are_immutable(self, record, field):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+        with pytest.raises(AttributeError):
+            record.extra = None
+
+    def test_repr_and_str_are_unchanged(self):
+        assert repr(self.EVENT) == (
+            "Event(object_name='X', invocation=Invocation(op='insert', args=(3,)), "
+            "value='ok', transaction_id=1, sequence=7)"
+        )
+        assert str(self.EVENT) == "X: (insert(3), 'ok', T1)"
+        assert repr(self.RESULT) == "OperationResult(state=(4,), value='ok')"
+
+    @pytest.mark.parametrize("record", [EVENT, RESULT])
+    def test_pickle_round_trip(self, record):
+        copy = pickle.loads(pickle.dumps(record))
+        assert copy == record and copy.__class__ is record.__class__
+
+    def test_a_bare_tuple_is_not_an_operation_result(self):
+        """Neither ``OperationSpec.apply`` nor the execution kernel lets a
+        function get away with returning ``(state, value)``."""
+        assert not isinstance((4, "ok"), OperationResult)
+        spec = FunctionalTypeSpecification(
+            name="sloppy page",
+            initial_state=0,
+            operations={"read": OperationSpec("read", lambda state, args: (state, state))},
+            compatibility=PageType().compatibility(),
+        )
+        with pytest.raises(SpecificationError):
+            spec.apply(0, Invocation("read"))
+        scheduler = Scheduler()
+        scheduler.register_object("P", spec)
+        with pytest.raises(SpecificationError):
+            scheduler.perform(scheduler.begin().tid, "P", "read")
+        assert scheduler.object("P").uncommitted == []
 
 
 class TestTypeSpecification:
