@@ -192,32 +192,33 @@ class ExperimentResult:
         return (better_value - baseline_value) / baseline_value
 
 
-#: Per-process cache of constructed simulations, keyed by everything that
-#: shapes the constructed system — the workload kind plus every parameter
-#: except the sweep knobs :attr:`Simulation._RESET_OVERRIDABLE` normalizes
-#: away.  A sweep's points differ only in those knobs, so each hit replaces
-#: a full rebuild (object registration, table compilation, router wiring)
-#: with :meth:`Simulation.reset`.  The seed is part of the key: a different
-#: seed derives different random streams at construction time (the ADT
-#: tables among them), which ``reset`` deliberately never changes.  Bounded
-#: FIFO so long heterogeneous sweeps cannot hoard managers.
-_SIMULATION_CACHE: Dict[Tuple, Simulation] = {}
-_SIMULATION_CACHE_LIMIT = 16
+#: Per-process cache of the constructed simulations of *one* system: the
+#: system key — the workload kind plus every parameter except the seed and the
+#: sweep knobs :attr:`Simulation._RESET_OVERRIDABLE` normalizes away — maps to
+#: that system's simulations by seed.  A sweep's points differ only in those
+#: knobs, so each hit replaces a full rebuild (object registration, table
+#: compilation, router wiring) with :meth:`Simulation.reset`; one simulation
+#: per seed because a different seed derives different random streams at
+#: construction time (the ADT tables among them), which ``reset`` deliberately
+#: never changes.  A sweep is variant-major and never returns to an earlier
+#: variant, so a new system evicts the previous one.
+_SIMULATION_CACHE: Dict[Tuple, Dict[int, Simulation]] = {}
 
 
 def _simulate_point(task: Tuple[SimulationParameters, str]) -> RunMetrics:
     """Run one ``(params, workload)`` point; module-level so it pickles."""
     params, workload_kind = task
     normalized = params.replace(
-        mpl_level=1, total_completions=1, warmup_completions=0
+        mpl_level=1, total_completions=1, warmup_completions=0, seed=0
     )
-    key = (workload_kind, dataclasses.astuple(normalized))
-    simulation = _SIMULATION_CACHE.get(key)
+    system = (workload_kind, dataclasses.astuple(normalized))
+    by_seed = _SIMULATION_CACHE.get(system)
+    if by_seed is None:
+        _SIMULATION_CACHE.clear()
+        by_seed = _SIMULATION_CACHE[system] = {}
+    simulation = by_seed.get(params.seed)
     if simulation is None:
-        simulation = Simulation(params, workload_kind=workload_kind)
-        if len(_SIMULATION_CACHE) >= _SIMULATION_CACHE_LIMIT:
-            _SIMULATION_CACHE.pop(next(iter(_SIMULATION_CACHE)))
-        _SIMULATION_CACHE[key] = simulation
+        simulation = by_seed[params.seed] = Simulation(params, workload_kind=workload_kind)
     else:
         simulation.reset(params)
     return simulation.run()

@@ -45,7 +45,7 @@ from .errors import (
     UnknownOperationError,
 )
 from .history import ExecutionLog, LogRecord, RecordKind
-from .object_manager import Classification, ObjectManager, PendingRequest
+from .object_manager import ObjectManager, PendingRequest
 from .policy import ConflictPolicy, effective_class
 from .recovery import IntentionsList, UndoLog
 from .scheduler import (
@@ -106,7 +106,6 @@ __all__ = [
     "ExecutionLog",
     "LogRecord",
     "RecordKind",
-    "Classification",
     "ObjectManager",
     "PendingRequest",
     "ConflictPolicy",

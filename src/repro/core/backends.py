@@ -3,15 +3,22 @@
 The :class:`~repro.core.scheduler.Scheduler` owns the machinery every
 concurrency-control protocol needs — the transaction table, the per-object
 managers with their blocked-request queues, the unified dependency graph, the
-statistics, history and listeners — and delegates the protocol *decisions* to
-a :class:`ConcurrencyControlBackend`:
+statistics, history and listeners — and runs the paper's Figure 2 for every
+request: classify it, then block it, or execute it with commit dependencies,
+or abort its transaction on a cycle.  A
+:class:`ConcurrencyControlBackend` supplies what differs between protocols:
 
-``admit``
-    decide whether a requested operation executes, blocks, or aborts its
-    transaction;
+``decide``
+    the relation — which transactions a request conflicts with and which it
+    is merely recoverable over, given the object's uncommitted operations and
+    the requests queued ahead of it.  Pure; the scheduler asks once per
+    request, first submit and queue retry alike, and acts on the answer;
+``grant``
+    protocol state to record when a request is about to execute (the lock
+    table), if the protocol keeps any;
 ``commit``
-    decide whether a completed transaction durably commits at once or must
-    wait (pseudo-commit);
+    whether a completed transaction durably commits at once or must wait
+    (pseudo-commit);
 ``abort``
     abort a transaction (both user-requested and protocol-chosen victims route
     through here);
@@ -22,34 +29,25 @@ a :class:`ConcurrencyControlBackend`:
 Two backends are provided:
 
 * :class:`SemanticBackend` — the paper's recoverability/commutativity protocol
-  (Figure 2 admission, commit dependencies, pseudo-commit), driven by the
-  compatibility tables through :class:`~repro.core.policy.ConflictPolicy`;
+  (commit dependencies, pseudo-commit), driven by the compatibility tables
+  through :class:`~repro.core.policy.ConflictPolicy`;
 * :class:`TwoPhaseLockingBackend` — the classical baseline the paper measures
   against: page-level strict two-phase locking with shared/exclusive lock
   modes, FIFO waiting, and deadlock detection via the same wait-for graph.
   Its lock table is one record per touched object (the holders and the
   spec's ``op -> LockMode`` table) plus, per transaction, the list of records
   it holds a lock in.
-
-Every grant — first submit or queue grant, either backend — executes through
-one kernel, :meth:`Scheduler.execute_operation
-<repro.core.scheduler.Scheduler.execute_operation>`.  A first submit is
-decided by the backend's ``compile_submit`` closure: the semantic one decides
-every request itself, in one scan; the 2PL one decides the uncontended case
-and leaves the rest to :meth:`~ConcurrencyControlBackend.admit`.  ``admit`` is
-also the path of a request leaving a blocked queue and of a scheduler built
-without fusion, and ends in the same kernel.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import TYPE_CHECKING, AbstractSet, Callable, Dict, List, Optional, Set
+from typing import TYPE_CHECKING, AbstractSet, Dict, List, Optional, Set, Tuple
 
 from .compatibility import ConflictClass
 from .dependency_graph import EdgeKind
-from .errors import ReproError, TransactionStateError, UnknownObjectError, UnknownOperationError
-from .object_manager import ObjectManager, PendingRequest
+from .errors import ReproError, UnknownOperationError
+from .object_manager import ObjectManager
 from .policy import ConflictPolicy
 from .requests import AbortReason, RequestHandle
 from .specification import Event, Invocation, TypeSpecification
@@ -58,8 +56,11 @@ from .transaction import Transaction, TransactionStatus
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .scheduler import Scheduler
 
-#: Signature of a fused submit fast path (see ``compile_submit``).
-FusedSubmit = Callable[[int, str, Invocation], RequestHandle]
+#: "No transaction": the shared empty half of a decision, so a request that
+#: meets nobody — the common case — allocates no sets.
+_NOBODY: AbstractSet[int] = frozenset()
+#: The whole decision for such a request: it executes, no strings attached.
+_FREE: Tuple[AbstractSet[int], AbstractSet[int]] = (_NOBODY, _NOBODY)
 
 __all__ = [
     "ConcurrencyControlBackend",
@@ -75,9 +76,8 @@ class ConcurrencyControlBackend:
 
     A backend is attached to exactly one scheduler and may keep per-run state
     (the 2PL backend keeps its lock table here).  Subclasses must implement
-    :meth:`admit`, :meth:`commit` and :meth:`blocking_conflicts`; the shared
-    default implementations of :meth:`abort` and :meth:`on_terminate` cover
-    the common bookkeeping.
+    :meth:`decide` and :meth:`commit`; every other hook has a default that
+    covers the common bookkeeping or does nothing.
     """
 
     #: Short name used in reports and ``repr``.
@@ -103,19 +103,34 @@ class ConcurrencyControlBackend:
     # ------------------------------------------------------------------
     # Protocol decisions
     # ------------------------------------------------------------------
-    def admit(
-        self,
-        transaction: Transaction,
-        manager: "ObjectManager",
-        handle: RequestHandle,
-        from_queue: bool,
-    ) -> None:
-        """Decide the fate of an operation request (execute/block/abort).
+    def decide(
+        self, manager: "ObjectManager", invocation: Invocation, transaction_id: int, ahead: int
+    ) -> Tuple[AbstractSet[int], AbstractSet[int]]:
+        """The protocol's relation: ``(conflicting, recoverable)``.
 
-        ``from_queue`` is True when the request is being re-admitted from an
-        object's blocked queue; its stale wait-for edges must be dropped.
+        ``conflicting`` are the transactions ``invocation`` must wait for —
+        the scheduler blocks the request behind them, or, on a queue retry,
+        re-points its wait-for edges at them; ``recoverable`` the ones it may
+        execute over at the price of a commit dependency on each.  Both empty
+        means it executes freely.  ``ahead`` is how many entries of
+        ``manager.blocked`` count as queued in front of the request: the whole
+        queue on a fair first submit, the request's own index on a queue
+        retry, ``0`` under unfair scheduling.  Must not change any state: the
+        scheduler also asks on behalf of requests that stay queued.  The sets
+        may be shared; the scheduler only reads them.
         """
         raise NotImplementedError
+
+    def grant(self, manager: "ObjectManager", invocation: Invocation, transaction_id: int) -> bool:
+        """Record protocol state for a request that is about to execute.
+
+        Returns ``True`` when that changed what the requests queued on the
+        object conflict with; the scheduler then re-points every waiter's
+        wait-for edges (:meth:`Scheduler.refresh_waiters`) once the operation
+        has executed.  A backend whose :meth:`decide` reads nothing but the
+        object manager has nothing to record and leaves this alone.
+        """
+        return False
 
     def commit(self, transaction: Transaction) -> TransactionStatus:
         """Commit a completed transaction; returns the resulting status."""
@@ -155,41 +170,12 @@ class ConcurrencyControlBackend:
         2PL backend clears its lock table here.
         """
 
-    def compile_submit(self) -> Optional[FusedSubmit]:
-        """An optional fused fast path that replaces ``Scheduler.submit``.
-
-        Called once at scheduler construction, after :meth:`attach`.  A
-        backend may return a closure with the exact semantics of
-        ``Scheduler.submit`` that decides requests inline and executes them
-        through ``Scheduler.execute_operation`` (whatever it does not decide
-        it hands to :meth:`admit`); returning ``None`` keeps the general
-        path — the default, and what subclasses of the built-in backends get
-        unless they opt in.
-        """
-        return None
-
     # ------------------------------------------------------------------
     # Hooks used by the shared scheduler machinery
     # ------------------------------------------------------------------
     def after_execute(self, manager: "ObjectManager", event: Event) -> None:
         """Blocked-waiter upkeep: called after an operation executed on an
         object whose blocked queue is not empty."""
-
-    def blocking_conflicts(
-        self,
-        manager: "ObjectManager",
-        invocation: Invocation,
-        transaction_id: int,
-        upto: Optional[int] = None,
-    ) -> Set[int]:
-        """The transactions currently preventing ``invocation`` from running.
-
-        Used by the shared retry loop to decide whether a queued request is
-        still blocked, and against whom its wait-for edges should point.
-        ``upto`` restricts the fairness check to queue entries ahead of the
-        candidate.
-        """
-        raise NotImplementedError
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<{type(self).__name__} {self.name!r}>"
@@ -198,191 +184,22 @@ class ConcurrencyControlBackend:
 class SemanticBackend(ConcurrencyControlBackend):
     """Recoverability/commutativity concurrency control (Sections 4.2-4.3).
 
-    Implements the operation-admission algorithm of Figure 2: a request is
-    classified against the uncommitted operations of other transactions; it
-    blocks behind conflicts (wait-for edges), executes immediately over
-    recoverable operations (commit-dependency edges), and the transaction is
-    aborted if either edge set would close a cycle.  Which classifications
-    count as conflicts is decided by the scheduler's
-    :class:`~repro.core.policy.ConflictPolicy`.
+    The relation of Figure 2: a request is classified against the uncommitted
+    operations of other transactions by the object's compatibility tables; it
+    waits behind conflicts and executes over recoverable operations with a
+    commit dependency on each.  Which classifications count as conflicts is
+    decided by the scheduler's :class:`~repro.core.policy.ConflictPolicy`.
+    A transaction with commit dependencies left pseudo-commits.
     """
 
     name = "semantic"
 
-    # ------------------------------------------------------------------
-    # Admission (Figure 2)
-    # ------------------------------------------------------------------
-    def admit(
-        self,
-        transaction: Transaction,
-        manager: "ObjectManager",
-        handle: RequestHandle,
-        from_queue: bool,
-    ) -> None:
-        """Figure 2 over the manager's classification methods: the path of a
-        request leaving a blocked queue, of a scheduler built without fusion
-        and of subclasses.  A fused first submit makes the same decision in
-        its own frame (:meth:`compile_submit`) and never comes here."""
-        scheduler = self.scheduler
-        invocation = handle.invocation
-        if from_queue:
-            # The request is leaving the blocked queue: its wait-for edges
-            # described the old conflict set and must not linger (they would
-            # cause spurious deadlock aborts later).
-            scheduler.graph.remove_edges_from(transaction.tid, EdgeKind.WAIT_FOR)
-        classification = manager.classify_request(invocation, transaction.tid, scheduler.policy)
-        conflicting = classification.conflicting
-        if scheduler.fair and not from_queue:
-            conflicting |= manager.blocked_conflicts(invocation, transaction.tid, scheduler.policy)
-        if conflicting:
-            scheduler.block_request(transaction, manager, handle, conflicting)
-        elif not classification.recoverable or self._depend(
-            transaction, handle, classification.recoverable
-        ):
-            scheduler.execute_operation(transaction, manager, handle, from_queue=from_queue)
-
-    def _depend(
-        self, transaction: Transaction, handle: RequestHandle, recoverable: Set[int]
-    ) -> bool:
-        """Commit-dependency edges to ``recoverable``; ``False`` (and the
-        transaction aborted) when they would close a cycle."""
-        scheduler = self.scheduler
-        scheduler.stats.cycle_checks += 1
-        transaction.cycle_checks += 1
-        if scheduler.graph.creates_cycle(transaction.tid, recoverable):
-            self.abort(transaction, AbortReason.DEPENDENCY_CYCLE, handle)
-            return False
-        scheduler.graph.add_edges(transaction.tid, recoverable, EdgeKind.COMMIT_DEPENDENCY)
-        scheduler.stats.commit_dependency_edges += len(recoverable)
-        return True
-
-    def compile_submit(self) -> Optional[FusedSubmit]:
-        """Fuse submit → Figure 2 admission → execution into one frame.
-
-        The compiled closure replays ``Scheduler.submit``'s exact lookup and
-        error sequence and then decides the request itself, in one pass: one
-        loop over the manager's operation groups collects the owners of
-        conflicting and of recoverable uncommitted operations (the compiled
-        tables inline; ``classify_pair`` for a fallback group or an operation
-        outside the tables), one loop over the blocked queue — only when it
-        is non-empty and scheduling is fair — adds the owners of conflicting
-        requests queued ahead.  The request then blocks, or takes its commit
-        dependencies and executes through the kernel with the group key the
-        scan already derived.  Nothing is handed to :meth:`admit`.
-        """
-        if type(self) is not SemanticBackend:
-            # Subclasses may override admission; they must opt in explicitly.
-            return None
-        scheduler = self.scheduler
-        depend = self._depend
-        execute = scheduler.execute_operation
-        active = TransactionStatus.ACTIVE
-        commutative = ConflictClass.COMMUTATIVE
-        conflict = ConflictClass.CONFLICT
-        nobody: AbstractSet[int] = frozenset()  # an idle object allocates no sets
-        pool_requests = scheduler.pool_requests
-        handle_pool = scheduler.handle_pool
-
-        def fused_submit(
-            transaction_id: int, object_name: str, invocation: Invocation
-        ) -> RequestHandle:
-            try:
-                transaction = scheduler.transactions[transaction_id]
-            except KeyError:
-                raise TransactionStateError(
-                    f"unknown transaction {transaction_id}"
-                ) from None
-            if transaction.status is not active:
-                transaction.require(active)
-            try:
-                manager = scheduler.objects[object_name]
-            except KeyError:
-                raise UnknownObjectError(object_name) from None
-            if pool_requests and handle_pool.free:
-                # The fused submit writes into a pooled handle: every
-                # caller-visible field is reinitialised, so the reused box is
-                # indistinguishable from a fresh construction (generation
-                # excepted — it keeps counting for staleness detection).
-                handle_pool.reused += 1
-                handle = handle_pool.free.pop()
-                handle.transaction_id = transaction_id
-                handle.object_name = object_name
-                handle.invocation = invocation
-                handle.status = None
-            else:
-                handle_pool.created += pool_requests
-                handle = RequestHandle(
-                    transaction_id=transaction_id,
-                    object_name=object_name,
-                    invocation=invocation,
-                )
-            try:
-                op_id = manager._op_index[invocation.op]
-            except KeyError:
-                op_id = -1  # outside the tables: classify_pair, pair by pair
-            if manager._param_is_args:
-                param = invocation.args
-            else:
-                param = manager.spec.conflict_parameter(invocation)
-            conflicting = recoverable = nobody
-            groups = manager._op_groups
-            queue = manager.blocked
-            if groups or queue:
-                conflicting, recoverable = set(), set()
-                policy = scheduler.policy
-                if policy is manager._compiled_policy:
-                    tables = manager._compiled_tables
-                else:
-                    tables = manager._tables_for(policy)
-                assert tables is not None
-                unconditional_table = tables[0]
-                base = op_id * manager._n_ops
-                for group in groups.values():
-                    owners = group.owners
-                    if len(owners) == 1 and transaction_id in owners:
-                        continue
-                    if op_id < 0 or group.op_id < 0:
-                        pairwise = manager.classify_pair(invocation, group.invocation, policy)
-                    else:
-                        index = base + group.op_id
-                        pairwise = unconditional_table[index]
-                        if pairwise is None:
-                            pairwise = tables[1 if param == group.param else 2][index]
-                    if pairwise is not commutative:
-                        others = conflicting if pairwise is conflict else recoverable
-                        others.update(owners)
-                        if transaction_id in owners:
-                            # A transaction never conflicts with itself.
-                            others.discard(transaction_id)
-                if queue and scheduler.fair:
-                    for pending in queue:
-                        if pending.transaction_id == transaction_id:
-                            continue
-                        if op_id < 0 or pending.op_id < 0:
-                            pairwise = manager.classify_pair(
-                                invocation, pending.invocation, policy
-                            )
-                        else:
-                            index = base + pending.op_id
-                            pairwise = unconditional_table[index]
-                            if pairwise is None:
-                                pairwise = tables[1 if param == pending.param else 2][index]
-                        if pairwise is conflict:
-                            conflicting.add(pending.transaction_id)
-            if conflicting:
-                scheduler.block_request(transaction, manager, handle, conflicting)
-            elif not recoverable or depend(transaction, handle, recoverable):
-                execute(
-                    transaction, manager, handle, False, (op_id, param) if op_id >= 0 else None
-                )
-            if pool_requests:
-                handles = transaction.handles
-                if handles is None:
-                    handles = transaction.handles = []
-                handles.append(handle)
-            return handle
-
-        return fused_submit
+    def decide(
+        self, manager: "ObjectManager", invocation: Invocation, transaction_id: int, ahead: int
+    ) -> Tuple[AbstractSet[int], AbstractSet[int]]:
+        if not (manager._op_groups or ahead):
+            return _FREE  # an idle object: nothing to classify against
+        return manager.classify_request(invocation, transaction_id, self.scheduler.policy, ahead)
 
     def after_execute(self, manager: "ObjectManager", event: Event) -> None:
         """Keep blocked transactions' wait-for edges complete.
@@ -423,26 +240,6 @@ class SemanticBackend(ConcurrencyControlBackend):
             return scheduler.record_pseudo_commit(transaction)
         scheduler.finalize_commit(transaction)
         return TransactionStatus.COMMITTED
-
-    # ------------------------------------------------------------------
-    # Retry support
-    # ------------------------------------------------------------------
-    def blocking_conflicts(
-        self,
-        manager: "ObjectManager",
-        invocation: Invocation,
-        transaction_id: int,
-        upto: Optional[int] = None,
-    ) -> Set[int]:
-        scheduler = self.scheduler
-        conflicting = set(
-            manager.classify_request(invocation, transaction_id, scheduler.policy).conflicting
-        )
-        if scheduler.fair:
-            conflicting |= manager.blocked_conflicts(
-                invocation, transaction_id, scheduler.policy, upto=upto
-            )
-        return conflicting
 
 
 class LockMode(enum.Enum):
@@ -505,8 +302,8 @@ class TwoPhaseLockingBackend(ConcurrencyControlBackend):
     that would close a cycle is the victim — the same victim rule as the
     semantic backend, which keeps the two backends comparable.
 
-    The lock table is one :class:`_LockRecord` per object, created on the
-    object's first lock request and kept — emptied, not deleted — until
+    The lock table is one :class:`_LockRecord` per object, created when the
+    object's first lock is granted and kept — emptied, not deleted — until
     :meth:`reset`, so every decision reaches an object's holders and mode
     table with one lookup.  A transaction's locks are the records listed
     under its id: a record is appended exactly when the transaction's first
@@ -536,12 +333,6 @@ class TwoPhaseLockingBackend(ConcurrencyControlBackend):
             modes = self._mode_tables[id(spec)] = _ModeTable(spec)
             return modes
 
-    def _new_record(self, manager: "ObjectManager") -> _LockRecord:
-        record = self._records[manager.name] = _LockRecord(
-            manager.name, self._modes_of(manager.spec)
-        )
-        return record
-
     def required_mode(self, manager: "ObjectManager", invocation: Invocation) -> LockMode:
         """The lock mode ``invocation`` needs on ``manager``'s object."""
         return self._modes_of(manager.spec)[invocation.op]
@@ -551,209 +342,77 @@ class TwoPhaseLockingBackend(ConcurrencyControlBackend):
         record = self._records.get(object_name)
         return dict(record.holders) if record is not None else {}
 
-    @staticmethod
-    def _conflicts(
-        record: _LockRecord,
-        queue: List[PendingRequest],
-        queued: int,
-        mode: LockMode,
-        transaction_id: int,
-    ) -> Set[int]:
-        """Who stands in the way of a ``mode`` request that no held lock covers.
+    # ------------------------------------------------------------------
+    # Protocol decisions
+    # ------------------------------------------------------------------
+    def decide(
+        self, manager: "ObjectManager", invocation: Invocation, transaction_id: int, ahead: int
+    ) -> Tuple[AbstractSet[int], AbstractSet[int]]:
+        """Who stands in the way of the lock ``invocation`` needs.
 
-        The other holders of a conflicting lock, plus the owners of
-        conflicting requests among the first ``queued`` entries of ``queue``.
+        Nobody when a lock the requester already holds covers it.  Otherwise
+        the other holders of a conflicting lock plus, for a *new* lock
+        request, the owners of conflicting requests among the ``ahead`` queued
+        in front.  An upgrade (shared held, exclusive needed) waits on the
+        other holders alone: queueing it behind requests that are themselves
+        waiting on its shared lock would manufacture a deadlock.  Locks never
+        yield a recoverable set.
         """
-        conflicting: Set[int] = set()
+        record = self._records.get(manager.name)
+        if record is None:
+            return _FREE  # never locked, so nothing ever queued either
+        holders = record.holders
+        if not (holders or ahead):
+            return _FREE
+        modes = record.modes
+        mode = modes[invocation.op]
+        held = holders.get(transaction_id)
+        if held is mode or held is LockMode.EXCLUSIVE:
+            return _FREE
+        queued = manager.blocked[:ahead] if held is None else ()
         if mode is LockMode.EXCLUSIVE:
-            for holder in record.holders:
-                if holder != transaction_id:
-                    conflicting.add(holder)
-            for position in range(queued):
-                owner = queue[position].transaction_id
-                if owner != transaction_id:
-                    conflicting.add(owner)
-            return conflicting
+            conflicting = set(holders)
+            for pending in queued:
+                conflicting.add(pending.transaction_id)
+            conflicting.discard(transaction_id)
+            return conflicting, _NOBODY
         # A shared request is uncovered only while the requester holds nothing.
-        for holder, granted in record.holders.items():
+        conflicting = set()
+        for holder, granted in holders.items():
             if granted is LockMode.EXCLUSIVE:
                 conflicting.add(holder)
-        modes = record.modes
-        for position in range(queued):
-            pending = queue[position]
+        for pending in queued:
             if (
                 pending.transaction_id != transaction_id
                 and modes[pending.invocation.op] is LockMode.EXCLUSIVE
             ):
                 conflicting.add(pending.transaction_id)
-        return conflicting
+        return conflicting, _NOBODY
 
-    # ------------------------------------------------------------------
-    # Protocol decisions
-    # ------------------------------------------------------------------
-    def admit(
-        self,
-        transaction: Transaction,
-        manager: "ObjectManager",
-        handle: RequestHandle,
-        from_queue: bool,
-    ) -> None:
-        scheduler = self.scheduler
-        transaction_id = transaction.tid
-        if from_queue:
-            scheduler.graph.remove_edges_from(transaction_id, EdgeKind.WAIT_FOR)
+    def grant(self, manager: "ObjectManager", invocation: Invocation, transaction_id: int) -> bool:
+        """Record the lock the request needs unless one it holds covers it.
+
+        A transaction's record list gains the object exactly when its first
+        lock there is granted; an upgrade overwrites the mode in place.
+        """
         try:
             record = self._records[manager.name]
         except KeyError:
-            record = self._new_record(manager)
-        mode = record.modes[handle.invocation.op]
+            record = self._records[manager.name] = _LockRecord(
+                manager.name, self._modes_of(manager.spec)
+            )
+        mode = record.modes[invocation.op]
         holders = record.holders
         held = holders.get(transaction_id)
-        acquire = held is not LockMode.EXCLUSIVE and (held is None or mode is LockMode.EXCLUSIVE)
-        if acquire:
-            # Fair FIFO queueing applies only to *new* lock requests.  An
-            # upgrade (shared held, exclusive needed) waits on the other
-            # holders alone: queueing it behind requests that are themselves
-            # waiting on its shared lock would manufacture a deadlock.
-            queue = manager.blocked
-            fifo = held is None and scheduler.fair and not from_queue
-            conflicting = self._conflicts(
-                record, queue, len(queue) if fifo else 0, mode, transaction_id
-            )
-            if conflicting:
-                scheduler.block_request(transaction, manager, handle, conflicting)
-                return
-            holders[transaction_id] = mode
-            if held is None:
-                self._held.setdefault(transaction_id, []).append(record)
-        scheduler.execute_operation(transaction, manager, handle, from_queue)
-        # Waiters' conflict sets can only change when the lock table did, and
-        # only a non-empty queue has waiters.  (after_execute stays a no-op
-        # for this backend: the decision needs the acquire outcome, which
-        # lives in this frame — instance state would be clobbered if a
-        # listener ever re-entered the scheduler.)
-        if acquire and manager.blocked:
-            self._refresh_waiters(manager)
-
-    def compile_submit(self) -> Optional[FusedSubmit]:
-        """Fuse submit → lock check → execute for the uncontended case.
-
-        The closure decides inline when the object has no queued requests and
-        the needed lock is either already covered (nothing is touched) or
-        free of conflicting holders (the lock record and the transaction's
-        held list are updated in this frame), then calls the execution
-        kernel.  With an empty queue there are no waiters to refresh.
-        Everything else is :meth:`admit`'s, whose lock check starts from the
-        same untouched record.
-        """
-        if type(self) is not TwoPhaseLockingBackend:
-            return None
-        scheduler = self.scheduler
-        admit = self.admit
-        execute = scheduler.execute_operation
-        records = self._records
-        new_record = self._new_record
-        held_records = self._held
-        active = TransactionStatus.ACTIVE
-        exclusive = LockMode.EXCLUSIVE
-        shared = LockMode.SHARED
-        pool_requests = scheduler.pool_requests
-        handle_pool = scheduler.handle_pool
-
-        def fused_submit(
-            transaction_id: int, object_name: str, invocation: Invocation
-        ) -> RequestHandle:
+        if held is mode or held is LockMode.EXCLUSIVE:
+            return False
+        holders[transaction_id] = mode
+        if held is None:
             try:
-                transaction = scheduler.transactions[transaction_id]
+                self._held[transaction_id].append(record)
             except KeyError:
-                raise TransactionStateError(
-                    f"unknown transaction {transaction_id}"
-                ) from None
-            if transaction.status is not active:
-                transaction.require(active)
-            try:
-                manager = scheduler.objects[object_name]
-            except KeyError:
-                raise UnknownObjectError(object_name) from None
-            if pool_requests and handle_pool.free:
-                # Pooled handle: reinitialised field by field, so the fast
-                # path's observable state matches a fresh construction.
-                handle_pool.reused += 1
-                handle = handle_pool.free.pop()
-                handle.transaction_id = transaction_id
-                handle.object_name = object_name
-                handle.invocation = invocation
-                handle.status = None
-            else:
-                handle_pool.created += pool_requests
-                handle = RequestHandle(
-                    transaction_id=transaction_id,
-                    object_name=object_name,
-                    invocation=invocation,
-                )
-            grant = not manager.blocked
-            if grant:
-                try:
-                    record = records[object_name]
-                except KeyError:
-                    record = new_record(manager)
-                mode = record.modes[invocation.op]
-                holders = record.holders
-                held = holders.get(transaction_id)
-                if held is not exclusive and (held is None or mode is exclusive):
-                    if mode is shared:
-                        for granted in holders.values():
-                            if granted is exclusive:
-                                grant = False
-                                break
-                    elif len(holders) > (held is not None):
-                        # Somebody besides the requester holds the lock.
-                        grant = False
-                    if grant:
-                        holders[transaction_id] = mode
-                        if held is None:
-                            try:
-                                held_records[transaction_id].append(record)
-                            except KeyError:
-                                held_records[transaction_id] = [record]
-            if grant:
-                execute(transaction, manager, handle, False)
-            else:
-                admit(transaction, manager, handle, False)
-            if pool_requests:
-                handles = transaction.handles
-                if handles is None:
-                    handles = transaction.handles = []
-                handles.append(handle)
-            return handle
-
-        return fused_submit
-
-    def _refresh_waiters(self, manager: "ObjectManager") -> None:
-        """Re-point waiters' wait-for edges after a lock grant or upgrade.
-
-        A newly granted (or upgraded) lock may add the grantee to the conflict
-        set of requests already waiting on the object; their wait-for edges
-        must reflect that or a deadlock could go undetected.
-        """
-        scheduler = self.scheduler
-        restart = True
-        while restart:
-            restart = False
-            # Iterate the live queue so ``upto`` always describes the current
-            # FIFO order.  The only mutating outcome is an abort (refresh
-            # returns True), whose termination cascade may dequeue or grant
-            # other waiters — restart the scan from a consistent view then.
-            for index, pending in enumerate(manager.blocked):
-                waiter = scheduler.transactions.get(pending.transaction_id)
-                if waiter is None or waiter.status is not TransactionStatus.BLOCKED:
-                    continue
-                conflicting = self.blocking_conflicts(
-                    manager, pending.invocation, pending.transaction_id, upto=index
-                )
-                if scheduler.refresh_wait_edges(waiter, conflicting):
-                    restart = True
-                    break
+                self._held[transaction_id] = [record]
+        return True
 
     def commit(self, transaction: Transaction) -> TransactionStatus:
         # Strict 2PL: all locks were held to this point, so the commit is
@@ -771,38 +430,11 @@ class TwoPhaseLockingBackend(ConcurrencyControlBackend):
         super().on_terminate(transaction, retry_objects)
 
     def reset(self) -> None:
-        # In place: the fused closure captured both tables.  Dropping the
-        # records (not just emptying their holders) lets an object that is
-        # re-registered under another spec start clean.
+        # Dropping the records (not just emptying their holders) lets an
+        # object that is re-registered under another spec start clean.
         self._records.clear()
         self._held.clear()
         self._mode_tables.clear()
-
-    # ------------------------------------------------------------------
-    # Retry support
-    # ------------------------------------------------------------------
-    def blocking_conflicts(
-        self,
-        manager: "ObjectManager",
-        invocation: Invocation,
-        transaction_id: int,
-        upto: Optional[int] = None,
-    ) -> Set[int]:
-        try:
-            record = self._records[manager.name]
-        except KeyError:
-            record = self._new_record(manager)
-        mode = record.modes[invocation.op]
-        held = record.holders.get(transaction_id)
-        if held is LockMode.EXCLUSIVE or (held is not None and mode is LockMode.SHARED):
-            return set()
-        queue = manager.blocked
-        queued = 0
-        if held is None and self.scheduler.fair:
-            queued = len(queue)
-            if upto is not None and upto < queued:
-                queued = upto
-        return self._conflicts(record, queue, queued, mode, transaction_id)
 
 
 def make_backend(policy: ConflictPolicy) -> ConcurrencyControlBackend:

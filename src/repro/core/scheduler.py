@@ -4,14 +4,21 @@ The :class:`Scheduler` is the public entry point of the library.  It owns one
 :class:`~repro.core.object_manager.ObjectManager` per registered object, the
 unified :class:`~repro.core.dependency_graph.DependencyGraph`, and the
 transaction table — the machinery *every* concurrency-control protocol needs —
-and delegates the protocol decisions (execute/block/abort, commit now or
-pseudo-commit, retry after a termination) to a pluggable
-:class:`~repro.core.backends.ConcurrencyControlBackend`:
+and runs the operation-admission algorithm of Figure 2 for every request,
+first submit (:meth:`Scheduler.submit`) and queue retry
+(:meth:`Scheduler.retry_blocked`) alike: ask the pluggable
+:class:`~repro.core.backends.ConcurrencyControlBackend` once which
+transactions the request conflicts with and which it is recoverable over
+(``decide``), then block it behind the former (wait-for edges, deadlock
+check, *fair scheduling* of Section 5.2), or take commit dependencies on the
+latter and execute it (:meth:`Scheduler.execute_operation`), or abort its
+transaction when either edge set would close a cycle.  The backend also owns
+the commit rule (commit now or pseudo-commit) and any protocol state:
 
 * the default :class:`~repro.core.backends.SemanticBackend` implements the
-  paper's recoverability/commutativity protocol: the operation-admission
-  algorithm of Figure 2, *fair scheduling* (Section 5.2), and the commit
-  protocol of Section 4.3 with pseudo-commit and cascaded durable commits;
+  paper's recoverability/commutativity protocol: the compatibility-table
+  relation, and the commit protocol of Section 4.3 with pseudo-commit and
+  cascaded durable commits;
 * :class:`~repro.core.backends.TwoPhaseLockingBackend` implements the
   classical page-level strict-2PL baseline the paper compares against, and is
   selected with ``ConflictPolicy.TWO_PHASE_LOCKING`` (or by passing a backend
@@ -36,7 +43,7 @@ A minimal example::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Set
+from typing import AbstractSet, Any, Callable, Dict, List, Optional, Set
 
 from .backends import ConcurrencyControlBackend, make_backend
 from .compatibility import CompatibilitySpec
@@ -49,6 +56,11 @@ from .pool import ObjectPool
 from .requests import AbortReason, RequestHandle, RequestStatus
 from .specification import Event, Invocation, OperationResult, TypeSpecification
 from .transaction import Transaction, TransactionStatus
+
+#: The two enum members every request reads, bound once: an attribute load on
+#: an ``Enum`` class costs CPython 3.11 about 100 ns, a module global about 3.
+_ACTIVE = TransactionStatus.ACTIVE
+_EXECUTED = RequestStatus.EXECUTED
 
 __all__ = [
     "RequestStatus",
@@ -162,7 +174,6 @@ class Scheduler:
         record_history: bool = True,
         retain_terminated: bool = True,
         backend: Optional[ConcurrencyControlBackend] = None,
-        fuse_submit: bool = True,
         pool_requests: bool = False,
     ):
         self.policy = policy
@@ -187,6 +198,15 @@ class Scheduler:
         self.history: Optional[ExecutionLog] = ExecutionLog() if record_history else None
         self.backend = backend if backend is not None else make_backend(policy)
         self.backend.attach(self)
+        #: The backend's two per-request hooks, bound once.  ``grant`` is
+        #: ``None`` for a backend that leaves it at the do-nothing default, so
+        #: a protocol without state of its own pays nothing per operation.
+        self._decide = self.backend.decide
+        self._grant = (
+            self.backend.grant
+            if type(self.backend).grant is not ConcurrencyControlBackend.grant
+            else None
+        )
         self._listeners: List[SchedulerListener] = []
         #: Per-hook dispatch lists: bound methods of the listeners that
         #: actually override each hook, so firing an unobserved hook costs
@@ -203,14 +223,6 @@ class Scheduler:
         self._blocked_objects: Dict[str, ObjectManager] = {}
         self._next_tid = 0
         self._sequence = 0
-        if fuse_submit:
-            # The backend may compile a fused fast path with submit's exact
-            # semantics; binding it as an instance attribute shadows the
-            # method.  The closure reads all scheduler state dynamically, so
-            # reset() and register_object() never invalidate it.
-            fast = self.backend.compile_submit()
-            if fast is not None:
-                self.submit = fast  # type: ignore[method-assign]
 
     # ------------------------------------------------------------------
     # Setup
@@ -298,70 +310,70 @@ class Scheduler:
     def submit(
         self, transaction_id: int, object_name: str, invocation: Invocation
     ) -> RequestHandle:
-        """Like :meth:`perform` but takes a prebuilt :class:`Invocation`."""
-        transaction = self.transactions.get(transaction_id)
-        if transaction is None:
-            raise TransactionStateError(f"unknown transaction {transaction_id}")
-        if transaction.status is not TransactionStatus.ACTIVE:
-            transaction.require(TransactionStatus.ACTIVE)
-        manager = self.objects.get(object_name)
-        if manager is None:
-            raise UnknownObjectError(object_name)
-        if self.pool_requests:
-            handle = self.acquire_handle(transaction_id, object_name, invocation)
-            self.backend.admit(transaction, manager, handle, from_queue=False)
-            # Track after admit: if admit aborted the transaction, its other
-            # handles were already retired and this one must stay live for
-            # the caller to observe the ABORTED status (it is simply never
-            # pooled — the rare abort-on-submit path leaks one box to GC).
-            handles = transaction.handles
-            if handles is None:
-                handles = transaction.handles = []
-            handles.append(handle)
-            return handle
-        handle = RequestHandle(
-            transaction_id=transaction_id,
-            object_name=object_name,
-            invocation=invocation,
-        )
-        self.backend.admit(transaction, manager, handle, from_queue=False)
-        return handle
+        """Like :meth:`perform` but takes a prebuilt :class:`Invocation`.
 
-    def acquire_handle(
-        self, transaction_id: int, object_name: str, invocation: Invocation
-    ) -> RequestHandle:
-        """Pop a recycled :class:`RequestHandle` (or construct the first one).
-
-        The reused handle is reinitialised field by field to exactly the
-        state a fresh construction would have — ``generation`` excepted,
-        which keeps counting up for staleness detection.
+        Figure 2, the only way in: the backend states the request's relation
+        to the other transactions once, and the request blocks behind the
+        conflicting ones, or executes with a commit dependency on each
+        recoverable one, or its transaction is aborted on a cycle.
         """
+        try:
+            transaction = self.transactions[transaction_id]
+        except KeyError:
+            raise TransactionStateError(f"unknown transaction {transaction_id}") from None
+        if transaction.status is not _ACTIVE:
+            transaction.require(_ACTIVE)
+        try:
+            manager = self.objects[object_name]
+        except KeyError:
+            raise UnknownObjectError(object_name) from None
+        pool_requests = self.pool_requests
         pool = self.handle_pool
-        if pool.free:
+        if pool_requests and pool.free:
+            # A recycled handle is reinitialised field by field to exactly
+            # the state a fresh construction has (value and abort_reason were
+            # cleared at retirement) — generation excepted, which keeps
+            # counting up for staleness detection.
             pool.reused += 1
             handle = pool.free.pop()
             handle.transaction_id = transaction_id
             handle.object_name = object_name
             handle.invocation = invocation
             handle.status = None
-            # value and abort_reason were cleared at retirement.
-            return handle
-        pool.created += 1
-        return RequestHandle(
-            transaction_id=transaction_id,
-            object_name=object_name,
-            invocation=invocation,
+        else:
+            pool.created += pool_requests
+            handle = RequestHandle(
+                transaction_id=transaction_id,
+                object_name=object_name,
+                invocation=invocation,
+            )
+        conflicting, recoverable = self._decide(
+            manager, invocation, transaction_id, len(manager.blocked) if self.fair else 0
         )
+        if conflicting:
+            self.block_request(transaction, manager, handle, conflicting)
+        elif not recoverable or self._depend(transaction, handle, recoverable):
+            self.execute_operation(transaction, manager, handle, False)
+        if pool_requests:
+            # Tracked after the decision: if it aborted the transaction, the
+            # other handles were already retired and this one must stay live
+            # for the caller to observe the ABORTED status (it is simply never
+            # pooled — the rare abort-on-submit path leaks one box to GC).
+            handles = transaction.handles
+            if handles is None:
+                handles = transaction.handles = []
+            handles.append(handle)
+        return handle
 
     # ------------------------------------------------------------------
-    # Shared machinery used by the backends
+    # The three outcomes of Figure 2
     # ------------------------------------------------------------------
     def block_request(
         self,
         transaction: Transaction,
         manager: ObjectManager,
         handle: RequestHandle,
-        conflicting: Set[int],
+        conflicting: AbstractSet[int],
     ) -> None:
         """Block a request: wait-for edges, deadlock check, then wait."""
         self.stats.cycle_checks += 1
@@ -401,33 +413,48 @@ class Scheduler:
         for on_blocked in self._on_blocked:
             on_blocked(transaction.tid, handle)
 
+    def _depend(
+        self, transaction: Transaction, handle: RequestHandle, recoverable: AbstractSet[int]
+    ) -> bool:
+        """Commit-dependency edges to ``recoverable``; ``False`` (and the
+        transaction aborted) when they would close a cycle."""
+        self.stats.cycle_checks += 1
+        transaction.cycle_checks += 1
+        if self.graph.creates_cycle(transaction.tid, recoverable):
+            self.backend.abort(transaction, AbortReason.DEPENDENCY_CYCLE, handle)
+            return False
+        self.graph.add_edges(transaction.tid, recoverable, EdgeKind.COMMIT_DEPENDENCY)
+        self.stats.commit_dependency_edges += len(recoverable)
+        return True
+
     def execute_operation(
         self,
         transaction: Transaction,
         manager: ObjectManager,
         handle: RequestHandle,
         from_queue: bool,
-        key: Optional[tuple] = None,
     ) -> Event:
-        """Execute an admitted request and publish the result.
+        """Execute a request the decision let through and publish the result.
 
-        The one execution kernel: every grant of either backend — decided
-        inline by a fused submit, by ``admit``, or on leaving a blocked queue
-        (``from_queue``: listeners hear ``on_granted`` instead of
-        ``on_executed``) — runs this frame, which applies the operation,
-        appends the event to the object's log and indexes, and records it on
-        the transaction.  The operation function is called directly when the
-        manager has a function table; ``spec.apply`` is the slow branch (and
-        the source of the exact error for an unknown operation or a
-        non-conforming return — functions are pure, so re-applying is safe).
+        The one execution kernel: every grant — a first submit or a request
+        leaving a blocked queue (``from_queue``: listeners hear ``on_granted``
+        instead of ``on_executed``) — runs this frame, which lets the backend
+        record its protocol state, applies the operation, appends the event to
+        the object's log and indexes, and records it on the transaction.  The
+        operation function is called directly when the manager has a function
+        table; ``spec.apply`` is the slow branch (and the source of the exact
+        error for an unknown operation or a non-conforming return — functions
+        are pure, so re-applying is safe).  Removal never needs the event's
+        group key again: it pops the transaction from every group's owners.
 
-        ``key`` is the invocation's ``(op id, conflict param)`` group identity
-        when the caller already has it (the semantic fused submit derives it
-        for its scan); otherwise it is derived here.  Removal never needs it
-        again: it pops the transaction from every group's owners.
+        Afterwards the waiters on the object are kept honest: every blocked
+        request must hold wait-for edges to *all* the transactions it
+        conflicts with, or a deadlock could go undetected.
         """
         invocation = handle.invocation
         transaction_id = transaction.tid
+        grant = self._grant
+        waiters_moved = grant is not None and grant(manager, invocation, transaction_id)
         sequence = self._sequence + 1
         self._sequence = sequence
         if manager.materialize_state:
@@ -454,25 +481,22 @@ class Scheduler:
             by_tid[transaction_id].append(event)
         except KeyError:
             by_tid[transaction_id] = [event]
-        if key is None:
-            try:
-                op_id = manager._op_index[invocation.op]
-            except KeyError:
-                pass
-            else:
-                if manager._param_is_args:
-                    key = (op_id, invocation.args)
-                else:
-                    key = (op_id, manager.spec.conflict_parameter(invocation))
-        if key is None:
+        try:
+            op_id = manager._op_index[invocation.op]
+        except KeyError:
             # Operation outside the tables: its own fallback group.
             manager._index_event(event)
         else:
+            if manager._param_is_args:
+                param = invocation.args
+            else:
+                param = manager.spec.conflict_parameter(invocation)
             groups = manager._op_groups
+            key = (op_id, param)
             try:
                 group = groups[key]
             except KeyError:
-                groups[key] = _OperationGroup(invocation, key[0], key[1], {transaction_id: 1})
+                groups[key] = _OperationGroup(invocation, op_id, param, {transaction_id: 1})
             except TypeError:
                 # Unhashable conflict parameter: its own fallback group.
                 manager._index_event(event)
@@ -487,8 +511,8 @@ class Scheduler:
             history.append_event(event)
         transaction.events.append(event)
         transaction.objects_visited.add(manager.name)
-        transaction.status = TransactionStatus.ACTIVE
-        handle.status = RequestStatus.EXECUTED
+        transaction.status = _ACTIVE
+        handle.status = _EXECUTED
         handle.value = value
         self.stats.operations_executed += 1
         if from_queue:
@@ -499,9 +523,33 @@ class Scheduler:
                 on_executed(transaction_id, handle, event)
         if manager.blocked:
             self.backend.after_execute(manager, event)
+            if waiters_moved:
+                self.refresh_waiters(manager)
         return event
 
-    def refresh_wait_edges(self, transaction: Transaction, conflicting: Set[int]) -> bool:
+    def refresh_waiters(self, manager: ObjectManager) -> None:
+        """Re-point the wait-for edges of every request queued on ``manager``
+        at its current conflict set (asked for by :meth:`grant
+        <repro.core.backends.ConcurrencyControlBackend.grant>`)."""
+        restart = True
+        while restart:
+            restart = False
+            # Iterate the live queue so ``ahead`` always describes the current
+            # FIFO order.  The only mutating outcome is an abort (refresh
+            # returns True), whose termination cascade may dequeue or grant
+            # other waiters — restart the scan from a consistent view then.
+            for index, pending in enumerate(manager.blocked):
+                waiter = self.transactions.get(pending.transaction_id)
+                if waiter is None or waiter.status is not TransactionStatus.BLOCKED:
+                    continue
+                conflicting, _ = self._decide(
+                    manager, pending.invocation, pending.transaction_id, index if self.fair else 0
+                )
+                if self.refresh_wait_edges(waiter, conflicting):
+                    restart = True
+                    break
+
+    def refresh_wait_edges(self, transaction: Transaction, conflicting: AbstractSet[int]) -> bool:
         """Re-point a blocked transaction's wait-for edges at ``conflicting``.
 
         Returns ``True`` if doing so would close a cycle, in which case the
@@ -520,7 +568,10 @@ class Scheduler:
         return False
 
     def retry_blocked(self, manager: ObjectManager) -> None:
-        """Grant queued requests that no longer conflict, preserving fairness."""
+        """Grant queued requests that no longer conflict, preserving fairness.
+
+        One decision per queue entry: the answer that finds an entry free of
+        conflicts also carries the recoverable set it is granted with."""
         progressed = True
         while progressed:
             progressed = False
@@ -542,8 +593,8 @@ class Scheduler:
                         self.pending_pool.release(pending)
                     progressed = True
                     break
-                conflicting = self.backend.blocking_conflicts(
-                    manager, pending.invocation, pending.transaction_id, upto=index
+                conflicting, recoverable = self._decide(
+                    manager, pending.invocation, pending.transaction_id, index if self.fair else 0
                 )
                 if conflicting:
                     # Still blocked: make sure its wait-for edges describe the
@@ -567,7 +618,11 @@ class Scheduler:
                 if self.pool_requests:
                     pending.retire()
                     self.pending_pool.release(pending)
-                self.backend.admit(transaction, manager, handle, from_queue=True)
+                # The wait-for edges described the old conflict set and must
+                # not linger (they would cause spurious deadlock aborts later).
+                self.graph.remove_edges_from(transaction.tid, EdgeKind.WAIT_FOR)
+                if not recoverable or self._depend(transaction, handle, recoverable):
+                    self.execute_operation(transaction, manager, handle, True)
                 progressed = True
                 break
         if not manager.blocked:
@@ -583,8 +638,8 @@ class Scheduler:
         logs, the backend's protocol state (lock table), statistics, history,
         tid/sequence counters — each goes back to its just-constructed value.
         Durable or structural, and kept: the managers with their *committed*
-        states and compiled policy tables, the backend and its fused submit
-        binding, the listener subscriptions, the request freelists.
+        states and compiled policy tables, the backend, the listener
+        subscriptions, the request freelists.
         """
         self.graph = DependencyGraph()
         for manager in self.objects.values():

@@ -2,10 +2,9 @@
 
 With request pooling on, :class:`~repro.core.requests.RequestHandle` and
 :class:`~repro.core.object_manager.PendingRequest` instances are recycled
-through per-scheduler :class:`~repro.core.pool.ObjectPool` freelists: the
-scheduler (and the backends' fused submit closures) acquire from the
-freelist and reinitialise, and retirement stamps the box ``RECYCLED`` with
-a bumped generation.  A direct construction anywhere else silently forks
+through per-scheduler :class:`~repro.core.pool.ObjectPool` freelists:
+``Scheduler.submit`` acquires from the freelist and reinitialises, and
+retirement stamps the box ``RECYCLED`` with a bumped generation.  A direct construction anywhere else silently forks
 the lifecycle: the fresh box is never tracked on its transaction, never
 retired, and splits the "pooled and unpooled runs are bit-identical"
 invariant into one that only holds for the sites that remembered the
@@ -13,8 +12,8 @@ freelist.
 
 Checked: ``RequestHandle(...)`` and ``PendingRequest(...)`` call
 expressions in ``repro.sim`` and ``repro.distributed`` — the layers above
-the pool seam, which must go through ``Scheduler.submit`` /
-``Scheduler.acquire_handle`` instead of constructing request boxes.  Not
+the pool seam, which must go through ``Scheduler.submit`` instead of
+constructing request boxes.  Not
 checked: ``repro.core`` itself (the pools and their factories live there),
 annotations (a bare name in a type position is not a call), and anything
 under the standard pragma (``# repro-lint: disable=REP010``).
@@ -69,8 +68,8 @@ class Rep010PooledConstruction(Rule):
             message=(
                 f"direct construction of pool-managed {name}; with request "
                 "pooling on these boxes are recycled through the scheduler's "
-                "freelists — go through Scheduler.submit / "
-                "Scheduler.acquire_handle (repro.core owns construction), or "
+                "freelists — go through Scheduler.submit (repro.core owns "
+                "construction), or "
                 "suppress with '# repro-lint: disable=REP010'"
             ),
         )

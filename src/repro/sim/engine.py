@@ -22,7 +22,7 @@ Cancellation is the exception, not the rule: callers that need it use
 Recurring event producers additionally get **typed members**: a producer
 registers an integer event *kind* with a bound handler once, at
 construction (:meth:`EventEngine.register_kind`), and then schedules plain
-tuples ``(kind, *payload)`` instead of callables.  The drain loops route a
+tuples ``(kind, *payload)`` instead of callables.  The drain loop routes a
 tuple member through the kind-indexed dispatch table — one handler call
 that receives the whole member and unpacks its payload in the same frame,
 where the callable path needs a ``functools.partial``/closure allocation
@@ -192,39 +192,7 @@ class EventEngine:
     # ------------------------------------------------------------------
     def step(self) -> bool:
         """Process the next event.  Returns False when the queue is empty."""
-        queue = self._queue
-        batch = self._batch
-        index = self._batch_index
-        while True:
-            if batch is None:
-                if not queue:
-                    self._batch = None
-                    self._batch_index = 0
-                    return False
-                time, _, batch = heapq.heappop(queue)
-                if batch is self._open_batch:
-                    self._open_batch = None
-                self._batch_time = time
-                index = 0
-            try:
-                callback = batch[index]
-            except IndexError:
-                batch = None
-                continue
-            index += 1
-            if callback.__class__ is ScheduledEvent:
-                if callback.cancelled:  # type: ignore[union-attr]
-                    continue
-                callback = callback.callback  # type: ignore[union-attr]
-            self._batch = batch
-            self._batch_index = index
-            self.now = self._batch_time
-            self.events_processed += 1
-            if callback.__class__ is tuple:
-                self._handlers[callback[0]](callback)  # type: ignore[misc, index]
-            else:
-                callback()  # type: ignore[operator]
-            return True
+        return self._drain(1) == 1
 
     def run(
         self,
@@ -235,63 +203,23 @@ class EventEngine:
 
         ``max_events`` is a safety valve against configuration errors (it
         raises rather than looping forever).  The stop predicate runs between
-        every two events — batching never processes past it.
+        every two events — batching never processes past it — which is why
+        this drains one event per :meth:`_drain` call; a simulation's own
+        loop is :meth:`run_until_stop`.
         """
-        # The pop loop is inlined (rather than calling ``step`` per event)
-        # and the hot attributes are hoisted into locals: this method *is*
-        # the simulation's innermost loop.
-        queue = self._queue
-        heappop = heapq.heappop
-        handlers = self._handlers
-        batch = self._batch
-        index = self._batch_index
-        batch_time = self._batch_time
         processed = 0
         while until is None or not until():
             if max_events is not None and processed >= max_events:
                 raise SimulationError(
                     f"simulation exceeded the safety limit of {max_events} events"
                 )
-            ran = False
-            while not ran:
-                if batch is None:
-                    if not queue:
-                        break
-                    batch_time, _, batch = heappop(queue)
-                    if batch is self._open_batch:
-                        self._open_batch = None
-                    index = 0
-                try:
-                    callback = batch[index]
-                except IndexError:
-                    batch = None
-                    continue
-                index += 1
-                if callback.__class__ is ScheduledEvent:
-                    if callback.cancelled:  # type: ignore[union-attr]
-                        continue
-                    callback = callback.callback  # type: ignore[union-attr]
-                self._batch = batch
-                self._batch_index = index
-                self._batch_time = batch_time
-                self.now = batch_time
-                self.events_processed += 1
-                if callback.__class__ is tuple:
-                    handlers[callback[0]](callback)  # type: ignore[misc, index]
-                else:
-                    callback()  # type: ignore[operator]
-                ran = True
-            if not ran:
-                self._batch = None
-                self._batch_index = 0
+            if not self._drain(1):
                 if until is not None and not until():
                     raise SimulationError(
                         "event queue drained before the stop condition was met"
                     )
                 return
             processed += 1
-            # A drained batch is never appended to (it was retired from
-            # ``_open_batch`` at pop time), so the local view stays exact.
 
     def request_stop(self) -> None:
         """Make the active :meth:`run_until_stop` return before the next event."""
@@ -307,7 +235,19 @@ class EventEngine:
         Unlike the predicate, checking the flag costs an attribute load
         instead of two interpreter calls per event.  Draining the queue
         without a stop request returns normally; the caller decides whether
-        that is an error.
+        that is an error.  ``max_events`` events without a stop request raise.
+        """
+        if self._drain(max_events) == max_events and not self._stop:
+            raise SimulationError(
+                f"simulation exceeded the safety limit of {max_events} events"
+            )
+
+    def _drain(self, limit: Optional[int]) -> int:
+        """The drain loop: pop, skip cancelled members, dispatch.
+
+        Runs until a callback requests a stop, the queue drains, or ``limit``
+        events have run; returns how many ran.  Hot attributes are hoisted
+        into locals: this method *is* the simulation's innermost loop.
         """
         self._stop = False
         queue = self._queue
@@ -318,10 +258,8 @@ class EventEngine:
         batch_time = self._batch_time
         processed = 0
         while not self._stop:
-            if max_events is not None and processed >= max_events:
-                raise SimulationError(
-                    f"simulation exceeded the safety limit of {max_events} events"
-                )
+            if limit is not None and processed >= limit:
+                break
             ran = False
             while not ran:
                 if batch is None:
@@ -354,8 +292,11 @@ class EventEngine:
             if not ran:
                 self._batch = None
                 self._batch_index = 0
-                return
+                break
             processed += 1
+            # A drained batch is never appended to (it was retired from
+            # ``_open_batch`` at pop time), so the local view stays exact.
+        return processed
 
     # ------------------------------------------------------------------
     # Reset

@@ -70,7 +70,6 @@ class TestWhatACrashDiscards:
         managers = dict(scheduler.objects)
         backend = scheduler.backend
         pools = (scheduler.handle_pool, scheduler.pending_pool)
-        fused = scheduler.__dict__.get("submit")
         assert scheduler.graph.mutations > 0 and scheduler._next_tid > 0
         if policy is ConflictPolicy.TWO_PHASE_LOCKING:
             assert backend.holders("x")
@@ -86,7 +85,6 @@ class TestWhatACrashDiscards:
         assert all(scheduler.objects[name] is managers[name] for name in managers)
         assert scheduler.backend is backend
         assert (scheduler.handle_pool, scheduler.pending_pool) == pools
-        assert scheduler.__dict__.get("submit") is fused
         assert scheduler.graph.mutations == 0
         assert not scheduler.graph.edge_sources()
         assert scheduler.transactions == {} and scheduler._blocked_objects == {}

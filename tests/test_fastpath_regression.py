@@ -174,7 +174,7 @@ def test_classify_request_matches_naive_scan(type_name, spec_factory, seed):
             for policy in policies:
                 expected = naive_classify_request(manager, requested, requester, policy)
                 result = manager.classify_request(requested, requester, policy)
-                assert (result.conflicting, result.recoverable) == expected, (
+                assert result == expected, (
                     f"seed={seed} {type_name}: classification diverged for "
                     f"{requested} by T{requester} under {policy}"
                 )

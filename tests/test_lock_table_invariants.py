@@ -20,14 +20,12 @@ API only:
 
 Next to them: crc32 pins of small ``rw-2pl``- and ``rw-hot``-shaped runs
 recorded on the commit before the lock table changed representation (equal
-with and without request pooling and the fused submit), and the listener
-contract of a queue grant.
+with and without request pooling), and the listener contract of a queue grant.
 """
 
 import zlib
 
 import pytest
-from test_fused_reset_equivalence import force_unfused
 from test_log_removal_oracle import schedulers_of
 
 from repro.adts import PageType
@@ -229,17 +227,14 @@ PINS = {
 
 class TestPinnedStreams:
     @pytest.mark.parametrize("policy,seed", sorted(PINS, key=lambda case: (case[0].value, case[1])))
-    def test_small_contended_runs_are_pinned(self, policy, seed, monkeypatch):
+    def test_small_contended_runs_are_pinned(self, policy, seed):
         params = SimulationParameters(
             policy=policy, seed=seed, database_size=40, mpl_level=16,
             total_completions=250, warmup_completions=50,
         )
-        for fused in (True, False):
-            if not fused:
-                force_unfused(monkeypatch)
-            for pooled in (True, False):
-                metrics = run_simulation(params, workload_kind="readwrite", pool_requests=pooled)
-                assert digest(metrics) == PINS[policy, seed], (fused, pooled)
+        for pooled in (True, False):
+            metrics = run_simulation(params, workload_kind="readwrite", pool_requests=pooled)
+            assert digest(metrics) == PINS[policy, seed], pooled
 
 
 # ----------------------------------------------------------------------

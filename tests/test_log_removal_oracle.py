@@ -141,13 +141,8 @@ def assert_same(actual, expected):
         for policy in POLICIES:
             for invocation in menu:
                 got = actual.classify_request(invocation, transaction_id, policy)
-                want = expected.classify_request(invocation, transaction_id, policy)
-                assert (got.conflicting, got.recoverable) == (
-                    want.conflicting, want.recoverable
-                )
-                assert (got.conflicting, got.recoverable) == classify_by_log(
-                    expected, invocation, transaction_id, policy
-                )
+                assert got == expected.classify_request(invocation, transaction_id, policy)
+                assert got == classify_by_log(expected, invocation, transaction_id, policy)
     # Empty groups must not linger once their last owner left.
     assert all(group.owners for group in actual._op_groups.values())
     assert len(actual._op_groups) == len(expected._op_groups)

@@ -23,34 +23,31 @@ class TestClassification:
     def test_empty_log_is_commutative(self):
         manager = make_stack_manager()
         result = manager.classify_request(Invocation("push", (1,)), 1, ConflictPolicy.RECOVERABILITY)
-        assert result.is_commutative and result.admissible
+        assert result == (set(), set())
 
     def test_own_operations_are_ignored(self):
         manager = make_stack_manager()
         manager.execute(Invocation("push", (1,)), transaction_id=1, sequence=1)
         result = manager.classify_request(Invocation("pop"), 1, ConflictPolicy.RECOVERABILITY)
-        assert result.is_commutative
+        assert result == (set(), set())
 
     def test_recoverable_classification(self):
         manager = make_stack_manager()
         manager.execute(Invocation("push", (1,)), transaction_id=1, sequence=1)
         result = manager.classify_request(Invocation("push", (2,)), 2, ConflictPolicy.RECOVERABILITY)
-        assert result.recoverable == {1}
-        assert result.admissible and not result.is_commutative
+        assert result == (set(), {1})
 
     def test_conflict_classification(self):
         manager = make_stack_manager()
         manager.execute(Invocation("push", (1,)), transaction_id=1, sequence=1)
         result = manager.classify_request(Invocation("pop"), 2, ConflictPolicy.RECOVERABILITY)
-        assert result.conflicting == {1}
-        assert not result.admissible
+        assert result == ({1}, set())
 
     def test_commutativity_policy_downgrades_recoverable(self):
         manager = make_stack_manager()
         manager.execute(Invocation("push", (1,)), transaction_id=1, sequence=1)
         result = manager.classify_request(Invocation("push", (2,)), 2, ConflictPolicy.COMMUTATIVITY)
-        assert result.conflicting == {1}
-        assert result.recoverable == set()
+        assert result == ({1}, set())
 
     def test_conflict_wins_over_recoverable_for_same_transaction(self):
         manager = make_stack_manager()
@@ -58,8 +55,7 @@ class TestClassification:
         manager.execute(Invocation("pop"), transaction_id=1, sequence=2)
         # push is recoverable w.r.t. both, pop conflicts with a later pop.
         result = manager.classify_request(Invocation("pop"), 2, ConflictPolicy.RECOVERABILITY)
-        assert result.conflicting == {1}
-        assert 1 not in result.recoverable
+        assert result == ({1}, set())
 
     def test_classify_pair_uses_parameter_semantics(self):
         manager = ObjectManager(name="T", spec=TableType())
@@ -78,31 +74,30 @@ class TestClassification:
 
 
 class TestBlockedQueue:
-    def test_blocked_conflicts_and_upto(self):
+    def test_conflicting_requests_queued_ahead(self):
         manager = make_stack_manager()
         manager.enqueue_blocked(PendingRequest(transaction_id=1, invocation=Invocation("pop")))
         manager.enqueue_blocked(PendingRequest(transaction_id=2, invocation=Invocation("pop")))
-        owners = manager.blocked_conflicts(Invocation("pop"), 3, ConflictPolicy.RECOVERABILITY)
-        assert owners == {1, 2}
-        only_first = manager.blocked_conflicts(
-            Invocation("pop"), 3, ConflictPolicy.RECOVERABILITY, upto=1
-        )
-        assert only_first == {1}
+        pop, policy = Invocation("pop"), ConflictPolicy.RECOVERABILITY
+        assert manager.classify_request(pop, 3, policy, ahead=2) == ({1, 2}, set())
+        assert manager.classify_request(pop, 3, policy, ahead=1) == ({1}, set())
+        assert manager.classify_request(pop, 3, policy) == (set(), set())
 
-    def test_blocked_conflicts_ignores_recoverable_pairs(self):
+    def test_queued_ahead_ignores_recoverable_pairs(self):
         manager = make_stack_manager()
         manager.enqueue_blocked(PendingRequest(transaction_id=1, invocation=Invocation("top")))
         # push is recoverable relative to the blocked top, so fairness does
         # not require the push to wait behind it.
-        owners = manager.blocked_conflicts(
-            Invocation("push", (1,)), 3, ConflictPolicy.RECOVERABILITY
+        result = manager.classify_request(
+            Invocation("push", (1,)), 3, ConflictPolicy.RECOVERABILITY, ahead=1
         )
-        assert owners == set()
+        assert result == (set(), set())
 
-    def test_blocked_conflicts_skips_own_requests(self):
+    def test_queued_ahead_skips_own_requests(self):
         manager = make_stack_manager()
         manager.enqueue_blocked(PendingRequest(transaction_id=1, invocation=Invocation("pop")))
-        assert manager.blocked_conflicts(Invocation("pop"), 1, ConflictPolicy.RECOVERABILITY) == set()
+        result = manager.classify_request(Invocation("pop"), 1, ConflictPolicy.RECOVERABILITY, ahead=1)
+        assert result == (set(), set())
 
     def test_remove_blocked_of(self):
         manager = make_stack_manager()

@@ -1,25 +1,16 @@
-"""The fast paths must be invisible: fused submit and reset() reuse.
+"""``Simulation.reset()`` reuse must be invisible.
 
-Two shortcuts replaced work on the hot path this round:
-
-* the backends compile a *fused submit* (``Scheduler.submit`` is shadowed
-  by a no-conflict fast path that falls back to the general path on any
-  conflict), and
-* the experiment harness *reuses* a constructed :class:`Simulation` across
-  sweep points through :meth:`Simulation.reset` instead of rebuilding it.
-
-Both are pure optimizations, so each must be byte-identical to the path it
-replaced on the pinned CRC32-derived random streams — for every backend
-(commutativity, recoverability, two-phase locking), centralized and
-multi-site alike.  Any drift here means a fast path changed a scheduling
-decision.
+The experiment harness *reuses* a constructed :class:`Simulation` across
+sweep points through :meth:`Simulation.reset` instead of rebuilding it.  That
+is a pure optimization, so it must be byte-identical to a rebuild on the
+pinned CRC32-derived random streams — for every backend (commutativity,
+recoverability, two-phase locking), centralized and multi-site alike.
 """
 
 import pytest
 
 from repro.core.errors import SimulationError
 from repro.core.policy import ConflictPolicy
-from repro.core.scheduler import Scheduler
 from repro.sim.params import SimulationParameters
 from repro.sim.simulator import Simulation, run_simulation
 
@@ -51,40 +42,6 @@ def signature(metrics):
         simulated_time=round(metrics.simulated_time, 12),
         response_time_total=round(metrics.response_time_total, 12),
     )
-
-
-def force_unfused(monkeypatch):
-    """Make every Scheduler built from now on use the general submit path."""
-    original = Scheduler.__init__
-
-    def unfused_init(self, *args, **kwargs):
-        kwargs["fuse_submit"] = False
-        original(self, *args, **kwargs)
-
-    monkeypatch.setattr(Scheduler, "__init__", unfused_init)
-
-
-class TestFusedSubmitEquivalence:
-    @pytest.mark.parametrize("policy_name,sites", CASES)
-    def test_fused_matches_general_path(self, policy_name, sites, monkeypatch):
-        params = point_params(POLICIES[policy_name], sites)
-        fused = run_simulation(params, workload_kind="readwrite")
-        force_unfused(monkeypatch)
-        general = run_simulation(params, workload_kind="readwrite")
-        assert signature(fused) == signature(general)
-
-    def test_fused_matches_general_path_on_adt_workload(self, monkeypatch):
-        # ADT objects route through the compiled compatibility tables'
-        # unknown-operation fallbacks too; the fused path must agree there
-        # as well.
-        params = SimulationParameters(
-            mpl_level=10, total_completions=80, database_size=80, seed=5,
-            policy=ConflictPolicy.RECOVERABILITY,
-        )
-        fused = run_simulation(params, workload_kind="adt")
-        force_unfused(monkeypatch)
-        general = run_simulation(params, workload_kind="adt")
-        assert signature(fused) == signature(general)
 
 
 class TestResetReuseEquivalence:

@@ -241,9 +241,8 @@ class TestLockTable:
         assert backend.holders("P") == {}
 
     @pytest.mark.parametrize("forget", ["reset", "discard_volatile"])
-    def test_reset_empties_the_table_the_fused_submit_captured(self, forget):
+    def test_reset_empties_the_lock_table(self, forget):
         scheduler = locking_scheduler(("P", PageType()))
-        assert "submit" in scheduler.__dict__  # the fused closure is bound
         stale = scheduler.begin()
         assert scheduler.perform(stale.tid, "P", "write", 3).executed
         assert scheduler.perform(scheduler.begin().tid, "P", "read").blocked
