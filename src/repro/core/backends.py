@@ -56,6 +56,12 @@ from .transaction import Transaction, TransactionStatus
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .scheduler import Scheduler
 
+#: Enum members read per request, bound once (see ``repro.core.scheduler``).
+_BLOCKED = TransactionStatus.BLOCKED
+_COMMITTED = TransactionStatus.COMMITTED
+_WAIT_FOR = EdgeKind.WAIT_FOR
+_CONFLICT = ConflictClass.CONFLICT
+
 #: "No transaction": the shared empty half of a decision, so a request that
 #: meets nobody — the common case — allocates no sets.
 _NOBODY: AbstractSet[int] = frozenset()
@@ -216,19 +222,19 @@ class SemanticBackend(ConcurrencyControlBackend):
             if pending.transaction_id == event.transaction_id:
                 continue
             waiter = scheduler.transactions.get(pending.transaction_id)
-            if waiter is None or waiter.status is not TransactionStatus.BLOCKED:
+            if waiter is None or waiter.status is not _BLOCKED:
                 continue
             pairwise = manager.classify_pair(pending.invocation, event.invocation, scheduler.policy)
-            if pairwise is not ConflictClass.CONFLICT:
+            if pairwise is not _CONFLICT:
                 continue
-            if scheduler.graph.has_edge(waiter.tid, event.transaction_id, EdgeKind.WAIT_FOR):
+            if scheduler.graph.has_edge(waiter.tid, event.transaction_id, _WAIT_FOR):
                 continue
             scheduler.stats.cycle_checks += 1
             waiter.cycle_checks += 1
             if scheduler.graph.creates_cycle(waiter.tid, {event.transaction_id}):
                 self.abort(waiter, AbortReason.DEADLOCK)
                 continue
-            scheduler.graph.add_edge(waiter.tid, event.transaction_id, EdgeKind.WAIT_FOR)
+            scheduler.graph.add_edge(waiter.tid, event.transaction_id, _WAIT_FOR)
             scheduler.stats.wait_for_edges += 1
 
     # ------------------------------------------------------------------
@@ -239,7 +245,7 @@ class SemanticBackend(ConcurrencyControlBackend):
         if scheduler.graph.out_degree(transaction.tid) > 0:
             return scheduler.record_pseudo_commit(transaction)
         scheduler.finalize_commit(transaction)
-        return TransactionStatus.COMMITTED
+        return _COMMITTED
 
 
 class LockMode(enum.Enum):
@@ -251,6 +257,11 @@ class LockMode(enum.Enum):
     def conflicts_with(self, other: "LockMode") -> bool:
         """Two lock requests conflict unless both are shared."""
         return self is LockMode.EXCLUSIVE or other is LockMode.EXCLUSIVE
+
+
+#: Read by every 2PL decision and grant, bound once like the aliases above.
+_SHARED = LockMode.SHARED
+_EXCLUSIVE = LockMode.EXCLUSIVE
 
 
 class _ModeTable(Dict[str, LockMode]):
@@ -271,7 +282,7 @@ class _ModeTable(Dict[str, LockMode]):
             read_only = self.spec.operation(op_name).is_read_only
         except UnknownOperationError:
             read_only = False
-        mode = self[op_name] = LockMode.SHARED if read_only else LockMode.EXCLUSIVE
+        mode = self[op_name] = _SHARED if read_only else _EXCLUSIVE
         return mode
 
 
@@ -367,10 +378,10 @@ class TwoPhaseLockingBackend(ConcurrencyControlBackend):
         modes = record.modes
         mode = modes[invocation.op]
         held = holders.get(transaction_id)
-        if held is mode or held is LockMode.EXCLUSIVE:
+        if held is mode or held is _EXCLUSIVE:
             return _FREE
         queued = manager.blocked[:ahead] if held is None else ()
-        if mode is LockMode.EXCLUSIVE:
+        if mode is _EXCLUSIVE:
             conflicting = set(holders)
             for pending in queued:
                 conflicting.add(pending.transaction_id)
@@ -379,12 +390,12 @@ class TwoPhaseLockingBackend(ConcurrencyControlBackend):
         # A shared request is uncovered only while the requester holds nothing.
         conflicting = set()
         for holder, granted in holders.items():
-            if granted is LockMode.EXCLUSIVE:
+            if granted is _EXCLUSIVE:
                 conflicting.add(holder)
         for pending in queued:
             if (
                 pending.transaction_id != transaction_id
-                and modes[pending.invocation.op] is LockMode.EXCLUSIVE
+                and modes[pending.invocation.op] is _EXCLUSIVE
             ):
                 conflicting.add(pending.transaction_id)
         return conflicting, _NOBODY
@@ -404,21 +415,22 @@ class TwoPhaseLockingBackend(ConcurrencyControlBackend):
         mode = record.modes[invocation.op]
         holders = record.holders
         held = holders.get(transaction_id)
-        if held is mode or held is LockMode.EXCLUSIVE:
+        if held is mode or held is _EXCLUSIVE:
             return False
         holders[transaction_id] = mode
         if held is None:
-            try:
-                self._held[transaction_id].append(record)
-            except KeyError:
+            held_records = self._held.get(transaction_id)
+            if held_records is None:
                 self._held[transaction_id] = [record]
+            else:
+                held_records.append(record)
         return True
 
     def commit(self, transaction: Transaction) -> TransactionStatus:
         # Strict 2PL: all locks were held to this point, so the commit is
         # always immediate — pseudo-commit never arises.
         self.scheduler.finalize_commit(transaction)
-        return TransactionStatus.COMMITTED
+        return _COMMITTED
 
     def on_terminate(self, transaction: Transaction, retry_objects: Set[str]) -> None:
         transaction_id = transaction.tid

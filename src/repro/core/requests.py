@@ -49,6 +49,14 @@ class AbortReason(enum.Enum):
     SITE_UNAVAILABLE = "site unavailable"
 
 
+#: Read by every status check of a handle, bound once (an ``Enum`` class
+#: attribute load costs about 100 ns, a module global 3).
+_EXECUTED = RequestStatus.EXECUTED
+_BLOCKED = RequestStatus.BLOCKED
+_ABORTED = RequestStatus.ABORTED
+_RECYCLED = RequestStatus.RECYCLED
+
+
 @dataclass(slots=True)
 class RequestHandle:
     """The caller-visible result of :meth:`repro.core.scheduler.Scheduler.perform`.
@@ -73,20 +81,20 @@ class RequestHandle:
     @property
     def executed(self) -> bool:
         status = self.status
-        if status is RequestStatus.RECYCLED:
+        if status is _RECYCLED:
             raise StaleHandleError(self.transaction_id, self.generation)
-        return status is RequestStatus.EXECUTED
+        return status is _EXECUTED
 
     @property
     def blocked(self) -> bool:
         status = self.status
-        if status is RequestStatus.RECYCLED:
+        if status is _RECYCLED:
             raise StaleHandleError(self.transaction_id, self.generation)
-        return status is RequestStatus.BLOCKED
+        return status is _BLOCKED
 
     @property
     def aborted(self) -> bool:
         status = self.status
-        if status is RequestStatus.RECYCLED:
+        if status is _RECYCLED:
             raise StaleHandleError(self.transaction_id, self.generation)
-        return status is RequestStatus.ABORTED
+        return status is _ABORTED

@@ -57,10 +57,16 @@ from .requests import AbortReason, RequestHandle, RequestStatus
 from .specification import Event, Invocation, OperationResult, TypeSpecification
 from .transaction import Transaction, TransactionStatus
 
-#: The two enum members every request reads, bound once: an attribute load on
-#: an ``Enum`` class costs CPython 3.11 about 100 ns, a module global about 3.
+#: The enum members the per-request paths read, bound once: an attribute load
+#: on an ``Enum`` class costs CPython 3.11 about 100 ns, a module global about 3.
 _ACTIVE = TransactionStatus.ACTIVE
+_BLOCKED = TransactionStatus.BLOCKED
+_PSEUDO_COMMITTED = TransactionStatus.PSEUDO_COMMITTED
+_COMMITTED = TransactionStatus.COMMITTED
 _EXECUTED = RequestStatus.EXECUTED
+_REQUEST_BLOCKED = RequestStatus.BLOCKED
+_WAIT_FOR = EdgeKind.WAIT_FOR
+_COMMIT_DEPENDENCY = EdgeKind.COMMIT_DEPENDENCY
 
 __all__ = [
     "RequestStatus",
@@ -381,12 +387,12 @@ class Scheduler:
         if self.graph.creates_cycle(transaction.tid, conflicting):
             self.backend.abort(transaction, AbortReason.DEADLOCK, handle)
             return
-        self.graph.add_edges(transaction.tid, conflicting, EdgeKind.WAIT_FOR)
+        self.graph.add_edges(transaction.tid, conflicting, _WAIT_FOR)
         self.stats.wait_for_edges += len(conflicting)
-        transaction.status = TransactionStatus.BLOCKED
+        transaction.status = _BLOCKED
         transaction.blocks += 1
         self.stats.blocks += 1
-        handle.status = RequestStatus.BLOCKED
+        handle.status = _REQUEST_BLOCKED
         if self.pool_requests:
             pool = self.pending_pool
             if pool.free:
@@ -423,7 +429,7 @@ class Scheduler:
         if self.graph.creates_cycle(transaction.tid, recoverable):
             self.backend.abort(transaction, AbortReason.DEPENDENCY_CYCLE, handle)
             return False
-        self.graph.add_edges(transaction.tid, recoverable, EdgeKind.COMMIT_DEPENDENCY)
+        self.graph.add_edges(transaction.tid, recoverable, _COMMIT_DEPENDENCY)
         self.stats.commit_dependency_edges += len(recoverable)
         return True
 
@@ -476,11 +482,14 @@ class Scheduler:
             value = None
         event = Event(manager.name, invocation, value, transaction_id, sequence)
         manager.uncommitted.append(event)
+        # A first event here, a new group and a new owner are the common case:
+        # lookups with a default, not raises (a raise costs more than a call).
         by_tid = manager._events_by_tid
-        try:
-            by_tid[transaction_id].append(event)
-        except KeyError:
+        events = by_tid.get(transaction_id)
+        if events is None:
             by_tid[transaction_id] = [event]
+        else:
+            events.append(event)
         try:
             op_id = manager._op_index[invocation.op]
         except KeyError:
@@ -494,18 +503,16 @@ class Scheduler:
             groups = manager._op_groups
             key = (op_id, param)
             try:
-                group = groups[key]
-            except KeyError:
-                groups[key] = _OperationGroup(invocation, op_id, param, {transaction_id: 1})
+                group = groups.get(key)
             except TypeError:
                 # Unhashable conflict parameter: its own fallback group.
                 manager._index_event(event)
             else:
-                owners = group.owners
-                try:
-                    owners[transaction_id] += 1
-                except KeyError:
-                    owners[transaction_id] = 1
+                if group is None:
+                    groups[key] = _OperationGroup(invocation, op_id, param, {transaction_id: 1})
+                else:
+                    owners = group.owners
+                    owners[transaction_id] = owners.get(transaction_id, 0) + 1
         history = self.history
         if history is not None:
             history.append_event(event)
@@ -540,7 +547,7 @@ class Scheduler:
             # other waiters — restart the scan from a consistent view then.
             for index, pending in enumerate(manager.blocked):
                 waiter = self.transactions.get(pending.transaction_id)
-                if waiter is None or waiter.status is not TransactionStatus.BLOCKED:
+                if waiter is None or waiter.status is not _BLOCKED:
                     continue
                 conflicting, _ = self._decide(
                     manager, pending.invocation, pending.transaction_id, index if self.fair else 0
@@ -558,13 +565,13 @@ class Scheduler:
         current = self.waiting_for(transaction.tid)
         if current == conflicting:
             return False
-        self.graph.remove_edges_from(transaction.tid, EdgeKind.WAIT_FOR)
+        self.graph.remove_edges_from(transaction.tid, _WAIT_FOR)
         self.stats.cycle_checks += 1
         transaction.cycle_checks += 1
         if self.graph.creates_cycle(transaction.tid, conflicting):
             self.backend.abort(transaction, AbortReason.DEADLOCK)
             return True
-        self.graph.add_edges(transaction.tid, conflicting, EdgeKind.WAIT_FOR)
+        self.graph.add_edges(transaction.tid, conflicting, _WAIT_FOR)
         return False
 
     def retry_blocked(self, manager: ObjectManager) -> None:
@@ -584,7 +591,7 @@ class Scheduler:
             queue = manager.blocked
             for index, pending in enumerate(queue):
                 transaction = self.transactions.get(pending.transaction_id)
-                if transaction is None or transaction.status is not TransactionStatus.BLOCKED:
+                if transaction is None or transaction.status is not _BLOCKED:
                     del queue[index]
                     if transaction is not None:
                         transaction.blocked_at.discard(manager.name)
@@ -613,14 +620,14 @@ class Scheduler:
                         transaction_id=pending.transaction_id,
                         object_name=manager.name,
                         invocation=pending.invocation,
-                        status=RequestStatus.BLOCKED,
+                        status=_REQUEST_BLOCKED,
                     )
                 if self.pool_requests:
                     pending.retire()
                     self.pending_pool.release(pending)
                 # The wait-for edges described the old conflict set and must
                 # not linger (they would cause spurious deadlock aborts later).
-                self.graph.remove_edges_from(transaction.tid, EdgeKind.WAIT_FOR)
+                self.graph.remove_edges_from(transaction.tid, _WAIT_FOR)
                 if not recoverable or self._depend(transaction, handle, recoverable):
                     self.execute_operation(transaction, manager, handle, True)
                 progressed = True
@@ -683,19 +690,19 @@ class Scheduler:
 
     def record_pseudo_commit(self, transaction: Transaction) -> TransactionStatus:
         """Mark a transaction pseudo-committed and notify listeners."""
-        transaction.status = TransactionStatus.PSEUDO_COMMITTED
+        transaction.status = _PSEUDO_COMMITTED
         self.stats.pseudo_commits += 1
         if self.history is not None:
             self.history.append_pseudo_commit(transaction.tid)
         for on_pseudo_committed in self._on_pseudo_committed:
             on_pseudo_committed(transaction.tid)
-        return TransactionStatus.PSEUDO_COMMITTED
+        return _PSEUDO_COMMITTED
 
     def finalize_commit(self, transaction: Transaction) -> None:
         """Durably commit a transaction whose dependencies have all terminated."""
         for object_name in transaction.objects_visited:
             self.objects[object_name].remove_transaction(transaction.tid, commit=True)
-        transaction.status = TransactionStatus.COMMITTED
+        transaction.status = _COMMITTED
         self.stats.commits += 1
         if self.history is not None:
             self.history.append_commit(transaction.tid)
@@ -784,7 +791,7 @@ class Scheduler:
             candidate = self.transactions.get(predecessor_id)
             if candidate is None:
                 continue
-            if candidate.status is not TransactionStatus.PSEUDO_COMMITTED:
+            if candidate.status is not _PSEUDO_COMMITTED:
                 continue
             if self.graph.out_degree(candidate.tid) == 0:
                 self.finalize_commit(candidate)

@@ -85,7 +85,7 @@ class UnionCycleDetector:
                 continue
             local_map = router._local_map[site_id]
             local_successors = site.scheduler.graph.successors(branch.local_tid)
-            for local_successor in local_successors:  # repro-lint: disable=REP002 (fills a set; callers sort)
+            for local_successor in local_successors:  # repro-lint: disable=REP002 (fills a set; order-sensitive callers sort)
                 successor_gtid = local_map.get(local_successor)
                 if successor_gtid is not None and successor_gtid != gtid:
                     successors.add(successor_gtid)
@@ -95,13 +95,32 @@ class UnionCycleDetector:
         """True when the union graph has a cycle through ``gtid``.
 
         Only cycles through the submitting transaction can have been closed
-        by the operation just routed, so a DFS from it suffices.
+        by the operation just routed, so a DFS from it suffices — and only
+        when an edge enters it: some live branch of it has a mapped local
+        predecessor (another global transaction's branch at that site).  A
+        yes/no reachability walk may visit successors in any order.
         """
-        stack = sorted(self.global_successors(gtid))
+        router = self.router
+        transaction = router.transactions.get(gtid)
+        if transaction is None:
+            return False
+        for site_id, branch in transaction.branches.items():
+            site = router.sites[site_id]
+            if (
+                site.status.is_up
+                and branch.generation == site.generation
+                and not router._local_map[site_id].keys().isdisjoint(
+                    site.scheduler.graph.predecessors(branch.local_tid)
+                )
+            ):
+                break
+        else:
+            return False
+        stack = list(self.global_successors(gtid))
         seen = set(stack)
         while stack:
             node = stack.pop()
-            for successor in sorted(self.global_successors(node)):
+            for successor in self.global_successors(node):  # repro-lint: disable=REP002 (a yes/no reachability walk: visit order cannot change the answer)
                 if successor == gtid:
                     return True
                 if successor not in seen:

@@ -40,7 +40,11 @@ peers, and a recovered copy becomes readable only once its version has
 reached the object's highest reported-committed version — a copy left
 behind a reported commit (its crash dropped a pseudo-committed branch
 before the durable stamp landed) keeps the unreadable window as a safety
-net instead of serving stale data.
+net instead of serving stale data.  A refresh of a site's unreadable copies
+costs what the site missed: one pass over the set plus O(copies behind the
+latest stamp + copies with an in-flight write) — only a copy behind the
+latest stamp can have a fresher source to search for, and the peers'
+in-flight writes are collected once per refresh, not once per copy.
 
 Protocol overheads are counted in :class:`ReplicationStatistics` (messages,
 failovers, catch-up events) and surface as ``replication_*`` counters in
@@ -55,6 +59,11 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..core.errors import ReproError, SimulationError
 from ..core.transaction import TransactionStatus
+
+#: Statuses read per finished transaction and per in-flight event scanned,
+#: bound once (an ``Enum`` class attribute load costs about 100 ns, a global 3).
+_COMMITTED = TransactionStatus.COMMITTED
+_TERMINATED = (TransactionStatus.COMMITTED, TransactionStatus.ABORTED)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .router import GlobalRequest, GlobalTransaction, TransactionRouter
@@ -110,8 +119,9 @@ class ReplicationProtocol:
     def __init__(self) -> None:
         self.router: "TransactionRouter" = None  # type: ignore[assignment]
         self.stats = ReplicationStatistics()
-        #: :meth:`_rotated` memo (a pure function: :meth:`reset` keeps it).
-        self._rotations: Dict[Tuple[object, ...], Tuple[int, ...]] = {}
+        #: :meth:`_rotated` memo by object name (a pure function: :meth:`reset`
+        #: keeps it).
+        self._rotations: Dict[str, Tuple[int, ...]] = {}
 
     def attach(self, router: "TransactionRouter") -> None:
         """Bind the protocol to its router (called once, at construction)."""
@@ -138,23 +148,14 @@ class ReplicationProtocol:
 
         Each object gets a deterministic home replica so load spreads over
         the copies without a random draw (CRC32: identical across processes
-        and interpreter versions); computed once per object.
+        and interpreter versions); computed once per object — ``placed`` is
+        the placement's answer for the name, so the name alone keys the memo.
         """
-        key = (object_name, *placed)
-        try:
-            return self._rotations[key]
-        except KeyError:
+        rotation = self._rotations.get(object_name)
+        if rotation is None:
             offset = zlib.crc32(object_name.encode("utf-8")) % len(placed)
-            rotation = self._rotations[key] = (*placed[offset:], *placed[:offset])
-            return rotation
-
-    def _readable_candidates(self, object_name: str, placed: Sequence[int]) -> List[int]:
-        sites = self.router.sites
-        return [
-            sid
-            for sid in self._rotated(object_name, placed)
-            if sites[sid].readable(object_name)
-        ]
+            rotation = self._rotations[object_name] = (*placed[offset:], *placed[:offset])
+        return rotation
 
     def _load_ranked(self, candidates: List[int]) -> List[int]:
         """Candidates reordered least-loaded-first, ties kept in input order.
@@ -177,21 +178,25 @@ class ReplicationProtocol:
         order = sorted(range(len(candidates)), key=loads.__getitem__)
         return [candidates[index] for index in order]
 
-    def _least_loaded(self, candidates: List[int]) -> int:
-        """Pick a read replica: the least-loaded candidate, rotation ties."""
-        return self._load_ranked(candidates)[0]
-
     # ------------------------------------------------------------------
     # Replica-set selection
     # ------------------------------------------------------------------
     def select_read(
         self, object_name: str, placed: Sequence[int], request: "GlobalRequest"
     ) -> List[int]:
-        """Sites a read executes at (empty: no copy can serve it now)."""
-        candidates = self._readable_candidates(object_name, placed)
-        if not candidates:
-            return []
-        return [self._least_loaded(candidates)]
+        """Sites a read executes at (empty: no copy can serve it now).
+
+        Read-one: the least-loaded readable copy, rotation order breaking
+        ties.  Every placed site holds a copy, so a copy is readable when its
+        site is up and it is not awaiting a refresh.
+        """
+        sites = self.router.sites
+        candidates = []
+        for sid in self._rotated(object_name, placed):
+            site = sites[sid]
+            if site.status.is_up and object_name not in site.unreadable:
+                candidates.append(sid)
+        return self._load_ranked(candidates)[:1]
 
     def select_write(
         self,
@@ -207,7 +212,7 @@ class ReplicationProtocol:
         of one object on a consistent replica set (quorum consensus does).
         """
         sites = self.router.sites
-        targets = [sid for sid in placed if sites[sid].writable(object_name)]
+        targets = [sid for sid in placed if sites[sid].status.is_up]
         self.stats.messages += max(0, len(targets) - 1)
         return targets
 
@@ -223,8 +228,10 @@ class ReplicationProtocol:
         the site was down never reached its copy).
         """
         if site.unreadable:
-            for name in transaction.written_at.get(site.site_id, ()):
-                site.mark_readable(name)
+            site_id = site.site_id
+            for name, routed in transaction.writes.items():
+                if site_id in routed:
+                    site.mark_readable(name)
 
     def on_commit_fanout(self, branch_sites: Sequence[int]) -> None:
         """Count the commit fan-out messages to a transaction's branches."""
@@ -243,44 +250,6 @@ class ReplicationProtocol:
 
     def on_transaction_finished(self, transaction: "GlobalTransaction") -> None:
         """A global transaction reached a terminal state (commit or abort)."""
-
-    # ------------------------------------------------------------------
-    # Catch-up recovery (shared by quorum and primary-copy)
-    # ------------------------------------------------------------------
-    def _catchup_source(self, site: "Site", object_name: str) -> Optional[int]:
-        """The live replica a recovered copy catches up from (None: nobody)."""
-        raise NotImplementedError
-
-    def _catch_up(self, site: "Site") -> None:
-        """Copy committed state from live replicas onto the recovered site.
-
-        Only objects awaiting a refresh (``site.unreadable``) are copied,
-        and only *committed* state moves — uncommitted work at the crashed
-        site died with its volatile scheduler, and uncommitted work at the
-        source is not part of its committed snapshot.
-        """
-        copied = 0
-        for name in sorted(site.unreadable):
-            if site.has_uncommitted(name):
-                # In-flight work on the copy (writes are accepted on
-                # unreadable copies): overwriting now would be unsafe, and
-                # the write's own durable commit refreshes the copy anyway.
-                continue
-            source_id = self._catchup_source(site, name)
-            if source_id is None:
-                continue
-            source = self.router.sites[source_id]
-            state = source.committed_snapshot([name]).get(name)
-            site.install_committed(name, state)
-            self._on_caught_up(site, source_id, name)
-            copied += 1
-        if copied:
-            self.stats.catchups += 1
-            self.stats.catchup_objects += copied
-            self.stats.messages += copied
-
-    def _on_caught_up(self, site: "Site", source_id: int, object_name: str) -> None:
-        """Per-object hook after a catch-up copy (quorum syncs versions)."""
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<{type(self).__name__} {self.name!r}>"
@@ -354,38 +323,40 @@ class _VersionedCatchUp(ReplicationProtocol):
         return self._version[site_id].get(object_name, 0)
 
     def on_branch_committed(self, site: "Site", transaction: "GlobalTransaction") -> None:
-        super().on_branch_committed(site, transaction)
-        written = transaction.written_at.get(site.site_id)
-        if not written:
-            return
-        targets = self._commit_targets.get(transaction.gtid)
-        if targets is None:
-            targets = self._commit_targets[transaction.gtid] = {}
-        versions = self._version[site.site_id]
-        for name in written:  # per-name updates: iteration order is immaterial
-            target = targets.get(name)
-            if target is None:
-                target = self._latest.get(name, 0) + 1
-                self._latest[name] = target
-                targets[name] = target
-            versions[name] = target
+        """Stamp the copies the transaction wrote at ``site`` (and make them
+        readable, the available-copies rule): every branch stamps an object
+        with the one version its commit was assigned."""
+        site_id = site.site_id
+        versions = self._version[site_id]
+        targets = self._commit_targets.setdefault(transaction.gtid, {})
+        for name, routed in transaction.writes.items():
+            if site_id in routed:
+                if site.unreadable:
+                    site.mark_readable(name)
+                target = targets.get(name)
+                if target is None:
+                    target = targets[name] = self._latest[name] = self._latest.get(name, 0) + 1
+                versions[name] = target
 
     def on_transaction_finished(self, transaction: "GlobalTransaction") -> None:
-        self._refresh_after(transaction, transaction.written_objects())
+        self._refresh_after(transaction)
 
-    def _refresh_after(self, transaction: "GlobalTransaction", written: Set[str]) -> None:
+    def _refresh_after(self, transaction: "GlobalTransaction") -> None:
         """Release the finished transaction's commit targets, then retry the
         recovered copies its in-flight write kept unreadable.
 
         The finished transaction may have been the in-flight write that
         deferred a recovered copy's readability (see _refresh_copies): retry
         those copies now that the write either stamped fresher peers to
-        catch up from or was aborted.
+        catch up from or was aborted.  Only a site with an unreadable copy
+        of a written object has anything to retry.
         """
         self._commit_targets.pop(transaction.gtid, None)
-        if written:
+        writes = transaction.writes
+        if writes:
             for site in self.router.sites:
-                if site.status.is_up and site.unreadable & written:
+                unreadable = site.unreadable
+                if unreadable and site.status.is_up and not unreadable.isdisjoint(writes):
                     self._refresh_copies(site)
 
     def on_site_recovered(self, site: "Site") -> None:
@@ -400,64 +371,83 @@ class _VersionedCatchUp(ReplicationProtocol):
                 self._refresh_copies(other)
 
     def _refresh_copies(self, site: "Site") -> None:
-        self._catch_up(site)
-        # Copies no live peer can improve keep their own durable state —
-        # but only a copy whose version has caught the object's highest
-        # committed version may serve reads.  A copy behind a reported
-        # commit (crash dropped its pseudo-committed branch before the
-        # stamp landed) stays unreadable until a fresher peer or a new
-        # committed write refreshes it.  A copy with an in-flight peer
-        # write it missed (issued while this site was down — committed
-        # versions cannot see it yet) also defers: it is refreshed when
-        # that transaction finishes.
+        """Catch up the unreadable copies of ``site``; re-admit those that may
+        serve reads.
+
+        Only a copy behind its object's latest stamp can have a fresher
+        readable peer; it copies that peer's *committed* state unless it has
+        in-flight work of its own (installing over it is unsafe, and that
+        write's durable commit refreshes the copy anyway), and otherwise
+        stays unreadable until a fresher peer or a committed write refreshes
+        it.  A copy at the latest stamp serves reads again — unless a live
+        peer holds an uncommitted write of the object that it missed (issued
+        while the site was down, invisible to committed versions): it waits
+        for that transaction to finish.
+        """
+        versions = self._version[site.site_id]
+        latest = self._latest
+        missed: Optional[Set[str]] = None
+        copied = 0
         for name in sorted(site.unreadable):
-            if self.version_of(site.site_id, name) < self._latest.get(name, 0):
+            version = versions.get(name, 0)
+            if version < latest.get(name, 0):
+                if site.has_uncommitted(name):
+                    continue
+                source_id = self._catchup_source(site, name, version)
+                if source_id is None:
+                    continue
+                source = self.router.sites[source_id]
+                site.install_committed(name, source.committed_snapshot([name]).get(name))
+                versions[name] = self._version[source_id][name]
+                copied += 1
                 continue
-            if self._missed_inflight_write(site, name):
-                continue
-            site.mark_readable(name)
+            if missed is None:
+                missed = self._missed_writes(site)
+            if name not in missed:
+                site.mark_readable(name)
+        if copied:
+            self.stats.catchups += 1
+            self.stats.catchup_objects += copied
+            self.stats.messages += copied
 
-    def _missed_inflight_write(self, site: "Site", object_name: str) -> bool:
-        """True when a live peer holds an uncommitted write this copy missed.
+    def _missed_writes(self, site: "Site") -> Set[str]:
+        """Objects of which a live peer of ``site`` holds an uncommitted write.
 
-        Such a write was necessarily issued while this site was down (a
-        write that reached the site died with its volatile state, aborting
-        the writer), so when it commits this copy will be behind the new
-        version without the version bookkeeping showing it yet.
+        Read from the events of the live transactions at every other up
+        site — exactly those sites' uncommitted logs.  Such a write was
+        necessarily issued while ``site`` was down (a write that reached the
+        site died with its volatile state, aborting the writer), so when it
+        commits the copy here will be behind the new version.
         """
-        for sid in self.router.placement.sites_for(object_name):
-            if sid == site.site_id:
+        is_read_only = self.router._is_read_only
+        missed: Set[str] = set()
+        for other in self.router.sites:
+            if other is site or not other.status.is_up:
                 continue
-            other = self.router.sites[sid]
-            if not other.status.is_up or not other.has_uncommitted(object_name):
-                continue
-            for event in other.scheduler.object(object_name).uncommitted:
-                if not self.router._is_read_only(object_name, event.invocation):
-                    return True
-        return False
+            for transaction in other.scheduler.transactions.values():
+                if transaction.status in _TERMINATED:
+                    continue  # its events already left the logs
+                for event in transaction.events:
+                    name = event.object_name
+                    if name not in missed and not is_read_only(name, event.invocation):
+                        missed.add(name)
+        return missed
 
-    def _catchup_source(self, site: "Site", object_name: str) -> Optional[int]:
-        """The freshest live copy — only if fresher than the recovering one.
-
-        Highest version wins, lowest site id ties; a peer at or below the
-        recovering copy's own (durable, crash-surviving) version has nothing
-        to teach it and must never overwrite it.
-        """
+    def _catchup_source(self, site: "Site", object_name: str, version: int) -> Optional[int]:
+        """The freshest readable peer — highest version, lowest site id on
+        ties — if it is ahead of ``version``, the recovering copy's own
+        durable one (a peer at or below it must never overwrite it)."""
         best: Optional[int] = None
-        best_version = self.version_of(site.site_id, object_name)
+        best_version = version
+        sites = self.router.sites
         for sid in self.router.placement.sites_for(object_name):
-            if sid == site.site_id:
+            other = sites[sid]
+            if other is site or not other.status.is_up or object_name in other.unreadable:
                 continue
-            other = self.router.sites[sid]
-            if not other.readable(object_name):
-                continue
-            version = self.version_of(sid, object_name)
-            if version > best_version:
-                best, best_version = sid, version
+            other_version = self._version[sid].get(object_name, 0)
+            if other_version > best_version:
+                best, best_version = sid, other_version
         return best
-
-    def _on_caught_up(self, site: "Site", source_id: int, object_name: str) -> None:
-        self._version[site.site_id][object_name] = self.version_of(source_id, object_name)
 
 
 class QuorumConsensus(_VersionedCatchUp):
@@ -527,48 +517,39 @@ class QuorumConsensus(_VersionedCatchUp):
         self, object_name: str, placed: Sequence[int], request: "GlobalRequest"
     ) -> List[int]:
         r, _ = self._quorums(object_name, placed)
-        candidates = self._readable_candidates(object_name, placed)
-        # Read-your-writes: copies holding the reading transaction's own
-        # uncommitted writes go first, so the quorum is guaranteed to
+        transaction = self.router.transactions.get(request.transaction_id)
+        own = None if transaction is None else transaction.writes.get(object_name)
+        # Read-your-writes: readable copies holding the reading transaction's
+        # own uncommitted writes go first, so the quorum is guaranteed to
         # contain one (committed versions cannot rank a pending write).
         # Within each segment, quorum members are picked least-loaded-first
         # (like the available-copies read-one), hash-rotation position
         # breaking ties — a no-op without per-site hardware, so pinned
         # streams are unchanged.
-        own = self._own_write_sites(request.transaction_id, object_name)
-        if own:
-            candidates = self._load_ranked(
-                [sid for sid in candidates if sid in own]
-            ) + self._load_ranked([sid for sid in candidates if sid not in own])
-        else:
-            candidates = self._load_ranked(candidates)
-        if len(candidates) < r:
+        sites = self.router.sites
+        ahead: List[int] = []
+        behind: List[int] = []
+        for sid in self._rotated(object_name, placed):
+            site = sites[sid]
+            if site.status.is_up and object_name not in site.unreadable:
+                (ahead if own is not None and sid in own else behind).append(sid)
+        if len(ahead) + len(behind) < r:
             return []
-        selected = candidates[:r]
-        # Serve the value from the member that sees the transaction's own
-        # writes, then from the freshest committed version (the strict
-        # comparisons keep the earlier rotation position on ties).
-        best_own = False
+        if ahead:
+            selected = (self._load_ranked(ahead) + self._load_ranked(behind))[:r]
+        else:
+            selected = self._load_ranked(behind)[:r]
+        # Serve the value from the members that see the transaction's own
+        # writes (they lead the quorum), else from any member: the freshest
+        # committed version, the earlier position on ties.
         best_version = -1
-        for sid in selected:
-            is_own = sid in own
+        for sid in selected[: len(ahead)] or selected:
             version = self._version[sid].get(object_name, 0)
-            if (is_own and not best_own) or (is_own == best_own and version > best_version):
+            if version > best_version:
                 request.value_site = sid
-                best_own = is_own
                 best_version = version
         self.stats.messages += r - 1
         return selected
-
-    def _own_write_sites(self, transaction_id: int, object_name: str) -> Set[int]:
-        """Sites where this transaction's own writes of the object landed."""
-        own: Set[int] = set()
-        transaction = self.router.transactions.get(transaction_id)
-        if transaction is not None and transaction.written_at:
-            for site_id, names in transaction.written_at.items():
-                if object_name in names:
-                    own.add(site_id)
-        return own
 
     def select_write(
         self,
@@ -577,6 +558,7 @@ class QuorumConsensus(_VersionedCatchUp):
         transaction: Optional["GlobalTransaction"] = None,
     ) -> List[int]:
         _, w = self._quorums(object_name, placed)
+        rotation = self._rotated(object_name, placed)
         if transaction is not None:
             # Sticky W-set: a repeat write of the same object must land on
             # the same copies as the transaction's earlier ones (they are
@@ -584,21 +566,13 @@ class QuorumConsensus(_VersionedCatchUp):
             # Re-selecting from current liveness could route the new write
             # past a copy the commit will nonetheless stamp as fresh,
             # breaking "version equality implies state equality".
-            prior = self._own_write_sites(transaction.gtid, object_name)
+            prior = transaction.writes.get(object_name)
             if prior:
-                targets = [
-                    sid
-                    for sid in self._rotated(object_name, placed)
-                    if sid in prior
-                ]
+                targets = [sid for sid in rotation if sid in prior]
                 self.stats.messages += len(targets) - 1
                 return targets
         sites = self.router.sites
-        candidates = [
-            sid
-            for sid in self._rotated(object_name, placed)
-            if sites[sid].writable(object_name)
-        ]
+        candidates = [sid for sid in rotation if sites[sid].status.is_up]
         if len(candidates) < w:
             return []
         self.stats.messages += w - 1
@@ -607,39 +581,27 @@ class QuorumConsensus(_VersionedCatchUp):
     # ------------------------------------------------------------------
     # Write durability (the 2PC commit protocol's W-ack condition)
     # ------------------------------------------------------------------
-    def effective_write_quorum(self, object_name: str) -> int:
-        """The ``W`` one object's writes must stamp to be fully replicated."""
-        placed = self.router.placement.sites_for(object_name)
-        _, w = self._quorums(object_name, placed)
-        return w
-
-    def live_stamped_count(self, object_name: str, version: int) -> int:
-        """Live copies stamped at (or past) ``version``.
-
-        A copy caught up beyond the version carries the write's effects
-        too — versions only move through states that include their
-        predecessors — so ``>=`` is the durable-coverage test.
-        """
-        sites = self.router.sites
-        count = 0
-        for sid in self.router.placement.sites_for(object_name):
-            if sites[sid].status.is_up and self._version[sid].get(object_name, 0) >= version:
-                count += 1
-        return count
-
     def write_stamp_deficit(self, object_name: str, gtid: int) -> int:
         """Live stamped copies a transaction's write is short of ``W``.
 
         Zero means the write is durably ``W``-replicated.  A write whose
         commit target has not been assigned yet (no branch drained — every
-        stamped copy died before draining) counts as fully missing.
+        stamped copy died before draining) counts as fully missing.  A copy
+        caught up beyond the target carries the write's effects too —
+        versions only move through states that include their predecessors
+        — so ``>=`` is the durable-coverage test.
         """
-        w = self.effective_write_quorum(object_name)
+        placed = self.router.placement.sites_for(object_name)
+        _, deficit = self._quorums(object_name, placed)
         targets = self._commit_targets.get(gtid)
         target = None if targets is None else targets.get(object_name)
         if target is None:
-            return w
-        return max(0, w - self.live_stamped_count(object_name, target))
+            return deficit
+        sites = self.router.sites
+        for sid in placed:
+            if sites[sid].status.is_up and self._version[sid].get(object_name, 0) >= target:
+                deficit -= 1
+        return max(0, deficit)
 
     def restore_write_replication(self, names: Optional[Sequence[str]] = None) -> int:
         """Copy stamped committed state onto spare live replicas.
@@ -653,30 +615,31 @@ class QuorumConsensus(_VersionedCatchUp):
         that work finishes.  Returns the number of copies installed.
         """
         copied = 0
-        targets = sorted(self._latest) if names is None else names
-        for name in targets:
+        sites = self.router.sites
+        placement = self.router.placement
+        versions = self._version
+        for name in sorted(self._latest) if names is None else names:
             latest = self._latest.get(name, 0)
             if latest == 0:
                 continue
-            placed = self.router.placement.sites_for(name)
+            placed = placement.sites_for(name)
             if len(placed) <= 1:
                 continue
+            _, w = self._quorums(name, placed)
             stamped = [
                 sid
                 for sid in placed
-                if self.router.sites[sid].status.is_up
-                and self.version_of(sid, name) >= latest
+                if sites[sid].status.is_up and versions[sid].get(name, 0) >= latest
             ]
-            w = self.effective_write_quorum(name)
             if not stamped or len(stamped) >= w:
                 continue  # nothing live to copy from, or already replicated
-            source = self.router.sites[stamped[0]]
-            state = source.committed_snapshot([name]).get(name)
-            source_version = self.version_of(stamped[0], name)
+            source_id = stamped[0]
+            state = sites[source_id].committed_snapshot([name]).get(name)
+            source_version = versions[source_id][name]
             for sid in self._rotated(name, placed):
                 if len(stamped) >= w:
                     break
-                site = self.router.sites[sid]
+                site = sites[sid]
                 if (
                     sid in stamped
                     or not site.status.is_up
@@ -684,7 +647,7 @@ class QuorumConsensus(_VersionedCatchUp):
                 ):
                     continue
                 site.install_committed(name, state)
-                self._version[sid][name] = source_version
+                versions[sid][name] = source_version
                 stamped.append(sid)
                 copied += 1
         if copied:
@@ -696,12 +659,11 @@ class QuorumConsensus(_VersionedCatchUp):
         # written object below W live stamped copies at report time is one
         # opening of the under-replication window (the number the commit
         # protocols trade against latency).
-        written = transaction.written_objects()
-        if transaction.status is TransactionStatus.COMMITTED:
-            for name in sorted(written):
+        if transaction.status is _COMMITTED:
+            for name in transaction.writes:
                 if self.write_stamp_deficit(name, transaction.gtid) > 0:
                     self.stats.under_replicated_window += 1
-        self._refresh_after(transaction, written)
+        self._refresh_after(transaction)
 
 
 class PrimaryCopy(_VersionedCatchUp):

@@ -255,6 +255,9 @@ class EventEngine:
         handlers = self._handlers
         batch = self._batch
         index = self._batch_index
+        # A popped batch never grows (it left ``_open_batch`` at pop time),
+        # so its end is a fixed index.
+        size = 0 if batch is None else len(batch)
         batch_time = self._batch_time
         processed = 0
         while not self._stop:
@@ -269,11 +272,11 @@ class EventEngine:
                     if batch is self._open_batch:
                         self._open_batch = None
                     index = 0
-                try:
-                    callback = batch[index]
-                except IndexError:
+                    size = len(batch)
+                if index == size:
                     batch = None
                     continue
+                callback = batch[index]
                 index += 1
                 if callback.__class__ is ScheduledEvent:
                     if callback.cancelled:  # type: ignore[union-attr]

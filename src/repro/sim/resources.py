@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from collections import deque
 from functools import partial
-from typing import Callable, Deque, Dict, Iterable, List, Optional, Sequence, Union
+from typing import Callable, Collection, Deque, Dict, Iterable, List, Optional, Union
 
 from .engine import EventEngine
 from .params import SimulationParameters
@@ -270,10 +270,15 @@ class ResourceCharger:
 
     def perform_operation(
         self,
-        executed_sites: Sequence[int],
+        executed_sites: Collection[int],
         home_site: int,
         done: Done,
     ) -> None:
+        """Charge one granted operation's physical phase, then call ``done``.
+
+        ``executed_sites`` is a set (distinct site ids, no order): a charger
+        that only counts uses ``len`` and ``in``, one that orders events sorts.
+        """
         raise NotImplementedError
 
     def commit_network_delay(self, branch_sites: Iterable[int], home_site: int) -> float:
@@ -349,7 +354,7 @@ class GlobalResourceModel(ResourceCharger):
 
     def _perform_operation_infinite(
         self,
-        executed_sites: Sequence[int],
+        executed_sites: Collection[int],
         home_site: int,
         done: Done,
     ) -> None:
@@ -358,13 +363,13 @@ class GlobalResourceModel(ResourceCharger):
 
     def perform_operation(
         self,
-        executed_sites: Sequence[int],
+        executed_sites: Collection[int],
         home_site: int,
         done: Done,
     ) -> None:
         """One charge per granted operation, wherever its replicas ran."""
         remote = (
-            sum(1 for sid in executed_sites if sid != home_site)
+            len(executed_sites) - (home_site in executed_sites)
             if self.msg_time > 0
             else 0
         )
@@ -475,7 +480,7 @@ class PerSiteResources(ResourceCharger):
     # ------------------------------------------------------------------
     def perform_operation(
         self,
-        executed_sites: Sequence[int],
+        executed_sites: Collection[int],
         home_site: int,
         done: Done,
     ) -> None:

@@ -289,7 +289,7 @@ class TestRecovery:
 
 
 class TestCrossSiteDeadlock:
-    def test_cross_site_wait_cycle_is_detected_and_broken(self):
+    def test_cross_site_wait_cycle_is_detected_and_broken(self, monkeypatch):
         # Shard x and y onto different sites, then interleave two writers so
         # each waits for the other at a different site: no single site can
         # see the cycle, the router's union check must.
@@ -305,11 +305,22 @@ class TestCrossSiteDeadlock:
             router.register_object(name, page, compatibility=page.compatibility())
         on_zero = next(n for n in names if router.placement.sites_for(n) == (0,))
         on_one = next(n for n in names if router.placement.sites_for(n) == (1,))
+        walked = []
+        successors = router._cycles.global_successors
+        monkeypatch.setattr(
+            router._cycles, "global_successors",
+            lambda gtid: walked.append(gtid) or successors(gtid),
+        )
         t1, t2 = router.begin(), router.begin()
         assert router.perform(t1.gtid, on_zero, "write", 1).executed
         assert router.perform(t2.gtid, on_one, "write", 2).executed
         assert router.perform(t1.gtid, on_one, "write", 3).blocked
+        # The wait edge T1 -> T2 was checked, but nothing points at T1: no
+        # cycle can run through it, so the union graph was never walked.
+        assert router.router_stats.cross_site_cycle_checks == 1
+        assert walked == []
         request = router.perform(t2.gtid, on_zero, "write", 4)
+        assert walked
         assert request.aborted
         assert t2.status is TransactionStatus.ABORTED
         assert router.router_stats.cross_site_deadlock_aborts == 1

@@ -231,8 +231,9 @@ class TestRemovalCost:
         assert manager.live_transactions() == {1, 3}
 
     def test_log_is_rebound_not_cleared_in_place(self):
-        # replication._missed_inflight_write iterates ``uncommitted`` of a
-        # live peer; a termination inside that loop must not disturb it.
+        # remove_transaction's contract: the log is rebound, never mutated,
+        # so a caller iterating ``uncommitted`` across a termination keeps
+        # its snapshot.
         for others in (0, 1):
             manager, _ = make_counting_manager()
             manager.execute(Invocation("push", (4,)), 1, 1)
