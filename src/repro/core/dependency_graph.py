@@ -39,13 +39,17 @@ the last recorded back edge is removed the order is rebuilt from scratch.
 Every cycle contains at least one recorded edge (its last-inserted edge was
 detected as cycle-closing when added), so an empty ``_back_edges`` proves the
 graph acyclic and the fast path sound.
+
+An optional edge ``observer(source, target, gained)`` hears every pair gained
+or lost, exactly where ``mutations`` counts one; the multi-site router feeds
+its union graph (another ``DependencyGraph``, cyclic at times) from it.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import AbstractSet, Dict, Iterable, List, Optional, Set, Tuple
+from typing import AbstractSet, Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 __all__ = ["EdgeKind", "Edge", "DependencyGraph"]
 
@@ -103,6 +107,8 @@ class DependencyGraph:
         #: lets derived structures (the multi-site router's union-graph cycle
         #: check) skip recomputation cheaply.
         self.mutations = 0
+        #: Called as ``observer(source, target, gained)`` per pair gained/lost.
+        self.observer: Optional[Callable[[int, int, bool], None]] = None
 
     # ------------------------------------------------------------------
     # Nodes
@@ -131,11 +137,16 @@ class DependencyGraph:
         """
         if node not in self._successors:
             return set()
+        observer = self.observer
         for target in list(self._successors[node]):
             self._predecessors[target].discard(node)
+            if observer is not None:
+                observer(node, target, False)
         former_predecessors = set(self._predecessors.get(node, ()))
         for predecessor in former_predecessors:
             self._successors[predecessor].pop(node, None)
+            if observer is not None:
+                observer(predecessor, node, False)
         del self._successors[node]
         del self._predecessors[node]
         del self._ord[node]
@@ -234,6 +245,8 @@ class DependencyGraph:
             if self._back_edges or ord_[source] <= ord_[target]:
                 # Otherwise order-respecting: the common case, O(1).
                 self._order_edge_added(source, target)
+            if self.observer is not None:
+                self.observer(source, target, True)
 
     def remove_edges_from(self, source: int, kind: Optional[EdgeKind] = None) -> None:
         """Remove all outgoing edges of ``source`` (of one kind, or of any kind).
@@ -248,6 +261,7 @@ class DependencyGraph:
             return
         keep = 0 if kind is None else 2 if kind is _WAIT_FOR else 1
         was_suspended = bool(self._back_edges)
+        observer = self.observer
         dropped_any = False
         for target in list(row):
             if row[target] & keep:
@@ -258,12 +272,29 @@ class DependencyGraph:
                 dropped_any = True
                 if was_suspended:
                     self._back_edges.discard((source, target))
+                if observer is not None:
+                    observer(source, target, False)
         if dropped_any:
             self.mutations += 1
             # The order only needs rebuilding when the graph just became
             # provably acyclic again after a cyclic episode (test-only path).
             if was_suspended and not self._back_edges:
                 self._rebuild_order()
+
+    def remove_edge(self, source: int, target: int) -> None:
+        """Remove the ``source -> target`` pair (every kind); a no-op when absent."""
+        row = self._successors.get(source)
+        if not row or target not in row:
+            return
+        del row[target]
+        self._predecessors[target].discard(source)
+        self.mutations += 1
+        if self._back_edges:
+            self._back_edges.discard((source, target))
+            if not self._back_edges:
+                self._rebuild_order()
+        if self.observer is not None:
+            self.observer(source, target, False)
 
     def has_edge(self, source: int, target: int, kind: Optional[EdgeKind] = None) -> bool:
         row = self._successors.get(source)
@@ -432,6 +463,10 @@ class DependencyGraph:
                     seen.add(child)
                     stack.append(child)
         return False
+
+    def may_have_cycle(self) -> bool:
+        """False proves the graph acyclic: no back edge is recorded."""
+        return bool(self._back_edges)
 
     def has_cycle(self) -> bool:
         """Full-graph cycle test (used by tests and the offline checkers)."""

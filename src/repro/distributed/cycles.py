@@ -10,37 +10,45 @@ looks for them:
 * :meth:`sweep` — the periodic, mutation-gated sweep that catches cycles
   closed *outside* a submit (grant-time commit-dependency edges added
   inside termination cascades);
-* :meth:`find_cycle_through` — the commit-time certification used by the
-  two-phase commit protocol, which needs the cycle's *members* so it can
-  apply the sweep's newest-``ACTIVE`` victim rule.
+* :meth:`find_cycle_through` — the commit-time certification of two-phase
+  commit, which needs the cycle's *members* for the sweep's victim rule;
+* :meth:`stall_report` — when a run stops completing, why nothing moves.
 
-All three walk the same union graph: the per-site dependency graphs joined
-through the router's local-tid-to-global-tid maps.  Per-site graphs are
-individually acyclic — each site checks before adding edges — and the maps
-are injective, so any union cycle necessarily spans sites.  The per-conflict
-checks expand one transaction at a time (:meth:`global_successors`); the
-sweep, which has no starting transaction, builds the whole adjacency from
-the sites' edge-bearing graph nodes (:meth:`_union_adjacency`), so a pass
-costs O(edges) — the few conflicting transactions the paper's unified graph
-holds — rather than O(live transactions x sites).
+All of them read one maintained union graph, a
+:class:`~repro.core.dependency_graph.DependencyGraph` over global tids: an
+edge ``g1 -> g2`` exists exactly when some up site has a local edge
+``a -> b`` whose ends its local-to-global map sends to ``g1`` and ``g2``.  It
+is never rebuilt.  Site graphs report every pair they gain or lose to an
+edge observer (:meth:`watch`); the router reports the maps a crash clears
+(:meth:`site_failed`) and an entry popped while its node may keep edges
+(:meth:`unmapped`).  A terminating branch's pop needs no report: its node's
+removal follows in the same call, before any check can run, and union edges
+are reference-counted over their supporting ``(site, a, b)`` pairs, each
+recorded when the local pair appears, so that removal stays exact.  Site
+graphs are acyclic and the maps injective, so a union cycle spans sites, and
+the union's Pearce–Kelly order records the edge that closed it as a back
+edge: while none is recorded the union is acyclic and every query is O(1).
 
 The detector also owns the sweep's *mutation gate*: a sweep whose union
 mutation total is unchanged has nothing new to inspect and costs one
 integer sum.  The total must be monotonic across site crashes — a failed
 scheduler's count leaves the live sum, and its recovered successor counts
 from zero — so the counts of every discarded scheduler are retired into
-:attr:`_retired_mutations` at failure time (see :meth:`retire_graph`).
+:attr:`_retired_mutations` at failure time (see :meth:`site_failed`).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Set
+from functools import partial
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
+from ..core.dependency_graph import DependencyGraph, EdgeKind
 from ..core.requests import AbortReason
 from ..core.transaction import TransactionStatus
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .router import TransactionRouter
+    from .site import Site
 
 __all__ = ["UnionCycleDetector"]
 
@@ -53,6 +61,10 @@ class UnionCycleDetector:
 
     def __init__(self, router: "TransactionRouter"):
         self.router = router
+        self.reset()
+
+    def reset(self) -> None:
+        """An empty union over the sites' current graphs; the gate rewound."""
         #: Union-graph mutation total at the end of the last periodic sweep;
         #: a sweep whose total is unchanged has nothing new to inspect.
         self._swept_mutations = 0
@@ -62,71 +74,76 @@ class UnionCycleDetector:
         #: counts from zero) could return the sum to an already-seen value
         #: while a cycle closed in between, silencing the sweep for good.
         self._retired_mutations = 0
-
-    def reset(self) -> None:
-        """Rewind the mutation gate for a reused router (fresh graphs count
-        from zero again)."""
-        self._swept_mutations = 0
-        self._retired_mutations = 0
+        #: The union graph over global tids.
+        self.graph = DependencyGraph()
+        #: Per site: local pair ``(a, b)`` -> the union pair it supports.
+        self._contributions: List[Dict[Tuple[int, int], Tuple[int, int]]] = [
+            {} for _ in self.router.sites
+        ]
+        #: Union pair -> number of supporting local pairs.
+        self._support: Dict[Tuple[int, int], int] = {}
+        for site in self.router.sites:
+            self.watch(site)
 
     # ------------------------------------------------------------------
-    # The union graph
+    # The union graph (maintained, never rebuilt)
     # ------------------------------------------------------------------
-    def global_successors(self, gtid: int) -> Set[int]:
-        """Union of one transaction's per-site dependency-graph successors."""
-        router = self.router
-        transaction = router.transactions.get(gtid)
-        if transaction is None:
-            return set()
-        successors: Set[int] = set()
-        for site_id, branch in transaction.branches.items():
-            site = router.sites[site_id]
-            if not site.status.is_up or branch.generation != site.generation:
-                continue
-            local_map = router._local_map[site_id]
-            local_successors = site.scheduler.graph.successors(branch.local_tid)
-            for local_successor in local_successors:  # repro-lint: disable=REP002 (fills a set; order-sensitive callers sort)
-                successor_gtid = local_map.get(local_successor)
-                if successor_gtid is not None and successor_gtid != gtid:
-                    successors.add(successor_gtid)
-        return successors
+    def watch(self, site: "Site") -> None:
+        """Feed the union from ``site``'s current (perhaps just fresh) graph."""
+        if self.router.site_count > 1:
+            site.scheduler.graph.observer = partial(self._local_edge, site.site_id)
 
-    def closes_cycle(self, gtid: int) -> bool:
-        """True when the union graph has a cycle through ``gtid``.
-
-        Only cycles through the submitting transaction can have been closed
-        by the operation just routed, so a DFS from it suffices — and only
-        when an edge enters it: some live branch of it has a mapped local
-        predecessor (another global transaction's branch at that site).  A
-        yes/no reachability walk may visit successors in any order.
-        """
-        router = self.router
-        transaction = router.transactions.get(gtid)
-        if transaction is None:
-            return False
-        for site_id, branch in transaction.branches.items():
-            site = router.sites[site_id]
-            if (
-                site.status.is_up
-                and branch.generation == site.generation
-                and not router._local_map[site_id].keys().isdisjoint(
-                    site.scheduler.graph.predecessors(branch.local_tid)
-                )
-            ):
-                break
+    def _local_edge(self, site_id: int, source: int, target: int, gained: bool) -> None:
+        """Observer of one site graph: a local pair appeared or vanished."""
+        if gained:
+            local_map = self.router._local_map[site_id]
+            owner, successor = local_map.get(source), local_map.get(target)
+            if owner is not None and successor is not None:
+                pair = self._contributions[site_id][source, target] = (owner, successor)
+                count = self._support.get(pair, 0)
+                self._support[pair] = count + 1
+                if not count:
+                    self.graph.add_edge(owner, successor, EdgeKind.WAIT_FOR)
         else:
-            return False
-        stack = list(self.global_successors(gtid))
-        seen = set(stack)
-        while stack:
-            node = stack.pop()
-            for successor in self.global_successors(node):  # repro-lint: disable=REP002 (a yes/no reachability walk: visit order cannot change the answer)
-                if successor == gtid:
-                    return True
-                if successor not in seen:
-                    seen.add(successor)
-                    stack.append(successor)
-        return False
+            pair = self._contributions[site_id].pop((source, target), None)  # repro-lint: disable=REP008 (once per local pair lost, not per event)
+            if pair is not None:
+                self._drop(pair)
+
+    def _drop(self, pair: Tuple[int, int]) -> None:
+        count = self._support.pop(pair) - 1
+        if count:
+            self._support[pair] = count
+            return
+        graph = self.graph
+        graph.remove_edge(*pair)
+        for gtid in pair:  # keep the node set to the edges' endpoints
+            if not graph.successors(gtid) and not graph.predecessors(gtid):
+                graph.remove_node(gtid)
+
+    def unmapped(self, site_id: int, local_tid: int) -> None:
+        """``local_tid`` left the site's map: its pairs no longer count."""
+        contributions = self._contributions[site_id]
+        if not contributions:
+            return
+        graph = self.router.sites[site_id].scheduler.graph
+        for target in graph.successors(local_tid):  # repro-lint: disable=REP002 (reference counts: any order ends in the same union)
+            self._local_edge(site_id, local_tid, target, False)
+        for source in graph.predecessors(local_tid):  # repro-lint: disable=REP002 (reference counts: any order ends in the same union)
+            self._local_edge(site_id, source, local_tid, False)
+
+    def site_failed(self, site_id: int) -> None:
+        """The site's map was cleared by a crash: retire its graph."""
+        self._retired_mutations += self.router.sites[site_id].scheduler.graph.mutations
+        for pair in self._contributions[site_id].values():
+            self._drop(pair)
+        self._contributions[site_id].clear()
+
+    # ------------------------------------------------------------------
+    # Queries
+    # ------------------------------------------------------------------
+    def closes_cycle(self, gtid: int) -> bool:
+        """Only a cycle through the submitter can close in its fan-out."""
+        return self.find_cycle_through(gtid) is not None
 
     def find_cycle_through(self, target: int) -> Optional[List[int]]:
         """Members of one union-graph cycle through ``target``, or ``None``.
@@ -135,14 +152,17 @@ class UnionCycleDetector:
         target, parents recorded for path reconstruction — the commit-time
         certification needs the members to pick its victim.
         """
+        graph = self.graph
+        if not graph.may_have_cycle():
+            return None
         parent: Dict[int, Optional[int]] = {}
         stack: List[int] = []
-        for successor in sorted(self.global_successors(target)):
+        for successor in sorted(graph.successors(target)):
             parent[successor] = None
             stack.append(successor)
         while stack:
             node = stack.pop()
-            for successor in sorted(self.global_successors(node)):
+            for successor in sorted(graph.successors(node)):
                 if successor == target:
                     members = [target]
                     cursor: Optional[int] = node
@@ -158,10 +178,6 @@ class UnionCycleDetector:
     # ------------------------------------------------------------------
     # The mutation gate
     # ------------------------------------------------------------------
-    def retire_graph(self, mutations: int) -> None:
-        """Fold a crashed scheduler's final mutation count into the gate."""
-        self._retired_mutations += mutations
-
     def union_mutations(self) -> int:
         """Monotonic mutation total of the union graph, crashes included.
 
@@ -189,8 +205,8 @@ class UnionCycleDetector:
         The simulator runs this sweep periodically from an engine event (a
         context where aborting is safe: no scheduler callback is on the
         stack).  Gated on the dependency graphs' mutation counters, a quiet
-        period costs one integer sum; a detection pass costs one scan of the
-        sites' edge-bearing nodes (see :meth:`_union_adjacency`).
+        period costs one integer sum; a detection pass over an acyclic union
+        costs one test of its recorded back edges.
 
         A late-closed cycle hurts either way: a wait cycle wedges its
         members' mpl slots, and a commit-dependency cycle that reaches the
@@ -227,49 +243,28 @@ class UnionCycleDetector:
         self._swept_mutations = self.union_mutations() if aborted else mutations
         return aborted
 
-    def _union_adjacency(self) -> Dict[int, List[int]]:
-        """The union graph as ``gtid -> sorted successor gtids``, keys ascending.
-
-        Only transactions owning an edge-bearing node of a live site's graph
-        can have successors, so only those are expanded.  Empty when fewer
-        than two sites hold an edge: one acyclic site graph under an
-        injective map has no cycle.
-        """
-        router = self.router
-        sources: Set[int] = set()
-        edge_sites = 0
-        for site in router.sites:
-            if not site.status.is_up:
-                continue
-            local_map = router._local_map[site.site_id]
-            edge_nodes = site.scheduler.graph.edge_sources()
-            owners = [local_map[node] for node in edge_nodes if node in local_map]
-            if owners:
-                edge_sites += 1
-                sources.update(owners)
-        if edge_sites < 2:
-            return {}
-        return {gtid: sorted(self.global_successors(gtid)) for gtid in sorted(sources)}
-
     def _find_sweep_victim(self) -> Optional[int]:
         """The victim of the first abortable union-graph cycle, or ``None``.
 
-        DFS over the union adjacency from its ``ACTIVE``/``PSEUDO_COMMITTED``
-        transactions, oldest first; in the first cycle found that has an
-        ``ACTIVE`` member, the youngest such member is the victim.  Cycles
-        with no abortable member are skipped (see :meth:`sweep`) and the
-        search continues.
+        DFS over the union graph from its ``ACTIVE``/``PSEUDO_COMMITTED``
+        transactions, oldest first, successors ascending; in the first cycle
+        found that has an ``ACTIVE`` member, the youngest such member is the
+        victim.  Cycles with no abortable member are skipped (see
+        :meth:`sweep`) and the search continues.  Free while the union is
+        acyclic.
         """
-        adjacency = self._union_adjacency()
+        graph = self.graph
+        if not graph.may_have_cycle():
+            return None
         transactions = self.router.transactions
         color: Dict[int, int] = {}  # 1 = on the DFS path, 2 = finished
         path: List[int] = []
-        for root in adjacency:
+        for root in sorted(graph.edge_sources()):
             if root in color or transactions[root].status not in _LIVE:
                 continue
             color[root] = 1
             path.append(root)
-            stack = [(root, iter(adjacency[root]))]
+            stack = [(root, iter(sorted(graph.successors(root))))]
             while stack:
                 node, successors = stack[-1]
                 for successor in successors:
@@ -282,10 +277,10 @@ class UnionCycleDetector:
                         ]
                         if active:
                             return max(active)
-                    elif state is None and successor in adjacency:
+                    elif state is None:
                         color[successor] = 1
                         path.append(successor)
-                        stack.append((successor, iter(adjacency[successor])))
+                        stack.append((successor, iter(sorted(graph.successors(successor)))))
                         break
                 else:
                     stack.pop()
@@ -293,8 +288,29 @@ class UnionCycleDetector:
                     color[node] = 2
         return None
 
+    def stall_report(self) -> str:
+        """Per site: up or down, graph size, blocked queues (object -> gtids),
+        pseudo-committed branches and the gtids they wait for; the union verdict."""
+        lines = []
+        for site in self.router.sites:
+            if not site.status.is_up:
+                lines.append(f"site {site.site_id}: down")
+                continue
+            scheduler, gtid = site.scheduler, self.router._local_map[site.site_id].get
+            graph = scheduler.graph
+            lines.append(f"site {site.site_id}: up, {len(graph)} nodes, {graph.edge_count()} edges")
+            for obj, manager in sorted(scheduler._blocked_objects.items()):
+                lines.append(f"  {obj} blocks {[gtid(p.transaction_id) for p in manager.blocked]}")
+            for tid, local in sorted(scheduler.transactions.items()):
+                if local.status is TransactionStatus.PSEUDO_COMMITTED:
+                    waits = [gtid(target) for target in sorted(graph.successors(tid))]
+                    lines.append(f"  pseudo-committed {gtid(tid)} waits for {waits}")
+        cycle = self.graph.find_cycle()
+        lines.append(f"union graph: {'acyclic' if cycle is None else f'cycle {cycle}'}")
+        return "\n".join(lines)
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"<UnionCycleDetector swept={self._swept_mutations} "
-            f"retired={self._retired_mutations}>"
+            f"<UnionCycleDetector edges={len(self._support)} "
+            f"swept={self._swept_mutations} retired={self._retired_mutations}>"
         )

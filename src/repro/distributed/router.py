@@ -387,6 +387,8 @@ class TransactionRouter:
         #: sweep and the commit-time certification — plus the sweep's
         #: monotonic mutation gate (see :mod:`repro.distributed.cycles`).
         self._cycles = UnionCycleDetector(self)
+        #: Why nothing completes: the wedge report a stalled run raises.
+        self.stall_report = self._cycles.stall_report
 
     # ------------------------------------------------------------------
     # Setup (Scheduler-compatible, so workloads can register blindly)
@@ -848,7 +850,10 @@ class TransactionRouter:
         """Terminal bookkeeping shared by global commit and abort."""
         transaction.current_request = None
         for site_id, branch in transaction.branches.items():
-            self._local_map[site_id].pop(branch.local_tid, None)
+            # A branch can outlive its global (2PC reports durable before every
+            # branch drains): its edges leave the union with its map entry.
+            if self._local_map[site_id].pop(branch.local_tid, None) is not None:
+                self._cycles.unmapped(site_id, branch.local_tid)
         self.replication.on_transaction_finished(transaction)
         self.commit_protocol.on_transaction_finished(transaction)
         if not self.retain_terminated:
@@ -881,7 +886,7 @@ class TransactionRouter:
             and transaction.branches[site_id].generation == generation
         ]
         self._local_map[site_id].clear()
-        self._cycles.retire_graph(site.scheduler.graph.mutations)
+        self._cycles.site_failed(site_id)
         site.fail()
         self.router_stats.site_failures += 1
         self.replication.on_site_failed(site_id)
@@ -918,6 +923,7 @@ class TransactionRouter:
         """
         site = self.sites[site_id]
         site.recover()
+        self._cycles.watch(site)
         self.router_stats.site_recoveries += 1
         self.replication.on_site_recovered(site)
         # After the catch-up: recovered stamps may satisfy a held 2PC commit.
@@ -987,10 +993,6 @@ class TransactionRouter:
         full story.  Returns the number of victims aborted.
         """
         return self._cycles.sweep()
-
-    def _union_mutations(self) -> int:
-        """Monotonic mutation total of the union graph, crashes included."""
-        return self._cycles.union_mutations()
 
     # ------------------------------------------------------------------
     # Introspection

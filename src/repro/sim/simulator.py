@@ -67,7 +67,7 @@ from .metrics import MetricsCollector, RunMetrics
 from .params import SimulationParameters
 from .random_source import RandomSource
 from .resources import make_resource_charger
-from .routing import create_coordinator
+from .routing import CentralCoordinator, create_coordinator
 from .terminals import Terminal, TerminalPool
 from .workload import TransactionTemplate, Workload, make_workload
 
@@ -212,7 +212,12 @@ class Simulation(SchedulerListener):
             # two interpreter calls per event to evaluate it.
             while not self._done():
                 before = self.completions
-                self.engine.run_until_stop(max_events=stall_budget)
+                try:
+                    self.engine.run_until_stop(max_events=stall_budget)
+                except SimulationError as stall:
+                    if isinstance(self.router, CentralCoordinator):
+                        raise
+                    raise SimulationError(f"{stall}\n{self.router.stall_report()}") from None
                 if self.completions == before and not self._done():
                     raise SimulationError(
                         "event queue drained before the stop condition was met"

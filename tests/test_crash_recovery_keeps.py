@@ -177,15 +177,15 @@ class TestWhatACrashDiscards:
 
     def test_sweep_gate_stays_monotonic_across_the_crash(self):
         router = make_router()
-        seen = [router._union_mutations()]
+        seen = [router._cycles.union_mutations()]
         site = dirty_site(router)
-        seen.append(router._union_mutations())
+        seen.append(router._cycles.union_mutations())
         router.fail_site(site.site_id)
-        seen.append(router._union_mutations())
+        seen.append(router._cycles.union_mutations())
         router.recover_site(site.site_id)
-        seen.append(router._union_mutations())
+        seen.append(router._cycles.union_mutations())
         dirty_site(router)
-        seen.append(router._union_mutations())
+        seen.append(router._cycles.union_mutations())
         assert seen == sorted(seen) and seen[-1] > seen[1] > seen[0]
 
     def test_a_crashing_run_constructs_no_manager_or_scheduler(self, monkeypatch):

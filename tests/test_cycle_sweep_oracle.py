@@ -1,13 +1,15 @@
-"""The edge-driven sweep must name the victims the transaction-driven walk did.
+"""The maintained union graph must be the one the transaction-driven walk sees.
 
-``UnionCycleDetector._find_sweep_victim`` searches a union adjacency built
-from the per-site graphs' edge-bearing nodes.  The reference below is the
-walk it replaced — every live transaction, every branch, every site, the
-union graph re-derived one transaction at a time — kept here as an
-independent oracle: it shares no code with ``repro.distributed.cycles`` and
-reads only the router's own bookkeeping.  The two must agree on the victim
-(or on ``None``) at every detection pass of seeded multi-site runs, and on
-hand-built union graphs that isolate each rule of the sweep.
+``UnionCycleDetector`` keeps a union graph over global tids up to date from
+the per-site graphs' edge observers and the router's map pops, and searches
+it only when a back edge is recorded.  The reference below is the walk it
+replaced — every live transaction, every branch, every site, the union graph
+re-derived one transaction at a time — kept here as an independent oracle:
+it shares no code with ``repro.distributed.cycles`` and reads only the
+router's own bookkeeping.  At every sweep tick of seeded multi-site runs the
+maintained adjacency must equal the reference adjacency, an "acyclic"
+verdict must hold for it, and both must name the same victim (or ``None``) at
+every detection pass; hand-built union graphs isolate each rule of the sweep.
 """
 
 import pytest
@@ -85,10 +87,43 @@ def reference_victim(router):
     return None
 
 
+def reference_adjacency(router):
+    adjacency = {}
+    for gtid in sorted(router.transactions):
+        if router.transactions[gtid].status in _LIVE:
+            successors = reference_successors(router, gtid)
+            if successors:
+                adjacency[gtid] = sorted(successors)
+    return adjacency
+
+
+def reference_has_cycle(adjacency):
+    color = {}  # 1 = on the DFS path, 2 = finished
+
+    def visit(node):
+        color[node] = 1
+        for successor in adjacency.get(node, ()):
+            if color.get(successor) == 1:
+                return True
+            if successor not in color and visit(successor):
+                return True
+        color[node] = 2
+        return False
+
+    return any(node not in color and visit(node) for node in adjacency)
+
+
+def union_adjacency(router):
+    graph = router._cycles.graph
+    return {gtid: sorted(graph.successors(gtid)) for gtid in sorted(graph.edge_sources())}
+
+
 def check_every_pass(router):
-    """Compare both searches at every detection pass; returns the victim log."""
+    """Check the union at every sweep tick and both searches at every
+    detection pass; returns the victim log."""
     detector = router._cycles
     edge_driven = detector._find_sweep_victim
+    sweep = detector.sweep
     victims = []
 
     def checked():
@@ -98,7 +133,15 @@ def check_every_pass(router):
         victims.append(victim)
         return victim
 
+    def checked_sweep():
+        reference = reference_adjacency(router)
+        assert union_adjacency(router) == reference
+        if not detector.graph.may_have_cycle():
+            assert not reference_has_cycle(reference)
+        return sweep()
+
     detector._find_sweep_victim = checked
+    detector.sweep = checked_sweep
     return victims
 
 
@@ -127,11 +170,17 @@ Q3_2PC_CRASH = dict(
     mpl_level=15, database_size=40, total_completions=150,
     failure_schedule=DOUBLE_CRASH,
 )
+#: Single-copy objects sharded by hash: one union edge per local pair.
+HASH2 = dict(
+    site_count=2, replication="hash", mpl_level=20, database_size=15,
+    total_completions=30,
+)
 
 
 @pytest.mark.parametrize("shape,seed", [
     *((AC4_PER_SITE, seed) for seed in (1, 4, 7, 9, 10)),
     *((Q3_2PC_CRASH, seed) for seed in (1, 2, 3, 4, 5)),
+    *((HASH2, seed) for seed in (1, 2)),
 ], ids=lambda value: f"sites{value['site_count']}" if isinstance(value, dict) else f"seed{value}")
 def test_sweep_names_the_reference_victim_at_every_tick(shape, seed):
     params = SimulationParameters(
@@ -183,15 +232,18 @@ def test_edges_at_a_single_site_end_the_pass_before_any_search():
     router, (a, b, c) = make_router(sites=2, transactions=3)
     add_edge(router, 0, a, b)
     add_edge(router, 0, b, c)
-    assert router._cycles._union_adjacency() == {}
+    # One acyclic site graph under an injective map: an acyclic union.
+    assert union_adjacency(router) == {a.gtid: [b.gtid], b.gtid: [c.gtid]}
+    assert not router._cycles.graph.may_have_cycle()
     victims = check_every_pass(router)
     assert router.sweep_global_cycles() == 0
     assert victims == [None]
     # One more site with an edge and the union graph is worth searching.
     add_edge(router, 1, c, b)
-    assert router._cycles._union_adjacency() == {
+    assert union_adjacency(router) == {
         a.gtid: [b.gtid], b.gtid: [c.gtid], c.gtid: [b.gtid],
     }
+    assert router._cycles.graph.may_have_cycle()
     assert router.sweep_global_cycles() == 1
     assert c.status is TransactionStatus.ABORTED
 
@@ -252,7 +304,7 @@ def test_stale_generation_branch_is_not_mistaken_for_its_tid_successor():
     assert c.branches[2].generation == 1
     assert router.perform(b.gtid, y, "write", 4).executed  # b -> c at site 2
     # a -> b -> c: reading c's node as a's would close a cycle a -> b -> a.
-    assert router._cycles._union_adjacency() == {a.gtid: [b.gtid], b.gtid: [c.gtid]}
+    assert union_adjacency(router) == {a.gtid: [b.gtid], b.gtid: [c.gtid]}
     victims = check_every_pass(router)
     assert router.sweep_global_cycles() == 0
     assert victims == [None]

@@ -125,3 +125,65 @@ class TestCycles:
     def test_len_counts_nodes(self):
         graph = make_chain((1, 2), (2, 3))
         assert len(graph) == 3
+
+
+class TestObserver:
+    def observed(self):
+        graph = DependencyGraph()
+        calls = []
+        graph.observer = lambda source, target, gained: calls.append((source, target, gained))
+        return graph, calls
+
+    def test_a_pair_is_reported_once_whatever_its_kinds(self):
+        graph, calls = self.observed()
+        graph.add_edge(1, 2, EdgeKind.WAIT_FOR)
+        graph.add_edge(1, 2, EdgeKind.COMMIT_DEPENDENCY)
+        graph.add_edges(1, [2, 3], EdgeKind.WAIT_FOR)
+        assert calls == [(1, 2, True), (1, 3, True)]
+        graph.remove_edges_from(1, EdgeKind.WAIT_FOR)  # 1 -> 2 keeps a kind
+        assert calls[2:] == [(1, 3, False)]
+        graph.remove_edges_from(1)
+        assert calls[3:] == [(1, 2, False)]
+        assert len(calls) == graph.mutations
+
+    def test_remove_node_reports_every_dropped_edge(self):
+        graph, calls = self.observed()
+        for source, target in ((1, 3), (2, 3), (3, 4)):
+            graph.add_edge(source, target, EdgeKind.COMMIT_DEPENDENCY)
+        del calls[:]
+        graph.remove_node(3)
+        assert sorted(calls) == [(1, 3, False), (2, 3, False), (3, 4, False)]
+
+    def test_remove_edge_clears_a_back_edge_and_rebuilds_the_order(self):
+        graph, calls = self.observed()
+        graph.add_edge(1, 2, EdgeKind.WAIT_FOR)
+        graph.add_edge(2, 3, EdgeKind.WAIT_FOR)
+        graph.add_edge(3, 1, EdgeKind.WAIT_FOR)  # closes a cycle: a back edge
+        assert graph.may_have_cycle()
+        graph.remove_edge(3, 2)  # absent pair: nothing happens
+        assert calls[-1] == (3, 1, True)
+        graph.remove_edge(3, 1)
+        assert calls[-1] == (3, 1, False)
+        assert not graph.may_have_cycle()
+        assert graph.order_violations() == []
+        assert graph.nodes() == {1, 2, 3}
+        # The rebuilt order answers cycle checks again.
+        assert graph.creates_cycle(3, {1})
+        assert not graph.creates_cycle(1, {3})
+
+    def test_only_a_multi_site_simulation_observes_its_graphs(self):
+        from repro.sim.params import SimulationParameters
+        from repro.sim.simulator import Simulation
+
+        central = Simulation(SimulationParameters(seed=1, total_completions=5))
+        assert central.router.scheduler.graph.observer is None
+        crashing = Simulation(SimulationParameters(
+            seed=1, total_completions=5, failure_schedule=((0.5, "fail", 0),),
+        ))
+        assert crashing.router.sites[0].scheduler.graph.observer is None
+        replicated = Simulation(SimulationParameters(
+            seed=1, total_completions=5, site_count=2, replication="copies",
+        ))
+        assert all(
+            site.scheduler.graph.observer is not None for site in replicated.router.sites
+        )

@@ -20,7 +20,10 @@ from repro.distributed import (
     TransactionRouter,
     make_placement,
 )
+from repro.core.dependency_graph import EdgeKind
 from repro.core.errors import ReproError, SimulationError, TransactionStateError
+from repro.sim.params import SimulationParameters
+from repro.sim.simulator import Simulation
 
 
 def make_router(sites=2, replication="copies", policy=ConflictPolicy.RECOVERABILITY,
@@ -305,19 +308,20 @@ class TestCrossSiteDeadlock:
             router.register_object(name, page, compatibility=page.compatibility())
         on_zero = next(n for n in names if router.placement.sites_for(n) == (0,))
         on_one = next(n for n in names if router.placement.sites_for(n) == (1,))
+        union = router._cycles.graph
         walked = []
-        successors = router._cycles.global_successors
+        successors = union.successors
         monkeypatch.setattr(
-            router._cycles, "global_successors",
-            lambda gtid: walked.append(gtid) or successors(gtid),
+            union, "successors", lambda gtid: walked.append(gtid) or successors(gtid)
         )
         t1, t2 = router.begin(), router.begin()
         assert router.perform(t1.gtid, on_zero, "write", 1).executed
         assert router.perform(t2.gtid, on_one, "write", 2).executed
         assert router.perform(t1.gtid, on_one, "write", 3).blocked
-        # The wait edge T1 -> T2 was checked, but nothing points at T1: no
-        # cycle can run through it, so the union graph was never walked.
+        # The wait edge T1 -> T2 was checked, but the union graph records no
+        # back edge: it is acyclic, so it was never walked.
         assert router.router_stats.cross_site_cycle_checks == 1
+        assert union.has_edge(t1.gtid, t2.gtid)
         assert walked == []
         request = router.perform(t2.gtid, on_zero, "write", 4)
         assert walked
@@ -381,3 +385,64 @@ class TestGlobalCommitProtocol:
         # The write was rolled back at every replica (pages start at 0).
         for site in router.sites:
             assert site.scheduler.object_state("x") == 0
+
+
+class TestStallReport:
+    def test_report_names_each_sites_waits_and_the_union_verdict(self):
+        router = TransactionRouter(
+            site_count=3, replication="hash",
+            policy=ConflictPolicy.RECOVERABILITY, retain_terminated=True,
+        )
+        page = PageType()
+        names = [f"obj{i}" for i in range(32)]
+        x, z = [n for n in names if router.placement.sites_for(n) == (0,)][:2]
+        y, w = [n for n in names if router.placement.sites_for(n) == (1,)][:2]
+        for name in (x, y, z, w):
+            router.register_object(name, page, compatibility=page.compatibility())
+        t1, t2, t3, t4, t5, t6 = (router.begin() for _ in range(6))
+        assert router.perform(t1.gtid, x, "write", 1).executed
+        assert router.perform(t2.gtid, x, "read").blocked  # t2 waits for t1
+        assert router.perform(t3.gtid, y, "write", 1).executed
+        assert router.perform(t4.gtid, y, "write", 2).executed  # t4 -> t3
+        assert router.commit(t4.gtid) is TransactionStatus.PSEUDO_COMMITTED
+        for transaction in (t5, t6):  # a branch at each of sites 0 and 1
+            assert router.perform(transaction.gtid, z, "read").executed
+            assert router.perform(transaction.gtid, w, "read").executed
+        router.fail_site(2)
+        assert router.stall_report().splitlines() == [
+            "site 0: up, 4 nodes, 1 edges",
+            f"  {x} blocks [{t2.gtid}]",
+            "site 1: up, 4 nodes, 1 edges",
+            f"  pseudo-committed {t4.gtid} waits for [{t3.gtid}]",
+            "site 2: down",
+            "union graph: acyclic",
+        ]
+        # Grant-time edges close t5 -> t6 -> t5 across sites 0 and 1.
+        for site_id, source, target in ((0, t5, t6), (1, t6, t5)):
+            router.sites[site_id].scheduler.graph.add_edge(
+                source.branches[site_id].local_tid, target.branches[site_id].local_tid,
+                EdgeKind.COMMIT_DEPENDENCY,
+            )
+        assert router.stall_report().splitlines()[-1] in (
+            f"union graph: cycle {[t5.gtid, t6.gtid]}",
+            f"union graph: cycle {[t6.gtid, t5.gtid]}",
+        )
+
+    def test_a_stalled_multi_site_run_raises_the_report(self, monkeypatch):
+        def stall(max_events):
+            raise SimulationError(f"simulation exceeded the safety limit of {max_events} events")
+
+        replicated = Simulation(SimulationParameters(
+            seed=1, total_completions=5, site_count=2, replication="copies",
+        ))
+        monkeypatch.setattr(replicated.engine, "run_until_stop", stall)
+        with pytest.raises(SimulationError) as raised:
+            replicated.run()
+        message = str(raised.value)
+        assert message.startswith("simulation exceeded the safety limit of 2000000 events\n")
+        assert message.endswith(replicated.router.stall_report())
+        assert "site 1: up" in message and "union graph: acyclic" in message
+        central = Simulation(SimulationParameters(seed=1, total_completions=5))
+        monkeypatch.setattr(central.engine, "run_until_stop", stall)
+        with pytest.raises(SimulationError, match=r"2000000 events$"):
+            central.run()

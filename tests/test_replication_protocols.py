@@ -623,11 +623,11 @@ class TestCycleSweep:
         t = router.begin()
         router.perform(t.gtid, "x", "write", 1)
         router.commit(t.gtid)
-        before = router._union_mutations()
+        before = router._cycles.union_mutations()
         assert before > 0
         router.fail_site(1)
         router.recover_site(1)
-        assert router._union_mutations() >= before
+        assert router._cycles.union_mutations() >= before
 
 
 class TestSimulationWiring:
