@@ -187,16 +187,23 @@ class ReplicationProtocol:
         """Sites a read executes at (empty: no copy can serve it now).
 
         Read-one: the least-loaded readable copy, rotation order breaking
-        ties.  Every placed site holds a copy, so a copy is readable when its
-        site is up and it is not awaiting a refresh.
+        ties — ``_load_ranked(readable)[:1]``, taken as a minimum.  Every
+        placed site holds a copy, so a copy is readable when its site is up
+        and it is not awaiting a refresh.
         """
         sites = self.router.sites
-        candidates = []
+        chosen: List[int] = []
+        least = 0
         for sid in self._rotated(object_name, placed):
             site = sites[sid]
             if site.status.is_up and object_name not in site.unreadable:
-                candidates.append(sid)
-        return self._load_ranked(candidates)[:1]
+                domain = site.domain
+                # Shared hardware (no domain), or idle: no later copy beats it.
+                if domain is None or domain.load == 0:
+                    return [sid]
+                if not chosen or domain.load < least:
+                    chosen, least = [sid], domain.load
+        return chosen
 
     def select_write(
         self,

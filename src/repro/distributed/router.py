@@ -849,7 +849,11 @@ class TransactionRouter:
     def _finish(self, transaction: GlobalTransaction) -> None:
         """Terminal bookkeeping shared by global commit and abort."""
         transaction.current_request = None
+        sites = self.sites
         for site_id, branch in transaction.branches.items():
+            # A branch older than its site's last crash: its tid may be reissued.
+            if branch.generation != sites[site_id].generation:
+                continue
             # A branch can outlive its global (2PC reports durable before every
             # branch drains): its edges leave the union with its map entry.
             if self._local_map[site_id].pop(branch.local_tid, None) is not None:

@@ -120,10 +120,12 @@ class EventEngine:
         it schedules: a member ``(kind, *payload)`` is drained as
         ``handler(member)``.  Registration order must be deterministic
         (construction order is), since the kind integers travel inside
-        pinned event streams.
+        pinned event streams.  A handler registered before keeps its kind:
+        shared module-level handlers (the resource stages) take one slot.
         """
-        self._handlers.append(handler)
-        return len(self._handlers) - 1
+        if handler not in self._handlers:
+            self._handlers.append(handler)
+        return self._handlers.index(handler)
 
     def dispatch(self, member: tuple) -> None:
         """Invoke one typed member synchronously (outside the drain loop).

@@ -64,6 +64,18 @@ class RandomSource:
         """True with the given probability."""
         return self._random.random() < probability
 
+    def index(self, n: int) -> int:
+        """A uniform index in ``range(n)``: ``seq[index(len(seq))]`` is ``choice(seq)``
+        (its ``_randbelow`` inlined: the same ``getrandbits`` calls on 3.11–3.13)."""
+        if n <= 0:
+            raise ValueError(f"empty range for index({n})")
+        getrandbits = self._random.getrandbits
+        k = n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return r
+
     def choice(self, items: Sequence[T]) -> T:
         """A uniformly random element of a non-empty sequence."""
         return self._random.choice(items)

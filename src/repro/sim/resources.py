@@ -26,6 +26,15 @@ The module models *where* that hardware lives as well as what it is:
   additionally pays the network cost ``msg_time`` (zero for site-local
   work), which gives read-one/write-all-available routing its asymmetry.
 
+A finite phase is three typed engine members, drained by module-level
+handlers registered once per engine: ``perform_step`` takes a free CPU (or
+queues ``done``) and schedules the CPU stage ``(kind, domain, done)``; that
+stage frees the CPU to the longest waiter, draws the disk (one
+``RandomSource.index``; none on a one-disk per-site domain) and schedules the
+I/O stage ``(kind, domain, disk, done)`` (or queues), which frees the disk,
+drops the domain's ``load`` and runs ``done``.  Work away from the
+transaction's home site first takes the remote hop ``(kind, domain, done)``.
+
 Both placements implement the :class:`ResourceCharger` interface the
 simulation's coordinator (:mod:`repro.sim.routing`) charges operations
 through; :func:`make_resource_charger` picks the placement from
@@ -35,7 +44,6 @@ through; :func:`make_resource_charger` picks the placement from
 from __future__ import annotations
 
 from collections import deque
-from functools import partial
 from typing import Callable, Collection, Deque, Dict, Iterable, List, Optional, Union
 
 from .engine import EventEngine
@@ -61,7 +69,8 @@ class FifoServer:
     """A pool of identical servers with a single FIFO wait queue.
 
     With ``capacity=1`` this is a single server (one disk); with a larger
-    capacity it models the shared CPU pool.
+    capacity it models the shared CPU pool.  A counter record: its domain's
+    stages grant and release it; ``queue`` holds the waiting continuations.
     """
 
     __slots__ = ("name", "capacity", "free", "queue", "waits", "served")
@@ -70,30 +79,11 @@ class FifoServer:
         self.name = name
         self.capacity = capacity
         self.free = capacity
-        self.queue: Deque[Callable[[], None]] = deque()
+        self.queue: Deque[Done] = deque()
         #: Total number of acquisitions that had to wait (utilisation metric).
         self.waits = 0
         #: Total number of acquisitions served.
         self.served = 0
-
-    def acquire(self, callback: Callable[[], None]) -> None:
-        """Hand a server to ``callback`` now, or queue the request."""
-        if self.free > 0:
-            self.free -= 1
-            self.served += 1
-            callback()
-        else:
-            self.waits += 1
-            self.queue.append(callback)
-
-    def release(self) -> None:
-        """Return a server; the longest-waiting request (if any) gets it."""
-        if self.queue:
-            callback = self.queue.popleft()
-            self.served += 1
-            callback()
-        else:
-            self.free += 1
 
     @property
     def busy(self) -> int:
@@ -109,53 +99,48 @@ class FifoServer:
         return f"<FifoServer {self.name!r} busy={self.busy}/{self.capacity} queued={len(self.queue)}>"
 
 
-class _StepCharge:
-    """The finite-resource phase of one operation: CPU service, then disk.
+def _cpu_finished(member: tuple) -> None:
+    """CPU stage ``(kind, domain, done)``: free the CPU, then seek a disk."""
+    kind, domain, done = member
+    engine = domain.engine
+    cpus = domain.cpus
+    queue = cpus.queue
+    if queue:
+        cpus.served += 1
+        engine.schedule(domain.cpu_time, (kind, domain, queue.popleft()))
+    else:
+        cpus.free += 1
+    disks = domain.disks
+    disk = disks[domain.rng.index(len(disks))] if domain._draws_disk else disks[0]
+    if disk.free:
+        disk.free -= 1
+        disk.served += 1
+        engine.schedule(domain.io_time, (domain._kind_io, domain, disk, done))
+    else:
+        disk.waits += 1
+        disk.queue.append(done)
 
-    One per-operation object batches the whole charge pipeline; its bound
-    methods are the engine/server callbacks, replacing the four closures
-    (and their cells) the pipeline used to allocate per granted operation.
-    The acquire/schedule/release sequence — including the point at which the
-    disk rng draw happens — is exactly the closure pipeline's, so event and
-    rng streams are unchanged.
-    """
 
-    __slots__ = ("domain", "done", "disk")
+def _io_finished(member: tuple) -> None:
+    """I/O stage ``(kind, domain, disk, done)``: free the disk, then ``done``."""
+    kind, domain, disk, done = member
+    queue = disk.queue
+    if queue:
+        disk.served += 1
+        domain.engine.schedule(domain.io_time, (kind, domain, disk, queue.popleft()))
+    else:
+        disk.free += 1
+    # Before ``done``: it may route the next read, which picks by load.
+    domain.load -= 1
+    if done.__class__ is tuple:
+        domain.engine.dispatch(done)
+    else:
+        done()
 
-    def __init__(self, domain: "ResourceDomain", done: Done):
-        self.domain = domain
-        self.done = done
-        self.disk: Optional[FifoServer] = None
-        cpus = domain.cpus
-        assert cpus is not None
-        cpus.acquire(self._got_cpu)
 
-    def _got_cpu(self) -> None:
-        domain = self.domain
-        domain.engine.schedule(domain.cpu_time, self._cpu_finished)
-
-    def _cpu_finished(self) -> None:
-        domain = self.domain
-        assert domain.cpus is not None
-        domain.cpus.release()
-        disk = self.disk = domain._choose_disk()
-        disk.acquire(self._got_disk)
-
-    def _got_disk(self) -> None:
-        domain = self.domain
-        domain.engine.schedule(domain.io_time, self._io_finished)
-
-    def _io_finished(self) -> None:
-        disk = self.disk
-        assert disk is not None
-        disk.release()
-        # Before ``done``: it may route the next read, which ranks by load.
-        self.domain.load -= 1
-        done = self.done
-        if done.__class__ is tuple:
-            self.domain.engine.dispatch(done)
-        else:
-            done()
+def _remote_arrived(member: tuple) -> None:
+    """Remote hop ``(kind, domain, done)``: the work reached its site."""
+    member[1].perform_step(member[2])
 
 
 class ResourceDomain:
@@ -167,7 +152,8 @@ class ResourceDomain:
     infinite-resource configuration (every step takes ``step_time`` with no
     queueing).
 
-    The disk chosen for an operation's I/O phase is uniformly random among
+    A finite step runs the CPU stage, then the I/O stage (see the module
+    docstring); the disk is drawn when the CPU stage ends, uniformly among
     the domain's disks — except when the domain has exactly one disk, where
     the choice is forced and no rng draw is consumed.  The shared global
     model keeps the unconditional draw (see :class:`GlobalResourceModel`)
@@ -193,7 +179,7 @@ class ResourceDomain:
         self.cpu_time = cpu_time
         self.io_time = io_time
         self.step_time = step_time
-        self._single_disk_shortcut = single_disk_shortcut
+        self._draws_disk = num_disks != 1 or not single_disk_shortcut
         #: Outstanding work at this domain (operations busy or queued at its
         #: CPUs and disks; always zero when infinite).  The router's
         #: least-loaded read-one selection ranks replicas by this.
@@ -204,6 +190,8 @@ class ResourceDomain:
         else:
             self.cpus = FifoServer(f"{name}cpus", num_cpus)
             self.disks = [FifoServer(f"{name}disk{i}", 1) for i in range(num_disks)]
+            self._kind_cpu = engine.register_kind(_cpu_finished)
+            self._kind_io = engine.register_kind(_io_finished)
 
     @property
     def infinite(self) -> bool:
@@ -220,19 +208,18 @@ class ResourceDomain:
         — the infinite path schedules it as-is, the finite path dispatches
         it through the engine's kind table when the disk releases.
         """
-        if self.cpus is None:
+        cpus = self.cpus
+        if cpus is None:
             self.engine.schedule(self.step_time, done)
             return
         self.load += 1
-        _StepCharge(self, done)
-
-    def _choose_disk(self) -> FifoServer:
-        # A single-disk domain has no choice to make: skip the rng draw so
-        # the hot path does less work and the stream is not perturbed by a
-        # decision that cannot vary.
-        if self._single_disk_shortcut and len(self.disks) == 1:
-            return self.disks[0]
-        return self.rng.choice(self.disks)
+        if cpus.free:
+            cpus.free -= 1
+            cpus.served += 1
+            self.engine.schedule(self.cpu_time, (self._kind_cpu, self, done))
+        else:
+            cpus.waits += 1
+            cpus.queue.append(done)
 
     # ------------------------------------------------------------------
     def utilisation_summary(self) -> Dict[str, object]:
@@ -337,6 +324,8 @@ class GlobalResourceModel(ResourceCharger):
         self._step_time = params.step_time
         if self.msg_time == 0 and self._domain.cpus is None:
             self.perform_operation = self._perform_operation_infinite  # type: ignore[method-assign]
+        if self.msg_time > 0:
+            self._kind_remote = engine.register_kind(_remote_arrived)
 
     # Back-compat views of the shared domain (pre-refactor attribute names).
     @property
@@ -378,7 +367,7 @@ class GlobalResourceModel(ResourceCharger):
             # per-site charger); they travel in parallel, so the shared
             # pool's single charge starts after one msg_time.
             self.messages_sent += remote
-            self.engine.schedule(self.msg_time, partial(self._domain.perform_step, done))
+            self.engine.schedule(self.msg_time, (self._kind_remote, self._domain, done))
         else:
             self._domain.perform_step(done)
 
@@ -452,6 +441,7 @@ class PerSiteResources(ResourceCharger):
         self.messages_sent = 0
         #: Operation charges that involved at least one remote replica.
         self.remote_operations = 0
+        self._kind_remote = engine.register_kind(_remote_arrived)
 
         def units_of(site_id: int) -> Optional[int]:
             if params.site_units is not None:
@@ -485,20 +475,23 @@ class PerSiteResources(ResourceCharger):
         done: Done,
     ) -> None:
         """Charge every executing replica's domain; done when all finish."""
-        sites = sorted(executed_sites)
-        if not sites:
+        if len(executed_sites) == 1:
+            # One replica (every available-copies read): no order, no join.
+            sites: Collection[int] = executed_sites
+            join = done
+        elif executed_sites:
+            sites = sorted(executed_sites)
+            join = _BranchJoin(len(sites), done, self.engine)
+        else:
             raise ValueError("perform_operation needs at least one executing site")
-        join = _BranchJoin(len(sites), done, self.engine)
-
+        msg_time = self.msg_time
         remote = False
         for site_id in sites:
             domain = self.domains[site_id]
-            if self.msg_time > 0 and site_id != home_site:
+            if msg_time > 0 and site_id != home_site:
                 remote = True
                 self.messages_sent += 1
-                self.engine.schedule(
-                    self.msg_time, partial(domain.perform_step, join)
-                )
+                self.engine.schedule(msg_time, (self._kind_remote, domain, join))
             else:
                 domain.perform_step(join)
         if remote:

@@ -269,9 +269,10 @@ class AbstractDataTypeWorkload(Workload):
 
     def next_transaction(self) -> TransactionTemplate:
         steps: List[Tuple[str, Invocation]] = []
+        invocations = self._invocations
         for _ in range(self._transaction_length()):
             object_name = self._random_object()
-            steps.append((object_name, self.rng.choice(self._invocations)))
+            steps.append((object_name, invocations[self.rng.index(len(invocations))]))
         return TransactionTemplate(steps=steps)
 
 

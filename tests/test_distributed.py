@@ -446,3 +446,19 @@ class TestStallReport:
         monkeypatch.setattr(central.engine, "run_until_stop", stall)
         with pytest.raises(SimulationError, match=r"2000000 events$"):
             central.run()
+
+
+class TestRecoveredTidReuse:
+    def test_seed_411_one_phase_commit_run_completes(self):
+        # A crash finalizes a pseudo-committed transaction whose branch at
+        # another site predates that site's own crash and recovery.  The
+        # recovered scheduler has reissued the branch's local tid to a live
+        # transaction; unmapping it lost that transaction's grant, and the
+        # run wedged after 64 completions with every wait chain ending there.
+        from repro.analysis import BENCH_SCALE, EXPERIMENT_REGISTRY
+
+        spec = EXPERIMENT_REGISTRY.spec("figure-4-commit", BENCH_SCALE)
+        (variant,) = [v for v in spec.variants if v.label == "one-phase"]
+        params = spec.base_params.replace(mpl_level=50, seed=411, **dict(variant.overrides))
+        metrics = Simulation(params).run()
+        assert metrics.completions == params.total_completions

@@ -28,15 +28,15 @@ from repro.sim.simulator import Simulation, run_simulation
 
 
 class CountingRandomSource(RandomSource):
-    """A RandomSource that counts its ``choice`` draws."""
+    """A RandomSource that counts its ``index`` draws (the disk choice)."""
 
     def __init__(self, seed=0):
         super().__init__(seed)
-        self.choices = 0
+        self.draws = 0
 
-    def choice(self, items):
-        self.choices += 1
-        return super().choice(items)
+    def index(self, n):
+        self.draws += 1
+        return super().index(n)
 
 
 def finite_domain(engine, rng, *, num_cpus=1, num_disks=2, **overrides):
@@ -86,7 +86,7 @@ class TestResourceDomain:
         domain.perform_step(lambda: done.append(engine.now))
         engine.run()
         assert done == [pytest.approx(0.015 + 0.035)]
-        assert rng.choices == 0
+        assert rng.draws == 0
         assert domain.utilisation_summary()["disk_served"] == 1
 
     def test_multi_disk_domain_still_draws(self):
@@ -95,7 +95,30 @@ class TestResourceDomain:
         domain = finite_domain(engine, rng, num_cpus=1, num_disks=2)
         domain.perform_step(lambda: None)
         engine.run()
-        assert rng.choices == 1
+        assert rng.draws == 1
+
+    def test_two_cpu_releases_at_one_timestamp_grant_in_fifo_order(self):
+        # A and B hold both CPUs; C and D queue.  Both CPU stages end at
+        # cpu_time, so the two releases land at one timestamp: A's grants C,
+        # B's grants D.  One disk serialises the I/O, so completion order is
+        # grant order.
+        engine = EventEngine()
+        domain = finite_domain(engine, RandomSource(1), num_cpus=2, num_disks=1)
+        done = []
+        for label in "ABCD":
+            domain.perform_step(lambda label=label: done.append((label, engine.now)))
+        summary = domain.utilisation_summary()
+        assert summary["cpu_served"] == 2 and summary["cpu_waits"] == 2
+        assert domain.load == 4 and len(domain.cpus.queue) == 2
+        engine.run()
+        assert [label for label, _ in done] == ["A", "B", "C", "D"]
+        assert [now for _, now in done] == [
+            pytest.approx(0.015 + 0.035 * n) for n in (1, 2, 3, 4)]
+        summary = domain.utilisation_summary()
+        assert summary["cpu_served"] == 4 and summary["cpu_waits"] == 2
+        assert summary["disk_served"] == 4 and summary["disk_waits"] == 3
+        assert domain.cpus.free == 2 and domain.disks[0].free == 1
+        assert domain.load == 0
 
 
 class TestGlobalResourceModel:
@@ -109,7 +132,7 @@ class TestGlobalResourceModel:
         model = GlobalResourceModel(engine, params, rng)
         model.perform_step(lambda: None)
         engine.run()
-        assert rng.choices == 1
+        assert rng.draws == 1
 
     def test_resource_model_alias_is_the_global_model(self):
         assert ResourceModel is GlobalResourceModel
@@ -388,7 +411,7 @@ class TestMaintainedLoad:
         return charger.domains if isinstance(charger, PerSiteResources) else [charger._domain]
 
     def watch(self, simulation):
-        """Check the invariant at every event and at every replica ranking."""
+        """Check the invariant at every event and at every read's replica choice."""
         seen = {"checks": 0, "peak": 0}
 
         def check():
@@ -401,12 +424,12 @@ class TestMaintainedLoad:
 
         done = simulation._done
         simulation._done = lambda: check() or done()
-        # A centralized run drives its scheduler directly: no replicas ranked.
+        # A centralized run drives its scheduler directly: no replica choice.
         replication = getattr(simulation.router, "replication", None)
         if replication is not None:
-            ranked = replication._load_ranked
-            replication._load_ranked = (
-                lambda candidates: check() or ranked(candidates))
+            select_read = replication.select_read
+            replication.select_read = (
+                lambda *choice: check() or select_read(*choice))
         return seen
 
     @pytest.mark.parametrize("overrides", [
@@ -454,6 +477,23 @@ class TestMaintainedLoad:
         assert not set(map(id, fresh)) & set(map(id, stale))
         self.watch(simulation)
         assert simulation.run(max_events=1_000_000).counters() == first.counters()
+
+    @pytest.mark.parametrize("overrides", [
+        dict(AC4_PER_SITE, total_completions=50),
+        dict(mpl_level=20, total_completions=50, resource_units=1, msg_time=0.001,
+             site_count=2, replication="copies"),  # the shared global pool
+    ], ids=["per-site", "global"])
+    def test_reset_registers_no_new_event_kinds(self, overrides):
+        # The charger is rebuilt on every reset; its stage handlers are
+        # module-level, so the engine's kind table must not grow.
+        params = SimulationParameters(**overrides)
+        simulation = Simulation(params, "readwrite")
+        kinds = len(simulation.engine._handlers)
+        first = simulation.run().counters()
+        for _ in range(2):
+            simulation.reset(params)
+            assert len(simulation.engine._handlers) == kinds
+            assert simulation.run().counters() == first
 
     def test_infinite_domains_never_count(self):
         params = SimulationParameters(

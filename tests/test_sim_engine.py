@@ -7,7 +7,7 @@ from repro.core.specification import Event, Invocation
 from repro.sim.engine import EventEngine
 from repro.sim.params import SimulationParameters
 from repro.sim.random_source import RandomSource
-from repro.sim.resources import FifoServer, ResourceModel
+from repro.sim.resources import FifoServer, ResourceDomain, ResourceModel
 
 
 class TestEventEngine:
@@ -123,6 +123,14 @@ class TestEventEngine:
         with pytest.raises(TypeError, match="not callable"):
             getattr(engine, drain)()
 
+    def test_registering_a_handler_again_keeps_its_kind(self):
+        engine = EventEngine()
+        first, second = (lambda member: None), (lambda member: None)
+        kind = engine.register_kind(first)
+        assert engine.register_kind(second) == kind + 1
+        assert engine.register_kind(first) == kind
+        assert len(engine._handlers) == 3
+
 
 class TestRandomSource:
     def test_same_seed_same_stream(self):
@@ -159,6 +167,17 @@ class TestRandomSource:
         assert sorted(shuffled) == items
         assert items == list(range(10))  # original untouched
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 100])
+    def test_index_draws_exactly_like_choice(self, n):
+        items = list(range(n))
+        a, b = RandomSource(11), RandomSource(11)
+        assert [a.index(n) for _ in range(200)] == [b.choice(items) for _ in range(200)]
+        assert a.uniform_int(0, 10**6) == b.uniform_int(0, 10**6)  # streams still aligned
+
+    def test_index_of_an_empty_range_raises(self):
+        with pytest.raises(ValueError):
+            RandomSource(1).index(0)
+
     def test_spawn_is_deterministic_and_independent(self):
         parent_a, parent_b = RandomSource(9), RandomSource(9)
         child_a, child_b = parent_a.spawn("workload"), parent_b.spawn("workload")
@@ -168,30 +187,34 @@ class TestRandomSource:
 
 
 class TestFifoServer:
-    def test_acquire_release_without_contention(self):
-        server = FifoServer("cpu", 2)
-        served = []
-        server.acquire(lambda: served.append(1))
-        server.acquire(lambda: served.append(2))
-        assert served == [1, 2]
-        assert server.busy == 2
-        server.release()
-        assert server.busy == 1
+    # The record a domain's stages grant and release (no methods of its own).
+    @staticmethod
+    def cpu_pool(engine, num_cpus):
+        return ResourceDomain(engine, RandomSource(1), num_cpus=num_cpus, num_disks=1,
+                              cpu_time=0.015, io_time=0.035, step_time=0.05)
+
+    def test_grants_free_servers_without_queueing(self):
+        engine = EventEngine()
+        domain = self.cpu_pool(engine, 2)
+        domain.perform_step(lambda: None)
+        domain.perform_step(lambda: None)
+        server = domain.cpus
+        assert isinstance(server, FifoServer)
+        assert server.busy == 2 and server.waits == 0 and server.load == 2
+        engine.step()  # the first CPU stage ends and frees its CPU
+        assert server.busy == 1 and server.load == 1
 
     def test_waiters_are_served_fifo(self):
-        server = FifoServer("cpu", 1)
+        engine = EventEngine()
+        domain = self.cpu_pool(engine, 1)
         served = []
-        server.acquire(lambda: served.append("first"))
-        server.acquire(lambda: served.append("second"))
-        server.acquire(lambda: served.append("third"))
-        assert served == ["first"]
-        assert server.waits == 2
-        server.release()
-        assert served == ["first", "second"]
-        server.release()
+        for label in ("first", "second", "third"):
+            domain.perform_step(lambda label=label: served.append(label))
+        server = domain.cpus
+        assert server.waits == 2 and len(server.queue) == 2
+        engine.run()
         assert served == ["first", "second", "third"]
-        server.release()
-        assert server.free == 1
+        assert server.free == 1 and server.served == 3 and server.load == 0
 
 
 class TestResourceModel:
