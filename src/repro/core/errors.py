@@ -60,25 +60,6 @@ class RecoveryError(ReproError):
     """Recovery bookkeeping failed (e.g. undo requested for an unknown event)."""
 
 
-class StaleHandleError(ReproError):
-    """A pooled request handle was read after it was recycled.
-
-    With request pooling on, :class:`~repro.core.requests.RequestHandle` and
-    ``PendingRequest`` instances are retired to a freelist at transaction
-    finish and reused by later submits.  A caller that held a reference
-    across the recycle would silently observe another request's state; the
-    generation counter turns that into this loud error instead.
-    """
-
-    def __init__(self, transaction_id: int, generation: int):
-        super().__init__(
-            f"request handle (last transaction {transaction_id}) was recycled "
-            f"(generation {generation}); the reference is stale"
-        )
-        self.transaction_id = transaction_id
-        self.generation = generation
-
-
 class SimulationError(ReproError):
     """The discrete-event simulation reached an inconsistent internal state."""
 

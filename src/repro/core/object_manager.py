@@ -66,16 +66,6 @@ class PendingRequest:
     payload: Any = None
     op_id: int = -1
     param: Any = None
-    #: Bumped each time the box is retired to an object pool (request
-    #: pooling); mirrors :class:`~repro.core.requests.RequestHandle`.
-    generation: int = 0
-
-    def retire(self) -> None:
-        """Return the box to its pool: drop every request-specific field."""
-        self.generation += 1
-        self.payload = None
-        self.param = None
-        self.op_id = -1
 
 
 @dataclass(slots=True)

@@ -5,13 +5,6 @@ so that concurrency-control backends (:mod:`repro.core.backends`) can use them
 without importing the scheduler module itself.  The scheduler re-exports them,
 so existing ``from repro.core.scheduler import RequestHandle`` imports keep
 working.
-
-Handles are *poolable*: when a scheduler runs with request pooling on
-(:class:`~repro.core.pool.ObjectPool`), a handle is retired to a freelist at
-transaction finish and reused by a later submit.  ``generation`` is bumped on
-every retire so a caller that stashed a handle across its transaction's
-termination observes a :class:`~repro.core.errors.StaleHandleError` on the
-next status read instead of silently aliasing the recycled request.
 """
 
 from __future__ import annotations
@@ -20,7 +13,6 @@ import enum
 from dataclasses import dataclass
 from typing import Any, Optional
 
-from .errors import StaleHandleError
 from .specification import Invocation
 
 __all__ = ["RequestStatus", "AbortReason", "RequestHandle"]
@@ -32,9 +24,6 @@ class RequestStatus(enum.Enum):
     EXECUTED = "executed"
     BLOCKED = "blocked"
     ABORTED = "aborted"
-    #: The handle was retired to an object pool; any further status read is a
-    #: use-after-recycle bug and raises :class:`StaleHandleError`.
-    RECYCLED = "recycled"
 
 
 class AbortReason(enum.Enum):
@@ -54,7 +43,6 @@ class AbortReason(enum.Enum):
 _EXECUTED = RequestStatus.EXECUTED
 _BLOCKED = RequestStatus.BLOCKED
 _ABORTED = RequestStatus.ABORTED
-_RECYCLED = RequestStatus.RECYCLED
 
 
 @dataclass(slots=True)
@@ -64,7 +52,9 @@ class RequestHandle:
     A handle starts in the status the scheduler decided immediately
     (``EXECUTED``, ``BLOCKED``, or ``ABORTED``).  A blocked handle is updated
     in place when the request is granted or the transaction is later aborted,
-    so callers (and the simulator) can poll or react through listeners.
+    so callers (and the simulator) can poll or react through listeners.  A
+    handle is built once per request and keeps its final status and value
+    after its transaction ends.
     """
 
     transaction_id: int
@@ -73,28 +63,15 @@ class RequestHandle:
     status: Optional[RequestStatus] = None
     value: Any = None
     abort_reason: Optional[AbortReason] = None
-    #: Bumped each time the handle is retired to a pool.  A caller that
-    #: captured ``(handle, handle.generation)`` can detect recycling; the
-    #: status properties do it automatically by raising on ``RECYCLED``.
-    generation: int = 0
 
     @property
     def executed(self) -> bool:
-        status = self.status
-        if status is _RECYCLED:
-            raise StaleHandleError(self.transaction_id, self.generation)
-        return status is _EXECUTED
+        return self.status is _EXECUTED
 
     @property
     def blocked(self) -> bool:
-        status = self.status
-        if status is _RECYCLED:
-            raise StaleHandleError(self.transaction_id, self.generation)
-        return status is _BLOCKED
+        return self.status is _BLOCKED
 
     @property
     def aborted(self) -> bool:
-        status = self.status
-        if status is _RECYCLED:
-            raise StaleHandleError(self.transaction_id, self.generation)
-        return status is _ABORTED
+        return self.status is _ABORTED

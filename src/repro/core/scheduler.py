@@ -52,7 +52,6 @@ from .errors import TransactionStateError, UnknownObjectError
 from .history import ExecutionLog
 from .object_manager import ObjectManager, PendingRequest, _OperationGroup
 from .policy import ConflictPolicy
-from .pool import ObjectPool
 from .requests import AbortReason, RequestHandle, RequestStatus
 from .specification import Event, Invocation, OperationResult, TypeSpecification
 from .transaction import Transaction, TransactionStatus
@@ -180,19 +179,9 @@ class Scheduler:
         record_history: bool = True,
         retain_terminated: bool = True,
         backend: Optional[ConcurrencyControlBackend] = None,
-        pool_requests: bool = False,
     ):
         self.policy = policy
         self.fair = fair
-        #: When ``True``, :class:`RequestHandle` and ``PendingRequest``
-        #: instances are retired to freelists at transaction finish and
-        #: reused by later submits (generation counters make a stale
-        #: reference a loud :class:`~repro.core.errors.StaleHandleError`).
-        #: The freelists survive :meth:`reset`, so reset()-reuse across
-        #: experiment sweep points recycles across runs too.
-        self.pool_requests = pool_requests
-        self.handle_pool: ObjectPool[RequestHandle] = ObjectPool()
-        self.pending_pool: ObjectPool[PendingRequest] = ObjectPool()
         #: When ``False``, records of committed/aborted transactions are
         #: dropped from :attr:`transactions` as soon as they terminate.  The
         #: simulator uses this to keep memory flat over very long runs.
@@ -333,26 +322,7 @@ class Scheduler:
             manager = self.objects[object_name]
         except KeyError:
             raise UnknownObjectError(object_name) from None
-        pool_requests = self.pool_requests
-        pool = self.handle_pool
-        if pool_requests and pool.free:
-            # A recycled handle is reinitialised field by field to exactly
-            # the state a fresh construction has (value and abort_reason were
-            # cleared at retirement) — generation excepted, which keeps
-            # counting up for staleness detection.
-            pool.reused += 1
-            handle = pool.free.pop()
-            handle.transaction_id = transaction_id
-            handle.object_name = object_name
-            handle.invocation = invocation
-            handle.status = None
-        else:
-            pool.created += pool_requests
-            handle = RequestHandle(
-                transaction_id=transaction_id,
-                object_name=object_name,
-                invocation=invocation,
-            )
+        handle = RequestHandle(transaction_id, object_name, invocation)
         conflicting, recoverable = self._decide(
             manager, invocation, transaction_id, len(manager.blocked) if self.fair else 0
         )
@@ -360,15 +330,6 @@ class Scheduler:
             self.block_request(transaction, manager, handle, conflicting)
         elif not recoverable or self._depend(transaction, handle, recoverable):
             self.execute_operation(transaction, manager, handle, False)
-        if pool_requests:
-            # Tracked after the decision: if it aborted the transaction, the
-            # other handles were already retired and this one must stay live
-            # for the caller to observe the ABORTED status (it is simply never
-            # pooled — the rare abort-on-submit path leaks one box to GC).
-            handles = transaction.handles
-            if handles is None:
-                handles = transaction.handles = []
-            handles.append(handle)
         return handle
 
     # ------------------------------------------------------------------
@@ -393,27 +354,7 @@ class Scheduler:
         transaction.blocks += 1
         self.stats.blocks += 1
         handle.status = _REQUEST_BLOCKED
-        if self.pool_requests:
-            pool = self.pending_pool
-            if pool.free:
-                pool.reused += 1
-                pending = pool.free.pop()
-                pending.transaction_id = transaction.tid
-                pending.invocation = handle.invocation
-                pending.payload = handle
-                # op_id/param were reset by retire(); enqueue_blocked re-stamps.
-            else:
-                pool.created += 1
-                pending = PendingRequest(
-                    transaction_id=transaction.tid,
-                    invocation=handle.invocation,
-                    payload=handle,
-                )
-        else:
-            pending = PendingRequest(
-                transaction_id=transaction.tid, invocation=handle.invocation, payload=handle
-            )
-        manager.enqueue_blocked(pending)
+        manager.enqueue_blocked(PendingRequest(transaction.tid, handle.invocation, handle))
         self._blocked_objects[manager.name] = manager
         transaction.blocked_at.add(manager.name)
         for on_blocked in self._on_blocked:
@@ -595,9 +536,6 @@ class Scheduler:
                     del queue[index]
                     if transaction is not None:
                         transaction.blocked_at.discard(manager.name)
-                    if self.pool_requests:
-                        pending.retire()
-                        self.pending_pool.release(pending)
                     progressed = True
                     break
                 conflicting, recoverable = self._decide(
@@ -615,16 +553,6 @@ class Scheduler:
                 del queue[index]
                 transaction.blocked_at.discard(manager.name)
                 handle = pending.payload
-                if not isinstance(handle, RequestHandle):
-                    handle = RequestHandle(
-                        transaction_id=pending.transaction_id,
-                        object_name=manager.name,
-                        invocation=pending.invocation,
-                        status=_REQUEST_BLOCKED,
-                    )
-                if self.pool_requests:
-                    pending.retire()
-                    self.pending_pool.release(pending)
                 # The wait-for edges described the old conflict set and must
                 # not linger (they would cause spurious deadlock aborts later).
                 self.graph.remove_edges_from(transaction.tid, _WAIT_FOR)
@@ -646,7 +574,7 @@ class Scheduler:
         tid/sequence counters — each goes back to its just-constructed value.
         Durable or structural, and kept: the managers with their *committed*
         states and compiled policy tables, the backend, the listener
-        subscriptions, the request freelists.
+        subscriptions.
         """
         self.graph = DependencyGraph()
         for manager in self.objects.values():
@@ -753,13 +681,8 @@ class Scheduler:
                 if not manager.blocked:
                     self._blocked_objects.pop(object_name, None)
             for pending in removed_pending:
-                pending_handle = pending.payload
-                if isinstance(pending_handle, RequestHandle):
-                    pending_handle.status = RequestStatus.ABORTED
-                    pending_handle.abort_reason = reason
-                if self.pool_requests:
-                    pending.retire()
-                    self.pending_pool.release(pending)
+                pending.payload.status = RequestStatus.ABORTED
+                pending.payload.abort_reason = reason
         transaction.blocked_at.clear()
         for object_name in transaction.objects_visited:
             self.objects[object_name].remove_transaction(transaction.tid, commit=False)
@@ -801,27 +724,6 @@ class Scheduler:
         if retry_objects is None:
             retry_objects = transaction.objects_visited
         self.backend.on_terminate(transaction, retry_objects)
-
-        # Retire the terminated transaction's handles to the freelist.  Every
-        # listener already fired (they run before this bookkeeping), so a
-        # caller that kept one of these handles past its transaction's end is
-        # holding a genuinely stale reference — exactly what the generation
-        # counter turns into a loud StaleHandleError.  Cascaded commits are
-        # safe: each recursion level retires only its own transaction's
-        # handles.
-        handles = transaction.handles
-        if handles:
-            # Retirement invalidates every observable field of a handle.
-            recycled = RequestStatus.RECYCLED
-            for handle in handles:
-                handle.generation += 1
-                handle.status = recycled
-                handle.value = None
-                handle.abort_reason = None
-            pool = self.handle_pool
-            pool.free.extend(handles)
-            pool.released += len(handles)
-            handles.clear()
 
         if not self.retain_terminated:
             self.transactions.pop(transaction.tid, None)

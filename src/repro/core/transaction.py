@@ -73,10 +73,6 @@ class Transaction:
     cycle_checks: int = 0
     #: Arbitrary per-transaction annotation (used by the simulator).
     label: Optional[str] = None
-    #: Request handles issued to this transaction, tracked only when the
-    #: scheduler runs with request pooling on: they are retired to the
-    #: handle freelist when the transaction reaches a terminal state.
-    handles: Optional[List[object]] = None
 
     # ------------------------------------------------------------------
     # Status transitions (the scheduler drives these)

@@ -316,7 +316,6 @@ class TransactionRouter:
         quorum_write: Optional[int] = None,
         commit_protocol: Union[str, CommitProtocol] = "one-phase",
         prepare_timeout: Optional[float] = None,
-        pool_requests: bool = False,
     ):
         if isinstance(replication, PlacementPolicy):
             self.placement = replication
@@ -358,7 +357,6 @@ class TransactionRouter:
                 record_history=record_history,
                 retain_terminated=False,
                 backend_factory=backend_factory,
-                pool_requests=pool_requests,
             )
             for site_id in range(site_count)
         ]

@@ -22,8 +22,8 @@ this site durably commits.
 
 Recovery is *in place*: the same scheduler and object managers come back,
 keeping what is durable or structural (committed states, compiled policy
-tables, listeners, freelists), so a crash costs what it destroyed rather than
-a rebuild of the database.
+tables, listeners), so a crash costs what it destroyed rather than a rebuild
+of the database.
 
 Statistics survive crashes: :attr:`Site.stats` is the sum of the live
 scheduler's counters and the counters folded in at every crash, so
@@ -87,7 +87,6 @@ class Site:
         record_history: bool = False,
         retain_terminated: bool = False,
         backend_factory: Optional[Callable[[], ConcurrencyControlBackend]] = None,
-        pool_requests: bool = False,
     ):
         self.site_id = site_id
         self.policy = policy
@@ -116,7 +115,6 @@ class Site:
             record_history=record_history,
             retain_terminated=retain_terminated,
             backend=None if backend_factory is None else backend_factory(),
-            pool_requests=pool_requests,
         )
         self._parked: Optional[Scheduler] = None
 

@@ -11,8 +11,7 @@ pluggable protocol seams and hot-loop budget depend on:
 * **REP006** every incremented counter surfaced in a summary;
 * **REP007** classes instantiated on per-event paths declare ``__slots__``;
 * **REP008** no tuple-keyed dict lookups on per-event paths;
-* **REP009** no lambda/closure allocation inside per-event functions;
-* **REP010** pool-managed request boxes constructed only by their pools.
+* **REP009** no lambda/closure allocation inside per-event functions.
 
 Suppress a finding with an inline ``# repro-lint: disable=REPxxx`` pragma on
 the offending line.  See README "Static analysis & determinism guarantees".

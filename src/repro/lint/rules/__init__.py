@@ -9,7 +9,6 @@ from .rep006 import Rep006CounterSurfacing
 from .rep007 import Rep007SlotlessHotClass
 from .rep008 import Rep008TupleKeyLookup
 from .rep009 import Rep009ClosureAllocation
-from .rep010 import Rep010PooledConstruction
 
 #: Every registered rule, in id order; the runner instantiates these.
 ALL_RULES = (
@@ -22,7 +21,6 @@ ALL_RULES = (
     Rep007SlotlessHotClass,
     Rep008TupleKeyLookup,
     Rep009ClosureAllocation,
-    Rep010PooledConstruction,
 )
 
 __all__ = [
@@ -36,5 +34,4 @@ __all__ = [
     "Rep007SlotlessHotClass",
     "Rep008TupleKeyLookup",
     "Rep009ClosureAllocation",
-    "Rep010PooledConstruction",
 ]

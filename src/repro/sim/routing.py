@@ -109,7 +109,6 @@ def create_coordinator(
     params: SimulationParameters,
     engine: EventEngine,
     backend: Optional[ConcurrencyControlBackend] = None,
-    pool_requests: bool = True,
 ) -> Any:
     """Build the coordinator ``params`` calls for (see the module docstring).
 
@@ -125,7 +124,6 @@ def create_coordinator(
                 record_history=False,
                 retain_terminated=False,
                 backend=backend,
-                pool_requests=pool_requests,
             )
         )
     if backend is not None:
@@ -151,7 +149,6 @@ def create_coordinator(
         quorum_write=params.quorum_write,
         commit_protocol=params.commit_protocol,
         prepare_timeout=params.prepare_timeout,
-        pool_requests=pool_requests,
     )
     # The commit protocol may need to schedule future work (the two-phase
     # prepare timeout); hand it the engine's clock, plus the kind registry

@@ -128,7 +128,6 @@ class Simulation(SchedulerListener):
         workload_kind: str = "readwrite",
         workload: Optional[Workload] = None,
         backend: Optional["ConcurrencyControlBackend"] = None,
-        pool_requests: bool = True,
     ):
         self.params = params
         self.engine = EventEngine()
@@ -148,9 +147,7 @@ class Simulation(SchedulerListener):
         self.resource_rng = root_rng.spawn("resources")
         self.workload = workload or make_workload(params, self.workload_rng, workload_kind)
         # The scheduler itself for the centralized system, a router otherwise.
-        self.router = create_coordinator(
-            params, self.engine, backend=backend, pool_requests=pool_requests
-        )
+        self.router = create_coordinator(params, self.engine, backend=backend)
         self.router.add_listener(self)
         self.workload.register_objects(self.router)
         # The hardware: one shared pool (the paper's model) or one domain
@@ -559,12 +556,8 @@ def run_simulation(
     workload_kind: str = "readwrite",
     max_events: Optional[int] = None,
     backend: Optional[ConcurrencyControlBackend] = None,
-    pool_requests: bool = True,
 ) -> RunMetrics:
     """Convenience wrapper: build a :class:`Simulation` and run it."""
-    return Simulation(
-        params,
-        workload_kind=workload_kind,
-        backend=backend,
-        pool_requests=pool_requests,
-    ).run(max_events=max_events)
+    return Simulation(params, workload_kind=workload_kind, backend=backend).run(
+        max_events=max_events
+    )

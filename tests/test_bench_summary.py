@@ -83,6 +83,6 @@ def test_lint_summary_rides_along(bench_summary):
     assert lint["total"] == 0
     assert set(lint["rule_counts"]) == {
         "REP001", "REP002", "REP003", "REP004", "REP005", "REP006", "REP007",
-        "REP008", "REP009", "REP010",
+        "REP008", "REP009",
     }
     assert all(count == 0 for count in lint["rule_counts"].values())

@@ -19,9 +19,8 @@ from test_sites_equivalence import PINNED
 
 from repro.cli import main
 from repro.core.backends import SemanticBackend
-from repro.core.errors import SimulationError, StaleHandleError
+from repro.core.errors import SimulationError
 from repro.core.policy import ConflictPolicy
-from repro.core.requests import RequestStatus
 from repro.core.scheduler import SchedulerListener
 from repro.distributed.router import TransactionRouter
 from repro.sim import routing
@@ -178,18 +177,18 @@ def test_the_commit_fan_out_delay_is_the_chargers_call():
 
 
 # ----------------------------------------------------------------------
-# The simulator holds the scheduler's pooled handles itself
+# A handle outlives its transaction with its final status
 # ----------------------------------------------------------------------
 class _HandleStasher(SchedulerListener):
-    """Keeps every granted handle past its owner's termination (a bug)."""
+    """Keeps every granted handle past its owner's termination."""
 
     def __init__(self):
         self.granted = []
         self.terminated = set()
 
     def on_granted(self, transaction_id, handle, event):
-        assert handle.executed  # live while its owner is
-        self.granted.append((transaction_id, handle, handle.generation))
+        assert handle.executed
+        self.granted.append((transaction_id, handle))
 
     def on_committed(self, transaction_id):
         self.terminated.add(transaction_id)
@@ -198,39 +197,24 @@ class _HandleStasher(SchedulerListener):
         self.terminated.add(transaction_id)
 
 
-def test_a_stashed_granted_handle_goes_stale_with_its_owner():
+def test_a_stashed_granted_handle_keeps_its_final_status():
     params = SimulationParameters(
         mpl_level=12, total_completions=120, database_size=40, seed=9
     )
     simulation = Simulation(params, "readwrite")
+    assert type(simulation.router) is CentralCoordinator
     stasher = _HandleStasher()
     simulation.router.add_listener(stasher)
     simulation.run()
-    stale = 0
-    for transaction_id, handle, generation in stasher.granted:
-        if transaction_id not in stasher.terminated:
-            continue
-        assert handle.generation > generation
-        if handle.status is RequestStatus.RECYCLED:
-            with pytest.raises(StaleHandleError):
-                handle.executed
-            stale += 1
-        else:  # already re-acquired by a later transaction's submit
-            assert handle.transaction_id != transaction_id
-    assert stale > 0
-
-
-def test_pooled_and_unpooled_one_site_runs_are_digest_identical():
-    params = SimulationParameters(
-        mpl_level=12, total_completions=120, database_size=40, seed=9
-    )
-    for workload in ("readwrite", "adt"):
-        pooled = Simulation(params, workload, pool_requests=True)
-        unpooled = Simulation(params, workload, pool_requests=False)
-        assert type(pooled.router) is type(unpooled.router) is CentralCoordinator
-        assert digest(pooled.run()) == digest(unpooled.run())
-        assert pooled.router.scheduler.handle_pool.reused > 0
-        assert unpooled.router.scheduler.handle_pool.released == 0
+    kept = [
+        (transaction_id, handle)
+        for transaction_id, handle in stasher.granted
+        if transaction_id in stasher.terminated
+    ]
+    assert kept
+    for transaction_id, handle in kept:
+        assert handle.executed
+        assert handle.transaction_id == transaction_id
 
 
 def test_a_backend_instance_reaches_the_scheduler_unwrapped():

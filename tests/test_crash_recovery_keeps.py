@@ -4,7 +4,7 @@
 its volatile state: transactions, dependency graph, blocked queues,
 uncommitted logs and their indexes, the lock table, statistics and the
 tid/sequence counters go; the scheduler and manager objects themselves, the
-committed states, compiled policy tables, listeners and freelists stay.
+committed states, compiled policy tables and listeners stay.
 The stream-level equivalence with the old rebuild lives in
 ``test_crash_recovery_oracle.py``; these tests pin the object-level contract,
 plus the small bookkeeping rules that rode along (liveness as data, quorum
@@ -28,11 +28,10 @@ from repro.sim.simulator import Simulation
 POLICIES = [ConflictPolicy.RECOVERABILITY, ConflictPolicy.TWO_PHASE_LOCKING]
 
 
-def make_router(policy=ConflictPolicy.RECOVERABILITY, pool_requests=False):
+def make_router(policy=ConflictPolicy.RECOVERABILITY):
     router = TransactionRouter(
         site_count=3, replication="copies", policy=policy, retain_terminated=True,
         replication_protocol="quorum", quorum_read=2, quorum_write=2,
-        pool_requests=pool_requests,
     )
     page = PageType()
     for name in ("x", "y"):
@@ -69,7 +68,6 @@ class TestWhatACrashDiscards:
         scheduler = site.scheduler
         managers = dict(scheduler.objects)
         backend = scheduler.backend
-        pools = (scheduler.handle_pool, scheduler.pending_pool)
         assert scheduler.graph.mutations > 0 and scheduler._next_tid > 0
         if policy is ConflictPolicy.TWO_PHASE_LOCKING:
             assert backend.holders("x")
@@ -84,7 +82,6 @@ class TestWhatACrashDiscards:
         assert scheduler.objects == managers
         assert all(scheduler.objects[name] is managers[name] for name in managers)
         assert scheduler.backend is backend
-        assert (scheduler.handle_pool, scheduler.pending_pool) == pools
         assert scheduler.graph.mutations == 0
         assert not scheduler.graph.edge_sources()
         assert scheduler.transactions == {} and scheduler._blocked_objects == {}

@@ -61,10 +61,10 @@ DOUBLE_CRASH = (
 class RebuildingSite(Site):
     def __init__(self, site_id, policy=ConflictPolicy.RECOVERABILITY, fair=True,
                  record_history=False, retain_terminated=False,
-                 backend_factory=None, pool_requests=False):
+                 backend_factory=None):
         self._scheduler_arguments = dict(
             policy=policy, fair=fair, record_history=record_history,
-            retain_terminated=retain_terminated, pool_requests=pool_requests,
+            retain_terminated=retain_terminated,
         )
         self._backend_factory = backend_factory
         self._remembered = {}
@@ -72,7 +72,6 @@ class RebuildingSite(Site):
         super().__init__(
             site_id, policy=policy, fair=fair, record_history=record_history,
             retain_terminated=retain_terminated, backend_factory=backend_factory,
-            pool_requests=pool_requests,
         )
 
     def register_object(self, name, spec, compatibility=None, initial_state=None,

@@ -539,64 +539,6 @@ class TestRep009:
 
 
 # ---------------------------------------------------------------------------
-# REP010 — pool-managed request boxes are constructed only by their pools
-# ---------------------------------------------------------------------------
-class TestRep010:
-    def test_catches_direct_handle_construction_in_sim(self):
-        bad = (
-            "def issue(tid, name, invocation):\n"
-            "    return RequestHandle(tid, name, invocation)\n"
-        )
-        assert "REP010" in rules_in({"src/repro/sim/x.py": bad})
-
-    def test_catches_direct_pending_construction_in_distributed(self):
-        bad = (
-            "def enqueue(request):\n"
-            "    return PendingRequest(request)\n"
-        )
-        assert "REP010" in rules_in({"src/repro/distributed/x.py": bad})
-
-    def test_catches_attribute_form_construction(self):
-        bad = (
-            "from repro.core import requests\n"
-            "def issue(tid, name, invocation):\n"
-            "    return requests.RequestHandle(tid, name, invocation)\n"
-        )
-        assert "REP010" in rules_in({"src/repro/sim/x.py": bad})
-
-    def test_allows_construction_in_core(self):
-        # repro.core owns the pools and their factories; construction there
-        # is the legitimate freelist-miss path.
-        good = (
-            "def make(tid, name, invocation):\n"
-            "    return RequestHandle(tid, name, invocation)\n"
-        )
-        assert "REP010" not in rules_in({"src/repro/core/x.py": good})
-
-    def test_allows_annotations_and_unrelated_names(self):
-        good = (
-            "def track(handle: 'RequestHandle') -> 'RequestHandle':\n"
-            "    box = Request(handle)\n"
-            "    return handle\n"
-        )
-        assert "REP010" not in rules_in({"src/repro/sim/x.py": good})
-
-    def test_outside_checked_packages_not_checked(self):
-        code = (
-            "def make(tid):\n"
-            "    return RequestHandle(tid, 'x', None)\n"
-        )
-        assert "REP010" not in rules_in({"src/repro/analysis/x.py": code})
-
-    def test_pragma_suppresses(self):
-        code = (
-            "def make(tid):\n"
-            "    return RequestHandle(tid, 'x', None)  # repro-lint: disable=REP010\n"
-        )
-        assert "REP010" not in rules_in({"src/repro/sim/x.py": code})
-
-
-# ---------------------------------------------------------------------------
 # Pragmas
 # ---------------------------------------------------------------------------
 class TestPragma:
@@ -634,7 +576,7 @@ class TestRepoTree:
         assert payload["violations"] == []
         assert set(payload["counts"]) == {
             "REP001", "REP002", "REP003", "REP004", "REP005", "REP006", "REP007",
-            "REP008", "REP009", "REP010",
+            "REP008", "REP009",
         }
         assert payload["checked_files"] > 20
 

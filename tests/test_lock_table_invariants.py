@@ -19,8 +19,8 @@ API only:
 * **no deadlock survives** — the dependency graph is acyclic.
 
 Next to them: crc32 pins of small ``rw-2pl``- and ``rw-hot``-shaped runs
-recorded on the commit before the lock table changed representation (equal
-with and without request pooling), and the listener contract of a queue grant.
+recorded on the commit before the lock table changed representation, and
+the listener contract of a queue grant.
 """
 
 import zlib
@@ -232,9 +232,8 @@ class TestPinnedStreams:
             policy=policy, seed=seed, database_size=40, mpl_level=16,
             total_completions=250, warmup_completions=50,
         )
-        for pooled in (True, False):
-            metrics = run_simulation(params, workload_kind="readwrite", pool_requests=pooled)
-            assert digest(metrics) == PINS[policy, seed], pooled
+        metrics = run_simulation(params, workload_kind="readwrite")
+        assert digest(metrics) == PINS[policy, seed]
 
 
 # ----------------------------------------------------------------------
