@@ -12,7 +12,6 @@ The subpackage is organised bottom-up:
 * :mod:`~repro.core.object_manager`, :mod:`~repro.core.transaction`,
   :mod:`~repro.core.policy`, :mod:`~repro.core.scheduler` — the run-time
   protocol of Section 4;
-* :mod:`~repro.core.recovery` — intentions lists and undo logs;
 * :mod:`~repro.core.serializability` — offline soundness / serializability
   checkers used by the tests.
 """
@@ -35,7 +34,6 @@ from .derivation import (
     invocations_commute,
 )
 from .errors import (
-    RecoveryError,
     ReproError,
     SimulationError,
     SpecificationError,
@@ -47,7 +45,6 @@ from .errors import (
 from .history import ExecutionLog, LogRecord, RecordKind
 from .object_manager import ObjectManager, PendingRequest
 from .policy import ConflictPolicy, effective_class
-from .recovery import IntentionsList, UndoLog
 from .scheduler import (
     AbortReason,
     RequestHandle,
@@ -101,7 +98,6 @@ __all__ = [
     "UnknownObjectError",
     "TransactionStateError",
     "TransactionAborted",
-    "RecoveryError",
     "SimulationError",
     "ExecutionLog",
     "LogRecord",
@@ -110,8 +106,6 @@ __all__ = [
     "PendingRequest",
     "ConflictPolicy",
     "effective_class",
-    "IntentionsList",
-    "UndoLog",
     "AbortReason",
     "RequestHandle",
     "RequestStatus",

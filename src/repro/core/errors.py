@@ -56,10 +56,6 @@ class TransactionAborted(ReproError):
         self.reason = reason
 
 
-class RecoveryError(ReproError):
-    """Recovery bookkeeping failed (e.g. undo requested for an unknown event)."""
-
-
 class SimulationError(ReproError):
     """The discrete-event simulation reached an inconsistent internal state."""
 

@@ -11,6 +11,8 @@ separately from the log of uncommitted operations, and the visible state is
 the committed state with all uncommitted operations replayed over it.  Undoing
 a transaction is then literally "its operations are deleted from the log",
 which is correct for any sound log and needs no type-specific undo code.
+This is the *intentions-list* view of recovery (Section 4.4): commit folds
+the log into the committed state, abort deletes from it.
 Replay happens only when the log is shared: the manager keeps
 ``current_state == replay(committed_state, uncommitted)``, so a transaction
 that owns the whole log commits by promoting the visible state and aborts by

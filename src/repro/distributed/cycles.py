@@ -289,8 +289,10 @@ class UnionCycleDetector:
         return None
 
     def stall_report(self) -> str:
-        """Per site: up or down, graph size, blocked queues (object -> gtids),
-        pseudo-committed branches and the gtids they wait for; the union verdict."""
+        """Per site: up or down, graph size, unreadable copies, blocked queues
+        (object -> gtids), pseudo-committed branches and the gtids they wait
+        for; then the active transactions no branch blocks, and the union
+        verdict."""
         lines = []
         for site in self.router.sites:
             if not site.status.is_up:
@@ -299,12 +301,21 @@ class UnionCycleDetector:
             scheduler, gtid = site.scheduler, self.router._local_map[site.site_id].get
             graph = scheduler.graph
             lines.append(f"site {site.site_id}: up, {len(graph)} nodes, {graph.edge_count()} edges")
+            if site.unreadable:
+                lines.append(f"  unreadable {sorted(site.unreadable)}")
             for obj, manager in sorted(scheduler._blocked_objects.items()):
                 lines.append(f"  {obj} blocks {[gtid(p.transaction_id) for p in manager.blocked]}")
             for tid, local in sorted(scheduler.transactions.items()):
                 if local.status is TransactionStatus.PSEUDO_COMMITTED:
                     waits = [gtid(target) for target in sorted(graph.successors(tid))]
                     lines.append(f"  pseudo-committed {gtid(tid)} waits for {waits}")
+        unblocked = [
+            transaction.gtid
+            for _, transaction in sorted(self.router.transactions.items())
+            if transaction.status is TransactionStatus.ACTIVE
+            and (transaction.current_request is None or not transaction.current_request.blocked)
+        ]
+        lines.append(f"live, unblocked: {unblocked}")
         cycle = self.graph.find_cycle()
         lines.append(f"union graph: {'acyclic' if cycle is None else f'cycle {cycle}'}")
         return "\n".join(lines)

@@ -409,12 +409,16 @@ class TestStallReport:
             assert router.perform(transaction.gtid, z, "read").executed
             assert router.perform(transaction.gtid, w, "read").executed
         router.fail_site(2)
+        # What a recovered site's replicated copies would show until written.
+        router.sites[1].unreadable.update((y, w))
         assert router.stall_report().splitlines() == [
             "site 0: up, 4 nodes, 1 edges",
             f"  {x} blocks [{t2.gtid}]",
             "site 1: up, 4 nodes, 1 edges",
+            f"  unreadable {sorted((y, w))}",
             f"  pseudo-committed {t4.gtid} waits for [{t3.gtid}]",
             "site 2: down",
+            f"live, unblocked: {[t1.gtid, t3.gtid, t5.gtid, t6.gtid]}",
             "union graph: acyclic",
         ]
         # Grant-time edges close t5 -> t6 -> t5 across sites 0 and 1.
