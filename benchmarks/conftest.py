@@ -83,9 +83,7 @@ def result_filename(name: str) -> str:
     This is the one place result filenames are formed.  Registry experiments
     save under their registry id verbatim (``figure-4.txt``,
     ``ablation-pseudo-commit-slot.txt``); the tables benchmark saves one
-    report per data type as ``tables_<type>.txt``, which
-    ``tools/bench_summary.py`` maps back to the registry's single ``tables``
-    entry when it checks the directory for orphans.
+    report per data type as ``tables_<type>.txt``.
     """
     return f"{name}.txt"
 

@@ -17,13 +17,6 @@ from .figures import (
     all_figure_ids,
     figure_spec,
 )
-from .profiling import (
-    ProfileComparison,
-    ProfileReport,
-    compare_profiles,
-    load_profile,
-    profile_simulation,
-)
 from .registry import EXPERIMENT_REGISTRY, ExperimentRegistry, RegisteredExperiment
 from .reporting import render_result, render_series, render_summary
 from .tables import (
@@ -44,13 +37,8 @@ __all__ = [
     "ExperimentRegistry",
     "ExperimentResult",
     "ExperimentSpec",
-    "ProfileComparison",
-    "ProfileReport",
     "RegisteredExperiment",
     "Variant",
-    "compare_profiles",
-    "load_profile",
-    "profile_simulation",
     "run_experiment",
     "BENCH_SCALE",
     "PAPER_SCALE",

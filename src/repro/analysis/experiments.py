@@ -57,7 +57,7 @@ class AveragedMetrics:
     completions: float
     pseudo_commit_fraction: float
     #: Simulated seconds summed over the point's runs — deterministic, like
-    #: the counters; ``tools/bench_summary.py`` records it per point.
+    #: the counters.
     simulated_time: float = 0.0
     #: Raw deterministic counters summed over the point's runs (the
     #: :meth:`~repro.sim.metrics.RunMetrics.counters` set, including the

@@ -4,7 +4,7 @@ The figure builders (:mod:`repro.analysis.figures`), the ablation builders
 (:mod:`repro.analysis.ablations`) and the table regeneration all used to be
 reachable only through their own module-level entry points; the registry
 gives them one declarative index — id → builder — that the ``repro figures``
-subcommand, the benchmark harness and ``tools/bench_summary.py`` all drive.
+subcommand and the benchmark harness both drive.
 Iteration order is registration order (paper order), which is what makes
 "reassembled in deterministic registry order" a meaningful guarantee for the
 parallel runner.

@@ -13,14 +13,6 @@ The CLI exposes the experiment harness without writing any Python:
 ``python -m repro figures [--list] [--only ID ...] [--workers N] [--out DIR]``
     drive the experiment registry (figures, ablations, tables) through the
     parallel runner; every worker count produces byte-identical results;
-``python -m repro profile [--mpl 50 --completions 400 --top 25]``
-    cProfile one simulation point and print the deterministic top-N call
-    counts (the hot-loop perf trajectory, diffable PR-over-PR); ``--save
-    baseline.json`` keeps the counts for later;
-``python -m repro profile --compare baseline.json current.json``
-    diff two saved profiles — per-function call-count deltas plus the
-    calls/event change — exiting non-zero when the regression exceeds
-    ``--regress-pct`` (the CI perf gate);
 ``python -m repro simulate [--mpl 50 --policy recoverability ...]``
     run a single simulation point and print its metrics; ``--policy 2pl``
     selects the strict two-phase-locking baseline backend;
@@ -61,13 +53,10 @@ from .analysis import (
     PAPER_SCALE,
     SMOKE_SCALE,
     all_figure_ids,
-    compare_profiles,
     compare_tables,
     figure_spec,
-    load_profile,
     paper_table_reports,
     parameter_table,
-    profile_simulation,
     render_result,
     run_experiment,
 )
@@ -123,37 +112,6 @@ def _build_parser() -> argparse.ArgumentParser:
     figures.add_argument("--scale", choices=sorted(_SCALES), default="smoke")
     figures.add_argument("--out", type=pathlib.Path, default=None,
                          help="directory to save one report per experiment into")
-
-    profile = subparsers.add_parser(
-        "profile",
-        help="cProfile one simulation point (deterministic call counts)",
-    )
-    profile.add_argument("--workload", choices=["readwrite", "adt"], default="readwrite")
-    profile.add_argument("--policy", choices=sorted(_POLICIES), default="recoverability")
-    profile.add_argument("--mpl", type=int, default=50)
-    profile.add_argument("--completions", type=int, default=400)
-    profile.add_argument("--database-size", type=int, default=200)
-    profile.add_argument("--seed", type=int, default=1)
-    profile.add_argument("--top", type=int, default=25,
-                         help="functions to show, most-called first")
-    profile.add_argument("--raw", action="store_true",
-                         help="append the raw pstats table (wall-clock "
-                              "times; not deterministic)")
-    profile.add_argument("--save", type=pathlib.Path, default=None,
-                         metavar="PATH",
-                         help="also write the deterministic profile as JSON "
-                              "(the input format of --compare)")
-    profile.add_argument("--compare", nargs=2, type=pathlib.Path, default=None,
-                         metavar=("A.json", "B.json"),
-                         help="diff two profiles saved with --save instead of "
-                              "running a simulation; exits non-zero when B's "
-                              "calls/event exceeds A's by more than "
-                              "--regress-pct")
-    profile.add_argument("--regress-pct", type=float, default=3.0,
-                         metavar="PCT",
-                         help="calls/event regression tolerated by --compare "
-                              "before the exit code turns non-zero "
-                              "(default: 3.0)")
 
     lint = subparsers.add_parser(
         "lint", help="run the repo's determinism/conformance static analyzer"
@@ -349,46 +307,6 @@ def _command_figures(arguments, out, error) -> int:
     return 0
 
 
-def _command_profile(arguments, out, error) -> int:
-    """Profile one simulation point; call counts are deterministic."""
-    if arguments.top < 1:
-        error(f"--top must be >= 1, got {arguments.top}")
-    if arguments.compare is not None:
-        path_a, path_b = arguments.compare
-        try:
-            comparison = compare_profiles(
-                load_profile(path_a),
-                load_profile(path_b),
-                label_a=str(path_a),
-                label_b=str(path_b),
-            )
-        except (OSError, ValueError, KeyError) as exc:
-            error(f"--compare could not load profiles: {exc}")
-        out.write(comparison.render(top=arguments.top) + "\n")
-        if comparison.regressed(arguments.regress_pct):
-            out.write(
-                f"REGRESSION: calls/event {comparison.delta_pct:+.2f}% exceeds "
-                f"the --regress-pct {arguments.regress_pct:g}% tolerance\n"
-            )
-            return 1
-        return 0
-    try:
-        params = SimulationParameters(
-            database_size=arguments.database_size,
-            mpl_level=arguments.mpl,
-            total_completions=arguments.completions,
-            policy=_POLICIES[arguments.policy],
-            seed=arguments.seed,
-        )
-    except SimulationError as exc:
-        error(str(exc))
-    report = profile_simulation(params, workload_kind=arguments.workload)
-    out.write(report.render(top=arguments.top, raw=arguments.raw) + "\n")
-    if arguments.save is not None:
-        report.save(arguments.save)
-    return 0
-
-
 def _parse_site_units(text: Optional[str], site_count: int, error):
     """Parse ``--site-units 2,1,1,4`` into a per-site tuple (or ``None``).
 
@@ -409,7 +327,7 @@ def _parse_site_units(text: Optional[str], site_count: int, error):
     return units
 
 
-def _command_lint(paths, as_json: bool, out) -> int:
+def _command_lint(paths, as_json: bool, out, error) -> int:
     """Run the REP static analyzer; exit 1 when violations remain."""
     from .lint import lint_paths, render_json, render_text
     from .lint.runner import collect_files
@@ -417,6 +335,10 @@ def _command_lint(paths, as_json: bool, out) -> int:
     if not paths:
         # Default target: the installed repro package tree itself.
         paths = [str(pathlib.Path(__file__).resolve().parent)]
+    missing = [path for path in paths if not pathlib.Path(path).exists()]
+    if missing:
+        # A mistyped path would otherwise lint nothing and report clean.
+        error(f"no such file or directory: {', '.join(missing)}")
     violations = lint_paths(paths)
     if as_json:
         out.write(render_json(violations, checked_files=len(collect_files(paths))))
@@ -531,10 +453,8 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
         return _command_figure(arguments.figure_id, arguments.scale, arguments.output, out)
     if arguments.command == "figures":
         return _command_figures(arguments, out, parser.error)
-    if arguments.command == "profile":
-        return _command_profile(arguments, out, parser.error)
     if arguments.command == "lint":
-        return _command_lint(arguments.paths, arguments.as_json, out)
+        return _command_lint(arguments.paths, arguments.as_json, out, parser.error)
     if arguments.command == "simulate":
         return _command_simulate(arguments, out, parser.error)
     return 2  # pragma: no cover - argparse enforces the choices above

@@ -4,12 +4,12 @@ Two clauses:
 
 1. every ``int`` field declared on :class:`RunMetrics` must be read inside
    its ``counters()`` method — that dict is the single source of truth for
-   the CLI ``--json`` counter block and ``tools/bench_summary.py``;
+   the CLI ``--json`` counter block and the benchmark's counter digest;
 2. every field of a ``*Statistics`` counter class that is incremented
    (``stats.x += ...``) anywhere must be read by attribute name somewhere in
    the analyzed tree (a summary dict, ``as_dict()``, the CLI payload, ...).
    A counter that is bumped but never surfaced is measurement work thrown
-   away — and invisible drift once BENCH_summary is compared across PRs.
+   away — and invisible drift when runs are compared across commits.
 """
 
 from __future__ import annotations

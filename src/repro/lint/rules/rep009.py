@@ -5,10 +5,9 @@ function body allocates a fresh function object — plus a cell per captured
 variable — on *each* execution.  On the simulator's per-event paths
 (callbacks scheduled per operation, per commit, per terminal think) those
 allocations add interpreter calls and garbage for work a bound method or a
-``functools.partial`` of one does with none: a partial of a bound method
-also profiles as only the inner call, keeping the calls/event metric
-honest.  The fused-grant-path pass converted the hot callbacks to partials;
-this rule keeps the pattern from creeping back.
+``functools.partial`` of one does with none.  The fused-grant-path pass
+converted the hot callbacks to partials; this rule keeps the pattern from
+creeping back.
 
 Checked: ``lambda`` expressions and nested function definitions inside
 function bodies of ``repro.sim`` and ``repro.distributed``.  Not checked:

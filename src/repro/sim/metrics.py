@@ -109,8 +109,8 @@ class RunMetrics:
 
         Everything here derives only from ``(parameters, seed)`` — no
         wall-clock, no host dependence.  This is the single source of truth
-        for the CLI's ``--json`` counter block and for
-        ``tools/bench_summary.py``; add new counters here, not there.
+        for the CLI's ``--json`` counter block; add new counters here, not
+        there.
         """
         counters = {
             "completions": self.completions,

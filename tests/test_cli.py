@@ -95,38 +95,6 @@ class TestFiguresCommand:
         assert "--workers" in capsys.readouterr().err
 
 
-class TestProfileCommand:
-    def test_reports_deterministic_call_counts(self):
-        argv = (
-            "profile",
-            "--mpl", "6",
-            "--completions", "40",
-            "--database-size", "40",
-            "--top", "10",
-        )
-        code, text = run_cli(*argv)
-        assert code == 0
-        assert "calls/event" in text
-        assert "events_processed" in text
-        # Call counts derive only from (parameters, seed): byte-identical.
-        _, again = run_cli(*argv)
-        assert again == text
-
-    def test_raw_flag_appends_pstats(self):
-        code, text = run_cli(
-            "profile", "--mpl", "4", "--completions", "20",
-            "--database-size", "40", "--raw",
-        )
-        assert code == 0
-        assert "cumulative" in text
-
-    def test_bad_top_is_a_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            run_cli("profile", "--top", "0")
-        assert excinfo.value.code == 2
-        assert "--top" in capsys.readouterr().err
-
-
 class TestSimulateCommand:
     def test_prints_all_metrics(self):
         code, text = run_cli(

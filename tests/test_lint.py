@@ -9,6 +9,7 @@ import io
 import json
 import pathlib
 
+import pytest
 
 from repro.cli import main
 from repro.lint import lint_paths, lint_sources, rule_counts
@@ -587,6 +588,15 @@ class TestRepoTree:
         out = io.StringIO()
         assert main(["lint", str(bad)], out=out) == 1
         assert "REP001" in out.getvalue()
+
+    def test_cli_lint_missing_path_is_a_usage_error(self, tmp_path, capsys):
+        missing = tmp_path / "no_such_dir"
+        out = io.StringIO()
+        with pytest.raises(SystemExit) as excinfo:
+            main(["lint", str(REPO_SRC), str(missing)], out=out)
+        assert excinfo.value.code == 2
+        assert str(missing) in capsys.readouterr().err
+        assert out.getvalue() == ""
 
     def test_rule_counts_accounts_every_violation(self):
         violations = lint_sources(

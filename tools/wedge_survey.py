@@ -35,11 +35,18 @@ Point = Tuple[str, str, int, int, SimulationParameters, str]
 
 
 def parse_seeds(text: str) -> List[int]:
-    """Seeds from ``"401-440"``, ``"1,7,411"`` or a mix of both."""
+    """Seeds from ``"401-440"``, ``"1,7,411"`` or a mix of both.
+
+    A reversed range such as ``"5-3"`` is rejected: it holds no seeds, and a
+    survey of no runs would report clean.
+    """
     seeds: List[int] = []
     for part in text.split(","):
         low, _, high = part.partition("-")
-        seeds.extend(range(int(low), int(high or low) + 1))
+        first, last = int(low), int(high or low)
+        if last < first:
+            raise argparse.ArgumentTypeError(f"empty seed range {part!r}")
+        seeds.extend(range(first, last + 1))
     return seeds
 
 
