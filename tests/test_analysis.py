@@ -1,7 +1,10 @@
 """Tests for the experiment harness, figure registry, tables, and reporting."""
 
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -314,3 +317,20 @@ class TestTables:
         assert "database_size" in text
         assert "1000" in text
         assert "write_probability" in text
+
+
+def test_import_loads_no_profiler_modules():
+    # The analysis package runs experiments; it must not pull in the
+    # profiler or the interpreter-build probes as a side effect of import.
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    probe = (
+        "import sys; before = set(sys.modules); import repro.analysis; "
+        "added = set(sys.modules) - before; "
+        "print(sorted({'cProfile', 'pstats', 'profile', 'sysconfig'} & added))"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env
+    )
+    assert result.stdout.strip() == "[]"

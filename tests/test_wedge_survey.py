@@ -24,3 +24,10 @@ def test_reversed_range_is_a_usage_error(capsys):
         wedge_survey.main(["--seeds", "5-3"])
     assert excinfo.value.code == 2
     assert "5-3" in capsys.readouterr().err
+
+
+def test_non_numeric_seed_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        wedge_survey.main(["--seeds", "4-x"])
+    assert excinfo.value.code == 2
+    assert "4-x" in capsys.readouterr().err
