@@ -1,7 +1,8 @@
-"""Ablation benchmarks for the design choices called out in DESIGN.md.
+"""Ablation benchmarks for design choices of the reproduction.
 
 These are not figures from the paper; they isolate individual design decisions
-of the reproduction:
+of the reproduction (the registry sweeps save their reports as
+``benchmarks/results/ablation-<name>.txt``):
 
 * **scheduler overhead** — raw operations/second of the scheduler itself (no
   simulation), commutativity vs recoverability, measuring the cost of the

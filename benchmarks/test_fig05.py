@@ -2,7 +2,8 @@
 
 Regenerates the figure's series at the selected reproduction scale and checks
 the qualitative shape the paper reports.  See ``benchmarks/conftest.py`` for
-the scale knob and ``EXPERIMENTS.md`` for paper-vs-measured notes.
+the scale knob, ``benchmarks/results/figure-5.txt`` for the measured report
+and the registry entry's ``paper_claim`` for what the paper reports.
 """
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Any, Sequence, Tuple
 
 from ..core.compatibility import Answer, CompatibilitySpec, RelationTable
-from ..core.specification import Invocation, OperationResult, OperationSpec
+from ..core.specification import Invocation, OperationResult, OperationSpec, _tuple_new
 from .base import AtomicType
 
 __all__ = ["PageType", "PAGE_OPERATIONS"]
@@ -26,12 +26,12 @@ _INITIAL_VALUE = 0
 
 
 def _read(state: Any, args: Tuple[Any, ...]) -> OperationResult:
-    return OperationResult(state, state)
+    return _tuple_new(OperationResult, (state, state))
 
 
 def _write(state: Any, args: Tuple[Any, ...]) -> OperationResult:
     (value,) = args
-    return OperationResult(value, "ok")
+    return _tuple_new(OperationResult, (value, "ok"))
 
 
 class PageType(AtomicType):

@@ -1,4 +1,4 @@
-"""Ablation experiments for the design choices called out in DESIGN.md.
+"""Ablation experiments for design choices of the reproduction.
 
 These are not figures of the paper; each isolates one design decision of the
 reproduction as a regular :class:`~repro.analysis.experiments.ExperimentSpec`
@@ -13,7 +13,8 @@ exactly like the figure experiments:
 
 The scheduler-overhead ablation (raw operations/second of the scheduler with
 no simulation underneath) is not a parameter sweep and stays a plain
-benchmark in ``benchmarks/test_ablations.py``.
+benchmark in ``benchmarks/test_ablations.py``.  The benchmark run saves each
+sweep's report as ``benchmarks/results/ablation-<name>.txt``.
 """
 
 from __future__ import annotations

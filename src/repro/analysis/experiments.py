@@ -17,7 +17,6 @@ for point and byte for byte, to the serial ``workers=1`` path.
 from __future__ import annotations
 
 import dataclasses
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
@@ -263,6 +262,9 @@ def run_experiment(
     if workers == 1:
         metrics_iter: Iterator[RunMetrics] = (_simulate_point(task) for task in tasks)
         return _assemble(spec, metrics_iter, progress)
+    # Imported on use: a bare import of the package stays free of the pool.
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as executor:
         return _assemble(spec, executor.map(_simulate_point, tasks), progress)
 

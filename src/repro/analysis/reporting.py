@@ -4,8 +4,9 @@ The paper presents each figure as a set of curves over the multiprogramming
 level.  :func:`render_result` prints the same information as an aligned text
 table — one row per mpl level, one column per (variant, metric) pair — plus a
 short summary of the headline comparisons (peak throughput per variant and
-relative improvement), which is what EXPERIMENTS.md records as
-"paper vs measured".
+relative improvement).  The benchmark run saves each report as
+``benchmarks/results/figure-N.txt``; the registry entry's ``paper_claim``
+states what the paper reports for the same figure.
 """
 
 from __future__ import annotations

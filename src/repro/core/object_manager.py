@@ -13,6 +13,9 @@ a transaction is then literally "its operations are deleted from the log",
 which is correct for any sound log and needs no type-specific undo code.
 This is the *intentions-list* view of recovery (Section 4.4): commit folds
 the log into the committed state, abort deletes from it.
+The log is two indexes — each transaction's events, and per distinct
+(operation, conflict parameter) the live operations per owner — from which
+``uncommitted``, the log in execution order, is derived.
 Replay happens only when the log is shared: the manager keeps
 ``current_state == replay(committed_state, uncommitted)``, so a transaction
 that owns the whole log commits by promoting the visible state and aborts by
@@ -24,6 +27,7 @@ declared read-only.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from .compatibility import CompatibilitySpec, ConflictClass
@@ -48,6 +52,9 @@ _CompiledTables = Tuple[
 _COMMUTATIVE = ConflictClass.COMMUTATIVE
 _CONFLICT = ConflictClass.CONFLICT
 
+#: Sort key of the derived ``uncommitted`` log.
+_SEQUENCE = attrgetter("sequence")
+
 __all__ = ["PendingRequest", "ObjectManager"]
 
 
@@ -70,30 +77,16 @@ class PendingRequest:
     param: Any = None
 
 
-@dataclass(slots=True)
-class _OperationGroup:
-    """All uncommitted operations sharing one (op id, conflict parameter).
-
-    Classification depends on an invocation only through its operation name
-    and its :meth:`~repro.core.specification.TypeSpecification.conflict_parameter`,
-    so one representative invocation stands for the whole group.  ``owners``
-    counts live operations per transaction, which lets
-    :meth:`ObjectManager.classify_request` touch each *distinct* operation
-    once instead of walking the full uncommitted log.  ``op_id`` is the
-    interned small-int id of the operation (``-1`` for the fallback groups of
-    unhashable-parameter or table-unknown invocations) and ``param`` its
-    conflict parameter — together they index the compiled policy tables
-    without rebuilding a tuple key per probe.
-    """
-
-    invocation: Invocation
-    op_id: int
-    param: Any
-    owners: Dict[int, int]
-
-
 class ObjectManager:
     """Manager of a single shared object.
+
+    The uncommitted log is ``_events_by_tid`` plus ``_op_groups``, which
+    maps each interned ``(op id, conflict parameter)`` to ``{transaction id:
+    live operations}`` — all classification reads, so it touches each
+    *distinct* operation once.  An invocation outside the tables or with an
+    unhashable parameter gets a group of its own, keyed ``(-1, id(event))``,
+    its invocation kept in ``_fallback_invocations`` while the group lives.
+    ``uncommitted`` is derived: the events in ``sequence`` order.
 
     Parameters
     ----------
@@ -133,16 +126,17 @@ class ObjectManager:
         #: restores it by reference: states are treated as immutable by the
         #: whole framework (operations return new states), so sharing is safe.
         self._initial_committed: Any = self.committed_state
-        #: Uncommitted operations, in execution order.  Operations of
-        #: pseudo-committed transactions stay here until the durable commit.
-        self.uncommitted: List[Event] = []
         #: FIFO queue of blocked requests.
         self.blocked: List[PendingRequest] = []
-        #: Uncommitted operations grouped by (op id, conflict parameter);
-        #: kept in sync with ``uncommitted`` by ``execute``/``remove_transaction``.
-        self._op_groups: Dict[Any, _OperationGroup] = {}
-        #: Uncommitted events per transaction (same objects as ``uncommitted``).
+        #: Uncommitted events per transaction, each list in execution order.
+        #: Operations of pseudo-committed transactions stay here until the
+        #: durable commit.
         self._events_by_tid: Dict[int, List[Event]] = {}
+        #: Owner counts per (op id, conflict parameter) group; kept in step
+        #: with ``_events_by_tid`` by the execution kernel and removal.
+        self._op_groups: Dict[Tuple[int, Any], Dict[int, int]] = {}
+        #: The invocation of each fallback group (key ``(-1, id(event))``).
+        self._fallback_invocations: Dict[Tuple[int, Any], Invocation] = {}
         #: Interned operation ids: table operations in declared order.  The
         #: compiled per-policy tables below are flat arrays indexed by
         #: ``requested_id * n + executed_id`` — classification is two int
@@ -296,17 +290,17 @@ class ObjectManager:
         base = op_id * self._n_ops
         conflicting: Set[int] = set()
         recoverable: Set[int] = set()
-        for group in self._op_groups.values():
-            owners = group.owners
+        for (group_op, group_param), owners in self._op_groups.items():
             if len(owners) == 1 and transaction_id in owners:
                 continue
-            if op_id < 0 or group.op_id < 0:
-                pairwise = self.classify_pair(invocation, group.invocation, policy)
+            if op_id < 0 or group_op < 0:
+                executed = self._representative((group_op, group_param))
+                pairwise = self.classify_pair(invocation, executed, policy)
             else:
-                index = base + group.op_id
+                index = base + group_op
                 pairwise = unconditional_table[index]
                 if pairwise is None:
-                    pairwise = tables[1 if param == group.param else 2][index]
+                    pairwise = tables[1 if param == group_param else 2][index]
             if pairwise is not _COMMUTATIVE:
                 others = conflicting if pairwise is _CONFLICT else recoverable
                 others.update(owners)
@@ -329,6 +323,16 @@ class ObjectManager:
             recoverable -= conflicting
         return conflicting, recoverable
 
+    def _representative(self, key: Tuple[int, Any]) -> Invocation:
+        """An invocation of group ``key`` (all its members classify alike),
+        for the slow path of a pair outside the compiled tables."""
+        fallback = self._fallback_invocations.get(key)
+        if fallback is not None:
+            return fallback
+        by_tid = self._events_by_tid
+        return next(e.invocation for tid in self._op_groups[key] for e in by_tid[tid]
+                    if self._group_key(e.invocation) == key)
+
     # ------------------------------------------------------------------
     # Execution and the uncommitted log
     # ------------------------------------------------------------------
@@ -347,7 +351,6 @@ class ObjectManager:
         else:
             value = None
         event = Event(self.name, invocation, value, transaction_id, sequence)
-        self.uncommitted.append(event)
         self._events_by_tid.setdefault(transaction_id, []).append(event)
         self._index_event(event)
         return event
@@ -359,31 +362,30 @@ class ObjectManager:
         op_id = self._op_index.get(invocation.op)
         if op_id is None:
             return None
-        if self._param_is_args:
-            param = invocation.args
-        else:
-            param = self.spec.conflict_parameter(invocation)
+        key = (op_id, self._conflict_param(invocation))
         try:
-            hash(param)
+            hash(key)
         except TypeError:
             return None
-        return (op_id, param)
+        return key
 
     def _index_event(self, event: Event) -> None:
         key = self._group_key(event.invocation)
         if key is None:
             # Unhashable parameter or table-unknown op: give the event its
             # own group so classification still sees it (without sharing).
-            key = ("__unhashable__", id(event))
-            op_id: int = -1
-            param: Any = None
-        else:
-            op_id, param = key
-        group = self._op_groups.get(key)
-        if group is None:
-            group = self._op_groups[key] = _OperationGroup(event.invocation, op_id, param, {})
-        owners = group.owners
+            key = (-1, id(event))
+            self._fallback_invocations[key] = event.invocation
+        owners = self._op_groups.setdefault(key, {})
         owners[event.transaction_id] = owners.get(event.transaction_id, 0) + 1
+
+    @property
+    def uncommitted(self) -> List[Event]:
+        """The uncommitted operations in execution (``sequence``) order: a
+        new list per read, derived from ``_events_by_tid``."""
+        log = [event for events in self._events_by_tid.values() for event in events]
+        log.sort(key=_SEQUENCE)
+        return log
 
     def live_transactions(self) -> Set[int]:
         """Transactions with at least one uncommitted operation here."""
@@ -402,35 +404,32 @@ class ObjectManager:
         whole log leaves nothing to recompute (the visible state is already
         the post-commit committed state, the committed state the post-abort
         visible one).  Otherwise the transaction is popped from the owners of
-        every operation group (an emptied group goes), and — unless every
-        removed operation is declared ``is_read_only``, in which case neither
-        state can have moved — the removed operations are folded and the
-        survivors replayed over the committed state.  ``uncommitted`` is
-        rebound, never mutated, so a caller iterating the log across a
-        termination keeps its snapshot.
+        every operation group (an emptied group goes, with its side-map entry
+        if it is a fallback group), and — unless every removed operation is
+        declared ``is_read_only``, in which case neither state can have moved
+        — the removed operations are folded and the survivors replayed over
+        the committed state.
         """
         by_tid = self._events_by_tid
         removed = by_tid.pop(transaction_id, None)
         if not removed:
             return []
         if not by_tid:
-            self.uncommitted = []
             self._op_groups = {}
+            self._fallback_invocations = {}
             if commit:
                 self.committed_state = self.current_state
             else:
                 self.current_state = self.committed_state
             return removed
-        self.uncommitted = [
-            e for e in self.uncommitted if e.transaction_id != transaction_id
-        ]
         groups = self._op_groups
-        for key, group in list(groups.items()):
-            owners = group.owners
+        for key, owners in list(groups.items()):
             if transaction_id in owners:
                 del owners[transaction_id]
                 if not owners:
                     del groups[key]
+                    if key[0] < 0:
+                        del self._fallback_invocations[key]
         if self.materialize_state:
             read_only = self._read_only_ops
             for event in removed:
@@ -440,7 +439,8 @@ class ObjectManager:
                 return removed
             if commit:
                 self.committed_state = self._replay(self.committed_state, removed)
-                if removed[-1].sequence < self.uncommitted[0].sequence:
+                first = min(events[0].sequence for events in by_tid.values())
+                if removed[-1].sequence < first:
                     # The committed operations formed a prefix of the log, so
                     # folding them into the committed state leaves the visible
                     # state exactly as it was — no replay needed.
@@ -514,9 +514,9 @@ class ObjectManager:
         managers expensive to build — compiled policy tables, interned
         operation ids, the direct-apply function table — are kept."""
         self.current_state = self.committed_state
-        self.uncommitted.clear()
         self.blocked.clear()
         self._op_groups.clear()
+        self._fallback_invocations.clear()
         self._events_by_tid.clear()
 
     def restore_initial_state(self) -> None:

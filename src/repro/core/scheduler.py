@@ -50,10 +50,10 @@ from .compatibility import CompatibilitySpec
 from .dependency_graph import DependencyGraph, EdgeKind
 from .errors import TransactionStateError, UnknownObjectError
 from .history import ExecutionLog
-from .object_manager import ObjectManager, PendingRequest, _OperationGroup
+from .object_manager import ObjectManager, PendingRequest
 from .policy import ConflictPolicy
 from .requests import AbortReason, RequestHandle, RequestStatus
-from .specification import Event, Invocation, OperationResult, TypeSpecification
+from .specification import Event, Invocation, OperationResult, TypeSpecification, _tuple_new
 from .transaction import Transaction, TransactionStatus
 
 #: The enum members the per-request paths read, bound once: an attribute load
@@ -386,8 +386,9 @@ class Scheduler:
         The one execution kernel: every grant — a first submit or a request
         leaving a blocked queue (``from_queue``: listeners hear ``on_granted``
         instead of ``on_executed``) — runs this frame, which lets the backend
-        record its protocol state, applies the operation, appends the event to
-        the object's log and indexes, and records it on the transaction.  The
+        record its protocol state, applies the operation, builds the event and
+        adds it to the object's log (its transaction's events and its group's
+        owner count), and records it on the transaction.  The
         operation function is called directly when the manager has a function
         table; ``spec.apply`` is the slow branch (and the source of the exact
         error for an unknown operation or a non-conforming return — functions
@@ -421,8 +422,7 @@ class Scheduler:
             value = result.value
         else:
             value = None
-        event = Event(manager.name, invocation, value, transaction_id, sequence)
-        manager.uncommitted.append(event)
+        event = _tuple_new(Event, (manager.name, invocation, value, transaction_id, sequence))
         # A first event here, a new group and a new owner are the common case:
         # lookups with a default, not raises (a raise costs more than a call).
         by_tid = manager._events_by_tid
@@ -444,15 +444,14 @@ class Scheduler:
             groups = manager._op_groups
             key = (op_id, param)
             try:
-                group = groups.get(key)
+                owners = groups.get(key)
             except TypeError:
                 # Unhashable conflict parameter: its own fallback group.
                 manager._index_event(event)
             else:
-                if group is None:
-                    groups[key] = _OperationGroup(invocation, op_id, param, {transaction_id: 1})
+                if owners is None:
+                    groups[key] = {transaction_id: 1}
                 else:
-                    owners = group.owners
                     owners[transaction_id] = owners.get(transaction_id, 0) + 1
         history = self.history
         if history is not None:

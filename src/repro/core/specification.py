@@ -58,7 +58,9 @@ __all__ = [
 # a tuple is filled in one allocation.  The ``NamedTuple`` field holder gives
 # accessors, ``repr``, value equality/hash, immutability and pickling; the
 # constructor is written out because the one ``NamedTuple`` compiles from a
-# string belongs to no file, so a profiler cannot attribute it.
+# string belongs to no file, so a profiler cannot attribute it.  The hottest
+# builders (the scheduler's execution kernel, the page operations) call
+# ``_tuple_new`` themselves, saving the constructor's frame.
 _tuple_new = tuple.__new__
 
 

@@ -164,7 +164,7 @@ class Site:
 
     def has_uncommitted(self, name: str) -> bool:
         """True while the copy of ``name`` holds uncommitted operations."""
-        return self.status.is_up and bool(self.scheduler.object(name).uncommitted)
+        return self.status.is_up and bool(self.scheduler.object(name)._events_by_tid)
 
     # ------------------------------------------------------------------
     # Committed-state snapshots (catch-up recovery)
@@ -200,7 +200,7 @@ class Site:
         if not self.status.is_up:
             raise ReproError(f"site {self.site_id} is down; cannot install state")
         manager = self.scheduler.object(name)
-        if manager.uncommitted:
+        if manager._events_by_tid:
             raise ReproError(
                 f"site {self.site_id} has uncommitted operations on {name!r}; "
                 "catch-up must happen before new work arrives"

@@ -94,9 +94,6 @@ class Workload:
     def _transaction_length(self) -> int:
         return self.rng.uniform_int(self.params.min_length, self.params.max_length)
 
-    def _random_object(self) -> str:
-        return self._object_names[self.rng.uniform_int(1, self.params.database_size) - 1]
-
 
 #: The read/write model's only two invocations.  ``Invocation`` is frozen, so
 #: every template step shares them instead of constructing an equal copy.
@@ -125,9 +122,12 @@ class ReadWriteWorkload(Workload):
 
     def next_transaction(self) -> TransactionTemplate:
         steps: List[Tuple[str, Invocation]] = []
+        rng = self.rng
+        names = self._object_names
+        count = len(names)
         for _ in range(self._transaction_length()):
-            object_name = self._random_object()
-            if self.rng.bernoulli(self.params.write_probability):
+            object_name = names[rng.index(count)]
+            if rng.bernoulli(self.params.write_probability):
                 steps.append((object_name, _WRITE))
             else:
                 steps.append((object_name, _READ))
@@ -269,10 +269,13 @@ class AbstractDataTypeWorkload(Workload):
 
     def next_transaction(self) -> TransactionTemplate:
         steps: List[Tuple[str, Invocation]] = []
+        rng = self.rng
+        names = self._object_names
+        count = len(names)
         invocations = self._invocations
         for _ in range(self._transaction_length()):
-            object_name = self._random_object()
-            steps.append((object_name, invocations[self.rng.index(len(invocations))]))
+            object_name = names[rng.index(count)]
+            steps.append((object_name, invocations[rng.index(len(invocations))]))
         return TransactionTemplate(steps=steps)
 
 

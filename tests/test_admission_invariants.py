@@ -80,7 +80,7 @@ def check_object(scheduler, manager):
         owners = recount.setdefault(key, {})
         owners[event.transaction_id] = owners.get(event.transaction_id, 0) + 1
         by_transaction.setdefault(event.transaction_id, []).append(event)
-    assert recount == {key: group.owners for key, group in manager._op_groups.items()}
+    assert recount == manager._op_groups and not manager._fallback_invocations
     assert manager.live_transactions() == set(by_transaction)
     for tid, events in by_transaction.items():
         assert manager.events_of(tid) == events
@@ -190,11 +190,11 @@ class TestInvariantsBetweenEveryTwoEvents:
         scheduler.graph.add_edge(late_reader.tid, writer.tid, EdgeKind.WAIT_FOR)
         check_scheduler(scheduler)
 
-        (read_group,) = [group for group in page._op_groups.values() if reader.tid in group.owners]
-        read_group.owners[reader.tid] += 1
+        (read_owners,) = [owners for owners in page._op_groups.values() if reader.tid in owners]
+        read_owners[reader.tid] += 1
         with pytest.raises(AssertionError):
             check_scheduler(scheduler)
-        read_group.owners[reader.tid] -= 1
+        read_owners[reader.tid] -= 1
         check_scheduler(scheduler)
 
         page.current_state = 99

@@ -192,6 +192,12 @@ class TestExperimentRegistry:
         assert EXPERIMENT_REGISTRY.entry("figure-4-2pl").kind == "baseline"
         assert EXPERIMENT_REGISTRY.entry("figure-4").kind == "figure"
 
+    def test_paper_figures_carry_the_paper_claim(self):
+        for entry in EXPERIMENT_REGISTRY:
+            paper_figure = entry.experiment_id in {f"figure-{n}" for n in range(4, 19)}
+            assert bool(entry.paper_claim) == paper_figure, entry.experiment_id
+        assert "~67%" in EXPERIMENT_REGISTRY.entry("figure-4").paper_claim
+
     def test_unknown_id_raises_with_known_ids_listed(self):
         with pytest.raises(ExperimentError, match="figure-4"):
             EXPERIMENT_REGISTRY.entry("figure-99")
@@ -327,6 +333,22 @@ def test_import_loads_no_profiler_modules():
         "import sys; before = set(sys.modules); import repro.analysis; "
         "added = set(sys.modules) - before; "
         "print(sorted({'cProfile', 'pstats', 'profile', 'sysconfig'} & added))"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env
+    )
+    assert result.stdout.strip() == "[]"
+
+
+def test_import_loads_no_process_pool_modules():
+    # ``run_experiment`` imports its process pool only when it fans out
+    # (workers > 1); the serial path and a bare import must not pay for it.
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    probe = (
+        "import sys; import repro.analysis; "
+        "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(src), os.environ.get("PYTHONPATH")])))

@@ -4,16 +4,18 @@
 terminating transaction owns the whole log; otherwise it pops the transaction
 from every operation group and replays only if a removed operation may have
 moved the state.  The reference below is the removal it replaced, taken to its
-literal extreme: *every* termination rebuilds the log list, rebuilds both
-indexes from the surviving log and replays the operations through the spec's
-``next_state`` chain — no sole-owner case, no prefix-commit shortcut, no
-read-only shortcut, no direct-apply kernel.  It overrides
-``remove_transaction`` outright and shares no code with it or ``_replay``.
+literal extreme: *every* termination rebuilds every index (events per
+transaction, operation groups, the fallback side map) from the surviving log
+and replays the operations through the spec's ``next_state`` chain — no
+sole-owner case, no prefix-commit shortcut, no read-only shortcut, no
+direct-apply kernel.  It overrides ``remove_transaction`` outright and shares
+no code with it or ``_replay``.
 
 Random interleavings of execute / commit / abort over page, stack, set and
 table objects (with unhashable-parameter and table-unknown operations) must
-agree after every step; so must seeded end-to-end runs on both backends and
-through a multi-site double crash.
+agree after every step, and the derived ``uncommitted`` log must equal a
+literal execution-order list kept by the driver; so must seeded end-to-end
+runs on both backends and through a multi-site double crash.
 """
 
 import random
@@ -38,13 +40,14 @@ from repro.sim.simulator import Simulation
 # ----------------------------------------------------------------------
 class RebuildingManager(ObjectManager):
     def remove_transaction(self, transaction_id, commit):
-        removed = [e for e in self.uncommitted if e.transaction_id == transaction_id]
+        log = self.uncommitted
+        removed = [e for e in log if e.transaction_id == transaction_id]
         if not removed:
             return []
-        survivors = [e for e in self.uncommitted if e.transaction_id != transaction_id]
-        self.uncommitted = survivors
+        survivors = [e for e in log if e.transaction_id != transaction_id]
         self._events_by_tid = {}
         self._op_groups = {}
+        self._fallback_invocations = {}
         for event in survivors:
             self._events_by_tid.setdefault(event.transaction_id, []).append(event)
             self._index_event(event)
@@ -143,9 +146,11 @@ def assert_same(actual, expected):
                 got = actual.classify_request(invocation, transaction_id, policy)
                 assert got == expected.classify_request(invocation, transaction_id, policy)
                 assert got == classify_by_log(expected, invocation, transaction_id, policy)
-    # Empty groups must not linger once their last owner left.
-    assert all(group.owners for group in actual._op_groups.values())
+    # Empty groups must not linger once their last owner left, nor the
+    # side-map entry of a fallback group that went.
+    assert all(actual._op_groups.values())
     assert len(actual._op_groups) == len(expected._op_groups)
+    assert set(actual._fallback_invocations) == {key for key in actual._op_groups if key[0] < 0}
 
 
 def drive(steps):
@@ -158,6 +163,8 @@ def drive(steps):
     """
     actual = {name: build(ObjectManager, name) for name in OBJECT_NAMES}
     expected = {name: build(RebuildingManager, name) for name in OBJECT_NAMES}
+    # The log as a literal list in execution order, kept by hand.
+    literal = {name: [] for name in OBJECT_NAMES}
     sole = shared = 0
     for sequence, (action, transaction_id, object_index, invocation_index) in enumerate(
         steps, start=1
@@ -169,6 +176,7 @@ def drive(steps):
             got = actual[name].execute(invocation, transaction_id, sequence)
             want = expected[name].execute(invocation, transaction_id, sequence)
             assert got == want
+            literal[name].append(got)
         else:
             commit = action == "commit"
             for name in OBJECT_NAMES:
@@ -185,8 +193,10 @@ def drive(steps):
                 assert got == want
                 # The old list object is never mutated.
                 assert log_before == snapshot
+                literal[name] = [e for e in literal[name] if e.transaction_id != transaction_id]
         for name in OBJECT_NAMES:
             assert_same(actual[name], expected[name])
+            assert actual[name].uncommitted == literal[name]
     return sole, shared
 
 

@@ -7,6 +7,7 @@ from repro.adts import PageType, StackType, TableType
 from repro.core.compatibility import Answer, CompatibilitySpec, ConflictClass, RelationTable
 from repro.core.object_manager import ObjectManager, PendingRequest
 from repro.core.policy import ConflictPolicy
+from repro.core.scheduler import Scheduler
 from repro.core.specification import (
     FunctionalTypeSpecification,
     Invocation,
@@ -231,9 +232,8 @@ class TestRemovalCost:
         assert manager.live_transactions() == {1, 3}
 
     def test_log_is_rebound_not_cleared_in_place(self):
-        # remove_transaction's contract: the log is rebound, never mutated,
-        # so a caller iterating ``uncommitted`` across a termination keeps
-        # its snapshot.
+        # ``uncommitted`` is derived afresh on every read, so a caller
+        # iterating it across a termination keeps its snapshot.
         for others in (0, 1):
             manager, _ = make_counting_manager()
             manager.execute(Invocation("push", (4,)), 1, 1)
@@ -302,7 +302,7 @@ class TestReadOnlyRemoval:
             assert manager.current_state == reference.current_state
             assert manager.uncommitted == reference.uncommitted
             assert len(manager._op_groups) == len(reference._op_groups)
-            assert all(group.owners for group in manager._op_groups.values())
+            assert all(manager._op_groups.values())
 
     def test_removing_a_writer_still_replays_the_surviving_reads(self):
         manager, calls = make_counting_page()
@@ -337,3 +337,101 @@ class TestReadOnlyRemoval:
         assert first._op_functions is second._op_functions
         assert first._read_only_ops is second._read_only_ops == frozenset({"top"})
         assert ObjectManager("C", StackType())._op_functions is not first._op_functions
+
+
+def make_narrow_page(default=Answer.NO, scheduler=None):
+    """A page whose tables know only ``read``: ``write`` is outside them."""
+    table = RelationTable("reads only", ("read",), {("read", "read"): Answer.YES}, default)
+    compatibility = CompatibilitySpec("narrow page", commutativity=table, recoverability=table)
+    if scheduler is not None:
+        return scheduler.register_object("N", PageType(), compatibility=compatibility)
+    return ObjectManager(name="N", spec=PageType(), compatibility=compatibility)
+
+
+#: kind -> (manager factory, invocation that lands in a fallback group).
+FALLBACKS = {
+    "unhashable-param": (lambda: ObjectManager(name="P", spec=PageType()),
+                         Invocation("write", ([7],))),
+    "unknown-op": (make_narrow_page, Invocation("write", (5,))),
+}
+
+
+class TestDerivedLog:
+    """``uncommitted`` is derived from the per-transaction events."""
+
+    def test_uncommitted_is_in_sequence_order_across_transactions(self):
+        manager = make_stack_manager()
+        script = [(1, 4), (2, 5), (1, 6), (3, 7), (2, 8), (1, 9)]
+        for sequence, (transaction_id, value) in enumerate(script, start=1):
+            manager.execute(Invocation("push", (value,)), transaction_id, sequence)
+        log = manager.uncommitted
+        assert [(e.transaction_id, e.invocation.args[0]) for e in log] == script
+        assert [e.sequence for e in log] == [1, 2, 3, 4, 5, 6]
+        manager.remove_transaction(2, commit=False)
+        assert [e.sequence for e in manager.uncommitted] == [1, 3, 4, 6]
+        assert manager.current_state == (4, 6, 7, 9)
+        manager.remove_transaction(1, commit=True)
+        assert [e.sequence for e in manager.uncommitted] == [4]
+
+    def test_uncommitted_cannot_be_assigned(self):
+        manager = make_stack_manager()
+        manager.execute(Invocation("push", (4,)), 1, 1)
+        with pytest.raises(AttributeError):
+            manager.uncommitted = []
+        assert [e.invocation.args for e in manager.uncommitted] == [(4,)]
+
+
+class TestFallbackGroups:
+    """An unhashable parameter or an operation outside the tables gets a
+    group per event, whose invocation waits in a side map; both go with it."""
+
+    @pytest.mark.parametrize("ending", ["commit", "abort", "discard_volatile"])
+    @pytest.mark.parametrize("kind", sorted(FALLBACKS))
+    def test_fallback_groups_leave_nothing_behind(self, kind, ending):
+        make, invocation = FALLBACKS[kind]
+        manager = make()
+        manager.execute(Invocation("read"), 1, 1)
+        manager.execute(invocation, 2, 2)
+        manager.execute(invocation, 3, 3)
+        fallback = [key for key in manager._op_groups if key[0] < 0]
+        assert len(fallback) == 2
+        assert set(manager._fallback_invocations) == set(fallback)
+        assert list(manager._fallback_invocations.values()) == [invocation, invocation]
+        # Classification still sees every fallback operation.
+        policy = ConflictPolicy.RECOVERABILITY
+        assert manager.classify_request(Invocation("read"), 1, policy) == ({2, 3}, set())
+        if ending == "discard_volatile":
+            manager.discard_volatile()
+            assert manager._op_groups == {} and manager._events_by_tid == {}
+        else:
+            manager.remove_transaction(2, commit=ending == "commit")
+            assert len([key for key in manager._op_groups if key[0] < 0]) == 1
+            assert len(manager._fallback_invocations) == 1
+            manager.remove_transaction(3, commit=ending == "commit")
+            # Shared removals: only the reader's group is left.
+            assert list(manager._op_groups) == [(0, ())]
+            assert manager.live_transactions() == {1}
+            manager.remove_transaction(1, commit=ending == "commit")
+            assert manager._op_groups == {} and manager._events_by_tid == {}
+        assert manager._fallback_invocations == {}
+        assert manager.uncommitted == []
+
+    @pytest.mark.parametrize("kind", sorted(FALLBACKS))
+    def test_kernel_fallback_group_goes_with_its_transaction(self, kind):
+        # The scheduler's execution kernel indexes the same fallback groups.
+        _, invocation = FALLBACKS[kind]
+        scheduler = Scheduler(policy=ConflictPolicy.RECOVERABILITY)
+        if kind == "unknown-op":
+            manager = make_narrow_page(default=Answer.YES, scheduler=scheduler)
+        else:
+            manager = scheduler.register_object("P", PageType())
+        reader, writer = scheduler.begin(), scheduler.begin()
+        assert scheduler.perform(reader.tid, manager.name, "read").executed
+        assert scheduler.perform(writer.tid, manager.name, "write", *invocation.args).executed
+        (key,) = [key for key in manager._op_groups if key[0] < 0]
+        assert manager._op_groups[key] == {writer.tid: 1}
+        assert manager._fallback_invocations == {key: invocation}
+        scheduler.abort(writer.tid)
+        assert list(manager._op_groups) == [(0, ())]
+        assert manager._fallback_invocations == {}
+        assert manager.live_transactions() == {reader.tid}
