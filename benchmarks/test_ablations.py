@@ -24,7 +24,7 @@ from repro.adts import StackType
 # Scheduler overhead (pure CC layer, no simulation — not a registry sweep)
 # ----------------------------------------------------------------------
 def _scheduler_burst(policy, transactions=50, pushes=4):
-    scheduler = Scheduler(policy=policy, record_history=False, retain_terminated=False)
+    scheduler = Scheduler(policy=policy, retain_terminated=False)
     scheduler.register_object("S", StackType())
     for _ in range(transactions):
         transaction = scheduler.begin()

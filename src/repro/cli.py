@@ -2,17 +2,14 @@
 
 The CLI exposes the experiment harness without writing any Python:
 
-``python -m repro list``
-    list every reproducible experiment (figures and tables);
 ``python -m repro tables [--type stack]``
     regenerate the compatibility tables (Tables I-VIII) and the parameter
     table (Tables IX-X), comparing declared and derived entries;
-``python -m repro figure figure-4 [--scale smoke|bench|paper] [--output DIR]``
-    run one figure's experiment and print (and optionally save) the
-    paper-style series and summary;
-``python -m repro figures [--list] [--only ID ...] [--workers N] [--out DIR]``
-    drive the experiment registry (figures, ablations, tables) through the
-    parallel runner; every worker count produces byte-identical results;
+``python -m repro figures [--list] [--only ID ...] [--scale smoke|bench|paper] [--workers N] [--out DIR]``
+    list the experiment registry (figures, ablations, tables), or run
+    experiments through the parallel runner and print (and optionally save)
+    each paper-style report; every worker count produces byte-identical
+    results;
 ``python -m repro simulate [--mpl 50 --policy recoverability ...]``
     run a single simulation point and print its metrics; ``--policy 2pl``
     selects the strict two-phase-locking baseline backend;
@@ -52,9 +49,7 @@ from .analysis import (
     EXPERIMENT_REGISTRY,
     PAPER_SCALE,
     SMOKE_SCALE,
-    all_figure_ids,
     compare_tables,
-    figure_spec,
     paper_table_reports,
     parameter_table,
     render_result,
@@ -79,8 +74,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    subparsers.add_parser("list", help="list reproducible experiments")
-
     tables = subparsers.add_parser("tables", help="regenerate Tables I-X")
     tables.add_argument(
         "--type",
@@ -89,12 +82,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="restrict to one data type (default: all four)",
     )
-
-    figure = subparsers.add_parser("figure", help="run one figure's experiment")
-    figure.add_argument("figure_id", choices=all_figure_ids())
-    figure.add_argument("--scale", choices=sorted(_SCALES), default="smoke")
-    figure.add_argument("--output", type=pathlib.Path, default=None,
-                        help="directory to save the report into")
 
     figures = subparsers.add_parser(
         "figures",
@@ -229,35 +216,12 @@ def _parse_site_events(
     return tuple(events)
 
 
-def _command_list(out) -> int:
-    out.write("figures:\n")
-    for figure_id in all_figure_ids():
-        spec = figure_spec(figure_id, SMOKE_SCALE)
-        out.write(f"  {figure_id:10s} {spec.title}\n")
-    out.write("tables:\n")
-    for type_name in paper_types():
-        out.write(f"  tables ({type_name})\n")
-    out.write("  tables (parameters)\n")
-    return 0
-
-
 def _command_tables(type_name: Optional[str], out) -> int:
     names = [type_name] if type_name else paper_types()
     for name in names:
         out.write(compare_tables(name).render() + "\n\n")
     if type_name is None:
         out.write(parameter_table() + "\n")
-    return 0
-
-
-def _command_figure(figure_id: str, scale_name: str, output: Optional[pathlib.Path], out) -> int:
-    spec = figure_spec(figure_id, _SCALES[scale_name])
-    result = run_experiment(spec, progress=lambda line: out.write("  " + line + "\n"))
-    report = render_result(result)
-    out.write(report + "\n")
-    if output is not None:
-        output.mkdir(parents=True, exist_ok=True)
-        (output / f"{figure_id}.txt").write_text(report + "\n")
     return 0
 
 
@@ -445,12 +409,8 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     out = out if out is not None else sys.stdout
     parser = _build_parser()
     arguments = parser.parse_args(argv)
-    if arguments.command == "list":
-        return _command_list(out)
     if arguments.command == "tables":
         return _command_tables(arguments.type_name, out)
-    if arguments.command == "figure":
-        return _command_figure(arguments.figure_id, arguments.scale, arguments.output, out)
     if arguments.command == "figures":
         return _command_figures(arguments, out, parser.error)
     if arguments.command == "lint":

@@ -3,7 +3,7 @@
 The :class:`~repro.core.scheduler.Scheduler` owns the machinery every
 concurrency-control protocol needs — the transaction table, the per-object
 managers with their blocked-request queues, the unified dependency graph, the
-statistics, history and listeners — and runs the paper's Figure 2 for every
+statistics and listeners — and runs the paper's Figure 2 for every
 request: classify it, then block it, or execute it with commit dependencies,
 or abort its transaction on a cycle.  A
 :class:`ConcurrencyControlBackend` supplies what differs between protocols:

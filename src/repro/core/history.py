@@ -3,10 +3,13 @@
 The paper reasons about a log ``E = (OP_E, <_E)``: the set of operations
 executed by a group of transactions together with their execution order, plus
 the special termination operations *commit* and *abort*.  This module provides
-a concrete, append-only :class:`ExecutionLog` that the scheduler populates as
-it runs and that the offline checkers in :mod:`repro.core.serializability`
-consume.  Logs can also be written by hand (see the unit tests), which makes
-it easy to replay the example sequences (1)-(3) from Section 3.2.
+a concrete, append-only :class:`ExecutionLog` that the offline checkers in
+:mod:`repro.core.serializability` consume.  The log is a
+:class:`~repro.core.scheduler.SchedulerListener`: subscribe one with
+``scheduler.add_listener(log)`` and it records what that scheduler executes,
+pseudo-commits, commits and aborts from then on.  Logs can also be written by
+hand (see the unit tests), which makes it easy to replay the example
+sequences (1)-(3) from Section 3.2.
 """
 
 from __future__ import annotations
@@ -15,6 +18,8 @@ import enum
 from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
+from .requests import AbortReason, RequestHandle
+from .scheduler import SchedulerListener
 from .specification import Event, Invocation
 
 __all__ = ["RecordKind", "LogRecord", "ExecutionLog"]
@@ -50,13 +55,18 @@ class LogRecord:
         return f"({self.kind.value}, T{self.transaction_id})"
 
 
-class ExecutionLog:
+class ExecutionLog(SchedulerListener):
     """An append-only record of operations and terminations.
 
     The log offers the handful of queries the checkers need: the events of a
     given object or transaction in execution order, which transactions have
     committed / aborted, and which were still uncommitted when a given event
     executed.
+
+    Subscribed to a scheduler, it records every operation the scheduler
+    executes or grants and every pseudo-commit, commit and abort, in the
+    order the scheduler announces them.  The log belongs to its subscriber:
+    the scheduler's ``reset()`` and ``discard_volatile()`` leave it as it is.
     """
 
     def __init__(self) -> None:
@@ -115,6 +125,24 @@ class ExecutionLog:
         self._records.append(
             LogRecord(RecordKind.ABORT, transaction_id, self._next_sequence())
         )
+
+    # ------------------------------------------------------------------
+    # Listening to a scheduler
+    # ------------------------------------------------------------------
+    def on_executed(self, transaction_id: int, handle: RequestHandle, event: Event) -> None:
+        self.append_event(event)
+
+    def on_granted(self, transaction_id: int, handle: RequestHandle, event: Event) -> None:
+        self.append_event(event)
+
+    def on_pseudo_committed(self, transaction_id: int) -> None:
+        self.append_pseudo_commit(transaction_id)
+
+    def on_committed(self, transaction_id: int) -> None:
+        self.append_commit(transaction_id)
+
+    def on_aborted(self, transaction_id: int, reason: AbortReason) -> None:
+        self.append_abort(transaction_id)
 
     # ------------------------------------------------------------------
     # Queries

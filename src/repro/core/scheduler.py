@@ -49,7 +49,6 @@ from .backends import ConcurrencyControlBackend, make_backend
 from .compatibility import CompatibilitySpec
 from .dependency_graph import DependencyGraph, EdgeKind
 from .errors import TransactionStateError, UnknownObjectError
-from .history import ExecutionLog
 from .object_manager import ObjectManager, PendingRequest
 from .policy import ConflictPolicy
 from .requests import AbortReason, RequestHandle, RequestStatus
@@ -176,7 +175,6 @@ class Scheduler:
         self,
         policy: ConflictPolicy = ConflictPolicy.RECOVERABILITY,
         fair: bool = True,
-        record_history: bool = True,
         retain_terminated: bool = True,
         backend: Optional[ConcurrencyControlBackend] = None,
     ):
@@ -190,7 +188,6 @@ class Scheduler:
         self.objects: Dict[str, ObjectManager] = {}
         self.transactions: Dict[int, Transaction] = {}
         self.stats = SchedulerStatistics()
-        self.history: Optional[ExecutionLog] = ExecutionLog() if record_history else None
         self.backend = backend if backend is not None else make_backend(policy)
         self.backend.attach(self)
         #: The backend's two per-request hooks, bound once.  ``grant`` is
@@ -453,9 +450,6 @@ class Scheduler:
                     groups[key] = {transaction_id: 1}
                 else:
                     owners[transaction_id] = owners.get(transaction_id, 0) + 1
-        history = self.history
-        if history is not None:
-            history.append_event(event)
         transaction.events.append(event)
         transaction.objects_visited.add(manager.name)
         transaction.status = _ACTIVE
@@ -569,19 +563,18 @@ class Scheduler:
         """Drop exactly what a crash loses, in place.
 
         Volatile: transactions, dependency graph, blocked queues, uncommitted
-        logs, the backend's protocol state (lock table), statistics, history,
+        logs, the backend's protocol state (lock table), statistics,
         tid/sequence counters — each goes back to its just-constructed value.
         Durable or structural, and kept: the managers with their *committed*
         states and compiled policy tables, the backend, the listener
-        subscriptions.
+        subscriptions.  Listeners keep their own state: a subscribed
+        :class:`~repro.core.ExecutionLog` keeps what it recorded.
         """
         self.graph = DependencyGraph()
         for manager in self.objects.values():
             manager.discard_volatile()
         self.transactions.clear()
         self.stats = SchedulerStatistics()
-        if self.history is not None:
-            self.history = ExecutionLog()
         self._blocked_objects.clear()
         self._next_tid = 0
         self._sequence = 0
@@ -619,8 +612,6 @@ class Scheduler:
         """Mark a transaction pseudo-committed and notify listeners."""
         transaction.status = _PSEUDO_COMMITTED
         self.stats.pseudo_commits += 1
-        if self.history is not None:
-            self.history.append_pseudo_commit(transaction.tid)
         for on_pseudo_committed in self._on_pseudo_committed:
             on_pseudo_committed(transaction.tid)
         return _PSEUDO_COMMITTED
@@ -631,8 +622,6 @@ class Scheduler:
             self.objects[object_name].remove_transaction(transaction.tid, commit=True)
         transaction.status = _COMMITTED
         self.stats.commits += 1
-        if self.history is not None:
-            self.history.append_commit(transaction.tid)
         for on_committed in self._on_committed:
             on_committed(transaction.tid)
         self._after_termination(transaction)
@@ -690,8 +679,6 @@ class Scheduler:
         if handle is not None:
             handle.status = RequestStatus.ABORTED
             handle.abort_reason = reason
-        if self.history is not None:
-            self.history.append_abort(transaction.tid)
         for on_aborted in self._on_aborted:
             on_aborted(transaction.tid, reason)
         self._after_termination(transaction, retry_objects=retry_objects)

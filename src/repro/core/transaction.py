@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Set
 
 from .errors import TransactionStateError
-from .specification import Event, Invocation
+from .specification import Event
 
 __all__ = ["TransactionStatus", "Transaction"]
 
@@ -85,20 +85,11 @@ class Transaction:
                 f"{[status.value for status in allowed]}"
             )
 
-    def record_event(self, event: Event) -> None:
-        """Record an executed operation event."""
-        self.events.append(event)
-        self.objects_visited.add(event.object_name)
-
     @property
     def operation_count(self) -> int:
         """Number of operations executed so far (the paper's abort length
         metric is this value at the moment of abort)."""
         return len(self.events)
-
-    def invocations_on(self, object_name: str) -> List[Invocation]:
-        """The invocations this transaction has executed on ``object_name``."""
-        return [e.invocation for e in self.events if e.object_name == object_name]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

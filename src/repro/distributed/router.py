@@ -308,7 +308,6 @@ class TransactionRouter:
         replication: Union[str, PlacementPolicy] = "single",
         policy: ConflictPolicy = ConflictPolicy.RECOVERABILITY,
         fair: bool = True,
-        record_history: bool = False,
         retain_terminated: bool = True,
         backend_factory: Optional[Callable[[], "ConcurrencyControlBackend"]] = None,
         replication_protocol: Union[str, ReplicationProtocol] = "available-copies",
@@ -354,8 +353,6 @@ class TransactionRouter:
                 site_id,
                 policy=policy,
                 fair=fair,
-                record_history=record_history,
-                retain_terminated=False,
                 backend_factory=backend_factory,
             )
             for site_id in range(site_count)

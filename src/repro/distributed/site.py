@@ -84,8 +84,6 @@ class Site:
         site_id: int,
         policy: ConflictPolicy = ConflictPolicy.RECOVERABILITY,
         fair: bool = True,
-        record_history: bool = False,
-        retain_terminated: bool = False,
         backend_factory: Optional[Callable[[], ConcurrencyControlBackend]] = None,
     ):
         self.site_id = site_id
@@ -109,11 +107,12 @@ class Site:
         self._retired_stats = SchedulerStatistics()
         #: ``None`` while the site is down (a stale dereference fails loudly);
         #: the crashed scheduler waits in ``_parked`` for :meth:`recover`.
+        #: Local branch records go as they terminate; the router keeps the
+        #: global transaction records.
         self.scheduler: Scheduler = Scheduler(
             policy=policy,
             fair=fair,
-            record_history=record_history,
-            retain_terminated=retain_terminated,
+            retain_terminated=False,
             backend=None if backend_factory is None else backend_factory(),
         )
         self._parked: Optional[Scheduler] = None

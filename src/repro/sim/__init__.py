@@ -16,7 +16,6 @@ from .resources import (
     PerSiteResources,
     ResourceCharger,
     ResourceDomain,
-    ResourceModel,
     make_resource_charger,
 )
 from .simulator import LogicalTransaction, Simulation, run_simulation
@@ -43,7 +42,6 @@ __all__ = [
     "PerSiteResources",
     "ResourceCharger",
     "ResourceDomain",
-    "ResourceModel",
     "make_resource_charger",
     "LogicalTransaction",
     "Simulation",

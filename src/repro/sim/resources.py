@@ -17,9 +17,7 @@ The module models *where* that hardware lives as well as what it is:
   an infinite-resource stand-in) with a ``perform_step(done)`` interface;
 * :class:`GlobalResourceModel` — the paper's centralized configuration: one
   domain shared by every site, charged once per granted operation regardless
-  of how many replicas executed it.  This is the pre-refactor
-  ``ResourceModel`` (the name is kept as an alias) and its event/rng stream
-  is bit-identical to it;
+  of how many replicas executed it;
 * :class:`PerSiteResources` — one :class:`ResourceDomain` per site, so each
   replica of a write is charged to the hardware of the site that executed it
   and a read only loads the one replica that served it.  Remote work
@@ -30,7 +28,7 @@ A finite phase is three typed engine members, drained by module-level
 handlers registered once per engine: ``perform_step`` takes a free CPU (or
 queues ``done``) and schedules the CPU stage ``(kind, domain, done)``; that
 stage frees the CPU to the longest waiter, draws the disk (one
-``RandomSource.index``; none on a one-disk per-site domain) and schedules the
+``RandomSource.index``) and schedules the
 I/O stage ``(kind, domain, disk, done)`` (or queues), which frees the disk,
 drops the domain's ``load`` and runs ``done``.  Work away from the
 transaction's home site first takes the remote hop ``(kind, domain, done)``.
@@ -60,7 +58,6 @@ __all__ = [
     "ResourceCharger",
     "GlobalResourceModel",
     "PerSiteResources",
-    "ResourceModel",
     "make_resource_charger",
 ]
 
@@ -111,7 +108,7 @@ def _cpu_finished(member: tuple) -> None:
     else:
         cpus.free += 1
     disks = domain.disks
-    disk = disks[domain.rng.index(len(disks))] if domain._draws_disk else disks[0]
+    disk = disks[domain.rng.index(len(disks))]
     if disk.free:
         disk.free -= 1
         disk.served += 1
@@ -154,10 +151,7 @@ class ResourceDomain:
 
     A finite step runs the CPU stage, then the I/O stage (see the module
     docstring); the disk is drawn when the CPU stage ends, uniformly among
-    the domain's disks — except when the domain has exactly one disk, where
-    the choice is forced and no rng draw is consumed.  The shared global
-    model keeps the unconditional draw (see :class:`GlobalResourceModel`)
-    because its pinned event/rng streams predate the short-circuit.
+    the domain's disks.
     """
 
     def __init__(
@@ -171,7 +165,6 @@ class ResourceDomain:
         io_time: float,
         step_time: float,
         name: str = "",
-        single_disk_shortcut: bool = True,
     ):
         self.engine = engine
         self.rng = rng
@@ -179,7 +172,6 @@ class ResourceDomain:
         self.cpu_time = cpu_time
         self.io_time = io_time
         self.step_time = step_time
-        self._draws_disk = num_disks != 1 or not single_disk_shortcut
         #: Outstanding work at this domain (operations busy or queued at its
         #: CPUs and disks; always zero when infinite).  The router's
         #: least-loaded read-one selection ranks replicas by this.
@@ -252,6 +244,8 @@ class ResourceCharger:
     applies, then calls ``done`` when the physical phase completes.
     """
 
+    #: Network delay of one cross-site message (zero: no network model).
+    msg_time: float = 0.0
     #: Messages sent across sites (remote submits and commit fan-outs).
     messages_sent: int = 0
 
@@ -274,6 +268,11 @@ class ResourceCharger:
         Zero when every branch is home-site local (or ``msg_time`` is zero);
         one ``msg_time`` otherwise — the fan-out messages travel in parallel.
         """
+        if self.msg_time > 0:
+            remote = sum(1 for sid in branch_sites if sid != home_site)
+            if remote:
+                self.messages_sent += remote
+                return self.msg_time
         return 0.0
 
     def utilisation_summary(self) -> Dict[str, object]:
@@ -286,9 +285,7 @@ class GlobalResourceModel(ResourceCharger):
     The paper's centralized configuration: all sites draw on the same
     hardware, and a granted operation is charged once no matter how many
     replica branches executed it — adding sites adds coordination, never
-    capacity.  The event and rng streams are bit-identical to the
-    pre-refactor ``ResourceModel`` (the disk draw is unconditional even for
-    one disk, and no network events exist while ``msg_time`` is zero), which
+    capacity.  No network events exist while ``msg_time`` is zero, which
     keeps the pinned ``sites=1`` runs reproducible.
     """
 
@@ -311,9 +308,6 @@ class GlobalResourceModel(ResourceCharger):
             cpu_time=params.cpu_time,
             io_time=params.io_time,
             step_time=params.step_time,
-            # Pinned streams predate the single-disk shortcut: keep the
-            # unconditional draw order of the original global model.
-            single_disk_shortcut=False,
         )
         # Fused charge path for the paper's reference configuration: with no
         # network model and infinite resources the whole physical phase is
@@ -327,20 +321,7 @@ class GlobalResourceModel(ResourceCharger):
         if self.msg_time > 0:
             self._kind_remote = engine.register_kind(_remote_arrived)
 
-    # Back-compat views of the shared domain (pre-refactor attribute names).
-    @property
-    def cpus(self) -> Optional[FifoServer]:
-        return self._domain.cpus
-
-    @property
-    def disks(self) -> List[FifoServer]:
-        return self._domain.disks
-
     # ------------------------------------------------------------------
-    def perform_step(self, done: Done) -> None:
-        """Charge one operation to the shared pool (pre-refactor interface)."""
-        self._domain.perform_step(done)
-
     def _perform_operation_infinite(
         self,
         executed_sites: Collection[int],
@@ -370,14 +351,6 @@ class GlobalResourceModel(ResourceCharger):
             self.engine.schedule(self.msg_time, (self._kind_remote, self._domain, done))
         else:
             self._domain.perform_step(done)
-
-    def commit_network_delay(self, branch_sites: Iterable[int], home_site: int) -> float:
-        if self.msg_time > 0:
-            remote = sum(1 for sid in branch_sites if sid != home_site)
-            if remote:
-                self.messages_sent += remote
-                return self.msg_time
-        return 0.0
 
     # ------------------------------------------------------------------
     def utilisation_summary(self) -> Dict[str, object]:
@@ -497,14 +470,6 @@ class PerSiteResources(ResourceCharger):
         if remote:
             self.remote_operations += 1
 
-    def commit_network_delay(self, branch_sites: Iterable[int], home_site: int) -> float:
-        if self.msg_time > 0:
-            remote = sum(1 for sid in branch_sites if sid != home_site)
-            if remote:
-                self.messages_sent += remote
-                return self.msg_time
-        return 0.0
-
     # ------------------------------------------------------------------
     def utilisation_summary(self) -> Dict[str, object]:
         """Per-site utilisation counters plus system-wide aggregates."""
@@ -522,10 +487,6 @@ class PerSiteResources(ResourceCharger):
         summary["messages_sent"] = self.messages_sent
         summary["remote_operations"] = self.remote_operations
         return summary
-
-
-#: Pre-refactor name of the shared-pool model, kept for callers and tests.
-ResourceModel = GlobalResourceModel
 
 
 def make_resource_charger(

@@ -121,7 +121,6 @@ def create_coordinator(
             Scheduler(
                 policy=params.policy,
                 fair=params.fair_scheduling,
-                record_history=False,
                 retain_terminated=False,
                 backend=backend,
             )
@@ -142,7 +141,6 @@ def create_coordinator(
         replication=params.replication,
         policy=params.policy,
         fair=params.fair_scheduling,
-        record_history=False,
         retain_terminated=False,
         replication_protocol=params.replication_protocol,
         quorum_read=params.quorum_read,

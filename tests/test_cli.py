@@ -13,16 +13,6 @@ def run_cli(*argv):
     return code, out.getvalue()
 
 
-class TestListCommand:
-    def test_lists_every_figure_and_table(self):
-        code, text = run_cli("list")
-        assert code == 0
-        for figure_number in range(4, 19):
-            assert f"figure-{figure_number}" in text
-        for type_name in ("page", "stack", "set", "table"):
-            assert f"tables ({type_name})" in text
-
-
 class TestTablesCommand:
     def test_single_type(self):
         code, text = run_cli("tables", "--type", "stack")
@@ -37,21 +27,23 @@ class TestTablesCommand:
         assert "database_size" in text
 
 
-class TestFigureCommand:
+class TestFiguresCommand:
     def test_runs_a_smoke_scale_figure_and_saves_report(self, tmp_path):
-        code, text = run_cli("figure", "figure-4", "--scale", "smoke", "--output", str(tmp_path))
+        code, text = run_cli("figures", "--only", "figure-4", "--scale", "smoke",
+                             "--out", str(tmp_path))
         assert code == 0
         assert "figure-4" in text
         assert "recoverability" in text
         saved = (tmp_path / "figure-4.txt").read_text()
         assert "summary (throughput)" in saved
 
-    def test_unknown_figure_is_rejected_by_argparse(self):
-        with pytest.raises(SystemExit):
-            run_cli("figure", "figure-99")
+    @pytest.mark.parametrize("argv", [("figure", "figure-4"), ("list",)])
+    def test_removed_subcommands_are_usage_errors(self, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli(*argv)
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
-
-class TestFiguresCommand:
     def test_list_shows_every_registry_entry(self):
         from repro.analysis import EXPERIMENT_REGISTRY
 

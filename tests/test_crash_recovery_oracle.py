@@ -60,19 +60,12 @@ DOUBLE_CRASH = (
 # ----------------------------------------------------------------------
 class RebuildingSite(Site):
     def __init__(self, site_id, policy=ConflictPolicy.RECOVERABILITY, fair=True,
-                 record_history=False, retain_terminated=False,
                  backend_factory=None):
-        self._scheduler_arguments = dict(
-            policy=policy, fair=fair, record_history=record_history,
-            retain_terminated=retain_terminated,
-        )
+        self._scheduler_arguments = dict(policy=policy, fair=fair, retain_terminated=False)
         self._backend_factory = backend_factory
         self._remembered = {}
         self._durable = {}
-        super().__init__(
-            site_id, policy=policy, fair=fair, record_history=record_history,
-            retain_terminated=retain_terminated, backend_factory=backend_factory,
-        )
+        super().__init__(site_id, policy=policy, fair=fair, backend_factory=backend_factory)
 
     def register_object(self, name, spec, compatibility=None, initial_state=None,
                         materialize_state=True, replicated=False):

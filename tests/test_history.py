@@ -1,7 +1,9 @@
 """Tests for the execution-log machinery."""
 
 
+from repro.adts import StackType
 from repro.core.history import ExecutionLog, RecordKind
+from repro.core.scheduler import Scheduler
 from repro.core.specification import Invocation
 
 
@@ -94,3 +96,55 @@ class TestRender:
         text = log.render()
         assert "X: (insert(3), 'ok', T1)" in text
         assert "(commit, T1)" in text
+
+
+class TestSubscribedToAScheduler:
+    """An ``ExecutionLog`` is a ``SchedulerListener``: the scheduler's log."""
+
+    def drive(self, scheduler):
+        """T2 pushes over T1's uncommitted push and pseudo-commits, T3's pop
+        blocks behind both; T1's abort commits T2 and grants the pop."""
+        scheduler.register_object("S", StackType())
+        t1, t2, t3 = scheduler.begin(), scheduler.begin(), scheduler.begin()
+        scheduler.perform(t1.tid, "S", "push", 4)
+        scheduler.perform(t2.tid, "S", "push", 2)
+        scheduler.commit(t2.tid)
+        assert scheduler.perform(t3.tid, "S", "pop").blocked
+        scheduler.abort(t1.tid)
+        scheduler.commit(t3.tid)
+        return t1.tid, t2.tid, t3.tid
+
+    def test_records_every_kind_in_scheduler_order(self):
+        scheduler = Scheduler()
+        log = ExecutionLog()
+        scheduler.add_listener(log)
+        t1, t2, t3 = self.drive(scheduler)
+        assert [(r.kind, r.transaction_id) for r in log.records()] == [
+            (RecordKind.OPERATION, t1),
+            (RecordKind.OPERATION, t2),
+            (RecordKind.PSEUDO_COMMIT, t2),
+            (RecordKind.ABORT, t1),
+            (RecordKind.COMMIT, t2),
+            (RecordKind.OPERATION, t3),
+            (RecordKind.COMMIT, t3),
+        ]
+        assert [e.value for e in log.events()] == ["ok", "ok", 2]
+        sequences = [r.sequence for r in log.records()]
+        assert sequences == sorted(sequences)
+
+    def test_a_scheduler_without_a_log_records_nothing(self):
+        scheduler = Scheduler()
+        self.drive(scheduler)
+        assert not hasattr(scheduler, "history")
+
+    def test_the_log_outlives_a_crash_and_a_reset(self):
+        scheduler = Scheduler()
+        log = ExecutionLog()
+        scheduler.add_listener(log)
+        self.drive(scheduler)
+        scheduler.discard_volatile()
+        scheduler.reset()
+        assert len(log) == 7
+        transaction = scheduler.begin()
+        scheduler.perform(transaction.tid, "S", "push", 1)
+        assert len(log) == 8

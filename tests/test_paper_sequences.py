@@ -113,6 +113,8 @@ class TestSequence3:
 
     def run_through_scheduler(self, policy):
         scheduler = Scheduler(policy=policy)
+        log = ExecutionLog()
+        scheduler.add_listener(log)
         scheduler.register_object("S", StackType())
         scheduler.register_object("X", SetType())
         t1, t2 = scheduler.begin(), scheduler.begin()
@@ -122,7 +124,7 @@ class TestSequence3:
             scheduler.perform(t2.tid, "S", "push", 2),
             scheduler.perform(t2.tid, "X", "insert", 3),
         ]
-        return scheduler, t1, t2, outcomes
+        return scheduler, t1, t2, outcomes, log
 
     def test_commutativity_makes_t2_wait(self):
         scheduler = Scheduler(policy=ConflictPolicy.COMMUTATIVITY)
@@ -135,24 +137,24 @@ class TestSequence3:
         assert scheduler.perform(t2.tid, "S", "push", 2).blocked
 
     def test_recoverability_lets_t2_run_immediately(self):
-        scheduler, t1, t2, outcomes = self.run_through_scheduler(ConflictPolicy.RECOVERABILITY)
+        scheduler, t1, t2, outcomes, _ = self.run_through_scheduler(ConflictPolicy.RECOVERABILITY)
         assert all(handle.executed for handle in outcomes)
         assert scheduler.commit_dependencies(t2.tid) == {t1.tid}
 
     def test_commit_order_is_fixed_t1_before_t2(self):
-        scheduler, t1, t2, _ = self.run_through_scheduler(ConflictPolicy.RECOVERABILITY)
+        scheduler, t1, t2, _, log = self.run_through_scheduler(ConflictPolicy.RECOVERABILITY)
         assert scheduler.commit(t2.tid) is TransactionStatus.PSEUDO_COMMITTED
         assert scheduler.commit(t1.tid) is TransactionStatus.COMMITTED
         commit_order = [
             record.transaction_id
-            for record in scheduler.history.records()
+            for record in log.records()
             if record.kind.name == "COMMIT"
         ]
         assert commit_order == [t1.tid, t2.tid]
 
     def test_t2_commits_even_if_t1_aborts(self):
         """The abort of T1 must not cascade to the recoverable T2."""
-        scheduler, t1, t2, _ = self.run_through_scheduler(ConflictPolicy.RECOVERABILITY)
+        scheduler, t1, t2, _, _ = self.run_through_scheduler(ConflictPolicy.RECOVERABILITY)
         scheduler.commit(t2.tid)
         scheduler.abort(t1.tid)
         assert scheduler.transaction(t2.tid).status is TransactionStatus.COMMITTED
@@ -160,11 +162,11 @@ class TestSequence3:
         assert scheduler.committed_state("X") == frozenset({3})
 
     def test_resulting_log_is_sound_and_serializable(self):
-        scheduler, t1, t2, _ = self.run_through_scheduler(ConflictPolicy.RECOVERABILITY)
+        scheduler, t1, t2, _, log = self.run_through_scheduler(ConflictPolicy.RECOVERABILITY)
         scheduler.commit(t2.tid)
         scheduler.commit(t1.tid)
         universe = ObjectUniverse(
             specs={"S": StackType(), "X": SetType()},
         )
-        assert is_log_sound(scheduler.history, universe)
-        assert is_serializable(scheduler.history, universe)
+        assert is_log_sound(log, universe)
+        assert is_serializable(log, universe)

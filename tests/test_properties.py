@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from repro.adts import SetType, StackType, TableType
 from repro.core.derivation import invocation_recoverable, invocations_commute
 from repro.core.dependency_graph import DependencyGraph, EdgeKind
+from repro.core.history import ExecutionLog
 from repro.core.policy import ConflictPolicy
 from repro.core.scheduler import Scheduler
 from repro.core.serializability import ObjectUniverse, is_log_sound, is_serializable
@@ -134,8 +135,11 @@ class TestDeclaredTablesAgainstRandomStates:
 # ----------------------------------------------------------------------
 def _drive_scheduler(policy, script):
     """Run a random script of (transaction index, object, invocation, action)
-    steps through a scheduler over a stack and a set object."""
+    steps through a scheduler over a stack and a set object; returns the
+    scheduler and the execution log subscribed to it."""
     scheduler = Scheduler(policy=policy)
+    log = ExecutionLog()
+    scheduler.add_listener(log)
     scheduler.register_object("S", StackType())
     scheduler.register_object("X", SetType())
     transactions = [scheduler.begin() for _ in range(3)]
@@ -158,7 +162,7 @@ def _drive_scheduler(policy, script):
             scheduler.commit(transaction.tid)
         elif scheduler.transaction(transaction.tid).status.name == "BLOCKED":
             scheduler.abort(transaction.tid)
-    return scheduler
+    return scheduler, log
 
 
 script_steps = st.lists(
@@ -183,9 +187,8 @@ class TestSchedulerProducesCorrectHistories:
     @given(script=script_steps, policy=st.sampled_from(list(ConflictPolicy)))
     def test_admitted_histories_are_sound_and_serializable(self, script, policy):
         script = [step for step in script if step[3] != "op" or _invocation_matches_object(step[1], step[2])]
-        scheduler = _drive_scheduler(policy, script)
+        _, log = _drive_scheduler(policy, script)
         universe = ObjectUniverse(specs={"S": StackType(), "X": SetType()})
-        log = scheduler.history
         committed_log = log.without_transactions(log.aborted())
         assert is_log_sound(committed_log, universe)
         assert is_serializable(committed_log, universe)
@@ -194,7 +197,7 @@ class TestSchedulerProducesCorrectHistories:
     @given(script=script_steps, policy=st.sampled_from(list(ConflictPolicy)))
     def test_no_transaction_is_left_live_and_graph_is_empty(self, script, policy):
         script = [step for step in script if step[3] != "op" or _invocation_matches_object(step[1], step[2])]
-        scheduler = _drive_scheduler(policy, script)
+        scheduler, _ = _drive_scheduler(policy, script)
         live = [t for t in scheduler.transactions.values() if t.status.is_live]
         # Everything terminated, so no commit dependencies may remain.
         assert scheduler.graph.edge_count() == 0
@@ -204,8 +207,7 @@ class TestSchedulerProducesCorrectHistories:
     @given(script=script_steps)
     def test_committed_state_matches_serial_replay_in_commit_order(self, script):
         script = [step for step in script if step[3] != "op" or _invocation_matches_object(step[1], step[2])]
-        scheduler = _drive_scheduler(ConflictPolicy.RECOVERABILITY, script)
-        log = scheduler.history
+        scheduler, log = _drive_scheduler(ConflictPolicy.RECOVERABILITY, script)
         # Replay committed transactions' operations serially in commit order.
         commit_order = [
             record.transaction_id

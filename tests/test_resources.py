@@ -1,8 +1,8 @@
 """Unit tests for the resource layer: domains, chargers, network costs.
 
-Covers :class:`ResourceDomain` queueing and the single-disk shortcut, the
-:class:`GlobalResourceModel` facade (bit-compatible with the pre-refactor
-shared pool), :class:`PerSiteResources` fan-out charging with ``msg_time``
+Covers :class:`ResourceDomain` queueing and its disk draw, the
+:class:`GlobalResourceModel` shared pool, :class:`PerSiteResources`
+fan-out charging with ``msg_time``
 network delays, commit fan-out delays, and the router's least-loaded
 read-one replica selection.
 """
@@ -21,7 +21,6 @@ from repro.sim.resources import (
     GlobalResourceModel,
     PerSiteResources,
     ResourceDomain,
-    ResourceModel,
     make_resource_charger,
 )
 from repro.sim.simulator import Simulation, run_simulation
@@ -78,17 +77,6 @@ class TestResourceDomain:
         assert summary["cpu_served"] == 2 and summary["cpu_waits"] == 1
         assert domain.load == 0
 
-    def test_single_disk_domain_skips_the_rng_draw(self):
-        engine = EventEngine()
-        rng = CountingRandomSource(1)
-        domain = finite_domain(engine, rng, num_cpus=1, num_disks=1)
-        done = []
-        domain.perform_step(lambda: done.append(engine.now))
-        engine.run()
-        assert done == [pytest.approx(0.015 + 0.035)]
-        assert rng.draws == 0
-        assert domain.utilisation_summary()["disk_served"] == 1
-
     def test_multi_disk_domain_still_draws(self):
         engine = EventEngine()
         rng = CountingRandomSource(1)
@@ -123,19 +111,15 @@ class TestResourceDomain:
 
 class TestGlobalResourceModel:
     def test_keeps_the_unconditional_disk_draw(self):
-        # The shared pool's rng stream predates the single-disk shortcut:
-        # even a hypothetical one-disk pool must keep its draw order so the
-        # pinned sites=1 runs stay bit-identical.
+        # One disk draw per charged operation: the pinned sites=1 runs
+        # depend on the shared pool's rng stream.
         engine = EventEngine()
         rng = CountingRandomSource(1)
         params = SimulationParameters(total_completions=1, resource_units=1)
         model = GlobalResourceModel(engine, params, rng)
-        model.perform_step(lambda: None)
+        model.perform_operation((0,), 0, lambda: None)
         engine.run()
         assert rng.draws == 1
-
-    def test_resource_model_alias_is_the_global_model(self):
-        assert ResourceModel is GlobalResourceModel
 
     def test_charges_once_however_many_replicas_executed(self):
         engine = EventEngine()

@@ -1,7 +1,7 @@
 """Finite-resource runs must survive the resource-domain refactor bit for bit.
 
 The per-site resource refactor carved :class:`ResourceDomain` out of the old
-global ``ResourceModel`` and routed the charging through the
+global resource model and routed the charging through the
 :class:`~repro.distributed.router.TransactionRouter`.  With
 ``resource_placement="global"`` (the default) and ``sites=1`` nothing about
 the simulation may change: the constants below are the raw deterministic

@@ -4,6 +4,7 @@ import pytest
 
 from repro.adts import CounterType, SetType, StackType
 from repro.core.errors import TransactionStateError, UnknownObjectError
+from repro.core.history import ExecutionLog
 from repro.core.policy import ConflictPolicy
 from repro.core.scheduler import Scheduler, SchedulerListener
 from repro.core.transaction import TransactionStatus
@@ -140,19 +141,13 @@ class TestStatisticsAndIntrospection:
 
     def test_history_records_operations_and_terminations(self, stack_scheduler):
         scheduler = stack_scheduler
+        log = ExecutionLog()
+        scheduler.add_listener(log)
         transaction = scheduler.begin()
         scheduler.perform(transaction.tid, "S", "push", 1)
         scheduler.commit(transaction.tid)
-        assert scheduler.history is not None
-        assert len(scheduler.history.events()) == 1
-        assert scheduler.history.committed() == {transaction.tid}
-
-    def test_history_can_be_disabled(self):
-        scheduler = Scheduler(record_history=False)
-        scheduler.register_object("S", StackType())
-        transaction = scheduler.begin()
-        scheduler.perform(transaction.tid, "S", "push", 1)
-        assert scheduler.history is None
+        assert len(log.events()) == 1
+        assert log.committed() == {transaction.tid}
 
     def test_retain_terminated_false_drops_records(self):
         scheduler = Scheduler(retain_terminated=False)

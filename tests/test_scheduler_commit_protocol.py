@@ -3,6 +3,7 @@
 import pytest
 
 from repro.adts import QueueType, StackType
+from repro.core.history import ExecutionLog
 from repro.core.policy import ConflictPolicy
 from repro.core.scheduler import Scheduler
 from repro.core.transaction import TransactionStatus
@@ -63,6 +64,8 @@ class TestPseudoCommit:
 
     def test_commit_order_follows_invocation_order(self, scheduler):
         """If both commit, the earlier invoker must become durable first."""
+        log = ExecutionLog()
+        scheduler.add_listener(log)
         first, second = scheduler.begin(), scheduler.begin()
         scheduler.perform(first.tid, "S", "push", 4)
         scheduler.perform(second.tid, "S", "push", 2)
@@ -70,10 +73,9 @@ class TestPseudoCommit:
         assert scheduler.commit(second.tid) is TransactionStatus.PSEUDO_COMMITTED
         # ...and the earlier one commits directly when asked.
         assert scheduler.commit(first.tid) is TransactionStatus.COMMITTED
-        history = scheduler.history
         commit_order = [
             record.transaction_id
-            for record in history.records()
+            for record in log.records()
             if record.kind.name == "COMMIT"
         ]
         assert commit_order == [first.tid, second.tid]

@@ -7,7 +7,7 @@ from repro.core.specification import Event, Invocation
 from repro.sim.engine import EventEngine
 from repro.sim.params import SimulationParameters
 from repro.sim.random_source import RandomSource
-from repro.sim.resources import FifoServer, ResourceDomain, ResourceModel
+from repro.sim.resources import FifoServer, GlobalResourceModel, ResourceDomain
 
 
 class TestEventEngine:
@@ -217,13 +217,13 @@ class TestFifoServer:
         assert server.free == 1 and server.served == 3 and server.load == 0
 
 
-class TestResourceModel:
+class TestSharedPool:
     def test_infinite_resources_take_step_time(self):
         engine = EventEngine()
         params = SimulationParameters(total_completions=1)
-        model = ResourceModel(engine, params, RandomSource(1))
+        model = GlobalResourceModel(engine, params, RandomSource(1))
         done = []
-        model.perform_step(lambda: done.append(engine.now))
+        model.perform_operation((0,), 0, lambda: done.append(engine.now))
         engine.run()
         assert done == [pytest.approx(params.step_time)]
         assert model.utilisation_summary() == {"resources": "infinite"}
@@ -231,9 +231,9 @@ class TestResourceModel:
     def test_finite_resources_take_cpu_plus_io_time(self):
         engine = EventEngine()
         params = SimulationParameters(total_completions=1, resource_units=1)
-        model = ResourceModel(engine, params, RandomSource(1))
+        model = GlobalResourceModel(engine, params, RandomSource(1))
         done = []
-        model.perform_step(lambda: done.append(engine.now))
+        model.perform_operation((0,), 0, lambda: done.append(engine.now))
         engine.run()
         assert done == [pytest.approx(params.cpu_time + params.io_time)]
         summary = model.utilisation_summary()
@@ -242,10 +242,10 @@ class TestResourceModel:
     def test_cpu_contention_serialises_steps(self):
         engine = EventEngine()
         params = SimulationParameters(total_completions=1, resource_units=1)
-        model = ResourceModel(engine, params, RandomSource(1))
+        model = GlobalResourceModel(engine, params, RandomSource(1))
         done = []
-        model.perform_step(lambda: done.append(engine.now))
-        model.perform_step(lambda: done.append(engine.now))
+        model.perform_operation((0,), 0, lambda: done.append(engine.now))
+        model.perform_operation((0,), 0, lambda: done.append(engine.now))
         engine.run()
         # The second step cannot start its CPU service before the first
         # releases the only CPU.

@@ -5,7 +5,6 @@ import pytest
 import repro
 from repro.core import __all__ as core_all
 from repro.core.errors import TransactionStateError
-from repro.core.specification import Event, Invocation
 from repro.core.transaction import Transaction, TransactionStatus
 
 
@@ -26,9 +25,6 @@ class TestTransactionStatus:
 
 
 class TestTransactionRecord:
-    def make_event(self, object_name="S", op="push", args=(1,), tid=7, sequence=1):
-        return Event(object_name, Invocation(op, args), "ok", tid, sequence)
-
     def test_require_accepts_allowed_statuses(self):
         transaction = Transaction(tid=1)
         transaction.require(TransactionStatus.ACTIVE)
@@ -39,20 +35,19 @@ class TestTransactionRecord:
         with pytest.raises(TransactionStateError):
             transaction.require(TransactionStatus.ACTIVE)
 
-    def test_record_event_tracks_objects_and_count(self):
-        transaction = Transaction(tid=1)
-        transaction.record_event(self.make_event(object_name="S"))
-        transaction.record_event(self.make_event(object_name="X", op="insert"))
-        assert transaction.operation_count == 2
-        assert transaction.objects_visited == {"S", "X"}
+    def test_executed_operations_are_counted_and_visits_tracked(self):
+        from repro.adts import SetType, StackType
 
-    def test_invocations_on_filters_by_object(self):
-        transaction = Transaction(tid=1)
-        transaction.record_event(self.make_event(object_name="S", op="push", args=(1,)))
-        transaction.record_event(self.make_event(object_name="X", op="insert", args=(2,)))
-        transaction.record_event(self.make_event(object_name="S", op="pop", args=()))
-        assert [i.op for i in transaction.invocations_on("S")] == ["push", "pop"]
-        assert transaction.invocations_on("missing") == []
+        scheduler = repro.Scheduler()
+        scheduler.register_object("S", StackType())
+        scheduler.register_object("X", SetType())
+        transaction = scheduler.begin()
+        scheduler.perform(transaction.tid, "S", "push", 1)
+        scheduler.perform(transaction.tid, "X", "insert", 2)
+        scheduler.perform(transaction.tid, "S", "pop")
+        assert transaction.operation_count == 3
+        assert transaction.objects_visited == {"S", "X"}
+        assert [event.invocation.op for event in transaction.events] == ["push", "insert", "pop"]
 
     def test_repr_mentions_status_and_objects(self):
         transaction = Transaction(tid=3)
@@ -87,6 +82,8 @@ class TestPublicApi:
 
     def test_headline_workflow_through_top_level_names_only(self):
         scheduler = repro.Scheduler(policy=repro.ConflictPolicy.RECOVERABILITY)
+        log = repro.ExecutionLog()
+        scheduler.add_listener(log)
         from repro.adts import StackType
 
         scheduler.register_object("S", StackType())
@@ -96,5 +93,5 @@ class TestPublicApi:
         assert scheduler.commit(t2.tid) is repro.TransactionStatus.PSEUDO_COMMITTED
         assert scheduler.commit(t1.tid) is repro.TransactionStatus.COMMITTED
         universe = repro.ObjectUniverse(specs={"S": StackType()})
-        assert repro.is_log_sound(scheduler.history, universe)
-        assert repro.is_serializable(scheduler.history, universe)
+        assert repro.is_log_sound(log, universe)
+        assert repro.is_serializable(log, universe)

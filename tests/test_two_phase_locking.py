@@ -19,6 +19,7 @@ from repro.core.backends import (
     make_backend,
 )
 from repro.core.errors import UnknownOperationError
+from repro.core.history import ExecutionLog
 from repro.core.policy import ConflictPolicy
 from repro.core.scheduler import AbortReason, Scheduler
 from repro.core.serializability import ObjectUniverse, is_log_sound, is_serializable
@@ -313,9 +314,12 @@ def drive_sequence(policy, objects, steps):
     blocks is parked (the scheduler owns it) and the transaction's remaining
     steps wait until the grant re-activates it.  Once a transaction has run
     all its steps it commits; commits release conflicts and cascade grants.
-    Returns the scheduler (all transactions terminated).
+    Returns the scheduler (all transactions terminated) and the execution
+    log subscribed to it.
     """
     scheduler = Scheduler(policy=policy)
+    log = ExecutionLog()
+    scheduler.add_listener(log)
     for name, spec in objects:
         scheduler.register_object(name, spec)
     ids: dict = {}
@@ -353,7 +357,7 @@ def drive_sequence(policy, objects, steps):
             scheduler.transaction(tid).status.is_terminated for tid in ids.values()
         ):
             break
-    return scheduler
+    return scheduler, log
 
 
 class TestBackendEquivalenceOnPaperSequences:
@@ -365,11 +369,10 @@ class TestBackendEquivalenceOnPaperSequences:
     )
     def test_histories_are_sound_and_serializable(self, sequence_id, policy):
         objects, steps = PAPER_SEQUENCES[sequence_id]
-        scheduler = drive_sequence(policy, objects, steps)
+        scheduler, log = drive_sequence(policy, objects, steps)
         for tid in list(scheduler.transactions):
             assert scheduler.transaction(tid).status is TransactionStatus.COMMITTED
         universe = ObjectUniverse(specs=dict(objects))
-        log = scheduler.history
         assert is_log_sound(log, universe)
         assert is_serializable(log, universe)
 
@@ -378,7 +381,7 @@ class TestBackendEquivalenceOnPaperSequences:
         objects, steps = PAPER_SEQUENCES[sequence_id]
         states = {}
         for policy in (ConflictPolicy.RECOVERABILITY, ConflictPolicy.TWO_PHASE_LOCKING):
-            scheduler = drive_sequence(policy, objects, steps)
+            scheduler, _ = drive_sequence(policy, objects, steps)
             states[policy] = {
                 name: scheduler.committed_state(name) for name, _ in objects
             }
