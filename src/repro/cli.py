@@ -303,7 +303,11 @@ def _command_lint(paths, as_json: bool, out, error) -> int:
     if missing:
         # A mistyped path would otherwise lint nothing and report clean.
         error(f"no such file or directory: {', '.join(missing)}")
-    violations = lint_paths(paths)
+    try:
+        violations = lint_paths(paths)
+    except SyntaxError as exc:
+        # Not a finding: exit 1 would read as "violations found".
+        error(f"cannot parse {exc.filename}:{exc.lineno}: {exc.msg}")
     if as_json:
         out.write(render_json(violations, checked_files=len(collect_files(paths))))
     else:

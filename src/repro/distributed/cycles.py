@@ -105,7 +105,7 @@ class UnionCycleDetector:
                 if not count:
                     self.graph.add_edge(owner, successor, EdgeKind.WAIT_FOR)
         else:
-            pair = self._contributions[site_id].pop((source, target), None)  # repro-lint: disable=REP008 (once per local pair lost, not per event)
+            pair = self._contributions[site_id].pop((source, target), None)
             if pair is not None:
                 self._drop(pair)
 

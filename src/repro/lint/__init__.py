@@ -1,17 +1,14 @@
 """``repro lint`` — the repo-specific determinism & conformance analyzer.
 
-Nine AST rules guard the invariants the reproduction's pinned random streams,
-pluggable protocol seams and hot-loop budget depend on:
+Six AST rules guard the invariants the reproduction's pinned random streams,
+pluggable protocol seams and surfaced counters depend on:
 
 * **REP001** randomness only through ``RandomSource``;
 * **REP002** no iteration over unordered sets/dict-keys in sim/distributed;
 * **REP003** no wall-clock inside the deterministic layers;
 * **REP004** import layering (core/adts < sim < distributed);
 * **REP005** protocol subclasses in sync with factory registries and CLI;
-* **REP006** every incremented counter surfaced in a summary;
-* **REP007** classes instantiated on per-event paths declare ``__slots__``;
-* **REP008** no tuple-keyed dict lookups on per-event paths;
-* **REP009** no lambda/closure allocation inside per-event functions.
+* **REP006** every incremented counter surfaced in a summary.
 
 Suppress a finding with an inline ``# repro-lint: disable=REPxxx`` pragma on
 the offending line.  See README "Static analysis & determinism guarantees".

@@ -6,9 +6,6 @@ from .rep003 import Rep003WallClock
 from .rep004 import Rep004ImportLayering
 from .rep005 import Rep005SeamConformance
 from .rep006 import Rep006CounterSurfacing
-from .rep007 import Rep007SlotlessHotClass
-from .rep008 import Rep008TupleKeyLookup
-from .rep009 import Rep009ClosureAllocation
 
 #: Every registered rule, in id order; the runner instantiates these.
 ALL_RULES = (
@@ -18,9 +15,6 @@ ALL_RULES = (
     Rep004ImportLayering,
     Rep005SeamConformance,
     Rep006CounterSurfacing,
-    Rep007SlotlessHotClass,
-    Rep008TupleKeyLookup,
-    Rep009ClosureAllocation,
 )
 
 __all__ = [
@@ -31,7 +25,4 @@ __all__ = [
     "Rep004ImportLayering",
     "Rep005SeamConformance",
     "Rep006CounterSurfacing",
-    "Rep007SlotlessHotClass",
-    "Rep008TupleKeyLookup",
-    "Rep009ClosureAllocation",
 ]

@@ -42,11 +42,22 @@ def _run(project: Project, rules: Optional[Iterable[type]] = None) -> List[Viola
 def lint_paths(
     paths: Sequence[str], rules: Optional[Iterable[type]] = None
 ) -> List[Violation]:
-    """Lint files and directories on disk."""
+    """Lint files and directories on disk.
+
+    A file that is not UTF-8 or not Python raises :class:`SyntaxError`
+    naming the file and line.
+    """
     sources = []
     for path in collect_files(paths):
-        with open(path, "r", encoding="utf-8") as handle:
-            sources.append(SourceFile(path=path, text=handle.read()))
+        with open(path, "rb") as handle:
+            data = handle.read()
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            # What the interpreter reports for an undecodable source file.
+            line = data[: exc.start].count(b"\n") + 1
+            raise SyntaxError(f"not valid UTF-8 ({exc.reason})", (path, line, None, None)) from None
+        sources.append(SourceFile(path=path, text=text))
     return _run(Project(sources), rules)
 
 

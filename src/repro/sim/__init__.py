@@ -6,7 +6,7 @@ data type), the metric definitions, and :class:`~repro.sim.simulator.Simulation`
 which ties them to the concurrency-control scheduler.
 """
 
-from .engine import EventEngine, ScheduledEvent
+from .engine import EventEngine
 from .metrics import MetricsCollector, RunMetrics
 from .params import INFINITE_RESOURCES, SimulationParameters
 from .random_source import RandomSource
@@ -31,7 +31,6 @@ from .workload import (
 
 __all__ = [
     "EventEngine",
-    "ScheduledEvent",
     "MetricsCollector",
     "RunMetrics",
     "INFINITE_RESOURCES",

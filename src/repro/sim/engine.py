@@ -10,14 +10,15 @@ Events sharing one exact timestamp are **batched**: a run of consecutively
 scheduled events landing on the same time — a burst of simultaneous resource
 grants after a termination cascade, a round of unblock retries — shares one
 heap entry whose payload is the list of callbacks in scheduling order.  The
-global sequence counter is monotonic and a batch only ever receives appends
-while it is the most recently created entry, so list position *is* sequence
-order and the execution order is identical to a heap of individual
-``(time, sequence)`` entries; the burst costs one heap push/pop total
-instead of one each, and a solitary event costs exactly what it used to.
-Cancellation is the exception, not the rule: callers that need it use
-:meth:`EventEngine.schedule_cancellable`, which appends a
-:class:`ScheduledEvent` wrapper the pop loop knows to skip.
+sequence counter numbers batches in creation order and a batch only ever
+receives appends while it is the most recently created entry, so list
+position *is* scheduling order and the execution order is identical to a
+heap of individual ``(time, sequence)`` entries; the burst costs one heap
+push/pop total instead of one each, and a solitary event costs exactly what
+it used to.
+The drain loop keeps its position in the popped batch in locals and writes
+it back once, when it returns or a callback raises, so a stop or an
+exception in the middle of a batch leaves the rest of the batch queued.
 
 Recurring event producers additionally get **typed members**: a producer
 registers an integer event *kind* with a bound handler once, at
@@ -40,42 +41,12 @@ from typing import Callable, List, Optional, Tuple, Union
 
 from ..core.errors import SimulationError
 
-__all__ = ["ScheduledEvent", "EventEngine"]
+__all__ = ["EventEngine"]
 
 #: A typed member's handler: receives the whole ``(kind, *payload)`` tuple.
 KindHandler = Callable[[tuple], None]
 
-
-class ScheduledEvent:
-    """A cancellable entry of the event queue.
-
-    Only cancellable events pay for this wrapper; plain :meth:`EventEngine.
-    schedule` calls append their callback straight into the timestamp batch.
-    Ordering is by time, then by insertion sequence (FIFO among simultaneous
-    events), which keeps runs deterministic.
-    """
-
-    __slots__ = ("time", "sequence", "callback", "cancelled")
-
-    def __init__(self, time: float, sequence: int, callback: Callable[[], None]):
-        self.time = time
-        self.sequence = sequence
-        self.callback = callback
-        self.cancelled = False
-
-    def cancel(self) -> None:
-        """Mark the event so the engine skips it when it is popped."""
-        self.cancelled = True
-
-    def __call__(self) -> None:
-        self.callback()
-
-
-#: A batch member: a bare callback, a typed ``(kind, *payload)`` tuple, or a
-#: cancellable wrapper.
-_Member = Union[Callable[[], None], tuple, ScheduledEvent]
-
-#: What callers may schedule: a callback or a typed member.
+#: What callers may schedule, and a batch holds: a callback or a typed member.
 Schedulable = Union[Callable[[], None], tuple]
 
 
@@ -85,19 +56,19 @@ class EventEngine:
     def __init__(self) -> None:
         #: One heap entry per batch; the payload list holds the batch's
         #: events in scheduling (= sequence) order.
-        self._queue: List[Tuple[float, int, List[_Member]]] = []
+        self._queue: List[Tuple[float, int, List[Schedulable]]] = []
         #: The most recently created batch and its timestamp.  A schedule
         #: call landing on the same time appends here (no heap traffic);
         #: anything else — including a pop of this very batch — retires it,
         #: so a batch is never appended to out of sequence order.
-        self._open_batch: Optional[List[_Member]] = None
+        self._open_batch: Optional[List[Schedulable]] = None
         self._open_time = 0.0
-        #: The batch currently being drained (popped from the heap but not
-        #: fully run — the stop predicate is consulted between members,
-        #: exactly as it was between heap pops).
-        self._batch: Optional[List[_Member]] = None
+        #: The last batch popped from the heap (None before the first pop)
+        #: and the index of its next member: the stop flag is consulted
+        #: between members, exactly as it was between heap pops.
+        self._batch: Optional[List[Schedulable]] = None
         self._batch_index = 0
-        self._batch_time = 0.0
+        #: Heap tie-breaker: one per pushed batch, so equal times pop FIFO.
         self._sequence = 0
         self.now = 0.0
         self.events_processed = 0
@@ -146,11 +117,11 @@ class EventEngine:
         if delay < 0:
             raise SimulationError(f"cannot schedule an event {delay} seconds in the past")
         time = self.now + delay
-        self._sequence += 1
         batch = self._open_batch
         if batch is not None and time == self._open_time:
             batch.append(callback)
         else:
+            self._sequence += 1
             batch = [callback]
             self._open_batch = batch
             self._open_time = time
@@ -162,32 +133,15 @@ class EventEngine:
             raise SimulationError(
                 f"cannot schedule an event at {time} before the current time {self.now}"
             )
-        self._sequence += 1
         batch = self._open_batch
         if batch is not None and time == self._open_time:
             batch.append(callback)
         else:
+            self._sequence += 1
             batch = [callback]
             self._open_batch = batch
             self._open_time = time
             heapq.heappush(self._queue, (time, self._sequence, batch))
-
-    def schedule_cancellable(self, delay: float, callback: Callable[[], None]) -> ScheduledEvent:
-        """Like :meth:`schedule`, but returns a cancellable handle."""
-        if delay < 0:
-            raise SimulationError(f"cannot schedule an event {delay} seconds in the past")
-        time = self.now + delay
-        self._sequence += 1
-        event = ScheduledEvent(time=time, sequence=self._sequence, callback=callback)
-        batch = self._open_batch
-        if batch is not None and time == self._open_time:
-            batch.append(event)
-        else:
-            batch = [event]
-            self._open_batch = batch
-            self._open_time = time
-            heapq.heappush(self._queue, (time, self._sequence, batch))
-        return event
 
     # ------------------------------------------------------------------
     # Running
@@ -245,11 +199,13 @@ class EventEngine:
             )
 
     def _drain(self, limit: Optional[int]) -> int:
-        """The drain loop: pop, skip cancelled members, dispatch.
+        """The drain loop: pop a batch, dispatch its members in order.
 
         Runs until a callback requests a stop, the queue drains, or ``limit``
-        events have run; returns how many ran.  Hot attributes are hoisted
-        into locals: this method *is* the simulation's innermost loop.
+        events have run; returns how many ran.  This method *is* the
+        simulation's innermost loop, so the batch cursor and the count live
+        in locals and reach the instance once, on the way out.  A member is
+        counted before it runs; one that raises is not run again.
         """
         self._stop = False
         queue = self._queue
@@ -260,47 +216,28 @@ class EventEngine:
         # A popped batch never grows (it left ``_open_batch`` at pop time),
         # so its end is a fixed index.
         size = 0 if batch is None else len(batch)
-        batch_time = self._batch_time
         processed = 0
-        while not self._stop:
-            if limit is not None and processed >= limit:
-                break
-            ran = False
-            while not ran:
-                if batch is None:
+        try:
+            while not self._stop and processed != limit:
+                if index == size:
                     if not queue:
                         break
-                    batch_time, _, batch = heappop(queue)
+                    self.now, _, batch = heappop(queue)
                     if batch is self._open_batch:
                         self._open_batch = None
                     index = 0
                     size = len(batch)
-                if index == size:
-                    batch = None
-                    continue
-                callback = batch[index]
+                member = batch[index]  # type: ignore[index]
                 index += 1
-                if callback.__class__ is ScheduledEvent:
-                    if callback.cancelled:  # type: ignore[union-attr]
-                        continue
-                    callback = callback.callback  # type: ignore[union-attr]
-                self._batch = batch
-                self._batch_index = index
-                self._batch_time = batch_time
-                self.now = batch_time
-                self.events_processed += 1
-                if callback.__class__ is tuple:
-                    handlers[callback[0]](callback)  # type: ignore[misc, index]
+                processed += 1
+                if member.__class__ is tuple:
+                    handlers[member[0]](member)  # type: ignore[misc, index]
                 else:
-                    callback()  # type: ignore[operator]
-                ran = True
-            if not ran:
-                self._batch = None
-                self._batch_index = 0
-                break
-            processed += 1
-            # A drained batch is never appended to (it was retired from
-            # ``_open_batch`` at pop time), so the local view stays exact.
+                    member()  # type: ignore[operator]
+        finally:
+            self._batch = batch
+            self._batch_index = index
+            self.events_processed += processed
         return processed
 
     # ------------------------------------------------------------------
@@ -321,21 +258,14 @@ class EventEngine:
         self._open_time = 0.0
         self._batch = None
         self._batch_index = 0
-        self._batch_time = 0.0
         self._sequence = 0
         self.now = 0.0
         self.events_processed = 0
         self._stop = False
 
     def pending(self) -> int:
-        """Number of (non-cancelled) events still queued."""
-        count = 0
+        """Number of events still queued."""
+        count = sum(len(members) for _, _, members in self._queue)
         if self._batch is not None:
-            for member in self._batch[self._batch_index:]:
-                if not (member.__class__ is ScheduledEvent and member.cancelled):  # type: ignore[union-attr]
-                    count += 1
-        for _, _, members in self._queue:
-            for member in members:
-                if not (member.__class__ is ScheduledEvent and member.cancelled):  # type: ignore[union-attr]
-                    count += 1
+            count += len(self._batch) - self._batch_index
         return count

@@ -307,239 +307,6 @@ class TestRep006:
 
 
 # ---------------------------------------------------------------------------
-# REP007 — per-event-path classes must declare __slots__
-# ---------------------------------------------------------------------------
-class TestRep007:
-    def test_catches_slotless_class_instantiated_in_method(self):
-        bad = (
-            "class Token:\n"
-            "    pass\n"
-            "class Engine:\n"
-            "    def fire(self):\n"
-            "        return Token()\n"
-        )
-        assert "REP007" in rules_in({"src/repro/sim/x.py": bad})
-
-    def test_catches_cross_file_instantiation(self):
-        sources = {
-            "src/repro/distributed/a.py": "class Branch:\n    pass\n",
-            "src/repro/distributed/b.py": (
-                "from .a import Branch\n"
-                "def submit():\n"
-                "    return Branch()\n"
-            ),
-        }
-        assert "REP007" in rules_in(sources)
-
-    def test_allows_slots_class(self):
-        good = (
-            "class Token:\n"
-            "    __slots__ = ('value',)\n"
-            "class Engine:\n"
-            "    def fire(self):\n"
-            "        return Token()\n"
-        )
-        assert "REP007" not in rules_in({"src/repro/sim/x.py": good})
-
-    def test_allows_dataclass_with_slots(self):
-        good = (
-            "from dataclasses import dataclass\n"
-            "@dataclass(frozen=True, slots=True)\n"
-            "class Token:\n"
-            "    value: int\n"
-            "def fire():\n"
-            "    return Token(1)\n"
-        )
-        assert "REP007" not in rules_in({"src/repro/sim/x.py": good})
-
-    def test_allows_instantiation_in_init(self):
-        # __init__ is setup wiring, not a per-event path.
-        good = (
-            "class Queue:\n"
-            "    pass\n"
-            "class Engine:\n"
-            "    def __init__(self):\n"
-            "        self.queue = Queue()\n"
-        )
-        assert "REP007" not in rules_in({"src/repro/sim/x.py": good})
-
-    def test_allows_allow_listed_per_run_class(self):
-        good = (
-            "class RunMetrics:\n"
-            "    pass\n"
-            "class Collector:\n"
-            "    def freeze(self):\n"
-            "        return RunMetrics()\n"
-        )
-        assert "REP007" not in rules_in({"src/repro/sim/metrics.py": good})
-
-    def test_allows_exception_and_enum_subclasses(self):
-        good = (
-            "from enum import Enum\n"
-            "class Status(Enum):\n"
-            "    OK = 1\n"
-            "class SimError(ValueError):\n"
-            "    pass\n"
-            "def f():\n"
-            "    raise SimError(Status.OK)\n"
-        )
-        assert "REP007" not in rules_in({"src/repro/sim/x.py": good})
-
-    def test_outside_sim_distributed_not_checked(self):
-        code = (
-            "class Token:\n"
-            "    pass\n"
-            "def fire():\n"
-            "    return Token()\n"
-        )
-        assert "REP007" not in rules_in({"src/repro/core/x.py": code})
-
-    def test_pragma_suppresses(self):
-        code = (
-            "class Token:\n"
-            "    pass\n"
-            "def fire():\n"
-            "    return Token()  # repro-lint: disable=REP007\n"
-        )
-        assert "REP007" not in rules_in({"src/repro/sim/x.py": code})
-
-
-# ---------------------------------------------------------------------------
-# REP008 — no tuple-keyed dict lookups on per-event paths
-# ---------------------------------------------------------------------------
-class TestRep008:
-    def test_catches_subscript_with_tuple_key(self):
-        bad = (
-            "def probe(cache, a, b):\n"
-            "    return cache[(a, b)]\n"
-        )
-        assert "REP008" in rules_in({"src/repro/core/x.py": bad})
-
-    def test_catches_get_with_tuple_key(self):
-        bad = (
-            "def probe(cache, a, b):\n"
-            "    return cache.get((a, b))\n"
-        )
-        assert "REP008" in rules_in({"src/repro/sim/x.py": bad})
-
-    def test_catches_setdefault_and_pop_with_tuple_key(self):
-        bad = (
-            "def track(cache, a, b):\n"
-            "    cache.setdefault((a, b), 0)\n"
-            "    cache.pop((b, a), None)\n"
-        )
-        violations = lint_sources({"src/repro/distributed/x.py": bad})
-        assert sum(1 for v in violations if v.rule == "REP008") == 2
-
-    def test_allows_interned_index(self):
-        good = (
-            "def probe(table, requested_id, executed_id, n_ops):\n"
-            "    return table[requested_id * n_ops + executed_id]\n"
-        )
-        assert "REP008" not in rules_in({"src/repro/core/x.py": good})
-
-    def test_allows_init_and_allow_listed_functions(self):
-        good = (
-            "class Manager:\n"
-            "    def __init__(self, pairs):\n"
-            "        self.cache = {}\n"
-            "        for a, b in pairs:\n"
-            "            self.cache.get((a, b))\n"
-            "    def _compile_policy(self, policy):\n"
-            "        return self.cache[(policy, 0)]\n"
-        )
-        assert "REP008" not in rules_in({"src/repro/core/x.py": good})
-
-    def test_allows_type_annotations(self):
-        good = (
-            "from typing import Dict, Tuple\n"
-            "def build() -> Dict[Tuple[int, str], int]:\n"
-            "    versions: Dict[Tuple[int, str], int] = {}\n"
-            "    return versions\n"
-        )
-        assert "REP008" not in rules_in({"src/repro/distributed/x.py": good})
-
-    def test_outside_checked_packages_not_checked(self):
-        code = (
-            "def probe(cache, a, b):\n"
-            "    return cache[(a, b)]\n"
-        )
-        assert "REP008" not in rules_in({"src/repro/analysis/x.py": code})
-
-    def test_pragma_suppresses(self):
-        code = (
-            "def probe(cache, a, b):\n"
-            "    return cache[(a, b)]  # repro-lint: disable=REP008\n"
-        )
-        assert "REP008" not in rules_in({"src/repro/core/x.py": code})
-
-
-# ---------------------------------------------------------------------------
-# REP009 — no lambda/closure allocation inside per-event functions
-# ---------------------------------------------------------------------------
-class TestRep009:
-    def test_catches_lambda_in_function_body(self):
-        bad = (
-            "def fire(engine, target, delay):\n"
-            "    engine.schedule(delay, lambda: target.step())\n"
-        )
-        assert "REP009" in rules_in({"src/repro/sim/x.py": bad})
-
-    def test_catches_nested_function(self):
-        bad = (
-            "def fire(engine, target, delay):\n"
-            "    def callback():\n"
-            "        target.step()\n"
-            "    engine.schedule(delay, callback)\n"
-        )
-        assert "REP009" in rules_in({"src/repro/distributed/x.py": bad})
-
-    def test_allows_module_and_class_scope_lambdas(self):
-        good = (
-            "KEY = lambda pair: pair[0]\n"
-            "class Ranked:\n"
-            "    order = staticmethod(lambda pair: pair[1])\n"
-        )
-        assert "REP009" not in rules_in({"src/repro/sim/x.py": good})
-
-    def test_allows_setup_methods(self):
-        good = (
-            "class Model:\n"
-            "    def __init__(self, backend):\n"
-            "        self.factory = lambda: backend\n"
-            "    def reset(self):\n"
-            "        def rebuild():\n"
-            "            return None\n"
-            "        self.factory = rebuild\n"
-        )
-        assert "REP009" not in rules_in({"src/repro/sim/x.py": good})
-
-    def test_allows_method_default_evaluated_at_import(self):
-        # A lambda default on a module-level function or method is built
-        # once at definition time, not per call.
-        good = (
-            "class Ranker:\n"
-            "    def rank(self, items, key=lambda item: item):\n"
-            "        return sorted(items, key=key)\n"
-        )
-        assert "REP009" not in rules_in({"src/repro/distributed/x.py": good})
-
-    def test_outside_checked_packages_not_checked(self):
-        code = (
-            "def fire(engine, target, delay):\n"
-            "    engine.schedule(delay, lambda: target.step())\n"
-        )
-        assert "REP009" not in rules_in({"src/repro/analysis/x.py": code})
-
-    def test_pragma_suppresses(self):
-        code = (
-            "def fire(engine, target, delay):\n"
-            "    engine.schedule(delay, lambda: target.step())  # repro-lint: disable=REP009\n"
-        )
-        assert "REP009" not in rules_in({"src/repro/sim/x.py": code})
-
-
-# ---------------------------------------------------------------------------
 # Pragmas
 # ---------------------------------------------------------------------------
 class TestPragma:
@@ -576,8 +343,7 @@ class TestRepoTree:
         assert set(payload) == {"checked_files", "counts", "violations"}
         assert payload["violations"] == []
         assert set(payload["counts"]) == {
-            "REP001", "REP002", "REP003", "REP004", "REP005", "REP006", "REP007",
-            "REP008", "REP009",
+            "REP001", "REP002", "REP003", "REP004", "REP005", "REP006",
         }
         assert payload["checked_files"] > 20
 
@@ -596,6 +362,27 @@ class TestRepoTree:
             main(["lint", str(REPO_SRC), str(missing)], out=out)
         assert excinfo.value.code == 2
         assert str(missing) in capsys.readouterr().err
+        assert out.getvalue() == ""
+
+    def test_cli_lint_syntax_error_is_a_usage_error(self, tmp_path, capsys):
+        broken = tmp_path / "broken.py"
+        broken.write_text("x = 1\ndef f(:\n    pass\n")
+        out = io.StringIO()
+        with pytest.raises(SystemExit) as excinfo:
+            main(["lint", str(broken)], out=out)
+        assert excinfo.value.code == 2
+        assert f"{broken}:2" in capsys.readouterr().err
+        assert out.getvalue() == ""
+
+    def test_cli_lint_undecodable_file_is_a_usage_error(self, tmp_path, capsys):
+        latin1 = tmp_path / "latin1.py"
+        latin1.write_bytes(b"x = 1\nname = '\xe9'\n")
+        out = io.StringIO()
+        with pytest.raises(SystemExit) as excinfo:
+            main(["lint", str(latin1)], out=out)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"{latin1}:2" in err and "UTF-8" in err
         assert out.getvalue() == ""
 
     def test_rule_counts_accounts_every_violation(self):

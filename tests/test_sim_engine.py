@@ -40,30 +40,6 @@ class TestEventEngine:
         with pytest.raises(SimulationError):
             engine.schedule_at(1.0, lambda: None)
 
-    def test_cancelled_events_are_skipped(self):
-        engine = EventEngine()
-        fired = []
-        event = engine.schedule_cancellable(1.0, lambda: fired.append("cancelled"))
-        engine.schedule(2.0, lambda: fired.append("kept"))
-        event.cancel()
-        engine.run()
-        assert fired == ["kept"]
-        assert engine.events_processed == 1
-        assert engine.pending() == 0
-
-    def test_cancellable_negative_delay_rejected(self):
-        engine = EventEngine()
-        with pytest.raises(SimulationError):
-            engine.schedule_cancellable(-1.0, lambda: None)
-
-    def test_cancellable_event_fires_when_not_cancelled(self):
-        engine = EventEngine()
-        fired = []
-        engine.schedule_cancellable(1.0, lambda: fired.append("kept"))
-        assert engine.pending() == 1
-        engine.run()
-        assert fired == ["kept"]
-
     def test_run_until_predicate(self):
         engine = EventEngine()
         fired = []
@@ -72,6 +48,37 @@ class TestEventEngine:
         engine.run(until=lambda: len(fired) >= 2)
         assert fired == [0, 1]
         assert engine.pending() == 3
+
+    @pytest.mark.parametrize("interrupt", ["stop", "raise"])
+    def test_a_batch_interrupted_in_the_middle_resumes_in_order(self, interrupt):
+        # Three members at one timestamp drain as one batch.  The first
+        # stops the run or raises; the other two stay queued, in order.
+        engine = EventEngine()
+        fired = []
+
+        def first():
+            fired.append("a")
+            if interrupt == "stop":
+                engine.request_stop()
+            else:
+                raise RuntimeError("first member failed")
+
+        engine.schedule(1.0, first)
+        for label in ("b", "c"):
+            engine.schedule(1.0, lambda label=label: fired.append(label))
+        if interrupt == "stop":
+            engine.run_until_stop()
+        else:
+            with pytest.raises(RuntimeError, match="first member failed"):
+                engine.run_until_stop()
+        assert fired == ["a"]
+        assert engine.pending() == 2
+        assert engine.now == 1.0
+        assert engine.events_processed == 1
+        engine.run_until_stop()
+        assert fired == ["a", "b", "c"]
+        assert engine.pending() == 0
+        assert engine.events_processed == 3
 
     def test_run_raises_if_queue_drains_before_condition(self):
         engine = EventEngine()
