@@ -12,7 +12,8 @@ import pathlib
 import pytest
 
 from repro.cli import main
-from repro.lint import lint_paths, lint_sources, rule_counts
+from repro.lint import ALL_RULES, lint_paths, lint_sources, render_text, rule_counts
+from repro.lint.runner import collect_files
 
 REPO_SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
 
@@ -322,11 +323,44 @@ class TestPragma:
         code = "import random  # repro-lint: disable\n"
         assert rules_in({"src/repro/sim/x.py": code}) == set()
 
+    @pytest.mark.parametrize(
+        "code, found",
+        [
+            ("import random  # repro-lint: disable=REP003, rep001\n", set()),
+            ("# repro-lint: disable=REP001\nimport random\n", {"REP001"}),  # own line only
+            ("import random  # repro-lint: disable=REP099\n", {"REP001"}),  # unknown id
+        ],
+    )
+    def test_pragma_names_rules_for_its_own_line(self, code, found):
+        assert rules_in({"src/repro/sim/x.py": code}) == found
+
 
 # ---------------------------------------------------------------------------
 # The meta-test: the repo's own tree is clean, through the real CLI
 # ---------------------------------------------------------------------------
 class TestRepoTree:
+    def test_registry_is_rep001_to_rep006_in_id_order(self):
+        assert [rule.id for rule in ALL_RULES] == [f"REP00{n}" for n in range(1, 7)]
+        assert all(rule.summary for rule in ALL_RULES)
+
+    def test_rule_counts_lists_every_rule_when_clean(self):
+        assert rule_counts([]) == {rule.id: 0 for rule in ALL_RULES}
+
+    def test_text_report_names_path_line_and_rule(self):
+        violations = lint_sources({"src/repro/sim/x.py": "x = 1\nimport random\n"})
+        lines = render_text(violations).splitlines()
+        assert lines[0].startswith("src/repro/sim/x.py:2: REP001 ")
+        assert lines[-1] == "repro lint: 1 violation(s)"
+
+    def test_collect_files_walks_directories_in_sorted_order(self, tmp_path):
+        for name in ("b.py", "a/z.py", "a/y.txt", "c.py"):
+            (tmp_path / name).parent.mkdir(exist_ok=True)
+            (tmp_path / name).write_text("")
+        files = collect_files([str(tmp_path), str(tmp_path / "a" / "y.txt")])
+        assert [pathlib.Path(f).relative_to(tmp_path).as_posix() for f in files] == [
+            "b.py", "c.py", "a/z.py",
+        ]
+
     def test_repo_tree_is_clean(self):
         violations = lint_paths([str(REPO_SRC)])
         assert violations == [], "\n".join(v.render() for v in violations)
@@ -384,6 +418,41 @@ class TestRepoTree:
         err = capsys.readouterr().err
         assert f"{latin1}:2" in err and "UTF-8" in err
         assert out.getvalue() == ""
+
+    @pytest.mark.parametrize(
+        "data, line, reason",
+        [(b"x = 1\ndef f(:\n", 2, "invalid syntax"), (b"x = 1\n\ny = '\xff'\n", 3, "UTF-8")],
+    )
+    def test_lint_paths_raises_syntax_error_naming_file_and_line(
+        self, tmp_path, data, line, reason
+    ):
+        bad = tmp_path / "bad.py"
+        bad.write_bytes(data)
+        with pytest.raises(SyntaxError, match=reason) as excinfo:
+            lint_paths([str(tmp_path)])
+        assert (excinfo.value.filename, excinfo.value.lineno) == (str(bad), line)
+
+    def test_cli_lint_unparsable_file_in_a_directory_is_a_usage_error(self, tmp_path, capsys):
+        (tmp_path / "a_clean.py").write_text("x = 1\n")
+        (tmp_path / "b_broken.py").write_text("if True\n")
+        out = io.StringIO()
+        with pytest.raises(SystemExit) as excinfo:
+            main(["lint", "--json", str(tmp_path)], out=out)
+        assert excinfo.value.code == 2
+        assert f"{tmp_path / 'b_broken.py'}:1" in capsys.readouterr().err
+        assert out.getvalue() == ""
+
+    def test_cli_lint_json_counts_a_bad_file(self, tmp_path):
+        bad = tmp_path / "src" / "repro" / "sim" / "bad.py"
+        bad.parent.mkdir(parents=True)
+        bad.write_text("import random\nimport time\nstamp = time.time()\n")
+        out = io.StringIO()
+        assert main(["lint", "--json", str(bad)], out=out) == 1
+        payload = json.loads(out.getvalue())
+        assert payload["checked_files"] == 1
+        assert payload["counts"] == dict(rule_counts([]), REP001=1, REP003=1)
+        found = [(v["rule"], v["line"]) for v in payload["violations"]]
+        assert found == [("REP001", 1), ("REP003", 3)]
 
     def test_rule_counts_accounts_every_violation(self):
         violations = lint_sources(

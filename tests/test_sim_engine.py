@@ -80,6 +80,141 @@ class TestEventEngine:
         assert engine.pending() == 0
         assert engine.events_processed == 3
 
+    @staticmethod
+    def batch_of(engine, fired, labels, time=1.0):
+        for label in labels:
+            engine.schedule_at(time, lambda label=label: fired.append(label))
+
+    def test_step_takes_one_member_of_a_batch_at_a_time(self):
+        engine, fired = EventEngine(), []
+        self.batch_of(engine, fired, "abc")
+        for count in (1, 2, 3):
+            assert engine.step()
+            assert fired == list("abc"[:count])
+            assert engine.pending() == 3 - count
+            assert engine.events_processed == count
+        assert not engine.step() and engine.events_processed == 3
+
+    def test_run_predicate_stops_in_the_middle_of_a_batch(self):
+        engine, fired = EventEngine(), []
+        self.batch_of(engine, fired, "abc")
+        engine.run(until=lambda: len(fired) == 1)
+        assert fired == ["a"] and engine.pending() == 2
+        engine.run()
+        assert fired == ["a", "b", "c"]
+
+    def test_max_events_in_the_middle_of_a_batch_keeps_the_rest_queued(self):
+        engine, fired = EventEngine(), []
+        self.batch_of(engine, fired, "abcd")
+        with pytest.raises(SimulationError, match="safety limit of 2 events"):
+            engine.run_until_stop(max_events=2)
+        assert (fired, engine.pending(), engine.events_processed) == (["a", "b"], 2, 2)
+        engine.run_until_stop()
+        assert fired == ["a", "b", "c", "d"]
+
+    def test_a_stop_on_the_last_allowed_event_is_not_an_overrun(self):
+        engine, fired = EventEngine(), []
+        engine.schedule(1.0, lambda: fired.append("a"))
+        engine.schedule(1.0, engine.request_stop)
+        engine.schedule(1.0, lambda: fired.append("c"))
+        engine.run_until_stop(max_events=2)
+        assert fired == ["a"] and engine.pending() == 1
+
+    def test_a_stop_requested_outside_a_run_is_cleared_by_the_next_run(self):
+        engine, fired = EventEngine(), []
+        self.batch_of(engine, fired, "ab")
+        engine.request_stop()
+        engine.run_until_stop()
+        assert fired == ["a", "b"]
+
+    def test_a_zero_delay_event_runs_after_the_rest_of_its_batch(self):
+        # The popped batch is closed to appends: a member scheduling at the
+        # current time starts a new batch behind it.
+        engine, fired = EventEngine(), []
+        engine.schedule(1.0, lambda: engine.schedule(0.0, lambda: fired.append("d")))
+        self.batch_of(engine, fired, "bc")
+        engine.run_until_stop()
+        assert fired == ["b", "c", "d"] and engine.now == 1.0
+
+    def test_a_time_revisited_after_a_later_batch_keeps_scheduling_order(self):
+        engine, fired = EventEngine(), []
+        self.batch_of(engine, fired, "a", time=1.0)
+        self.batch_of(engine, fired, "x", time=2.0)
+        self.batch_of(engine, fired, "b", time=1.0)
+        engine.run()
+        assert fired == ["a", "b", "x"]
+
+    def test_only_a_new_batch_takes_a_heap_entry_and_a_sequence_number(self):
+        engine = EventEngine()
+        engine.schedule(1.0, lambda: None)
+        engine.schedule_at(1.0, lambda: None)
+        engine.schedule(1.0, lambda: None)
+        assert len(engine._queue) == 1 and engine._sequence == 1
+        engine.schedule(2.0, lambda: None)
+        engine.schedule(1.0, lambda: None)
+        assert len(engine._queue) == 3 and engine._sequence == 3
+        assert engine.pending() == 5
+
+    def test_now_is_the_batch_time_while_its_members_run(self):
+        engine, seen = EventEngine(), []
+        for time in (1.0, 1.0, 2.5):
+            engine.schedule_at(time, lambda: seen.append(engine.now))
+        engine.run()
+        assert seen == [1.0, 1.0, 2.5]
+
+    def test_typed_members_and_callables_share_a_batch_in_order(self):
+        engine, fired = EventEngine(), []
+        kind = engine.register_kind(lambda member: fired.append(member))
+        engine.schedule(1.0, (kind, "x", 7))
+        engine.schedule(1.0, lambda: fired.append("callable"))
+        engine.schedule(1.0, (kind, "y"))
+        engine.run_until_stop()
+        assert fired == [(kind, "x", 7), "callable", (kind, "y")]
+        assert engine.events_processed == 3
+
+    def test_a_typed_member_that_raises_leaves_the_rest_of_its_batch(self):
+        engine, fired = EventEngine(), []
+        kind = engine.register_kind(lambda member: member[1] / 0)
+        engine.schedule(1.0, (kind, 1))
+        self.batch_of(engine, fired, "bc")
+        with pytest.raises(ZeroDivisionError):
+            engine.run_until_stop()
+        assert engine.pending() == 2 and engine.events_processed == 1
+        engine.run_until_stop()
+        assert fired == ["b", "c"]
+
+    def test_a_raise_on_the_last_member_moves_on_to_the_next_batch(self):
+        engine, fired = EventEngine(), []
+        self.batch_of(engine, fired, "a")
+        engine.schedule(1.0, lambda: 1 / 0)
+        self.batch_of(engine, fired, "z", time=2.0)
+        with pytest.raises(ZeroDivisionError):
+            engine.run_until_stop()
+        assert engine.pending() == 1 and engine.now == 1.0
+        engine.run_until_stop()
+        assert fired == ["a", "z"] and engine.now == 2.0
+
+    def test_dispatch_runs_a_typed_member_outside_the_drain(self):
+        engine, fired = EventEngine(), []
+        kind = engine.register_kind(lambda member: fired.append(member[1:]))
+        engine.dispatch((kind, 1, 2))
+        assert fired == [(1, 2)]
+        assert engine.events_processed == 0 and engine.now == 0.0
+
+    def test_reset_discards_a_partly_drained_batch_and_keeps_kinds(self):
+        engine, fired = EventEngine(), []
+        kind = engine.register_kind(lambda member: fired.append(member[1]))
+        engine.schedule(1.0, engine.request_stop)
+        self.batch_of(engine, fired, "bc")
+        engine.schedule(3.0, lambda: fired.append("later"))
+        engine.run_until_stop()
+        assert engine.pending() == 3
+        engine.reset()
+        assert (engine.pending(), engine.now, engine.events_processed) == (0, 0.0, 0)
+        engine.schedule(0.5, (kind, "after reset"))
+        engine.run_until_stop()
+        assert fired == ["after reset"] and engine.now == 0.5
+
     def test_run_raises_if_queue_drains_before_condition(self):
         engine = EventEngine()
         engine.schedule(1.0, lambda: None)
