@@ -252,6 +252,9 @@ class CompatibilitySpec:
     compiled_tables: Dict[Any, Any] = field(
         default_factory=dict, init=False, compare=False, repr=False
     )
+    #: Operation name -> its row/column in the compiled tables (declared
+    #: order), built once and shared by every manager over this spec.
+    op_index: Dict[str, int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if set(self.commutativity.operations) != set(self.recoverability.operations):
@@ -259,6 +262,7 @@ class CompatibilitySpec:
                 f"compatibility spec for {self.type_name!r}: the two tables "
                 "cover different operation sets"
             )
+        self.op_index = {op: i for i, op in enumerate(self.operations)}
 
     @property
     def operations(self) -> Tuple[str, ...]:

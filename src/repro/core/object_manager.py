@@ -84,9 +84,15 @@ class ObjectManager:
     maps each interned ``(op id, conflict parameter)`` to ``{transaction id:
     live operations}`` — all classification reads, so it touches each
     *distinct* operation once.  An invocation outside the tables or with an
-    unhashable parameter gets a group of its own, keyed ``(-1, id(event))``,
-    its invocation kept in ``_fallback_invocations`` while the group lives.
+    unhashable parameter gets a group of its own, keyed ``(-1, id(event))``
+    (the event stays in ``_events_by_tid`` while the group lives).
     ``uncommitted`` is derived: the events in ``sequence`` order.
+
+    A manager owns only its states, its blocked queue and the log indexes
+    above.  The operation index, the compiled tables and the direct-dispatch
+    functions are references to what its compatibility spec and type spec
+    hold, so the thousands of copies a multi-site simulation builds share
+    one set per table.
 
     Parameters
     ----------
@@ -101,10 +107,19 @@ class ObjectManager:
         Starting committed state; defaults to ``spec.initial_state()``.
     materialize_state:
         When ``False`` the manager skips applying operations to real states
-        and records ``None`` return values.  The simulator uses this for the
-        abstract-data-type workload, whose operations have no executable
-        semantics (their behaviour is fully described by the random table).
+        and records ``None`` return values.  The simulator's workloads all
+        run this way: the abstract-data-type operations have no executable
+        semantics (their behaviour is fully described by the random table),
+        and no simulation reads a read/write page's value.
     """
+
+    __slots__ = (
+        "name", "spec", "compatibility", "materialize_state",
+        "committed_state", "current_state", "_initial_committed",
+        "blocked", "_events_by_tid", "_op_groups",
+        "_op_index", "_n_ops", "_param_is_args", "_op_functions", "_read_only_ops",
+        "_compiled_policy", "_compiled_tables",
+    )
 
     def __init__(
         self,
@@ -116,16 +131,18 @@ class ObjectManager:
     ):
         self.name = name
         self.spec = spec
-        self.compatibility = compatibility if compatibility is not None else spec.compatibility()
+        if compatibility is None:
+            compatibility = spec.compatibility()
+        self.compatibility = compatibility
         self.materialize_state = materialize_state
-        self.committed_state: Any = (
-            spec.initial_state() if initial_state is None else initial_state
-        )
-        self.current_state: Any = self.committed_state
+        if initial_state is None:
+            initial_state = spec.initial_state()
+        self.committed_state: Any = initial_state
+        self.current_state: Any = initial_state
         #: The committed state this manager started from.  ``reset()``
         #: restores it by reference: states are treated as immutable by the
         #: whole framework (operations return new states), so sharing is safe.
-        self._initial_committed: Any = self.committed_state
+        self._initial_committed: Any = initial_state
         #: FIFO queue of blocked requests.
         self.blocked: List[PendingRequest] = []
         #: Uncommitted events per transaction, each list in execution order.
@@ -135,33 +152,28 @@ class ObjectManager:
         #: Owner counts per (op id, conflict parameter) group; kept in step
         #: with ``_events_by_tid`` by the execution kernel and removal.
         self._op_groups: Dict[Tuple[int, Any], Dict[int, int]] = {}
-        #: The invocation of each fallback group (key ``(-1, id(event))``).
-        self._fallback_invocations: Dict[Tuple[int, Any], Invocation] = {}
+        # Everything below is shared with every other manager over the same
+        # compatibility spec or type spec; a manager only holds references.
         #: Interned operation ids: table operations in declared order.  The
-        #: compiled per-policy tables below are flat arrays indexed by
+        #: compiled per-policy tables are flat arrays indexed by
         #: ``requested_id * n + executed_id`` — classification is two int
         #: index operations instead of tuple-key construction + dict probes.
-        operations = self.compatibility.operations
-        self._op_index: Dict[str, int] = {op: i for i, op in enumerate(operations)}
-        self._n_ops = len(operations)
+        self._op_index: Dict[str, int] = compatibility.op_index
+        self._n_ops = len(compatibility.operations)
         #: True when the spec uses the default conflict parameter (the raw
         #: argument tuple) — lets the hot path skip a method call per probe.
         self._param_is_args = (
-            type(self.spec).conflict_parameter is TypeSpecification.conflict_parameter
+            type(spec).conflict_parameter is TypeSpecification.conflict_parameter
         )
         #: The spec instance's raw operation functions (``None``: apply through
         #: ``spec.apply``), which the execution kernel and ``_replay`` call
         #: directly, and its read-only operations, which removal never replays.
         self._op_functions, self._read_only_ops = spec.direct_dispatch()
-        #: Compiled tables per policy, built on first use and shared with
-        #: every other manager over the same compatibility spec.  A run
-        #: exercises a single policy, so the hot paths check
-        #: ``_compiled_policy`` by identity (no enum hash) before falling
-        #: back to the dict.  Tables are fixed once compiled, so entries
-        #: never go stale.
-        self._policy_tables: Dict[ConflictPolicy, _CompiledTables] = (
-            self.compatibility.compiled_tables
-        )
+        #: The compiled tables of the policy last asked for.  A run exercises
+        #: a single policy, so the hot paths check ``_compiled_policy`` by
+        #: identity (no enum hash) before falling back to the spec's
+        #: ``compiled_tables``, which every manager over the spec shares.
+        #: Tables are fixed once compiled, so entries never go stale.
         self._compiled_policy: Optional[ConflictPolicy] = None
         self._compiled_tables: Optional[_CompiledTables] = None
 
@@ -209,7 +221,7 @@ class ObjectManager:
                     unconditional[index] = same_case
                 index += 1
         compiled = (tuple(unconditional), tuple(same_param), tuple(diff_param))
-        self._policy_tables[policy] = compiled
+        self.compatibility.compiled_tables[policy] = compiled
         return compiled
 
     def _tables_for(self, policy: ConflictPolicy) -> _CompiledTables:
@@ -218,7 +230,7 @@ class ObjectManager:
             tables = self._compiled_tables
             assert tables is not None
             return tables
-        tables = self._policy_tables.get(policy)
+        tables = self.compatibility.compiled_tables.get(policy)
         if tables is None:
             tables = self._compile_policy(policy)
         self._compiled_policy = policy
@@ -326,12 +338,11 @@ class ObjectManager:
     def _representative(self, key: Tuple[int, Any]) -> Invocation:
         """An invocation of group ``key`` (all its members classify alike),
         for the slow path of a pair outside the compiled tables."""
-        fallback = self._fallback_invocations.get(key)
-        if fallback is not None:
-            return fallback
         by_tid = self._events_by_tid
-        return next(e.invocation for tid in self._op_groups[key] for e in by_tid[tid]
-                    if self._group_key(e.invocation) == key)
+        events = (e for tid in self._op_groups[key] for e in by_tid[tid])
+        if key[0] < 0:  # a fallback group: the one event keyed by its id
+            return next(e.invocation for e in events if id(e) == key[1])
+        return next(e.invocation for e in events if self._group_key(e.invocation) == key)
 
     # ------------------------------------------------------------------
     # Execution and the uncommitted log
@@ -375,7 +386,6 @@ class ObjectManager:
             # Unhashable parameter or table-unknown op: give the event its
             # own group so classification still sees it (without sharing).
             key = (-1, id(event))
-            self._fallback_invocations[key] = event.invocation
         owners = self._op_groups.setdefault(key, {})
         owners[event.transaction_id] = owners.get(event.transaction_id, 0) + 1
 
@@ -404,11 +414,10 @@ class ObjectManager:
         whole log leaves nothing to recompute (the visible state is already
         the post-commit committed state, the committed state the post-abort
         visible one).  Otherwise the transaction is popped from the owners of
-        every operation group (an emptied group goes, with its side-map entry
-        if it is a fallback group), and — unless every removed operation is
-        declared ``is_read_only``, in which case neither state can have moved
-        — the removed operations are folded and the survivors replayed over
-        the committed state.
+        every operation group (an emptied group goes), and — unless every
+        removed operation is declared ``is_read_only``, in which case neither
+        state can have moved — the removed operations are folded and the
+        survivors replayed over the committed state.
         """
         by_tid = self._events_by_tid
         removed = by_tid.pop(transaction_id, None)
@@ -416,7 +425,6 @@ class ObjectManager:
             return []
         if not by_tid:
             self._op_groups = {}
-            self._fallback_invocations = {}
             if commit:
                 self.committed_state = self.current_state
             else:
@@ -428,8 +436,6 @@ class ObjectManager:
                 del owners[transaction_id]
                 if not owners:
                     del groups[key]
-                    if key[0] < 0:
-                        del self._fallback_invocations[key]
         if self.materialize_state:
             read_only = self._read_only_ops
             for event in removed:
@@ -516,7 +522,6 @@ class ObjectManager:
         self.current_state = self.committed_state
         self.blocked.clear()
         self._op_groups.clear()
-        self._fallback_invocations.clear()
         self._events_by_tid.clear()
 
     def restore_initial_state(self) -> None:

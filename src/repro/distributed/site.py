@@ -68,14 +68,6 @@ def _fold_stats(into: SchedulerStatistics, stats: SchedulerStatistics) -> None:
         setattr(into, field.name, getattr(into, field.name) + getattr(stats, field.name))
 
 
-@dataclasses.dataclass(frozen=True)
-class _Registration:
-    """What the site itself needs to know about one of its copies."""
-
-    materialize_state: bool
-    replicated: bool
-
-
 class Site:
     """One site of the multi-site system: a scheduler plus a lifecycle."""
 
@@ -103,7 +95,10 @@ class Site:
         self.unreadable: Set[str] = set()
         self.failures = 0
         self.recoveries = 0
-        self._registrations: Dict[str, _Registration] = {}
+        #: Every copy at this site -> whether the object has copies at other
+        #: sites too (only those turn unreadable on recovery).  Whether a copy
+        #: is materialized is its manager's ``materialize_state``.
+        self._copies: Dict[str, bool] = {}
         self._retired_stats = SchedulerStatistics()
         #: ``None`` while the site is down (a stale dereference fails loudly);
         #: the crashed scheduler waits in ``_parked`` for :meth:`recover`.
@@ -130,9 +125,7 @@ class Site:
         replicated: bool = False,
     ) -> None:
         """Place a copy of an object at this site."""
-        self._registrations[name] = _Registration(
-            materialize_state=materialize_state, replicated=replicated
-        )
+        self._copies[name] = replicated
         self.scheduler.register_object(
             name,
             spec,
@@ -143,11 +136,11 @@ class Site:
 
     def holds(self, name: str) -> bool:
         """True when this site has a copy of the object (readable or not)."""
-        return name in self._registrations
+        return name in self._copies
 
     def readable(self, name: str) -> bool:
         """True when a read of ``name`` can be served at this site now."""
-        return self.status.is_up and name not in self.unreadable and name in self._registrations
+        return self.status.is_up and name not in self.unreadable and name in self._copies
 
     def writable(self, name: str) -> bool:
         """True when a write of ``name`` can be applied at this site now.
@@ -155,7 +148,7 @@ class Site:
         Writes are accepted on unreadable (recovering) copies — a committed
         write is exactly what makes a copy readable again.
         """
-        return self.status.is_up and name in self._registrations
+        return self.status.is_up and name in self._copies
 
     def mark_readable(self, name: str) -> None:
         """A committed write refreshed the copy of ``name``."""
@@ -172,21 +165,19 @@ class Site:
         """Deep-copied committed states of this site's copies.
 
         Only *committed* state is snapshotted — uncommitted operations never
-        leave the site — and only for materialized objects (the ADT workload
-        runs with ``materialize_state=False``: its objects have no
-        executable state to copy).  This is what a recovering replica
+        leave the site — and only for materialized objects (the simulation
+        workloads register theirs with ``materialize_state=False``: there is
+        no executable state to copy).  This is what a recovering replica
         catches up from under the quorum and primary-copy protocols.
         """
         if not self.status.is_up:
             raise ReproError(f"site {self.site_id} is down; nothing to snapshot")
-        selected = self._registrations.keys() if names is None else names
+        selected = self._copies.keys() if names is None else names
         snapshot: Dict[str, Any] = {}
         for name in selected:
-            registration = self._registrations[name]
-            if registration.materialize_state:
-                snapshot[name] = copy.deepcopy(
-                    self.scheduler.object(name).committed_state
-                )
+            manager = self.scheduler.object(name)
+            if manager.materialize_state:
+                snapshot[name] = copy.deepcopy(manager.committed_state)
         return snapshot
 
     def install_committed(self, name: str, state: Any) -> None:
@@ -204,7 +195,7 @@ class Site:
                 f"site {self.site_id} has uncommitted operations on {name!r}; "
                 "catch-up must happen before new work arrives"
             )
-        if self._registrations[name].materialize_state:
+        if manager.materialize_state:
             manager.committed_state = state
             manager.current_state = state
         self.mark_readable(name)
@@ -269,8 +260,8 @@ class Site:
             raise ReproError(f"site {self.site_id} is not down")
         self.scheduler, self._parked = self._parked, None
         self.scheduler.discard_volatile()
-        for name, registration in self._registrations.items():
-            if registration.replicated:
+        for name, replicated in self._copies.items():
+            if replicated:
                 self.unreadable.add(name)
         self.status = SiteStatus.UP
         self.recoveries += 1
@@ -290,5 +281,5 @@ class Site:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"<Site {self.site_id} {self.status.value} "
-            f"objects={len(self._registrations)} unreadable={len(self.unreadable)}>"
+            f"objects={len(self._copies)} unreadable={len(self.unreadable)}>"
         )

@@ -112,12 +112,13 @@ class ReadWriteWorkload(Workload):
 
     def register_objects(self, scheduler: Scheduler) -> None:
         compatibility = self._page_type.compatibility()
+        # No simulation reads a page's value, so none is ever computed.
         for name in self._object_names:
             scheduler.register_object(
                 name,
                 self._page_type,
                 compatibility=compatibility,
-                materialize_state=True,
+                materialize_state=False,
             )
 
     def next_transaction(self) -> TransactionTemplate:

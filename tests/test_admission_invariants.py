@@ -80,7 +80,7 @@ def check_object(scheduler, manager):
         owners = recount.setdefault(key, {})
         owners[event.transaction_id] = owners.get(event.transaction_id, 0) + 1
         by_transaction.setdefault(event.transaction_id, []).append(event)
-    assert recount == manager._op_groups and not manager._fallback_invocations
+    assert recount == manager._op_groups
     assert manager.live_transactions() == set(by_transaction)
     for tid, events in by_transaction.items():
         assert manager.events_of(tid) == events

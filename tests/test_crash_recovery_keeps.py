@@ -8,8 +8,12 @@ committed states, compiled policy tables and listeners stay.
 The stream-level equivalence with the old rebuild lives in
 ``test_crash_recovery_oracle.py``; these tests pin the object-level contract,
 plus the small bookkeeping rules that rode along (liveness as data, quorum
-sizes validated per copy count, one table compile per compatibility spec).
+sizes validated per copy count, one table compile per compatibility spec,
+per-table lookups shared by every copy and never kept past their spec).
 """
+
+import gc
+import weakref
 
 import pytest
 
@@ -258,3 +262,41 @@ class TestLivenessAndQuorumBookkeeping:
         landed = sorted(router.perform(own.gtid, "y", "write", 9).branch_handles)
         mine = router.perform(own.gtid, "y", "read")
         assert mine.value_site in landed and mine.value == 9
+
+
+class TestSharedPerTableData:
+    """Copies share what is per table; nothing keeps a dropped table alive."""
+
+    def test_copies_share_their_tables_lookups(self):
+        router = make_router()
+        x0, x1 = (router.sites[sid].scheduler.object("x") for sid in (0, 1))
+        y0 = router.sites[0].scheduler.object("y")
+        assert x0 is not x1 and x0.compatibility is x1.compatibility
+        assert x0._op_index is x1._op_index is x0.compatibility.op_index
+        assert y0._op_index is not x0._op_index  # another spec, its own index
+        assert y0._op_index == x0._op_index == {"read": 0, "write": 1}
+
+    def test_a_dropped_spec_is_not_kept_alive(self):
+        page = PageType()
+        compatibility = page.compatibility()
+        specs = weakref.ref(page), weakref.ref(compatibility)
+        scheduler = Scheduler()
+        for name in ("a", "b"):
+            scheduler.register_object(name, page, compatibility=compatibility)
+        t1, t2 = scheduler.begin(), scheduler.begin()
+        assert scheduler.perform(t1.tid, "a", "write", 1).executed
+        scheduler.perform(t2.tid, "a", "read")  # classified: compiles the tables
+        assert compatibility.compiled_tables
+        del page, compatibility, scheduler, t1, t2
+        gc.collect()
+        assert [ref() for ref in specs] == [None, None]
+
+    def test_an_adt_simulation_leaves_no_type_spec_behind(self):
+        params = SimulationParameters(seed=3, database_size=20, mpl_level=4,
+                                      total_completions=30, warmup_completions=5)
+        simulation = Simulation(params, workload_kind="adt")
+        spec = weakref.ref(simulation.workload._spec)
+        simulation.run()
+        del simulation
+        gc.collect()
+        assert spec() is None

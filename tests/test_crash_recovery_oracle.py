@@ -106,8 +106,8 @@ class RebuildingSite(Site):
     def recover(self):
         assert self.status is SiteStatus.DOWN
         self._rebuild(self._durable, self._listeners)
-        for name, registration in self._registrations.items():
-            if registration.replicated:
+        for name, replicated in self._copies.items():
+            if replicated:
                 self.unreadable.add(name)
         self.status = SiteStatus.UP
         self.recoveries += 1

@@ -47,7 +47,6 @@ class RebuildingManager(ObjectManager):
         survivors = [e for e in log if e.transaction_id != transaction_id]
         self._events_by_tid = {}
         self._op_groups = {}
-        self._fallback_invocations = {}
         for event in survivors:
             self._events_by_tid.setdefault(event.transaction_id, []).append(event)
             self._index_event(event)
@@ -146,11 +145,14 @@ def assert_same(actual, expected):
                 got = actual.classify_request(invocation, transaction_id, policy)
                 assert got == expected.classify_request(invocation, transaction_id, policy)
                 assert got == classify_by_log(expected, invocation, transaction_id, policy)
-    # Empty groups must not linger once their last owner left, nor the
-    # side-map entry of a fallback group that went.
+    # Empty groups must not linger once their last owner left, and a
+    # fallback group is keyed by a live event of its one owner.
     assert all(actual._op_groups.values())
     assert len(actual._op_groups) == len(expected._op_groups)
-    assert set(actual._fallback_invocations) == {key for key in actual._op_groups if key[0] < 0}
+    for key, owners in actual._op_groups.items():
+        if key[0] < 0:
+            (owner,) = owners
+            assert key[1] in {id(event) for event in actual.events_of(owner)}
 
 
 def drive(steps):

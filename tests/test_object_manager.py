@@ -383,7 +383,7 @@ class TestDerivedLog:
 
 class TestFallbackGroups:
     """An unhashable parameter or an operation outside the tables gets a
-    group per event, whose invocation waits in a side map; both go with it."""
+    group per event, keyed by the event's id; the group goes with it."""
 
     @pytest.mark.parametrize("ending", ["commit", "abort", "discard_volatile"])
     @pytest.mark.parametrize("kind", sorted(FALLBACKS))
@@ -395,8 +395,9 @@ class TestFallbackGroups:
         manager.execute(invocation, 3, 3)
         fallback = [key for key in manager._op_groups if key[0] < 0]
         assert len(fallback) == 2
-        assert set(manager._fallback_invocations) == set(fallback)
-        assert list(manager._fallback_invocations.values()) == [invocation, invocation]
+        events = manager.events_of(2) + manager.events_of(3)
+        assert sorted(key[1] for key in fallback) == sorted(id(event) for event in events)
+        assert [manager._representative(key) for key in fallback] == [invocation, invocation]
         # Classification still sees every fallback operation.
         policy = ConflictPolicy.RECOVERABILITY
         assert manager.classify_request(Invocation("read"), 1, policy) == ({2, 3}, set())
@@ -405,15 +406,15 @@ class TestFallbackGroups:
             assert manager._op_groups == {} and manager._events_by_tid == {}
         else:
             manager.remove_transaction(2, commit=ending == "commit")
-            assert len([key for key in manager._op_groups if key[0] < 0]) == 1
-            assert len(manager._fallback_invocations) == 1
+            assert [key[1] for key in manager._op_groups if key[0] < 0] == [
+                id(manager.events_of(3)[0])
+            ]
             manager.remove_transaction(3, commit=ending == "commit")
             # Shared removals: only the reader's group is left.
             assert list(manager._op_groups) == [(0, ())]
             assert manager.live_transactions() == {1}
             manager.remove_transaction(1, commit=ending == "commit")
             assert manager._op_groups == {} and manager._events_by_tid == {}
-        assert manager._fallback_invocations == {}
         assert manager.uncommitted == []
 
     @pytest.mark.parametrize("kind", sorted(FALLBACKS))
@@ -430,8 +431,8 @@ class TestFallbackGroups:
         assert scheduler.perform(writer.tid, manager.name, "write", *invocation.args).executed
         (key,) = [key for key in manager._op_groups if key[0] < 0]
         assert manager._op_groups[key] == {writer.tid: 1}
-        assert manager._fallback_invocations == {key: invocation}
+        assert key[1] == id(manager.events_of(writer.tid)[0])
+        assert manager._representative(key) == invocation
         scheduler.abort(writer.tid)
         assert list(manager._op_groups) == [(0, ())]
-        assert manager._fallback_invocations == {}
         assert manager.live_transactions() == {reader.tid}

@@ -23,6 +23,7 @@ from repro.distributed import (
     TransactionRouter,
     make_replication_protocol,
 )
+from repro.distributed.site import Site
 from repro.sim.params import SimulationParameters
 from repro.sim.simulator import run_simulation
 
@@ -383,6 +384,61 @@ class TestCatchUpSafety:
         router.fail_site(1)
         with pytest.raises(ReproError):
             router.sites[1].committed_snapshot()
+
+
+class TestUnmaterializedCatchUp:
+    """The simulation workloads register copies with ``materialize_state=False``:
+    catch-up then moves no state, only readability."""
+
+    @staticmethod
+    def make_site():
+        site = Site(0)
+        page = PageType()
+        compatibility = page.compatibility()
+        site.register_object("x", page, compatibility=compatibility, initial_state=3,
+                             materialize_state=False, replicated=True)
+        site.register_object("y", page, compatibility=compatibility, replicated=True)
+        return site
+
+    def test_committed_snapshot_omits_unmaterialized_copies(self):
+        site = self.make_site()
+        assert site.committed_snapshot() == {"y": 0}
+        assert site.committed_snapshot(["x"]) == {}
+
+    def test_installing_nothing_marks_readable_and_keeps_the_state(self):
+        site = self.make_site()
+        site.fail()
+        site.recover()
+        assert not site.readable("x") and not site.readable("y")
+        site.install_committed("x", None)
+        manager = site.scheduler.object("x")
+        assert site.readable("x") and not site.readable("y")
+        assert manager.committed_state == manager.current_state == 3
+        site.install_committed("y", 7)
+        assert site.scheduler.object("y").committed_state == 7
+
+    def test_quorum_catch_up_of_unmaterialized_copies(self):
+        router = TransactionRouter(site_count=3, replication="copies",
+                                   replication_protocol="quorum",
+                                   quorum_read=2, quorum_write=2)
+        page = PageType()
+        router.register_object("x", page, compatibility=page.compatibility(),
+                               materialize_state=False)
+        protocol = router.replication
+        seed = router.begin()
+        assert router.perform(seed.gtid, "x", "write", 5).value is None
+        router.commit(seed.gtid)
+        victim = min(sid for sid in range(3) if protocol.version_of(sid, "x") == 1)
+        router.fail_site(victim)
+        writer = router.begin()
+        router.perform(writer.gtid, "x", "write", 7)
+        router.commit(writer.gtid)
+        router.recover_site(victim)
+        site = router.sites[victim]
+        assert site.readable("x")
+        assert protocol.version_of(victim, "x") == 2
+        assert protocol.stats.catchups == 1
+        assert site.scheduler.committed_state("x") == 0  # never materialized
 
 
 class TestPrimaryCopy:

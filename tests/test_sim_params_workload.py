@@ -77,6 +77,8 @@ class TestReadWriteWorkload:
         workload.register_objects(scheduler)
         assert len(scheduler.objects) == params.database_size
         assert all(m.spec.name == "page" for m in scheduler.objects.values())
+        # No simulation reads a page value: none is computed.
+        assert all(not m.materialize_state for m in scheduler.objects.values())
 
     def test_transaction_lengths_respect_bounds(self):
         params, workload = self.make()
