@@ -18,7 +18,8 @@ groups the scheduler classifies through (except to recount them):
   uncommitted operations, plus — when scheduling is fair — the owners of
   conflicting requests queued ahead of it;
 * **states are folds** — the visible state is the committed state with the
-  uncommitted log folded over it;
+  uncommitted log folded over it (checked on the read/write runs with real
+  page values);
 * **indexes are recounts** — every operation group's owners, and the events
   listed per transaction, equal a recount of the log;
 * **no cycle survives** — the dependency graph is acyclic and its maintained
@@ -26,6 +27,7 @@ groups the scheduler classifies through (except to recount them):
 """
 
 import pytest
+from page_values import keep_page_values
 from test_lock_table_invariants import CheckedSimulation as SteppedSimulation
 from test_lock_table_invariants import double_crashes, find_cycle
 
@@ -36,6 +38,7 @@ from repro.core.policy import ConflictPolicy
 from repro.core.scheduler import Scheduler
 from repro.core.transaction import TransactionStatus
 from repro.sim.params import SimulationParameters
+from repro.sim.routing import CentralCoordinator
 from repro.sim.simulator import run_simulation
 
 SEEDS = (1, 7, 13)
@@ -144,15 +147,34 @@ def contended_params(policy, seed, fair, sites):
     return SimulationParameters(**overrides)
 
 
+#: workload kind, and whether read/write pages carry real values (so that
+#: "states are folds" is checked; the simulations' default skips them).
+WORKLOADS = {
+    "readwrite": ("readwrite", False),
+    "readwrite-values": ("readwrite", True),
+    "adt": ("adt", False),
+}
+
+
+def live_schedulers(simulation):
+    router = simulation.router
+    if isinstance(router, CentralCoordinator):
+        return [router.scheduler]
+    return [site.scheduler for site in router.sites if site.status.is_up]
+
+
 class TestInvariantsBetweenEveryTwoEvents:
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("fair", [True, False], ids=["fair", "unfair"])
     @pytest.mark.parametrize("sites", [1, 3], ids=["central", "q3-2pc-crash"])
     @pytest.mark.parametrize("policy", POLICIES, ids=lambda policy: policy.value)
-    @pytest.mark.parametrize("workload_kind", ["readwrite", "adt"])
+    @pytest.mark.parametrize("workload", sorted(WORKLOADS))
     def test_stepped_run_never_leaves_the_definition(
-        self, workload_kind, policy, sites, fair, seed
+        self, workload, policy, sites, fair, seed, monkeypatch
     ):
+        workload_kind, page_values = WORKLOADS[workload]
+        if page_values:
+            keep_page_values(monkeypatch)
         params = contended_params(policy, seed, fair, sites)
         simulation = CheckedSimulation(params, workload_kind=workload_kind)
         metrics = simulation.run(max_events=10_000_000)
@@ -164,6 +186,14 @@ class TestInvariantsBetweenEveryTwoEvents:
             assert counters["commit_dependency_edges"] > 0 and counters["pseudo_commits"] > 0
         if sites > 1:
             assert counters["replication_catchups"] > 0
+        if page_values:
+            # The folds were over real values: some committed write landed.
+            managers = [
+                manager for scheduler in live_schedulers(simulation)
+                for manager in scheduler.objects.values()
+            ]
+            assert managers and all(manager.materialize_state for manager in managers)
+            assert any(manager.committed_state != 0 for manager in managers)
         # Stepping changes nothing: the unstepped run is the same run.
         assert counters == run_simulation(params, workload_kind=workload_kind).counters()
 

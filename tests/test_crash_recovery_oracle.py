@@ -13,11 +13,15 @@ Seeded multi-site runs through a scripted double crash must agree on every
 deterministic observable and on every copy's committed state, for each
 replication protocol x commit protocol, the read/write and ADT workloads and
 both backends; so must a ``Simulation.reset()`` reuse after a crashed run.
+The read/write runs go with and without real page values: only with them do
+the durable states and the catch-up's copies hold anything, and then up
+copies at one stamped version must also hold one value.
 """
 
 import copy
 
 import pytest
+from page_values import keep_page_values
 
 from repro.core.policy import ConflictPolicy
 from repro.core.scheduler import Scheduler, SchedulerStatistics
@@ -34,11 +38,15 @@ PROTOCOLS = {
     "primary-copy": dict(replication_protocol="primary-copy"),
 }
 
-#: workload kind, conflict policy (which selects the backend).
+#: workload kind, conflict policy (which selects the backend), and whether
+#: read/write pages carry real values — only then do a crash's durable
+#: states and the catch-up's deep copy hold anything to compare.
 VARIANTS = {
-    "readwrite-semantic": ("readwrite", ConflictPolicy.RECOVERABILITY),
-    "adt-semantic": ("adt", ConflictPolicy.RECOVERABILITY),
-    "readwrite-2pl": ("readwrite", ConflictPolicy.TWO_PHASE_LOCKING),
+    "readwrite-semantic": ("readwrite", ConflictPolicy.RECOVERABILITY, False),
+    "readwrite-values-semantic": ("readwrite", ConflictPolicy.RECOVERABILITY, True),
+    "adt-semantic": ("adt", ConflictPolicy.RECOVERABILITY, False),
+    "readwrite-2pl": ("readwrite", ConflictPolicy.TWO_PHASE_LOCKING, False),
+    "readwrite-values-2pl": ("readwrite", ConflictPolicy.TWO_PHASE_LOCKING, True),
 }
 
 #: Two overlapping outages, then a repeat crash of an already-recovered site;
@@ -163,6 +171,33 @@ def observables(simulation, metrics):
     )
 
 
+def committed_writes(observed):
+    """How many page copies, over all up sites, hold a committed value other
+    than the initial 0."""
+    return sum(
+        state != 0 for site in observed["sites"] for state in site["committed"].values()
+    )
+
+
+def assert_copies_agree_by_version(simulation):
+    """Up copies of one object at one stamped version hold one committed
+    value.  The reference shares the catch-up path (``committed_snapshot``,
+    ``install_committed``), so only this checks what a catch-up installs.
+    Available-copies keeps no versions."""
+    if simulation.params.replication_protocol == "available-copies":
+        return
+    router = simulation.router
+    protocol = router.replication
+    values = {}
+    for site in router.sites:
+        if site.status.is_up:
+            for name, manager in site.scheduler.objects.items():
+                key = (name, protocol.version_of(site.site_id, name))
+                values.setdefault(key, set()).add(manager.committed_state)
+    disagreeing = {key: found for key, found in values.items() if len(found) > 1}
+    assert not disagreeing, disagreeing
+
+
 def crash_params(seed, protocol, commit_protocol, policy, **overrides):
     settings = dict(
         mpl_level=8, total_completions=50, database_size=60, seed=seed,
@@ -181,7 +216,9 @@ def crash_params(seed, protocol, commit_protocol, policy, **overrides):
 @pytest.mark.parametrize("commit_protocol", ["one-phase", "two-phase"])
 @pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
 def test_in_place_recovery_matches_rebuild(protocol, commit_protocol, variant, monkeypatch):
-    workload_kind, policy = VARIANTS[variant]
+    workload_kind, policy, page_values = VARIANTS[variant]
+    if page_values:
+        keep_page_values(monkeypatch)
     crashed_work = 0
     for seed in SEEDS:
         params = crash_params(seed, protocol, commit_protocol, policy)
@@ -192,16 +229,22 @@ def test_in_place_recovery_matches_rebuild(protocol, commit_protocol, variant, m
         actual = observables(simulation, simulation.run())
         assert actual == expected, f"seed {seed}"
         assert [site["failures"] for site in actual["sites"]] == [1, 2, 0]
+        if page_values:
+            assert committed_writes(actual) > 0, f"seed {seed}"
+            assert_copies_agree_by_version(simulation)
         crashed_work += actual["counters"]["replication_site_failure_aborts"]
     # The schedule must actually destroy in-flight work, or the comparison
     # above proves nothing about recovery.
     assert crashed_work > 0
 
 
+@pytest.mark.parametrize("page_values", [False, True], ids=["no-values", "values"])
 @pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
-def test_reset_reuse_after_a_crashed_run_matches_rebuild(protocol, monkeypatch):
+def test_reset_reuse_after_a_crashed_run_matches_rebuild(protocol, page_values, monkeypatch):
     # The run ends with site 1 still down: reset() must bring it back, from
     # the registered initial states rather than the crashed run's durable ones.
+    if page_values:
+        keep_page_values(monkeypatch)
     params = crash_params(
         4, protocol, "two-phase", ConflictPolicy.RECOVERABILITY,
         failure_schedule=DOUBLE_CRASH[:-1],
@@ -211,6 +254,9 @@ def test_reset_reuse_after_a_crashed_run_matches_rebuild(protocol, monkeypatch):
 
     simulation = Simulation(params, workload_kind="readwrite")
     assert observables(simulation, simulation.run()) == expected
+    if page_values:
+        assert committed_writes(expected) > 0
+        assert_copies_agree_by_version(simulation)
     assert not simulation.router.sites[1].status.is_up
     for _ in range(2):
         simulation.reset(params)

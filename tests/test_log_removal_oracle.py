@@ -15,7 +15,8 @@ Random interleavings of execute / commit / abort over page, stack, set and
 table objects (with unhashable-parameter and table-unknown operations) must
 agree after every step, and the derived ``uncommitted`` log must equal a
 literal execution-order list kept by the driver; so must seeded end-to-end
-runs on both backends and through a multi-site double crash.
+runs on both backends and through a multi-site double crash, with and without
+real page values.
 """
 
 import random
@@ -23,6 +24,7 @@ import random
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from page_values import keep_page_values
 
 from repro.adts import PageType, SetType, StackType, TableType
 from repro.core import scheduler as scheduler_module
@@ -261,18 +263,22 @@ DOUBLE_CRASH = (
     (3.3, "recover", 1),
 )
 
+QUORUM_2PC_DOUBLE_CRASH = dict(
+    policy=ConflictPolicy.RECOVERABILITY, site_count=3, replication="copies",
+    replication_protocol="quorum", quorum_read=2, quorum_write=2,
+    commit_protocol="two-phase", msg_time=0.002, failure_schedule=DOUBLE_CRASH,
+)
+
+#: workload kind, whether read/write pages carry real values (so that the
+#: replay is compared, not just the indexes), and parameter overrides.
 END_TO_END = {
-    "semantic": ("readwrite", dict(policy=ConflictPolicy.RECOVERABILITY)),
-    "semantic-adt": ("adt", dict(policy=ConflictPolicy.RECOVERABILITY)),
-    "2pl": ("readwrite", dict(policy=ConflictPolicy.TWO_PHASE_LOCKING)),
-    "quorum-2pc-double-crash": (
-        "readwrite",
-        dict(
-            policy=ConflictPolicy.RECOVERABILITY, site_count=3, replication="copies",
-            replication_protocol="quorum", quorum_read=2, quorum_write=2,
-            commit_protocol="two-phase", msg_time=0.002, failure_schedule=DOUBLE_CRASH,
-        ),
-    ),
+    "semantic": ("readwrite", False, dict(policy=ConflictPolicy.RECOVERABILITY)),
+    "semantic-values": ("readwrite", True, dict(policy=ConflictPolicy.RECOVERABILITY)),
+    "semantic-adt": ("adt", False, dict(policy=ConflictPolicy.RECOVERABILITY)),
+    "2pl": ("readwrite", False, dict(policy=ConflictPolicy.TWO_PHASE_LOCKING)),
+    "2pl-values": ("readwrite", True, dict(policy=ConflictPolicy.TWO_PHASE_LOCKING)),
+    "quorum-2pc-double-crash": ("readwrite", False, QUORUM_2PC_DOUBLE_CRASH),
+    "quorum-2pc-double-crash-values": ("readwrite", True, QUORUM_2PC_DOUBLE_CRASH),
 }
 
 
@@ -311,7 +317,9 @@ def run_and_observe(params, workload_kind, manager_class, monkeypatch):
 @pytest.mark.parametrize("case", sorted(END_TO_END))
 @pytest.mark.parametrize("seed", [1, 7, 13])
 def test_seeded_runs_match_the_rebuilding_reference(case, seed, monkeypatch):
-    workload_kind, overrides = END_TO_END[case]
+    workload_kind, page_values, overrides = END_TO_END[case]
+    if page_values:
+        keep_page_values(monkeypatch)
     # A small hot database: logs are shared often, so both removal cases and
     # the conflict machinery behind them (restarts, pseudo-commits) all run.
     params = SimulationParameters(
@@ -321,3 +329,8 @@ def test_seeded_runs_match_the_rebuilding_reference(case, seed, monkeypatch):
     actual = run_and_observe(params, workload_kind, ObjectManager, monkeypatch)
     assert actual == expected
     assert actual["counters"]["aborts"] > 0 or actual["counters"]["blocks"] > 0
+    if page_values:
+        # Real values were compared: some committed write moved a page.
+        assert any(
+            state != 0 for states in actual["committed"] for state in states.values()
+        )
