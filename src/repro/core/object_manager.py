@@ -16,23 +16,24 @@ the log into the committed state, abort deletes from it.
 The log is two indexes — each transaction's events, and per distinct
 (operation, conflict parameter) the live operations per owner — from which
 ``uncommitted``, the log in execution order, is derived.
-Replay happens only when the log is shared: the manager keeps
-``current_state == replay(committed_state, uncommitted)``, so a transaction
-that owns the whole log commits by promoting the visible state and aborts by
-falling back to the committed one; only surviving operations of *other*
-transactions are ever replayed, and none are when every removed operation is
-declared read-only.
+:meth:`ObjectManager.execute` is the only code that applies an operation and
+logs its event.  Real states go through the type specification alone: the
+manager keeps ``current_state`` equal to ``committed_state`` with
+``uncommitted`` folded over it by ``spec.next_state``.  A transaction that
+owns the whole log commits by promoting the visible state and aborts by
+falling back to the committed one; otherwise removal folds the removed
+operations into the committed state on commit and refolds the survivors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from .compatibility import CompatibilitySpec, ConflictClass
 from .policy import ConflictPolicy, effective_class
-from .specification import Event, Invocation, OperationResult, TypeSpecification
+from .specification import Event, Invocation, TypeSpecification, _tuple_new
 
 #: One compiled policy table: ``(unconditional, same_param, diff_param)``
 #: flat arrays indexed by ``requested_id * n_ops + executed_id``.  The
@@ -89,10 +90,9 @@ class ObjectManager:
     ``uncommitted`` is derived: the events in ``sequence`` order.
 
     A manager owns only its states, its blocked queue and the log indexes
-    above.  The operation index, the compiled tables and the direct-dispatch
-    functions are references to what its compatibility spec and type spec
-    hold, so the thousands of copies a multi-site simulation builds share
-    one set per table.
+    above.  The operation index and the compiled tables are references to
+    what its compatibility spec holds, so the thousands of copies a
+    multi-site simulation builds share one set per table.
 
     Parameters
     ----------
@@ -117,7 +117,7 @@ class ObjectManager:
         "name", "spec", "compatibility", "materialize_state",
         "committed_state", "current_state", "_initial_committed",
         "blocked", "_events_by_tid", "_op_groups",
-        "_op_index", "_n_ops", "_param_is_args", "_op_functions", "_read_only_ops",
+        "_op_index", "_n_ops", "_param_is_args",
         "_compiled_policy", "_compiled_tables",
     )
 
@@ -150,10 +150,10 @@ class ObjectManager:
         #: durable commit.
         self._events_by_tid: Dict[int, List[Event]] = {}
         #: Owner counts per (op id, conflict parameter) group; kept in step
-        #: with ``_events_by_tid`` by the execution kernel and removal.
+        #: with ``_events_by_tid`` by ``execute`` and removal.
         self._op_groups: Dict[Tuple[int, Any], Dict[int, int]] = {}
         # Everything below is shared with every other manager over the same
-        # compatibility spec or type spec; a manager only holds references.
+        # compatibility spec; a manager only holds references.
         #: Interned operation ids: table operations in declared order.  The
         #: compiled per-policy tables are flat arrays indexed by
         #: ``requested_id * n + executed_id`` — classification is two int
@@ -165,10 +165,6 @@ class ObjectManager:
         self._param_is_args = (
             type(spec).conflict_parameter is TypeSpecification.conflict_parameter
         )
-        #: The spec instance's raw operation functions (``None``: apply through
-        #: ``spec.apply``), which the execution kernel and ``_replay`` call
-        #: directly, and its read-only operations, which removal never replays.
-        self._op_functions, self._read_only_ops = spec.direct_dispatch()
         #: The compiled tables of the policy last asked for.  A run exercises
         #: a single policy, so the hot paths check ``_compiled_policy`` by
         #: identity (no enum hash) before falling back to the spec's
@@ -350,10 +346,14 @@ class ObjectManager:
     def execute(self, invocation: Invocation, transaction_id: int, sequence: int) -> Event:
         """Execute an admitted invocation against the visible state.
 
-        Returns the resulting :class:`Event` (already appended to the
-        manager's uncommitted log).  This is the manager's own, plain form;
-        the scheduler's grants run ``Scheduler.execute_operation``, which
-        does the same work in one frame.
+        The one execution kernel: every grant the scheduler makes runs it.
+        On a materialized object it applies the operation with
+        ``spec.apply``, which raises for an unknown operation or a return
+        that is not an :class:`OperationResult` before anything here has
+        changed; an unmaterialized object records ``None``.  The event goes
+        into the log: its transaction's events and its group's owner count.
+        Removal never needs the group key again: it pops the transaction from
+        every group's owners.
         """
         if self.materialize_state:
             result = self.spec.apply(self.current_state, invocation)
@@ -361,9 +361,36 @@ class ObjectManager:
             value = result.value
         else:
             value = None
-        event = Event(self.name, invocation, value, transaction_id, sequence)
-        self._events_by_tid.setdefault(transaction_id, []).append(event)
-        self._index_event(event)
+        event = _tuple_new(Event, (self.name, invocation, value, transaction_id, sequence))
+        # A first event here, a new group and a new owner are the common case:
+        # lookups with a default, not raises (a raise costs more than a call).
+        by_tid = self._events_by_tid
+        events = by_tid.get(transaction_id)
+        if events is None:
+            by_tid[transaction_id] = [event]
+        else:
+            events.append(event)
+        try:
+            op_id = self._op_index[invocation.op]
+        except KeyError:
+            # Operation outside the tables: its own fallback group.
+            self._index_event(event)
+            return event
+        if self._param_is_args:
+            key = (op_id, invocation.args)
+        else:
+            key = (op_id, self.spec.conflict_parameter(invocation))
+        groups = self._op_groups
+        try:
+            owners = groups.get(key)
+        except TypeError:
+            # Unhashable conflict parameter: its own fallback group.
+            self._index_event(event)
+            return event
+        if owners is None:
+            groups[key] = {transaction_id: 1}
+        else:
+            owners[transaction_id] = owners.get(transaction_id, 0) + 1
         return event
 
     def _group_key(self, invocation: Invocation) -> Any:
@@ -414,10 +441,8 @@ class ObjectManager:
         whole log leaves nothing to recompute (the visible state is already
         the post-commit committed state, the committed state the post-abort
         visible one).  Otherwise the transaction is popped from the owners of
-        every operation group (an emptied group goes), and — unless every
-        removed operation is declared ``is_read_only``, in which case neither
-        state can have moved — the removed operations are folded and the
-        survivors replayed over the committed state.
+        every operation group (an emptied group goes), and on a materialized
+        object the visible state is refolded from the committed one.
         """
         by_tid = self._events_by_tid
         removed = by_tid.pop(transaction_id, None)
@@ -437,47 +462,16 @@ class ObjectManager:
                 if not owners:
                     del groups[key]
         if self.materialize_state:
-            read_only = self._read_only_ops
-            for event in removed:
-                if event.invocation.op not in read_only:
-                    break
-            else:
-                return removed
             if commit:
-                self.committed_state = self._replay(self.committed_state, removed)
-                first = min(events[0].sequence for events in by_tid.values())
-                if removed[-1].sequence < first:
-                    # The committed operations formed a prefix of the log, so
-                    # folding them into the committed state leaves the visible
-                    # state exactly as it was — no replay needed.
-                    return removed
-            self.current_state = self._replay(self.committed_state, self.uncommitted)
+                self.committed_state = self._fold(self.committed_state, removed)
+            self.current_state = self._fold(self.committed_state, self.uncommitted)
         return removed
 
-    def _replay(self, state: Any, events: List[Event]) -> Any:
-        """Fold ``events`` over ``state`` (the replay kernel of removal).
-
-        Calls the raw operation functions directly when the spec uses the
-        stock dispatch; the legacy ``next_state`` chain costs several
-        interpreter frames per replayed event.
-        """
-        fns = self._op_functions
-        spec = self.spec
-        if fns is None:
-            for event in events:
-                state = spec.next_state(state, event.invocation)
-            return state
+    def _fold(self, state: Any, events: Iterable[Event]) -> Any:
+        """``state`` with ``events`` applied in order by ``spec.next_state``."""
+        next_state = self.spec.next_state
         for event in events:
-            invocation = event.invocation
-            try:
-                fn = fns[invocation.op]
-            except KeyError:
-                state = spec.apply(state, invocation).state
-                continue
-            result = fn(state, invocation.args)
-            if result.__class__ is not OperationResult:
-                result = spec.apply(state, invocation)
-            state = result.state
+            state = next_state(state, event.invocation)
         return state
 
     # ------------------------------------------------------------------
@@ -517,8 +511,8 @@ class ObjectManager:
         """Drop what a crash loses: the uncommitted log, the blocked queue
         and their indexes.  The committed state is durable and becomes the
         visible state again; the construction-time artifacts that make
-        managers expensive to build — compiled policy tables, interned
-        operation ids, the direct-apply function table — are kept."""
+        managers expensive to build — compiled policy tables and interned
+        operation ids — are kept."""
         self.current_state = self.committed_state
         self.blocked.clear()
         self._op_groups.clear()

@@ -52,7 +52,7 @@ from .errors import TransactionStateError, UnknownObjectError
 from .object_manager import ObjectManager, PendingRequest
 from .policy import ConflictPolicy
 from .requests import AbortReason, RequestHandle, RequestStatus
-from .specification import Event, Invocation, OperationResult, TypeSpecification, _tuple_new
+from .specification import Event, Invocation, TypeSpecification
 from .transaction import Transaction, TransactionStatus
 
 #: The enum members the per-request paths read, bound once: an attribute load
@@ -380,17 +380,12 @@ class Scheduler:
     ) -> Event:
         """Execute a request the decision let through and publish the result.
 
-        The one execution kernel: every grant — a first submit or a request
-        leaving a blocked queue (``from_queue``: listeners hear ``on_granted``
-        instead of ``on_executed``) — runs this frame, which lets the backend
-        record its protocol state, applies the operation, builds the event and
-        adds it to the object's log (its transaction's events and its group's
-        owner count), and records it on the transaction.  The
-        operation function is called directly when the manager has a function
-        table; ``spec.apply`` is the slow branch (and the source of the exact
-        error for an unknown operation or a non-conforming return — functions
-        are pure, so re-applying is safe).  Removal never needs the event's
-        group key again: it pops the transaction from every group's owners.
+        Every grant — a first submit or a request leaving a blocked queue
+        (``from_queue``: listeners hear ``on_granted`` instead of
+        ``on_executed``) — runs this frame, which lets the backend record its
+        protocol state, has the object manager execute the operation and log
+        its event (:meth:`ObjectManager.execute`, the one execution kernel),
+        and records the event on the transaction.
 
         Afterwards the waiters on the object are kept honest: every blocked
         request must hold wait-for edges to *all* the transactions it
@@ -402,59 +397,12 @@ class Scheduler:
         waiters_moved = grant is not None and grant(manager, invocation, transaction_id)
         sequence = self._sequence + 1
         self._sequence = sequence
-        if manager.materialize_state:
-            state = manager.current_state
-            fns = manager._op_functions
-            try:
-                fn = fns[invocation.op] if fns is not None else None
-            except KeyError:
-                fn = None
-            if fn is None:
-                result = manager.spec.apply(state, invocation)
-            else:
-                result = fn(state, invocation.args)
-                if result.__class__ is not OperationResult:
-                    result = manager.spec.apply(state, invocation)
-            manager.current_state = result.state
-            value = result.value
-        else:
-            value = None
-        event = _tuple_new(Event, (manager.name, invocation, value, transaction_id, sequence))
-        # A first event here, a new group and a new owner are the common case:
-        # lookups with a default, not raises (a raise costs more than a call).
-        by_tid = manager._events_by_tid
-        events = by_tid.get(transaction_id)
-        if events is None:
-            by_tid[transaction_id] = [event]
-        else:
-            events.append(event)
-        try:
-            op_id = manager._op_index[invocation.op]
-        except KeyError:
-            # Operation outside the tables: its own fallback group.
-            manager._index_event(event)
-        else:
-            if manager._param_is_args:
-                param = invocation.args
-            else:
-                param = manager.spec.conflict_parameter(invocation)
-            groups = manager._op_groups
-            key = (op_id, param)
-            try:
-                owners = groups.get(key)
-            except TypeError:
-                # Unhashable conflict parameter: its own fallback group.
-                manager._index_event(event)
-            else:
-                if owners is None:
-                    groups[key] = {transaction_id: 1}
-                else:
-                    owners[transaction_id] = owners.get(transaction_id, 0) + 1
+        event = manager.execute(invocation, transaction_id, sequence)
         transaction.events.append(event)
         transaction.objects_visited.add(manager.name)
         transaction.status = _ACTIVE
         handle.status = _EXECUTED
-        handle.value = value
+        handle.value = event.value
         self.stats.operations_executed += 1
         if from_queue:
             for on_granted in self._on_granted:

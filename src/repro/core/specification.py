@@ -30,7 +30,6 @@ from typing import (
     Any,
     Callable,
     Dict,
-    FrozenSet,
     Hashable,
     Iterable,
     Mapping,
@@ -59,7 +58,7 @@ __all__ = [
 # accessors, ``repr``, value equality/hash, immutability and pickling; the
 # constructor is written out because the one ``NamedTuple`` compiles from a
 # string belongs to no file, so a profiler cannot attribute it.  The hottest
-# builders (the scheduler's execution kernel, the page operations) call
+# builders (the object manager's execution kernel, the page operations) call
 # ``_tuple_new`` themselves, saving the constructor's frame.
 _tuple_new = tuple.__new__
 
@@ -102,7 +101,7 @@ class OperationSpec:
     is_read_only:
         ``True`` when the operation never changes the object state.  Read-only
         operations need no undo information: recovery, the 2PL lock modes and
-        log removal (which neither folds nor replays them) trust this flag.
+        the multi-site router's read-one routing trust this flag.
     inverse:
         Optional logical-undo constructor.  Given ``(state_before, args,
         value)`` of a completed execution it returns an :class:`Invocation`
@@ -219,33 +218,6 @@ class TypeSpecification:
     def apply(self, state: Any, invocation: Invocation) -> OperationResult:
         """Apply ``invocation`` to ``state`` (the ``S -> S x V`` function)."""
         return self.operation(invocation.op).apply(state, invocation.args)
-
-    def direct_dispatch(
-        self,
-    ) -> Tuple[Optional[Dict[str, Callable[..., OperationResult]]], FrozenSet[str]]:
-        """``(op name -> raw function, names of the read-only operations)``.
-
-        What a manager needs to apply an operation without the four frames of
-        ``apply -> operation -> OperationSpec.apply -> function``, and to know
-        which operations cannot move a state.  Derived once per spec instance
-        and shared by every manager over it.  A spec that overrides ``apply``
-        or ``operation`` decides its own dispatch and gets ``(None, {})``:
-        everything goes through ``apply`` and nothing is assumed read-only.
-        """
-        try:
-            return self._direct_dispatch
-        except AttributeError:
-            pass
-        cls = type(self)
-        if cls.apply is TypeSpecification.apply and cls.operation is TypeSpecification.operation:
-            operations = self.operations()
-            self._direct_dispatch = (
-                {name: op.function for name, op in operations.items()},
-                frozenset(name for name, op in operations.items() if op.is_read_only),
-            )
-        else:
-            self._direct_dispatch = (None, frozenset())
-        return self._direct_dispatch
 
     def return_value(self, state: Any, invocation: Invocation) -> Any:
         """``return(o, s)`` of the paper."""

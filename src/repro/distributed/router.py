@@ -370,7 +370,7 @@ class TransactionRouter:
         #: Object name -> {op name -> is_read_only}, filled lazily: submit
         #: consults this instead of re-resolving the operation spec (and
         #: absorbing its try/except) per request.
-        self._read_only_ops: Dict[str, Dict[str, bool]] = {}
+        self._read_only_by_op: Dict[str, Dict[str, bool]] = {}
         self._listeners: List[SchedulerListener] = []
         self._next_gtid = 0
         #: Where granted operations are charged for hardware/network time
@@ -400,7 +400,7 @@ class TransactionRouter:
         sites = self.placement.sites_for(name)
         replicated = len(sites) > 1
         self._specs[name] = spec
-        self._read_only_ops[name] = {}
+        self._read_only_by_op[name] = {}
         for site_id in sites:
             self.sites[site_id].register_object(
                 name,
@@ -637,8 +637,8 @@ class TransactionRouter:
                 f"global transaction {transaction.gtid} has a blocked request "
                 f"on {previous.object_name!r}; it cannot issue another operation"
             )
-        read_only_ops = self._read_only_ops.get(object_name)
-        if read_only_ops is None:
+        read_only_by_op = self._read_only_by_op.get(object_name)
+        if read_only_by_op is None:
             raise UnknownObjectError(object_name)
         request = GlobalRequest(
             transaction_id=transaction_id,
@@ -660,7 +660,7 @@ class TransactionRouter:
                 if site.status.is_up:
                     mutations_before += site.scheduler.graph.mutations
 
-        is_read_only = read_only_ops.get(invocation.op)
+        is_read_only = read_only_by_op.get(invocation.op)
         if is_read_only is None:
             is_read_only = self._is_read_only(object_name, invocation)
         if is_read_only:
@@ -727,7 +727,7 @@ class TransactionRouter:
         request.branch_handles[site.site_id] = handle
 
     def _is_read_only(self, object_name: str, invocation: Invocation) -> bool:
-        cache = self._read_only_ops[object_name]
+        cache = self._read_only_by_op[object_name]
         op = invocation.op
         cached = cache.get(op)
         if cached is None:

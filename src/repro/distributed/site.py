@@ -156,7 +156,7 @@ class Site:
 
     def has_uncommitted(self, name: str) -> bool:
         """True while the copy of ``name`` holds uncommitted operations."""
-        return self.status.is_up and bool(self.scheduler.object(name)._events_by_tid)
+        return self.status.is_up and bool(self.scheduler.object(name).live_transactions())
 
     # ------------------------------------------------------------------
     # Committed-state snapshots (catch-up recovery)
@@ -190,7 +190,7 @@ class Site:
         if not self.status.is_up:
             raise ReproError(f"site {self.site_id} is down; cannot install state")
         manager = self.scheduler.object(name)
-        if manager._events_by_tid:
+        if manager.live_transactions():
             raise ReproError(
                 f"site {self.site_id} has uncommitted operations on {name!r}; "
                 "catch-up must happen before new work arrives"

@@ -199,8 +199,8 @@ class TestRegistry:
 
 
 class TestReadOnlyOperationsAreHonest:
-    """``ObjectManager.remove_transaction`` neither folds nor replays an
-    operation declared ``is_read_only`` — so the declaration must be true."""
+    """``is_read_only`` drives the router's read-one routing and the 2PL lock
+    modes — so the declaration must be true."""
 
     @pytest.mark.parametrize("type_name", ["counter", "page", "queue", "set", "stack", "table"])
     def test_a_read_only_operation_returns_a_state_equal_to_its_input(self, type_name):
@@ -214,17 +214,14 @@ class TestReadOnlyOperationsAreHonest:
                     assert spec.states_equal(spec.apply(state, invocation).state, state)
                     checked += 1
         assert checked, "every bundled type declares a read-only operation"
-        assert spec.direct_dispatch()[1] == {
-            name for name, operation in spec.operations().items() if operation.is_read_only
-        }
 
     def test_the_adt_workload_declares_none_and_moves_no_state_anyway(self):
         params = SimulationParameters(database_size=2)
         scheduler = Scheduler()
         make_workload(params, RandomSource(1), "adt").register_objects(scheduler)
         (spec,) = {id(manager.spec): manager.spec for manager in scheduler.objects.values()}.values()
-        functions, read_only = spec.direct_dispatch()
-        assert read_only == frozenset() and len(functions) == params.operations_per_object
-        for function in functions.values():
+        operations = spec.operations().values()
+        assert len(operations) == params.operations_per_object
+        for operation in operations:
             state = object()
-            assert function(state, ()).state is state
+            assert not operation.is_read_only and operation.function(state, ()).state is state

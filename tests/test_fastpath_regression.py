@@ -2,10 +2,10 @@
 
 Two structures got fast paths for the figure benchmarks:
 
-* :meth:`repro.core.dependency_graph.DependencyGraph.creates_cycle` memoises
-  per-node reachable sets, invalidated on edge/node mutation;
+* :meth:`repro.core.dependency_graph.DependencyGraph.creates_cycle` keeps a
+  Pearce–Kelly topological order, so most targets are answered without a walk;
 * :meth:`repro.core.object_manager.ObjectManager.classify_request` classifies
-  against per-(operation, parameter) groups with a memoised pair table
+  against per-(operation, parameter) groups with compiled per-policy tables
   instead of walking the full uncommitted log.
 
 These tests replay seeded random workloads and compare every answer against

@@ -2,14 +2,10 @@
 
 ``ObjectManager.remove_transaction`` skips all recomputation when the
 terminating transaction owns the whole log; otherwise it pops the transaction
-from every operation group and replays only if a removed operation may have
-moved the state.  The reference below is the removal it replaced, taken to its
-literal extreme: *every* termination rebuilds every index (events per
-transaction, operation groups, the fallback side map) from the surviving log
-and replays the operations through the spec's ``next_state`` chain — no
-sole-owner case, no prefix-commit shortcut, no read-only shortcut, no
-direct-apply kernel.  It overrides ``remove_transaction`` outright and shares
-no code with it or ``_replay``.
+from every operation group and refolds the state.  The reference below
+rebuilds both indexes (events per transaction, operation groups) from the
+surviving log on *every* termination and replays it through the spec's
+``next_state``: no sole-owner case, and no code shared with the real removal.
 
 Random interleavings of execute / commit / abort over page, stack, set and
 table objects (with unhashable-parameter and table-unknown operations) must

@@ -5,6 +5,7 @@ from test_log_removal_oracle import RebuildingManager
 
 from repro.adts import PageType, StackType, TableType
 from repro.core.compatibility import Answer, CompatibilitySpec, ConflictClass, RelationTable
+from repro.core.errors import SpecificationError, UnknownOperationError
 from repro.core.object_manager import ObjectManager, PendingRequest
 from repro.core.policy import ConflictPolicy
 from repro.core.scheduler import Scheduler
@@ -247,7 +248,7 @@ class TestRemovalCost:
 
 
 def make_counting_page(manager_class=ObjectManager, spec_class=FunctionalTypeSpecification):
-    """A page whose operation functions record every application."""
+    """A page whose operations record each application; ``bad`` returns a bare tuple."""
     calls = []
 
     def read(state, args):
@@ -264,6 +265,7 @@ def make_counting_page(manager_class=ObjectManager, spec_class=FunctionalTypeSpe
         operations={
             "read": OperationSpec(name="read", function=read, is_read_only=True),
             "write": OperationSpec(name="write", function=write),
+            "bad": OperationSpec(name="bad", function=lambda state, args: (state, "ok")),
         },
         compatibility=PageType().compatibility(),
     )
@@ -279,21 +281,18 @@ READER_SCRIPTS = {
 
 
 class TestReadOnlyRemoval:
-    """Removing operations declared ``is_read_only`` moves neither state, so
-    it applies nothing — and ends where the always-rebuild reference ends."""
+    """Removing a reader ends where the always-rebuild reference ends."""
 
     @pytest.mark.parametrize("commit", [True, False], ids=["commit", "abort"])
     @pytest.mark.parametrize("script", sorted(READER_SCRIPTS))
-    def test_removing_a_reader_applies_nothing_and_matches_the_rebuild(self, script, commit):
-        manager, calls = make_counting_page()
+    def test_removing_a_reader_matches_the_rebuild(self, script, commit):
+        manager, _ = make_counting_page()
         reference, _ = make_counting_page(RebuildingManager)
         for sequence, (transaction_id, invocation) in enumerate(READER_SCRIPTS[script], start=1):
             assert manager.execute(invocation, transaction_id, sequence) == reference.execute(
                 invocation, transaction_id, sequence
             )
-        del calls[:]
         assert manager.remove_transaction(1, commit) == reference.remove_transaction(1, commit)
-        assert calls == []
         for removal in (None, True):  # then the surviving writer commits
             if removal is not None:
                 manager.remove_transaction(2, commit=removal)
@@ -323,20 +322,33 @@ class TestReadOnlyRemoval:
                 return super().apply(state, invocation)
 
         manager, _ = make_counting_page(spec_class=LoudSpec)
-        assert manager._op_functions is None and not manager._read_only_ops
         manager.execute(_READ, 1, 1)
         manager.execute(_WRITE_5, 2, 2)
         del applied[:]
         manager.remove_transaction(1, commit=True)
-        assert applied == ["read"]  # folded, although declared read-only
+        assert applied == ["read", "write"]  # the removed read folded, the survivor refolded
         assert manager.committed_state == 3 and manager.current_state == 5
 
-    def test_dispatch_tables_are_derived_once_per_spec_instance(self):
-        spec = StackType()
-        first, second = ObjectManager("A", spec), ObjectManager("B", spec)
-        assert first._op_functions is second._op_functions
-        assert first._read_only_ops is second._read_only_ops == frozenset({"top"})
-        assert ObjectManager("C", StackType())._op_functions is not first._op_functions
+
+class TestExecutionErrors:
+    """``spec.apply``'s errors reach ``Scheduler.submit``'s caller and change nothing."""
+
+    @pytest.mark.parametrize("op, error", [("bad", SpecificationError), ("nope", UnknownOperationError)])
+    def test_a_failed_operation_changes_nothing(self, op, error):
+        scheduler = Scheduler(policy=ConflictPolicy.RECOVERABILITY)
+        manager = scheduler.register_object("P", make_counting_page()[0].spec)
+        txn = scheduler.begin()
+        scheduler.perform(txn.tid, "P", "write", 5)
+        def snapshot():
+            return (manager.uncommitted, manager.current_state, repr(manager._op_groups),
+                    list(txn.events), scheduler.stats.operations_executed)
+        before = snapshot()
+        with pytest.raises(error):
+            scheduler.submit(txn.tid, "P", Invocation(op))
+        assert snapshot() == before
+        assert scheduler.perform(txn.tid, "P", "read").value == 5
+        scheduler.commit(txn.tid)
+        assert manager.committed_state == 5
 
 
 def make_narrow_page(default=Answer.NO, scheduler=None):
@@ -419,7 +431,7 @@ class TestFallbackGroups:
 
     @pytest.mark.parametrize("kind", sorted(FALLBACKS))
     def test_kernel_fallback_group_goes_with_its_transaction(self, kind):
-        # The scheduler's execution kernel indexes the same fallback groups.
+        # The same fallback groups, reached through ``Scheduler.submit``.
         _, invocation = FALLBACKS[kind]
         scheduler = Scheduler(policy=ConflictPolicy.RECOVERABILITY)
         if kind == "unknown-op":

@@ -6,7 +6,6 @@ import pytest
 
 from repro.adts import PageType
 from repro.core.errors import SpecificationError, UnknownOperationError
-from repro.core.scheduler import Scheduler
 from repro.core.specification import (
     Event,
     FunctionalTypeSpecification,
@@ -132,8 +131,9 @@ class TestRecordValueSemantics:
         assert copy == record and copy.__class__ is record.__class__
 
     def test_a_bare_tuple_is_not_an_operation_result(self):
-        """Neither ``OperationSpec.apply`` nor the execution kernel lets a
-        function get away with returning ``(state, value)``."""
+        """``OperationSpec.apply`` does not let a function get away with
+        returning ``(state, value)``; through the scheduler, see
+        ``test_object_manager.TestExecutionErrors``."""
         assert not isinstance((4, "ok"), OperationResult)
         spec = FunctionalTypeSpecification(
             name="sloppy page",
@@ -143,11 +143,6 @@ class TestRecordValueSemantics:
         )
         with pytest.raises(SpecificationError):
             spec.apply(0, Invocation("read"))
-        scheduler = Scheduler()
-        scheduler.register_object("P", spec)
-        with pytest.raises(SpecificationError):
-            scheduler.perform(scheduler.begin().tid, "P", "read")
-        assert scheduler.object("P").uncommitted == []
 
 
 class TestTypeSpecification:
