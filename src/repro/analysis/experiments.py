@@ -17,6 +17,7 @@ for point and byte for byte, to the serial ``workers=1`` path.
 from __future__ import annotations
 
 import dataclasses
+import gc
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
@@ -200,7 +201,10 @@ class ExperimentResult:
 #: per seed because a different seed derives different random streams at
 #: construction time (the ADT tables among them), which ``reset`` deliberately
 #: never changes.  A sweep is variant-major and never returns to an earlier
-#: variant, so a new system evicts the previous one.
+#: variant, so a new system evicts the previous one.  An evicted simulation is
+#: cyclic garbage, so it is collected on the spot: left to the collector's
+#: own schedule it outlives the next system's construction and the process
+#: holds two systems at its peak.
 _SIMULATION_CACHE: Dict[Tuple, Dict[int, Simulation]] = {}
 
 
@@ -213,7 +217,9 @@ def _simulate_point(task: Tuple[SimulationParameters, str]) -> RunMetrics:
     system = (workload_kind, dataclasses.astuple(normalized))
     by_seed = _SIMULATION_CACHE.get(system)
     if by_seed is None:
-        _SIMULATION_CACHE.clear()
+        if _SIMULATION_CACHE:
+            _SIMULATION_CACHE.clear()
+            gc.collect()
         by_seed = _SIMULATION_CACHE[system] = {}
     simulation = by_seed.get(params.seed)
     if simulation is None:

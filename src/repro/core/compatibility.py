@@ -102,13 +102,14 @@ class ConflictClass(enum.Enum):
         return self.value
 
 
-@dataclass
+@dataclass(slots=True)
 class RelationTable:
     """A square table mapping ``(requested op, executed op)`` to an :class:`Answer`.
 
     The table is not necessarily symmetric; recoverability in particular is
     directional (``insert`` is recoverable relative to ``size`` but ``size`` is
-    not recoverable relative to ``insert``).
+    not recoverable relative to ``insert``).  Tables compare by contents and
+    are mutable, so they are unhashable.
     """
 
     name: str
@@ -226,11 +227,15 @@ class RelationTable:
             and self.as_dict() == other.as_dict()
         )
 
-    def __hash__(self) -> int:  # tables are mutable containers; identity hash
-        return id(self)
+    __hash__ = None  # type: ignore[assignment]
 
 
-@dataclass
+#: One operation index per operations tuple, shared by every spec over it:
+#: the abstract-data-type workload builds a thousand specs over one tuple.
+_OP_INDEXES: Dict[Tuple[str, ...], Dict[str, int]] = {}
+
+
+@dataclass(slots=True, weakref_slot=True)
 class CompatibilitySpec:
     """The pair of tables (commutativity, recoverability) for one data type.
 
@@ -253,7 +258,8 @@ class CompatibilitySpec:
         default_factory=dict, init=False, compare=False, repr=False
     )
     #: Operation name -> its row/column in the compiled tables (declared
-    #: order), built once and shared by every manager over this spec.
+    #: order), shared by every spec over an equal operations tuple and by
+    #: every manager over those specs; never edited.
     op_index: Dict[str, int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -262,7 +268,11 @@ class CompatibilitySpec:
                 f"compatibility spec for {self.type_name!r}: the two tables "
                 "cover different operation sets"
             )
-        self.op_index = {op: i for i, op in enumerate(self.operations)}
+        operations = self.operations
+        op_index = _OP_INDEXES.get(operations)
+        if op_index is None:
+            op_index = _OP_INDEXES[operations] = {op: i for i, op in enumerate(operations)}
+        self.op_index = op_index
 
     @property
     def operations(self) -> Tuple[str, ...]:

@@ -41,7 +41,8 @@ from .specification import Event, Invocation, TypeSpecification, _tuple_new
 #: classification does not depend on parameters (the overwhelmingly common
 #: case), else ``None`` — then the parameter comparison picks between the
 #: ``same_param`` and ``diff_param`` arrays (the paper's Yes-SP / Yes-DP
-#: qualifiers).
+#: qualifiers).  A table without such qualifiers compiles to one array
+#: three times.
 _CompiledTables = Tuple[
     Tuple[Optional[ConflictClass], ...],
     Tuple[ConflictClass, ...],
@@ -216,7 +217,13 @@ class ObjectManager:
                 if same_case is diff_case:
                     unconditional[index] = same_case
                 index += 1
-        compiled = (tuple(unconditional), tuple(same_param), tuple(diff_param))
+        if same_param == diff_param:
+            # No entry depends on parameters (every random table and the
+            # page table): the three arrays are equal, so keep one.
+            shared = tuple(same_param)
+            compiled: _CompiledTables = (shared, shared, shared)
+        else:
+            compiled = (tuple(unconditional), tuple(same_param), tuple(diff_param))
         self.compatibility.compiled_tables[policy] = compiled
         return compiled
 

@@ -1,13 +1,16 @@
 """Tests for the experiment harness, figure registry, tables, and reporting."""
 
+import gc
 import os
 import pathlib
 import re
 import subprocess
 import sys
+import weakref
 
 import pytest
 
+import repro.analysis.experiments as experiments
 from repro.analysis import (
     ABLATION_BUILDERS,
     BENCH_SCALE,
@@ -136,6 +139,20 @@ class TestRunExperiment:
         run_experiment(tiny_spec(mpl_levels=(5,)), progress=lines.append)
         assert len(lines) == 2
         assert all("test-exp" in line for line in lines)
+
+    def test_an_evicted_system_is_collected_at_once(self, monkeypatch):
+        monkeypatch.setattr(experiments, "_SIMULATION_CACHE", {})
+        params = SimulationParameters(database_size=20, total_completions=10, mpl_level=2)
+        experiments._simulate_point((params, "readwrite"))
+        (by_seed,) = experiments._SIMULATION_CACHE.values()
+        evicted = weakref.ref(by_seed[params.seed])
+        del by_seed
+        gc.disable()  # only the eviction itself may collect it
+        try:
+            experiments._simulate_point((params.replace(database_size=21), "readwrite"))
+        finally:
+            gc.enable()
+        assert evicted() is None
 
 
 class TestParallelRunner:

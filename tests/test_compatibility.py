@@ -135,6 +135,11 @@ class TestRelationTable:
         )
         assert make_table() != other
 
+    def test_tables_are_unhashable(self):
+        # Equal tables must not hash apart: a table compares by contents.
+        with pytest.raises(TypeError):
+            hash(make_table())
+
 
 class TestCompatibilitySpec:
     def test_operations_property(self, set_type):

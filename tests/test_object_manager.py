@@ -3,11 +3,11 @@
 import pytest
 from test_log_removal_oracle import RebuildingManager
 
-from repro.adts import PageType, StackType, TableType
+from repro.adts import PageType, QueueType, SetType, StackType, TableType
 from repro.core.compatibility import Answer, CompatibilitySpec, ConflictClass, RelationTable
 from repro.core.errors import SpecificationError, UnknownOperationError
 from repro.core.object_manager import ObjectManager, PendingRequest
-from repro.core.policy import ConflictPolicy
+from repro.core.policy import ConflictPolicy, effective_class
 from repro.core.scheduler import Scheduler
 from repro.core.specification import (
     FunctionalTypeSpecification,
@@ -15,6 +15,8 @@ from repro.core.specification import (
     OperationResult,
     OperationSpec,
 )
+from repro.sim import RandomSource
+from repro.sim.workload import random_compatibility_table
 
 
 def make_stack_manager(**kwargs):
@@ -73,6 +75,47 @@ class TestClassification:
         )
         assert same_key is ConflictClass.RECOVERABLE
         assert different_key is ConflictClass.COMMUTATIVE
+
+
+def random_table_type():
+    """A type whose compatibility is one random ADT-model table."""
+    table = random_compatibility_table(("op1", "op2", "op3", "op4"), 4, 8, RandomSource(5))
+    operations = {op: OperationSpec(name=op, function=None) for op in table.operations}
+    return FunctionalTypeSpecification("random", None, operations, compatibility=table)
+
+
+class TestCompiledTables:
+    @pytest.mark.parametrize("policy", list(ConflictPolicy))
+    @pytest.mark.parametrize("make_spec", [PageType, random_table_type])
+    def test_unqualified_tables_compile_to_one_array(self, make_spec, policy):
+        manager = ObjectManager(name="X", spec=make_spec())
+        tables = manager._tables_for(policy)
+        assert tables[0] is tables[1] is tables[2]
+        assert None not in tables[0]
+
+    def test_qualified_entries_keep_three_arrays(self):
+        manager = ObjectManager(name="T", spec=TableType())
+        unconditional, same_param, diff_param = manager._tables_for(ConflictPolicy.RECOVERABILITY)
+        assert same_param != diff_param
+        assert None in unconditional
+
+    @pytest.mark.parametrize("policy", list(ConflictPolicy))
+    @pytest.mark.parametrize(
+        "make_spec", [PageType, StackType, TableType, SetType, QueueType, random_table_type]
+    )
+    def test_classify_pair_agrees_with_the_spec(self, make_spec, policy):
+        spec = make_spec()
+        manager = ObjectManager(name="X", spec=spec)
+        compatibility = manager.compatibility
+        for requested_op in compatibility.operations:
+            for executed_op in compatibility.operations:
+                for executed_args in ((1,), (2,)):  # same, then different parameter
+                    requested = Invocation(requested_op, (1,))
+                    executed = Invocation(executed_op, executed_args)
+                    expected = effective_class(
+                        policy, compatibility.classify(requested, executed, spec)
+                    )
+                    assert manager.classify_pair(requested, executed, policy) is expected
 
 
 class TestBlockedQueue:
