@@ -1,13 +1,11 @@
 """Shared infrastructure for the benchmark harness.
 
-Every figure of the paper's evaluation has one benchmark module that
-
-1. runs the corresponding experiment (``repro.analysis.figures``) once,
-2. prints the paper-style series and summary to stdout and saves them under
-   ``benchmarks/results/``, and
-3. asserts the qualitative *shape* the paper reports (who wins, roughly by how
-   much, where thrashing sets in) — absolute numbers are not compared because
-   the substrate is a simulator, not the authors' testbed.
+``test_figures.py`` runs every parameter-sweep experiment of the central
+registry (``repro.analysis.registry``) once: it prints the paper-style series
+and summary to stdout, saves them under ``benchmarks/results/``, and requires
+the registry entry's shape check to find no failed expectation.  The checks
+live on the entries, beside the builders, so ``repro figures`` reports the
+same verdict.
 
 The amount of simulated work per point is controlled by the environment
 variable ``REPRO_BENCH_SCALE``:
@@ -19,12 +17,8 @@ variable ``REPRO_BENCH_SCALE``:
 
 ``REPRO_BENCH_WORKERS`` (default 1) fans each experiment's points out over
 that many worker processes via the parallel runner; every worker count
-produces byte-identical results, so the shape assertions and the saved
-reports never depend on it.
-
-The benchmark modules themselves are thin wrappers: each one asks the
-central experiment registry (``repro.analysis.registry``) for its spec and
-asserts the qualitative shape.
+produces byte-identical results, so the shape checks and the saved reports
+never depend on it.
 """
 
 import os
@@ -39,11 +33,8 @@ if _SRC not in sys.path:
 
 from repro.analysis import (  # noqa: E402  (path bootstrap above)
     BENCH_SCALE,
-    EXPERIMENT_REGISTRY,
     PAPER_SCALE,
     SMOKE_SCALE,
-    render_result,
-    run_experiment,
 )
 
 _SCALES = {"smoke": SMOKE_SCALE, "bench": BENCH_SCALE, "paper": PAPER_SCALE}
@@ -51,7 +42,9 @@ _SCALES = {"smoke": SMOKE_SCALE, "bench": BENCH_SCALE, "paper": PAPER_SCALE}
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 
-def _selected_scale():
+@pytest.fixture(scope="session")
+def scale():
+    """The reproduction scale selected for this benchmark session."""
     name = os.environ.get("REPRO_BENCH_SCALE", "bench").lower()
     if name not in _SCALES:
         raise ValueError(
@@ -60,7 +53,9 @@ def _selected_scale():
     return _SCALES[name]
 
 
-def _selected_workers():
+@pytest.fixture(scope="session")
+def workers():
+    """Worker-process count selected for this benchmark session."""
     text = os.environ.get("REPRO_BENCH_WORKERS", "1")
     try:
         workers = int(text)
@@ -72,81 +67,16 @@ def _selected_workers():
 
 
 @pytest.fixture(scope="session")
-def scale():
-    """The reproduction scale selected for this benchmark session."""
-    return _selected_scale()
+def save_report():
+    """Write one rendered report as ``benchmarks/results/<name>.txt``.
 
-
-def result_filename(name: str) -> str:
-    """Canonical ``benchmarks/results`` filename for a saved report.
-
-    This is the one place result filenames are formed.  Registry experiments
-    save under their registry id verbatim (``figure-4.txt``,
-    ``ablation-pseudo-commit-slot.txt``); the tables benchmark saves one
-    report per data type as ``tables_<type>.txt``.
+    Registry experiments save under their registry id verbatim
+    (``figure-4.txt``, ``ablation-pseudo-commit-slot.txt``); the tables
+    benchmark saves one report per data type as ``tables_<type>.txt``.
     """
-    return f"{name}.txt"
-
-
-@pytest.fixture(scope="session")
-def results_dir():
     RESULTS_DIR.mkdir(exist_ok=True)
-    return RESULTS_DIR
-
-
-@pytest.fixture(scope="session")
-def save_report(results_dir):
-    """Write one rendered report under its canonical results filename."""
 
     def _save(name, text):
-        (results_dir / result_filename(name)).write_text(text + "\n")
+        (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
 
     return _save
-
-
-@pytest.fixture(scope="session")
-def workers():
-    """Worker-process count selected for this benchmark session."""
-    return _selected_workers()
-
-
-@pytest.fixture
-def run_figure(benchmark, scale, workers, save_report):
-    """Run one registry experiment under pytest-benchmark and report it.
-
-    Returns the :class:`~repro.analysis.experiments.ExperimentResult` so the
-    calling module can assert the expected qualitative shape.  Despite the
-    name it runs any registry experiment with a spec builder (figures and
-    ablations alike).
-    """
-
-    def _run(experiment_id):
-        spec = EXPERIMENT_REGISTRY.spec(experiment_id, scale)
-        result = benchmark.pedantic(
-            lambda: run_experiment(spec, workers=workers),
-            rounds=1, iterations=1, warmup_rounds=0,
-        )
-        report = render_result(result)
-        print()
-        print(report)
-        save_report(experiment_id, report)
-        return result
-
-    return _run
-
-
-def assert_shape_recoverability_wins(result, min_gain=0.05):
-    """Common read/write-model shape: recoverability's peak throughput beats
-    the commutativity baseline's peak by at least ``min_gain``."""
-    _, commutativity_peak = result.peak("commutativity")
-    _, recoverability_peak = result.peak("recoverability")
-    assert recoverability_peak > 0 and commutativity_peak > 0
-    assert recoverability_peak >= commutativity_peak * (1.0 + min_gain)
-
-
-def assert_shape_pr_ordering(result, min_gain=0.05):
-    """Common ADT-model shape: more recoverable entries => higher peak."""
-    peaks = {label: result.peak(label)[1] for label in result.variant_labels()}
-    labels = sorted(peaks, key=lambda label: int(label.split("Pr=")[1]))
-    lowest, highest = peaks[labels[0]], peaks[labels[-1]]
-    assert highest >= lowest * (1.0 + min_gain)

@@ -10,8 +10,9 @@ series for:
   Pr in {0, 4, 8}.
 
 Pass ``--scale smoke|bench|paper`` to change the amount of simulated work, or
-``--figure figure-10`` (any id from ``repro.analysis.all_figure_ids()``) to
-reproduce a different figure.
+``--figure figure-10`` (any id from
+``repro.analysis.EXPERIMENT_REGISTRY.runnable_ids()``) to reproduce a
+different experiment.
 
 Run with (after ``pip install -e .`` from the repository root)::
 
@@ -22,10 +23,9 @@ import argparse
 
 from repro.analysis import (
     BENCH_SCALE,
+    EXPERIMENT_REGISTRY,
     PAPER_SCALE,
     SMOKE_SCALE,
-    all_figure_ids,
-    figure_spec,
     render_result,
     run_experiment,
 )
@@ -40,15 +40,15 @@ def main() -> None:
         help="how much simulated work to do per experiment point",
     )
     parser.add_argument(
-        "--figure", action="append", choices=all_figure_ids(), default=None,
-        help="figure id(s) to reproduce (default: figure-4 and figure-14)",
+        "--figure", action="append", choices=EXPERIMENT_REGISTRY.runnable_ids(), default=None,
+        help="experiment id(s) to reproduce (default: figure-4 and figure-14)",
     )
     arguments = parser.parse_args()
     scale = _SCALES[arguments.scale]
     figure_ids = arguments.figure or ["figure-4", "figure-14"]
 
     for figure_id in figure_ids:
-        spec = figure_spec(figure_id, scale)
+        spec = EXPERIMENT_REGISTRY.spec(figure_id, scale)
         print(f"running {figure_id} at scale {scale.name!r} "
               f"({scale.total_completions} completions/point, {scale.runs} run(s)/point)...")
         result = run_experiment(spec, progress=lambda line: print("  " + line))

@@ -1,23 +1,21 @@
 """Experiment harness, per-figure definitions, table regeneration, reporting."""
 
-from .ablations import ABLATION_BUILDERS, ablation_pseudo_commit_slot, ablation_write_probability
+from .ablations import ablation_pseudo_commit_slot, ablation_write_probability
 from .experiments import (
     AveragedMetrics,
     ExperimentResult,
     ExperimentSpec,
+    RegisteredExperiment,
     Variant,
     run_experiment,
 )
 from .figures import (
     BENCH_SCALE,
-    FIGURE_BUILDERS,
     PAPER_SCALE,
     SMOKE_SCALE,
     ReproductionScale,
-    all_figure_ids,
-    figure_spec,
 )
-from .registry import EXPERIMENT_REGISTRY, ExperimentRegistry, RegisteredExperiment
+from .registry import EXPERIMENT_REGISTRY, ExperimentRegistry
 from .reporting import render_result, render_series, render_summary
 from .tables import (
     PAPER_TABLE_NUMBERS,
@@ -29,7 +27,6 @@ from .tables import (
 )
 
 __all__ = [
-    "ABLATION_BUILDERS",
     "ablation_pseudo_commit_slot",
     "ablation_write_probability",
     "AveragedMetrics",
@@ -43,10 +40,7 @@ __all__ = [
     "BENCH_SCALE",
     "PAPER_SCALE",
     "SMOKE_SCALE",
-    "FIGURE_BUILDERS",
     "ReproductionScale",
-    "all_figure_ids",
-    "figure_spec",
     "render_result",
     "render_series",
     "render_summary",

@@ -11,23 +11,25 @@ exactly like the figure experiments:
 * **write probability** — how the recoverability advantage grows with the
   fraction of writes in the read/write workload.
 
-The scheduler-overhead ablation (raw operations/second of the scheduler with
-no simulation underneath) is not a parameter sweep and stays a plain
-benchmark in ``benchmarks/test_ablations.py``.  The benchmark run saves each
-sweep's report as ``benchmarks/results/ablation-<name>.txt``.
+Each is declared, with its shape check, as a registry entry in
+:data:`ABLATION_EXPERIMENTS`.  The scheduler-overhead ablation (raw
+operations/second of the scheduler with no simulation underneath) is not a
+parameter sweep and stays a plain benchmark in ``benchmarks/test_ablations.py``.
+The benchmark run saves each sweep's report as
+``benchmarks/results/ablation-<name>.txt``.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Tuple
+from typing import List, Tuple
 
 from ..core.policy import ConflictPolicy
 from ..sim.params import SimulationParameters
-from .experiments import ExperimentSpec, Variant
-from .figures import BENCH_SCALE, ReproductionScale
+from .experiments import ExperimentResult, ExperimentSpec, RegisteredExperiment, Variant, unmet
+from .figures import BENCH_SCALE, ReproductionScale, declare
 
 __all__ = [
-    "ABLATION_BUILDERS",
+    "ABLATION_EXPERIMENTS",
     "ablation_pseudo_commit_slot",
     "ablation_write_probability",
 ]
@@ -35,7 +37,18 @@ __all__ = [
 #: Write probabilities swept by the write-probability ablation.
 WRITE_PROBABILITIES: Tuple[float, ...] = (0.1, 0.3, 0.5)
 
+#: Both ablation sweeps, in presentation order.
+ABLATION_EXPERIMENTS: List[RegisteredExperiment] = []
 
+
+def _check_pseudo_commit_slot(result: ExperimentResult) -> List[str]:
+    return unmet(
+        *[(f"{label} peak", result.peak(label)[1], ">", 0)
+          for label in ("holds-slot", "releases-slot")],
+    )
+
+
+@declare(ABLATION_EXPERIMENTS, "ablation", _check_pseudo_commit_slot)
 def ablation_pseudo_commit_slot(
     scale: ReproductionScale = BENCH_SCALE,
 ) -> ExperimentSpec:
@@ -65,6 +78,24 @@ def ablation_pseudo_commit_slot(
     )
 
 
+def _check_write_probability(result: ExperimentResult) -> List[str]:
+    improvements = {
+        probability: result.improvement(
+            better=f"Pw={probability}/recoverability",
+            baseline=f"Pw={probability}/commutativity",
+            mpl=100,
+        )
+        for probability in (0.1, 0.5)
+    }
+    # More writes means more non-commuting pairs, which is exactly where
+    # recoverability helps: the gain at 0.5 should not be smaller than at 0.1.
+    return unmet(
+        ("recoverability gain at Pw=0.5 vs the gain at Pw=0.1 minus 0.05",
+         improvements[0.5], ">=", improvements[0.1] - 0.05),
+    )
+
+
+@declare(ABLATION_EXPERIMENTS, "ablation", _check_write_probability)
 def ablation_write_probability(
     scale: ReproductionScale = BENCH_SCALE,
 ) -> ExperimentSpec:
@@ -97,10 +128,3 @@ def ablation_write_probability(
         "exactly where recoverability helps: the relative gain over "
         "commutativity should not shrink as the write probability grows.",
     )
-
-
-#: Ablation builders in presentation order, keyed by experiment id.
-ABLATION_BUILDERS: Dict[str, Callable[[ReproductionScale], ExperimentSpec]] = {
-    "ablation-pseudo-commit-slot": ablation_pseudo_commit_slot,
-    "ablation-write-probability": ablation_write_probability,
-}

@@ -18,19 +18,27 @@ from __future__ import annotations
 
 import dataclasses
 import gc
+import operator
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple,
+)
 
 from ..core.errors import ExperimentError
 from ..sim.metrics import RunMetrics
 from ..sim.params import SimulationParameters
 from ..sim.simulator import Simulation
 
+if TYPE_CHECKING:
+    from .figures import ReproductionScale
+
 __all__ = [
     "Variant",
     "AveragedMetrics",
     "ExperimentSpec",
     "ExperimentResult",
+    "RegisteredExperiment",
+    "unmet",
     "run_experiment",
 ]
 
@@ -190,6 +198,52 @@ class ExperimentResult:
         if baseline_value == 0:
             return 0.0
         return (better_value - baseline_value) / baseline_value
+
+
+@dataclass(frozen=True)
+class RegisteredExperiment:
+    """One experiment, declared once: its id, category, builder, claim and check.
+
+    ``builder`` is ``None`` for entries that are not parameter sweeps (the
+    table regeneration); the CLI handles those through their own harness.
+    ``paper_claim`` is what the paper reports for a figure, in one sentence.
+    ``check`` returns the shape expectations a result of the sweep fails,
+    each with its numbers (``[]`` when the shape holds): ``repro figures``
+    prints its verdict under each report and the benchmark suite requires
+    it to be empty.
+    """
+
+    experiment_id: str
+    kind: str  # "figure" | "baseline" | "distributed" | "ablation" | "tables"
+    summary: str
+    builder: Optional[Callable[["ReproductionScale"], ExperimentSpec]] = None
+    paper_claim: str = ""
+    check: Optional[Callable[[ExperimentResult], List[str]]] = None
+
+
+#: One expected relation: ``(what, value, relation, bound)``.
+Expectation = Tuple[str, float, str, float]
+
+_RELATIONS: Dict[str, Callable[[float, float], bool]] = {
+    ">": operator.gt,
+    ">=": operator.ge,
+    "<=": operator.le,
+    "==": operator.eq,
+}
+
+
+def unmet(*expectations: Expectation) -> List[str]:
+    """The expectations ``(what, value, relation, bound)`` that do not hold.
+
+    Each comes back as ``what`` with its numbers.  ``relation`` is one of
+    ``>``, ``>=``, ``<=`` and ``==``; a NaN on either side fails, as it
+    would in an ``assert``.
+    """
+    return [
+        f"{what}: got {value:.4g}, expected {relation} {bound:.4g}"
+        for what, value, relation, bound in expectations
+        if not _RELATIONS[relation](value, bound)
+    ]
 
 
 #: Per-process cache of the constructed simulations of *one* system: the

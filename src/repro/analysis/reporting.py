@@ -5,8 +5,9 @@ level.  :func:`render_result` prints the same information as an aligned text
 table — one row per mpl level, one column per (variant, metric) pair — plus a
 short summary of the headline comparisons (peak throughput per variant and
 relative improvement).  The benchmark run saves each report as
-``benchmarks/results/figure-N.txt``; the registry entry's ``paper_claim``
-states what the paper reports for the same figure.
+``benchmarks/results/<experiment id>.txt``.  What the paper reports for the
+same figure, and whether a result has the expected shape, belong to the
+registry entry (``paper_claim`` and ``check``), not to the report.
 """
 
 from __future__ import annotations

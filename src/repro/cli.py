@@ -8,8 +8,8 @@ The CLI exposes the experiment harness without writing any Python:
 ``python -m repro figures [--list] [--only ID ...] [--scale smoke|bench|paper] [--workers N] [--out DIR]``
     list the experiment registry (figures, ablations, tables), or run
     experiments through the parallel runner and print (and optionally save)
-    each paper-style report; every worker count produces byte-identical
-    results;
+    each paper-style report, followed on stdout by whether the expected
+    shape held; every worker count produces byte-identical results;
 ``python -m repro simulate [--mpl 50 --policy recoverability ...]``
     run a single simulation point and print its metrics; ``--policy 2pl``
     selects the strict two-phase-locking baseline backend;
@@ -254,6 +254,7 @@ def _command_figures(arguments, out, error) -> int:
     scale = _SCALES[arguments.scale]
     for experiment_id in experiment_ids:
         entry = EXPERIMENT_REGISTRY.entry(experiment_id)
+        verdict = ""
         if entry.builder is None:
             report = _render_tables_report()
         else:
@@ -264,7 +265,11 @@ def _command_figures(arguments, out, error) -> int:
                 workers=arguments.workers,
             )
             report = render_result(result)
-        out.write(report + "\n")
+            if entry.check is not None:
+                failed = entry.check(result)
+                held = "not held: " + "; ".join(failed) if failed else "held"
+                verdict = f"shape ({scale.name} scale): {held}\n"
+        out.write(report + "\n" + verdict)
         if arguments.out is not None:
             arguments.out.mkdir(parents=True, exist_ok=True)
             (arguments.out / f"{experiment_id}.txt").write_text(report + "\n")

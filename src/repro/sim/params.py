@@ -16,6 +16,7 @@ remain one assignment away.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
@@ -161,6 +162,11 @@ class SimulationParameters:
             raise SimulationError("mpl_level must be positive")
         if not 0 < self.min_length <= self.max_length:
             raise SimulationError("transaction length bounds must satisfy 0 < min <= max")
+        # Every comparison with NaN is false, so the range checks below would
+        # let a NaN (or an infinity) through: reject non-finite times first.
+        for name in ("step_time", "cpu_time", "io_time", "ext_think_time", "msg_time"):
+            if not math.isfinite(getattr(self, name)):
+                raise SimulationError(f"{name} must be finite, got {getattr(self, name)}")
         if self.step_time <= 0 or self.cpu_time <= 0 or self.io_time <= 0:
             raise SimulationError("service times must be positive")
         if self.ext_think_time < 0:
@@ -205,6 +211,10 @@ class SimulationParameters:
             if self.commit_protocol != "two-phase":
                 raise SimulationError(
                     "prepare_timeout requires commit_protocol='two-phase'"
+                )
+            if not math.isfinite(self.prepare_timeout):
+                raise SimulationError(
+                    f"prepare_timeout must be finite, got {self.prepare_timeout}"
                 )
             if self.prepare_timeout <= 0:
                 raise SimulationError("prepare_timeout must be positive")
@@ -266,6 +276,8 @@ class SimulationParameters:
                 raise SimulationError("site_units entries must be positive")
         for entry in self.failure_schedule:
             time, action, site = entry
+            if not math.isfinite(time):
+                raise SimulationError(f"failure_schedule time {time} is not finite")
             if time < 0:
                 raise SimulationError(f"failure_schedule time {time} is negative")
             if action not in ("fail", "recover"):

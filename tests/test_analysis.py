@@ -3,7 +3,6 @@
 import gc
 import os
 import pathlib
-import re
 import subprocess
 import sys
 import weakref
@@ -12,17 +11,15 @@ import pytest
 
 import repro.analysis.experiments as experiments
 from repro.analysis import (
-    ABLATION_BUILDERS,
     BENCH_SCALE,
     EXPERIMENT_REGISTRY,
     PAPER_SCALE,
     SMOKE_SCALE,
     AveragedMetrics,
+    ExperimentResult,
     ExperimentSpec,
     Variant,
-    all_figure_ids,
     compare_tables,
-    figure_spec,
     paper_table_reports,
     parameter_table,
     render_result,
@@ -174,26 +171,25 @@ class TestParallelRunner:
             run_experiment(tiny_spec(), workers=0)
 
 
+def figure_ids():
+    """The 20 figure experiments: every parameter sweep but the ablations."""
+    return [
+        entry.experiment_id
+        for entry in EXPERIMENT_REGISTRY
+        if entry.builder is not None and entry.kind != "ablation"
+    ]
+
+
 class TestExperimentRegistry:
     def test_registry_covers_figures_tables_and_ablations(self):
-        ids = EXPERIMENT_REGISTRY.ids()
-        assert set(all_figure_ids()) <= set(ids)
-        assert set(ABLATION_BUILDERS) <= set(ids)
-        assert "tables" in ids
-        assert len(EXPERIMENT_REGISTRY) == len(all_figure_ids()) + len(ABLATION_BUILDERS) + 1
+        ablations = ["ablation-pseudo-commit-slot", "ablation-write-probability"]
+        assert EXPERIMENT_REGISTRY.ids("ablation") == ablations
+        assert EXPERIMENT_REGISTRY.ids() == figure_ids() + ablations + ["tables"]
 
-    def test_every_benchmark_figure_module_has_a_registry_entry(self):
-        """Completeness: every benchmarks/test_fig*.py id is registered."""
-        benchmarks = pathlib.Path(__file__).parent.parent / "benchmarks"
-        modules = sorted(benchmarks.glob("test_fig*.py"))
-        assert modules, "no figure benchmark modules found"
-        for module in modules:
-            match = re.fullmatch(r"test_fig(\d+)(?:_(\w+))?\.py", module.name)
-            assert match, module.name
-            figure_id = f"figure-{int(match.group(1))}"
-            if match.group(2):
-                figure_id += "-" + match.group(2).replace("_", "-")
-            assert figure_id in EXPERIMENT_REGISTRY, figure_id
+    def test_every_runnable_entry_has_a_check(self):
+        for experiment_id in EXPERIMENT_REGISTRY.runnable_ids():
+            assert callable(EXPERIMENT_REGISTRY.entry(experiment_id).check), experiment_id
+        assert EXPERIMENT_REGISTRY.entry("tables").check is None
 
     def test_runnable_ids_excludes_tables(self):
         runnable = EXPERIMENT_REGISTRY.runnable_ids()
@@ -262,7 +258,7 @@ class TestReporting:
 
 class TestFigureRegistry:
     def test_all_figures_are_registered(self):
-        ids = all_figure_ids()
+        ids = figure_ids()
         # The paper's 15 figures plus the strict-2PL baseline and the
         # multi-site router, read-scaling, replication-protocol and
         # commit-protocol experiments.
@@ -274,17 +270,13 @@ class TestFigureRegistry:
         assert "figure-4-commit" in ids
         assert ids[0] == "figure-4" and ids[-1] == "figure-18"
 
-    def test_every_figure_spec_builds_and_validates(self):
-        for figure_id in all_figure_ids():
-            spec = figure_spec(figure_id, SMOKE_SCALE)
+    def test_every_figure_builds_at_the_smoke_scale(self):
+        for figure_id in figure_ids():
+            spec = EXPERIMENT_REGISTRY.spec(figure_id, SMOKE_SCALE)
             spec.validate()
             assert spec.experiment_id == figure_id
             assert spec.runs == SMOKE_SCALE.runs
             assert tuple(spec.mpl_levels) == SMOKE_SCALE.mpl_levels
-
-    def test_unknown_figure_raises(self):
-        with pytest.raises(ExperimentError):
-            figure_spec("figure-99")
 
     def test_scales_are_ordered_by_size(self):
         assert (
@@ -294,24 +286,102 @@ class TestFigureRegistry:
         )
 
     def test_workloads_and_resources_match_the_paper(self):
-        assert figure_spec("figure-4", SMOKE_SCALE).workload == "readwrite"
-        assert figure_spec("figure-14", SMOKE_SCALE).workload == "adt"
-        assert figure_spec("figure-10", SMOKE_SCALE).base_params.resource_units == 5
-        assert figure_spec("figure-11", SMOKE_SCALE).base_params.resource_units == 1
-        assert figure_spec("figure-8", SMOKE_SCALE).base_params.fair_scheduling is False
-        adt_15 = figure_spec("figure-15", SMOKE_SCALE)
+        assert EXPERIMENT_REGISTRY.spec("figure-4", SMOKE_SCALE).workload == "readwrite"
+        assert EXPERIMENT_REGISTRY.spec("figure-14", SMOKE_SCALE).workload == "adt"
+        assert EXPERIMENT_REGISTRY.spec("figure-10", SMOKE_SCALE).base_params.resource_units == 5
+        assert EXPERIMENT_REGISTRY.spec("figure-11", SMOKE_SCALE).base_params.resource_units == 1
+        unfair = EXPERIMENT_REGISTRY.spec("figure-8", SMOKE_SCALE)
+        assert unfair.base_params.fair_scheduling is False
+        adt_15 = EXPERIMENT_REGISTRY.spec("figure-15", SMOKE_SCALE)
         assert all(variant.overrides["pc"] == 2 for variant in adt_15.variants)
 
     def test_figure_metrics_match_what_the_paper_plots(self):
-        assert figure_spec("figure-5", SMOKE_SCALE).metrics == ("response_time",)
-        assert figure_spec("figure-6", SMOKE_SCALE).metrics == (
+        assert EXPERIMENT_REGISTRY.spec("figure-5", SMOKE_SCALE).metrics == ("response_time",)
+        assert EXPERIMENT_REGISTRY.spec("figure-6", SMOKE_SCALE).metrics == (
             "blocking_ratio",
             "restart_ratio",
         )
-        assert figure_spec("figure-7", SMOKE_SCALE).metrics == (
+        assert EXPERIMENT_REGISTRY.spec("figure-7", SMOKE_SCALE).metrics == (
             "cycle_check_ratio",
             "abort_length",
         )
+
+
+def hand_result(experiment_id, throughputs, counters=None):
+    """A smoke-scale result of one registry experiment with hand-set numbers.
+
+    ``throughputs`` gives each variant's throughput per mpl level; every
+    level of a variant carries ``counters[label]``.
+    """
+    spec = EXPERIMENT_REGISTRY.spec(experiment_id, SMOKE_SCALE)
+    points = {
+        label: {
+            level: AveragedMetrics(
+                runs=1, throughput=value, response_time=1.0, blocking_ratio=0.0,
+                restart_ratio=0.0, cycle_check_ratio=0.0, abort_length=0.0,
+                completions=1.0, pseudo_commit_fraction=0.0,
+                counters=tuple(sorted((counters or {}).get(label, {}).items())),
+            )
+            for level, value in zip(spec.mpl_levels, values)
+        }
+        for label, values in throughputs.items()
+    }
+    return ExperimentResult(spec=spec, points=points)
+
+
+class TestShapeChecks:
+    """Each check holds on a result with the claimed shape, and names every
+    expectation a result without it fails, with its numbers."""
+
+    @staticmethod
+    def check(experiment_id, throughputs, counters=None):
+        result = hand_result(experiment_id, throughputs, counters)
+        return EXPERIMENT_REGISTRY.entry(experiment_id).check(result)
+
+    def test_figure_4(self):
+        holds = {"commutativity": (50.0, 40.0), "recoverability": (70.0, 65.0)}
+        assert self.check("figure-4", holds) == []
+        breaks = {"commutativity": (50.0, 40.0), "recoverability": (55.0, 30.0)}
+        assert self.check("figure-4", breaks) == [
+            "recoverability peak vs 1.2 x commutativity peak: got 55, expected >= 60",
+            "recoverability vs commutativity throughput at mpl=50: got 30, expected >= 40",
+        ]
+
+    def test_figure_14(self):
+        holds = {"Pc=4,Pr=0": (10.0, 9.0), "Pc=4,Pr=4": (11.0, 10.0), "Pc=4,Pr=8": (13.0, 11.0)}
+        assert self.check("figure-14", holds) == []
+        breaks = dict(holds, **{"Pc=4,Pr=8": (11.5, 11.0)})
+        assert self.check("figure-14", breaks) == [
+            "Pc=4,Pr=8 peak vs 1.2 x Pc=4,Pr=0 peak: got 11.5, expected >= 12"
+        ]
+
+    def test_figure_4_commit(self):
+        throughputs = {"one-phase": (20.0, 30.0), "two-phase": (18.0, 25.0)}
+        counters = {
+            "one-phase": {"replication_under_replicated_window": 3, "resource_messages_sent": 10},
+            "two-phase": {
+                "commit_prepare_rounds": 5, "commit_certifications": 5, "commit_prepare_acks": 10,
+                "commit_re_replicated_objects": 2, "resource_messages_sent": 20,
+            },
+        }
+        assert self.check("figure-4-commit", throughputs, counters) == []
+        counters["two-phase"]["replication_under_replicated_window"] = 1
+        assert self.check("figure-4-commit", throughputs, counters) == [
+            "two-phase replication_under_replicated_window: got 2, expected == 0"
+        ]
+
+    def test_ablation_write_probability(self):
+        throughputs = {
+            f"Pw={probability}/{policy}": (12.0 if policy == "recoverability" else 10.0,)
+            for probability in (0.1, 0.3, 0.5)
+            for policy in ("commutativity", "recoverability")
+        }
+        assert self.check("ablation-write-probability", throughputs) == []
+        throughputs["Pw=0.5/recoverability"] = (11.0,)
+        assert self.check("ablation-write-probability", throughputs) == [
+            "recoverability gain at Pw=0.5 vs the gain at Pw=0.1 minus 0.05: "
+            "got 0.1, expected >= 0.15"
+        ]
 
 
 class TestTables:

@@ -34,8 +34,22 @@ class TestFiguresCommand:
         assert code == 0
         assert "figure-4" in text
         assert "recoverability" in text
+        assert text.endswith("shape (smoke scale): held\n")
         saved = (tmp_path / "figure-4.txt").read_text()
         assert "summary (throughput)" in saved
+        assert "shape" not in saved
+
+    def test_a_failed_shape_is_reported_and_exits_zero(self, monkeypatch):
+        import dataclasses
+
+        from repro.analysis import EXPERIMENT_REGISTRY
+
+        entry = EXPERIMENT_REGISTRY.entry("figure-4")
+        failing = dataclasses.replace(entry, check=lambda result: ["a: got 1, expected > 2", "b"])
+        monkeypatch.setitem(EXPERIMENT_REGISTRY._entries, "figure-4", failing)
+        code, text = run_cli("figures", "--only", "figure-4", "--scale", "smoke")
+        assert code == 0
+        assert text.endswith("shape (smoke scale): not held: a: got 1, expected > 2; b\n")
 
     @pytest.mark.parametrize("argv", [("figure", "figure-4"), ("list",)])
     def test_removed_subcommands_are_usage_errors(self, capsys, argv):
@@ -294,6 +308,16 @@ class TestSimulateCommand:
             run_cli("simulate", "--msg-time", "-0.5")
         assert excinfo.value.code == 2
         assert "msg_time" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ("--sites", "2", "--fail-at", "nan:1"),
+        ("--msg-time", "nan"),
+    ])
+    def test_non_finite_times_exit_cleanly(self, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli("simulate", *argv)
+        assert excinfo.value.code == 2
+        assert "finite" in capsys.readouterr().err
 
     def test_per_site_resources_and_msg_time(self):
         import json

@@ -52,6 +52,16 @@ class TestSimulationParameters:
             {"pc": 10, "pr": 10, "operations_per_object": 4},
             {"total_completions": 0},
             {"warmup_completions": 10, "total_completions": 10},
+            # Every comparison with NaN is false: non-finite times are
+            # rejected outright, not slipped past the range checks.
+            {"step_time": float("nan")},
+            {"cpu_time": float("inf")},
+            {"io_time": float("nan")},
+            {"ext_think_time": float("nan")},
+            {"msg_time": float("nan")},
+            {"commit_protocol": "two-phase", "prepare_timeout": float("nan")},
+            {"site_count": 2, "replication": "copies",
+             "failure_schedule": ((float("nan"), "fail", 1),)},
         ],
     )
     def test_invalid_parameters_rejected(self, overrides):
