@@ -260,15 +260,17 @@ def unmet(*expectations: Expectation) -> List[str]:
 #: own schedule it outlives the next system's construction and the process
 #: holds two systems at its peak.
 _SIMULATION_CACHE: Dict[Tuple, Dict[int, Simulation]] = {}
+#: The fields of that system key: all but the seed and the reset knobs.
+_SYSTEM_FIELDS = tuple(
+    declared.name for declared in dataclasses.fields(SimulationParameters)
+    if declared.name not in Simulation._RESET_OVERRIDABLE + ("seed",)
+)
 
 
 def _simulate_point(task: Tuple[SimulationParameters, str]) -> RunMetrics:
     """Run one ``(params, workload)`` point; module-level so it pickles."""
     params, workload_kind = task
-    normalized = params.replace(
-        mpl_level=1, total_completions=1, warmup_completions=0, seed=0
-    )
-    system = (workload_kind, dataclasses.astuple(normalized))
+    system = (workload_kind, tuple(getattr(params, name) for name in _SYSTEM_FIELDS))
     by_seed = _SIMULATION_CACHE.get(system)
     if by_seed is None:
         if _SIMULATION_CACHE:

@@ -12,7 +12,9 @@ The CLI exposes the experiment harness without writing any Python:
     shape held; every worker count produces byte-identical results;
 ``python -m repro simulate [--mpl 50 --policy recoverability ...]``
     run a single simulation point and print its metrics; ``--policy 2pl``
-    selects the strict two-phase-locking baseline backend;
+    selects the strict two-phase-locking baseline backend.  ``repro simulate
+    --help`` is the flag reference: each flag that sets a parameter is declared,
+    with its help and choices, on its ``SimulationParameters`` field;
 ``python -m repro simulate --sites 4 --replication copies --fail-at 2:1 --recover-at 6:1``
     run the multi-site system: four sites with available-copies replication,
     site 1 crashing at t=2 s and recovering at t=6 s of simulated time;
@@ -39,10 +41,13 @@ The CLI exposes the experiment harness without writing any Python:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import pathlib
+import re
 import sys
-from typing import List, Optional, Sequence, Tuple
+import typing
+from typing import Dict, Optional, Sequence, Tuple
 
 from .analysis import (
     BENCH_SCALE,
@@ -57,17 +62,60 @@ from .analysis import (
 )
 from .adts import paper_types
 from .core.errors import SimulationError
-from .core.policy import ConflictPolicy
 from .distributed import RouterStatistics
 from .sim.params import SimulationParameters
 from .sim.routing import CentralCoordinator
 from .sim.simulator import Simulation
 
 _SCALES = {"smoke": SMOKE_SCALE, "bench": BENCH_SCALE, "paper": PAPER_SCALE}
-_POLICIES = {policy.value: policy for policy in ConflictPolicy}
+
+#: The ``SimulationParameters`` fields ``repro simulate`` exposes; each field
+#: declares its flag, help and choices (``sim/params.py``).
+_FLAG_FIELDS = [
+    declared for declared in dataclasses.fields(SimulationParameters) if "flag" in declared.metadata
+]
+#: Where ``repro simulate``'s default is not the field's: a short run, and a
+#: replication derived from ``--sites`` (see :func:`_simulation_parameters`).
+_SIMULATE_DEFAULTS = {"total_completions": 500, "replication": None}
+#: The option that sets each field, to name it in a usage error.
+_FIELD_FLAGS = {
+    **{declared.name: declared.metadata["flag"] for declared in _FLAG_FIELDS},
+    "failure_schedule": "--fail-at/--recover-at",
+    "fair_scheduling": "--unfair",
+}
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _parse_time_site(text: str) -> Tuple[float, int]:
+    """Parse one ``--fail-at``/``--recover-at`` ``TIME:SITE`` entry."""
+    try:
+        time_text, site_text = text.split(":", 1)
+        return float(time_text), int(site_text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expects TIME:SITE (e.g. 2.5:1), got {text!r}") from None
+
+
+def _parse_site_units(text: str) -> Tuple[int, ...]:
+    """Parse ``--site-units 2,1,1,4`` into a per-site tuple."""
+    try:
+        return tuple(int(entry) for entry in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expects comma-separated integers (e.g. 2,1,1,4), got {text!r}"
+        ) from None
+
+
+def _option_type(name: str):
+    """What the option text of field ``name`` converts by: the ``U0,U1,...``
+    parser for ``site_units``, else the field's annotation unwrapped from
+    ``Optional`` (an absent option keeps the ``None`` default)."""
+    if name == "site_units":
+        return _parse_site_units
+    annotation = typing.get_type_hints(SimulationParameters)[name]
+    return next((arg for arg in typing.get_args(annotation) if arg is not type(None)), annotation)
+
+
+def _build_parser() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.ArgumentParser]]:
+    """The ``repro`` parser and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Reproduce 'Semantics-Based Concurrency Control: Beyond Commutativity'.",
@@ -115,105 +163,34 @@ def _build_parser() -> argparse.ArgumentParser:
         help="machine-readable output (per-rule counts + violations)",
     )
 
-    simulate = subparsers.add_parser("simulate", help="run a single simulation point")
+    simulate = subparsers.add_parser(
+        "simulate",
+        help="run a single simulation point",
+        description="Run one simulation point. Here --completions defaults to "
+                    "500, and --replication to single with one site and "
+                    "copies with several.",
+    )
     simulate.add_argument("--workload", choices=["readwrite", "adt"], default="readwrite")
-    simulate.add_argument("--policy", choices=sorted(_POLICIES), default="recoverability")
-    simulate.add_argument("--mpl", type=int, default=50)
-    simulate.add_argument("--completions", type=int, default=500)
-    simulate.add_argument("--database-size", type=int, default=1000)
-    simulate.add_argument("--resource-units", type=int, default=None,
-                          help="number of resource units (omit for infinite); "
-                               "under --resource-placement per_site this is "
-                               "the hardware of each site")
-    simulate.add_argument("--resource-placement", choices=["global", "per_site"],
-                          default="global",
-                          help="one shared CPU/disk pool (global, the paper's "
-                               "model) or one pool per site (per_site)")
-    simulate.add_argument("--msg-time", type=float, default=0.0,
-                          help="cross-site network cost in seconds charged to "
-                               "work routed away from a transaction's home "
-                               "site (default 0: no network model)")
-    simulate.add_argument("--write-probability", type=float, default=0.3)
-    simulate.add_argument("--pc", type=int, default=4)
-    simulate.add_argument("--pr", type=int, default=4)
+    for declared in _FLAG_FIELDS:
+        options = dict(declared.metadata)
+        flag = options.pop("flag")
+        if "choices" not in options:
+            # The metavar argparse would derive from the flag, not the field.
+            options.setdefault("metavar", flag[2:].upper().replace("-", "_"))
+            options["type"] = _option_type(declared.name)
+        default = _SIMULATE_DEFAULTS.get(declared.name, declared.default)
+        simulate.add_argument(flag, dest=declared.name, default=default, **options)
     simulate.add_argument("--unfair", action="store_true",
                           help="disable fair scheduling at the object managers")
-    simulate.add_argument("--seed", type=int, default=1)
-    simulate.add_argument("--sites", type=int, default=1,
-                          help="number of sites (default 1: the centralized system)")
-    simulate.add_argument("--replication", choices=["single", "hash", "copies"],
-                          default=None,
-                          help="object placement across sites (default: 'single' "
-                               "with one site, 'copies' with several)")
-    simulate.add_argument("--replication-protocol",
-                          choices=["available-copies", "quorum", "primary-copy"],
-                          default="available-copies",
-                          help="how replicas are selected and recovered: "
-                               "available-copies (read-one/write-all, "
-                               "unreadable window after recovery), quorum "
-                               "(versioned R/W quorums with catch-up) or "
-                               "primary-copy (writes through an elected "
-                               "primary, catch-up)")
-    simulate.add_argument("--quorum-r", type=int, default=None, metavar="R",
-                          help="read quorum size for --replication-protocol "
-                               "quorum (default: a majority of the copies)")
-    simulate.add_argument("--quorum-w", type=int, default=None, metavar="W",
-                          help="write quorum size for --replication-protocol "
-                               "quorum (default: a majority of the copies)")
-    simulate.add_argument("--commit-protocol",
-                          choices=["one-phase", "two-phase"],
-                          default="one-phase",
-                          help="when a distributed commit reports durable: "
-                               "one-phase (one fan-out, durable once every "
-                               "branch drained) or two-phase (commit-time "
-                               "cycle certification, W-ack durability under "
-                               "quorum, re-replication on site failure)")
-    simulate.add_argument("--prepare-timeout", type=float, default=None,
-                          metavar="SECONDS",
-                          help="force-report a two-phase commit still below "
-                               "its W-stamp condition after this much "
-                               "simulated time (default: wait indefinitely)")
-    simulate.add_argument("--site-units", default=None, metavar="U0,U1,...",
-                          help="heterogeneous per-site hardware: one "
-                               "resource-unit count per site (comma-"
-                               "separated, requires --resource-placement "
-                               "per_site and one entry per --sites)")
     simulate.add_argument("--fail-at", action="append", default=[], metavar="TIME:SITE",
+                          type=_parse_time_site,
                           help="crash SITE at simulated TIME seconds (repeatable)")
     simulate.add_argument("--recover-at", action="append", default=[], metavar="TIME:SITE",
+                          type=_parse_time_site,
                           help="recover SITE at simulated TIME seconds (repeatable)")
     simulate.add_argument("--json", action="store_true",
                           help="emit machine-readable deterministic metrics as JSON")
-    return parser
-
-
-def _parse_site_events(
-    fail_at: List[str], recover_at: List[str], site_count: int, error
-) -> Tuple[Tuple[float, str, int], ...]:
-    """Turn repeated ``TIME:SITE`` flags into a sorted failure schedule.
-
-    ``error`` is :meth:`argparse.ArgumentParser.error`: every malformed entry
-    — bad syntax, unparsable numbers, negative times, sites outside the
-    ``--sites`` range — exits with a usage message instead of a traceback.
-    """
-    events: List[Tuple[float, str, int]] = []
-    for action, entries in (("fail", fail_at), ("recover", recover_at)):
-        for entry in entries:
-            try:
-                time_text, site_text = entry.split(":", 1)
-                time, site = float(time_text), int(site_text)
-            except ValueError:
-                error(f"--{action}-at expects TIME:SITE (e.g. 2.5:1), got {entry!r}")
-            if time < 0:
-                error(f"--{action}-at time must be non-negative, got {entry!r}")
-            if not 0 <= site < site_count:
-                error(
-                    f"--{action}-at site {site} is outside [0, {site_count}) "
-                    f"for --sites {site_count}"
-                )
-            events.append((time, action, site))
-    events.sort(key=lambda event: (event[0], event[2], event[1]))
-    return tuple(events)
+    return parser, subparsers.choices
 
 
 def _command_tables(type_name: Optional[str], out) -> int:
@@ -276,26 +253,6 @@ def _command_figures(arguments, out, error) -> int:
     return 0
 
 
-def _parse_site_units(text: Optional[str], site_count: int, error):
-    """Parse ``--site-units 2,1,1,4`` into a per-site tuple (or ``None``).
-
-    Malformed entries and length mismatches exit with a usage message: a
-    silently truncated or padded hardware list would misattribute every
-    per-site measurement after it.
-    """
-    if text is None:
-        return None
-    try:
-        units = tuple(int(entry) for entry in text.split(","))
-    except ValueError:
-        error(f"--site-units expects comma-separated integers (e.g. 2,1,1,4), "
-              f"got {text!r}")
-    if len(units) != site_count:
-        error(f"--site-units lists {len(units)} sites but --sites is "
-              f"{site_count}; give exactly one unit count per site")
-    return units
-
-
 def _command_lint(paths, as_json: bool, out, error) -> int:
     """Run the REP static analyzer; exit 1 when violations remain."""
     from .lint import lint_paths, render_json, render_text
@@ -333,40 +290,28 @@ def _global_accounting(coordinator) -> RouterStatistics:
     )
 
 
+def _simulation_parameters(arguments) -> SimulationParameters:
+    """The parameters ``repro simulate``'s parsed options describe."""
+    values = {declared.name: getattr(arguments, declared.name) for declared in _FLAG_FIELDS}
+    if values["replication"] is None:
+        values["replication"] = "single" if values["site_count"] == 1 else "copies"
+    events = [(time, "fail", site) for time, site in arguments.fail_at]
+    events += [(time, "recover", site) for time, site in arguments.recover_at]
+    events.sort(key=lambda event: (event[0], event[2], event[1]))
+    return SimulationParameters(
+        fair_scheduling=not arguments.unfair, failure_schedule=tuple(events), **values
+    )
+
+
 def _command_simulate(arguments, out, error) -> int:
-    replication = arguments.replication
-    if replication is None:
-        replication = "single" if arguments.sites == 1 else "copies"
     try:
-        params = SimulationParameters(
-            database_size=arguments.database_size,
-            mpl_level=arguments.mpl,
-            total_completions=arguments.completions,
-            policy=_POLICIES[arguments.policy],
-            resource_units=arguments.resource_units,
-            resource_placement=arguments.resource_placement,
-            msg_time=arguments.msg_time,
-            write_probability=arguments.write_probability,
-            pc=arguments.pc,
-            pr=arguments.pr,
-            fair_scheduling=not arguments.unfair,
-            seed=arguments.seed,
-            site_count=arguments.sites,
-            replication=replication,
-            replication_protocol=arguments.replication_protocol,
-            quorum_read=arguments.quorum_r,
-            quorum_write=arguments.quorum_w,
-            commit_protocol=arguments.commit_protocol,
-            prepare_timeout=arguments.prepare_timeout,
-            site_units=_parse_site_units(
-                arguments.site_units, arguments.sites, error
-            ),
-            failure_schedule=_parse_site_events(
-                arguments.fail_at, arguments.recover_at, arguments.sites, error
-            ),
-        )
+        params = _simulation_parameters(arguments)
     except SimulationError as exc:
-        error(str(exc))
+        # Name the option of each field the message mentions, in its order.
+        flags = dict.fromkeys(
+            _FIELD_FLAGS[word] for word in re.findall(r"\w+", str(exc)) if word in _FIELD_FLAGS
+        )
+        error(", ".join(flags) + f": {exc}" if flags else str(exc))
     simulation = Simulation(params, workload_kind=arguments.workload)
     metrics = simulation.run()
     if arguments.json:
@@ -416,16 +361,18 @@ def _command_simulate(arguments, out, error) -> int:
 def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     """CLI entry point; returns the process exit code."""
     out = out if out is not None else sys.stdout
-    parser = _build_parser()
+    parser, commands = _build_parser()
     arguments = parser.parse_args(argv)
+    # A usage error shows the usage of the subcommand it concerns.
+    error = commands[arguments.command].error
     if arguments.command == "tables":
         return _command_tables(arguments.type_name, out)
     if arguments.command == "figures":
-        return _command_figures(arguments, out, parser.error)
+        return _command_figures(arguments, out, error)
     if arguments.command == "lint":
-        return _command_lint(arguments.paths, arguments.as_json, out, parser.error)
+        return _command_lint(arguments.paths, arguments.as_json, out, error)
     if arguments.command == "simulate":
-        return _command_simulate(arguments, out, parser.error)
+        return _command_simulate(arguments, out, error)
     return 2  # pragma: no cover - argparse enforces the choices above
 
 

@@ -7,7 +7,8 @@ pluggable protocol seams and surfaced counters depend on:
 * **REP002** no iteration over unordered sets/dict-keys in sim/distributed;
 * **REP003** no wall-clock inside the deterministic layers;
 * **REP004** import layering (core/adts < sim < distributed);
-* **REP005** protocol subclasses in sync with factory registries and CLI;
+* **REP005** protocol subclasses in sync with factory registries and the
+  declared ``SimulationParameters`` choices;
 * **REP006** every incremented counter surfaced in a summary.
 
 Suppress a finding with an inline ``# repro-lint: disable=REPxxx`` pragma on

@@ -3,7 +3,8 @@
 The pluggable seams (`ConcurrencyControlBackend`, `ReplicationProtocol`,
 `CommitProtocol`, `PlacementPolicy`) are wired three ways: subclasses
 override the abstract surface, a factory/registry in the defining module
-maps names to classes, and the CLI exposes the names as static ``choices``.
+maps names to classes, and the ``SimulationParameters`` field selecting the
+seam declares the names as static ``choices`` (which the CLI offers).
 Nothing ties the three together at runtime until a run actually selects the
 protocol — this rule catches the drift statically.  A concrete subclass
 (name not starting with ``_``) must
@@ -12,8 +13,9 @@ protocol — this rule catches the drift statically.  A concrete subclass
    seam base leaves raising ``NotImplementedError``;
 2. be referenced somewhere else in its defining module (the factory
    function or registry literal);
-3. when the seam is CLI-selectable and the project includes ``repro.cli``,
-   have its ``name`` literal present in some CLI ``choices`` list.
+3. when the seam is CLI-selectable and the project includes
+   ``repro.sim.params``, have its ``name`` literal present in some
+   ``choices`` declared there.
 
 Backend subclasses skip check 3: their CLI choices derive dynamically from
 ``ConflictPolicy``.
@@ -34,7 +36,7 @@ _SEAM_BASES = {
     "CommitProtocol",
     "PlacementPolicy",
 }
-#: Seams whose instances are selected by a static CLI ``choices`` list.
+#: Seams whose instances are selected by a static declared ``choices`` list.
 _CLI_SEAMS = {"ReplicationProtocol", "CommitProtocol", "PlacementPolicy"}
 
 
@@ -156,12 +158,13 @@ class Rep005SeamConformance(Rule):
         return any(node is child for child in ast.walk(outer))
 
     def _cli_choices(self, project: Project) -> Optional[Set[str]]:
-        """Union of string literals in CLI ``choices=`` lists (None: no CLI)."""
-        cli = project.module("repro.cli")
-        if cli is None:
+        """Union of string literals in the ``choices=`` declared by
+        ``repro.sim.params`` (None: no parameters module)."""
+        params = project.module("repro.sim.params")
+        if params is None:
             return None
         choices: Set[str] = set()
-        for node in ast.walk(cli.tree):
+        for node in ast.walk(params.tree):
             if not isinstance(node, ast.Call):
                 continue
             for keyword in node.keywords:
@@ -215,6 +218,6 @@ class Rep005SeamConformance(Rule):
                 line=info.node.lineno,
                 message=(
                     f"{info.name} (name='{info.registry_name}') is missing "
-                    "from the CLI choices lists in repro/cli.py"
+                    "from the CLI choices declared in repro/sim/params.py"
                 ),
             )

@@ -11,14 +11,18 @@ simulates until 50 000 transactions complete and averages 10 runs; that scale
 is a parameter here (``total_completions``, ``runs`` in the experiment layer)
 so that the benchmark suite finishes in seconds while the full-scale settings
 remain one assignment away.
+
+A parameter that ``repro simulate`` exposes declares its option on its field
+(:func:`_flag`): the CLI builds the option from it, and ``validate`` checks
+the declared ``choices``.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Any, Dict, Optional, Tuple
 
 from ..core.errors import SimulationError
 from ..core.policy import ConflictPolicy
@@ -30,21 +34,26 @@ __all__ = ["INFINITE_RESOURCES", "SimulationParameters"]
 INFINITE_RESOURCES: Optional[int] = None
 
 
+def _flag(default: object, flag: str, help: str, **options: object) -> Any:
+    """A field exposed as the ``repro simulate`` option ``flag``; ``help`` is the
+    parameter's one description, ``options`` its ``choices`` (the values
+    ``validate`` accepts) or ``metavar``."""
+    return field(default=default, metadata={"flag": flag, "help": help, **options})
+
+
 @dataclass
 class SimulationParameters:
     """All parameters of one simulation run (Tables IX and X)."""
 
     # ----- database and workload shape -------------------------------------
-    #: Number of objects in the database.
-    database_size: int = 1000
+    database_size: int = _flag(1000, "--database-size", "number of objects in the database")
     #: Number of terminals issuing transactions.
     num_terminals: int = 200
     #: Minimum number of operations in a transaction.
     min_length: int = 4
     #: Maximum number of operations in a transaction.
     max_length: int = 12
-    #: Level of multiprogramming (maximum concurrently active transactions).
-    mpl_level: int = 50
+    mpl_level: int = _flag(50, "--mpl", "level of multiprogramming (most transactions active)")
 
     # ----- timing ------------------------------------------------------------
     #: Execution time of each operation under infinite resources (seconds).
@@ -57,77 +66,100 @@ class SimulationParameters:
     ext_think_time: float = 1.0
 
     # ----- resources ----------------------------------------------------------
-    #: Number of resource units (1 CPU + 2 disks each); ``None`` = infinite.
-    #: Under ``resource_placement="per_site"`` this is the hardware of *each*
-    #: site, so the system's total capacity grows with ``site_count``.
-    resource_units: Optional[int] = INFINITE_RESOURCES
-    #: Where the hardware lives: ``"global"`` (the paper's model: one shared
-    #: CPU/disk pool charged once per granted operation, however many replica
-    #: branches executed it) or ``"per_site"`` (each site owns a pool of
-    #: ``resource_units`` units and every executing replica is charged to the
-    #: hardware of its site).
-    resource_placement: str = "global"
-    #: Cross-site network cost in seconds: work routed to a site other than
-    #: the transaction's home site is delayed by ``msg_time`` (submit and
-    #: commit fan-out); site-local work pays nothing.  Zero disables the
-    #: network model entirely (no extra events, preserving pinned streams).
-    msg_time: float = 0.0
-    #: Heterogeneous per-site hardware: one ``resource_units`` value per
-    #: site (requires ``resource_placement="per_site"``); ``None`` gives
-    #: every site the homogeneous ``resource_units``.
-    site_units: Optional[Tuple[int, ...]] = None
+    resource_units: Optional[int] = _flag(
+        INFINITE_RESOURCES, "--resource-units",
+        "number of resource units, one CPU and two disks each (omit for infinite resources); "
+        "under per_site placement this is the hardware of each site, so the total capacity "
+        "grows with the site count",
+    )
+    resource_placement: str = _flag(
+        "global", "--resource-placement",
+        "where the hardware lives: one shared CPU/disk pool charged once per granted "
+        "operation, however many replica branches executed it (global, the paper's model), or "
+        "one pool per site, charging every executing replica to the hardware of its site "
+        "(per_site)",
+        choices=("global", "per_site"),
+    )
+    msg_time: float = _flag(
+        0.0, "--msg-time",
+        "cross-site network cost in seconds, charged to work (submit and commit fan-out) "
+        "routed away from a transaction's home site; site-local work pays nothing (default 0: "
+        "no network model, no extra events)",
+    )
+    site_units: Optional[Tuple[int, ...]] = _flag(
+        None, "--site-units",
+        "heterogeneous per-site hardware: one resource-unit count per site (comma-separated, "
+        "requires per_site placement and one entry per site; replaces --resource-units)",
+        metavar="U0,U1,...",
+    )
 
     # ----- read/write workload -------------------------------------------------
-    #: Probability that an operation of the read/write workload is a write.
-    write_probability: float = 0.3
+    write_probability: float = _flag(
+        0.3, "--write-probability", "probability that a read/write-workload operation is a write"
+    )
 
     # ----- abstract-data-type workload ------------------------------------------
     #: Number of operations defined on each object of the ADT workload.
     operations_per_object: int = 4
-    #: Number of commutative entries per object compatibility table (P_c).
-    pc: int = 4
-    #: Number of recoverable entries per object compatibility table (P_r).
-    pr: int = 4
+    pc: int = _flag(4, "--pc", "commutative entries per object compatibility table (P_c)")
+    pr: int = _flag(4, "--pr", "recoverable entries per object compatibility table (P_r)")
 
     # ----- multi-site execution ---------------------------------------------------
-    #: Number of sites (each a scheduler + backend of its own); 1 = the
-    #: centralized system of the paper, bit-identical to the original model.
-    site_count: int = 1
-    #: Placement of object copies across sites: ``"single"`` (everything on
-    #: site 0), ``"hash"`` (each object sharded to one site by a stable hash),
-    #: or ``"copies"`` (every object replicated at every site).
-    replication: str = "single"
-    #: How the replicas are kept consistent and selected:
-    #: ``"available-copies"`` (read-one / write-all-available with the
-    #: recovering-copy unreadable window), ``"quorum"`` (version-numbered
-    #: read/write quorums, ``R + W > N``, catch-up recovery) or
-    #: ``"primary-copy"`` (writes funnel through an elected primary with
-    #: deterministic failover, reads from any live replica, catch-up
-    #: recovery).
-    replication_protocol: str = "available-copies"
-    #: Read/write quorum sizes for the quorum protocol; ``None`` defaults
-    #: each to a majority of the copy count.
-    quorum_read: Optional[int] = None
-    quorum_write: Optional[int] = None
-    #: When a distributed commit may report durable: ``"one-phase"`` (one
-    #: commit fan-out, durable once every branch drained; a branch lost
-    #: with its site is dropped) or ``"two-phase"`` (commit-time cycle
-    #: certification, durability only at the replication protocol's write
-    #: condition — ``W`` live stamped copies under quorum — and
-    #: failure-triggered re-replication of under-stamped objects).
-    commit_protocol: str = "one-phase"
-    #: Upper bound, in simulated seconds, on how long a two-phase commit
-    #: may stay held below its W-stamp condition before being force-reported
-    #: (``None``: wait indefinitely — never report under-replicated).
-    prepare_timeout: Optional[float] = None
+    site_count: int = _flag(
+        1, "--sites",
+        "number of sites, each a scheduler and backend of its own (1: the centralized system "
+        "of the paper, bit-identical to the original model)",
+    )
+    replication: str = _flag(
+        "single", "--replication",
+        "placement of object copies across sites: everything on site 0 (single), each object "
+        "sharded to one site by a stable hash (hash), or every object at every site (copies)",
+        choices=("single", "hash", "copies"),
+    )
+    replication_protocol: str = _flag(
+        "available-copies", "--replication-protocol",
+        "how replicas are kept consistent and selected: available-copies "
+        "(read-one/write-all-available, unreadable window after recovery), quorum "
+        "(version-numbered R/W quorums, R + W > N, catch-up recovery) or primary-copy (writes "
+        "through an elected primary with deterministic failover, reads from any live replica, "
+        "catch-up recovery)",
+        choices=("available-copies", "quorum", "primary-copy"),
+    )
+    quorum_read: Optional[int] = _flag(
+        None, "--quorum-r", "read quorum size of the quorum protocol (default: a majority of "
+        "the copies)", metavar="R",
+    )
+    quorum_write: Optional[int] = _flag(
+        None, "--quorum-w", "write quorum size of the quorum protocol (default: a majority of "
+        "the copies)", metavar="W",
+    )
+    commit_protocol: str = _flag(
+        "one-phase", "--commit-protocol",
+        "when a distributed commit may report durable: one-phase (one commit fan-out, durable "
+        "once every branch drained; a branch lost with its site is dropped) or two-phase "
+        "(commit-time cycle certification, durability only at the replication protocol's write "
+        "condition, W live stamped copies under quorum, and re-replication of under-stamped "
+        "objects on site failure)",
+        choices=("one-phase", "two-phase"),
+    )
+    prepare_timeout: Optional[float] = _flag(
+        None, "--prepare-timeout",
+        "force-report a two-phase commit still below its W-stamp condition after this much "
+        "simulated time (default: wait indefinitely, never report under-replicated)",
+        metavar="SECONDS",
+    )
     #: Scripted site crashes and recoveries: ``(time, action, site_id)``
     #: entries with ``action`` in {"fail", "recover"}, executed as simulation
     #: events at the given simulated times.
     failure_schedule: Tuple[Tuple[float, str, int], ...] = ()
 
     # ----- concurrency control ----------------------------------------------------
-    #: Conflict policy (commutativity baseline vs recoverability).
-    policy: ConflictPolicy = ConflictPolicy.RECOVERABILITY
+    policy: ConflictPolicy = _flag(
+        ConflictPolicy.RECOVERABILITY, "--policy",
+        "conflict policy: commutativity (the baseline), recoverability (the paper's) or 2pl "
+        "(page-level strict two-phase locking)",
+        choices=tuple(sorted(policy.value for policy in ConflictPolicy)),
+    )
     #: Fair scheduling at the object managers (Section 5.2).
     fair_scheduling: bool = True
     #: Whether a pseudo-committed transaction keeps occupying an mpl slot
@@ -135,12 +167,10 @@ class SimulationParameters:
     pseudo_commit_holds_slot: bool = True
 
     # ----- run control -----------------------------------------------------------
-    #: Number of transaction completions after which the run stops.
-    total_completions: int = 2000
+    total_completions: int = _flag(2000, "--completions", "completions after which the run stops")
     #: Completions ignored before metrics start accumulating (warm-up).
     warmup_completions: int = 0
-    #: Random seed for the run.
-    seed: int = 1
+    seed: int = _flag(1, "--seed", "random seed for the run")
 
     # ------------------------------------------------------------------
     def __post_init__(self) -> None:
@@ -151,9 +181,17 @@ class SimulationParameters:
         if self.site_units is not None:
             self.site_units = tuple(int(units) for units in self.site_units)
         self.validate()
+        # A policy may be given by its value, as the policy option does.
+        self.policy = ConflictPolicy(self.policy)
 
     def validate(self) -> None:
         """Raise :class:`~repro.core.errors.SimulationError` on nonsense values."""
+        for name, choices in _CHOICES:
+            value = getattr(self, name)
+            if str(value) not in choices:
+                raise SimulationError(
+                    f"{name} must be one of {', '.join(map(repr, choices))}, got {value!r}"
+                )
         if self.database_size <= 0:
             raise SimulationError("database_size must be positive")
         if self.num_terminals <= 0:
@@ -173,10 +211,6 @@ class SimulationParameters:
             raise SimulationError("think time must be non-negative")
         if self.resource_units is not None and self.resource_units <= 0:
             raise SimulationError("resource_units must be positive (or None for infinite)")
-        if self.resource_placement not in ("global", "per_site"):
-            raise SimulationError(
-                "resource_placement must be 'global' or 'per_site'"
-            )
         if self.msg_time < 0:
             raise SimulationError("msg_time must be non-negative")
         if not 0.0 <= self.write_probability <= 1.0:
@@ -192,21 +226,6 @@ class SimulationParameters:
             raise SimulationError("pc + pr cannot exceed the number of table entries")
         if self.site_count < 1:
             raise SimulationError("site_count must be at least 1")
-        if self.replication not in ("single", "hash", "copies"):
-            raise SimulationError(
-                "replication must be one of 'single', 'hash', 'copies'"
-            )
-        if self.replication_protocol not in (
-            "available-copies", "quorum", "primary-copy"
-        ):
-            raise SimulationError(
-                "replication_protocol must be one of 'available-copies', "
-                "'quorum', 'primary-copy'"
-            )
-        if self.commit_protocol not in ("one-phase", "two-phase"):
-            raise SimulationError(
-                "commit_protocol must be one of 'one-phase', 'two-phase'"
-            )
         if self.prepare_timeout is not None:
             if self.commit_protocol != "two-phase":
                 raise SimulationError(
@@ -245,13 +264,13 @@ class SimulationParameters:
             write = self.quorum_write if self.quorum_write is not None else majority
             if read + write <= self.site_count:
                 raise SimulationError(
-                    f"quorum R={read} + W={write} must exceed the copy count "
-                    f"N={self.site_count} (every read quorum must intersect "
-                    "every write quorum)"
+                    f"quorum_read R={read} + quorum_write W={write} must "
+                    f"exceed the copy count N={self.site_count} (every read "
+                    "quorum must intersect every write quorum)"
                 )
             if 2 * write <= self.site_count:
                 raise SimulationError(
-                    f"write quorum W={write} must exceed half the copy count "
+                    f"quorum_write W={write} must exceed half the copy count "
                     f"N={self.site_count} (write quorums must intersect each "
                     "other, or concurrent writers go unserialized)"
                 )
@@ -347,3 +366,12 @@ class SimulationParameters:
         else:
             description["resource_units"] = "infinite"
         return description
+
+
+#: ``(name, choices)`` of every field that declares its choices, built once:
+#: :meth:`SimulationParameters.validate` runs on every construction.
+_CHOICES = tuple(
+    (declared.name, declared.metadata["choices"])
+    for declared in dataclasses.fields(SimulationParameters)
+    if "choices" in declared.metadata
+)

@@ -1,10 +1,11 @@
 """Tests for the command-line interface (``python -m repro``)."""
 
 import io
+import re
 
 import pytest
 
-from repro.cli import main
+from repro.cli import _FLAG_FIELDS, _SIMULATE_DEFAULTS, main
 
 
 def run_cli(*argv):
@@ -373,3 +374,63 @@ class TestSimulateCommand:
         payload = json.loads(text)
         assert payload["resources"] == {"resources": "infinite"}
         assert "resource_cpu_served" not in payload["counters"]
+
+
+class TestSimulateFlagsFromFields:
+    """``repro simulate``'s field options come from the field declarations."""
+
+    #: Flags whose value needs other options, or whose CLI default is derived:
+    #: (context argv, value text, expected ``params`` entry of ``--json``).
+    SPECIAL = {
+        "replication": ((), "hash", "hash"),
+        "site_units": (("--sites", "2", "--resource-placement", "per_site"), "2,1", [2, 1]),
+        "quorum_read": (("--sites", "3", "--replication-protocol", "quorum"), "3", 3),
+        "quorum_write": (("--sites", "3", "--replication-protocol", "quorum"), "3", 3),
+        "prepare_timeout": (("--commit-protocol", "two-phase"), "0.5", 0.5),
+    }
+
+    @pytest.mark.parametrize("field", _FLAG_FIELDS, ids=lambda field: field.metadata["flag"])
+    def test_a_non_default_value_lands_in_the_json_params(self, field):
+        import json
+
+        if field.name in self.SPECIAL:
+            context, text, expected = self.SPECIAL[field.name]
+        else:
+            context = ()
+            default = _SIMULATE_DEFAULTS.get(field.name, field.default)
+            choices = field.metadata.get("choices")
+            if choices:
+                expected = next(choice for choice in choices if choice != str(default))
+            else:
+                expected = 2 * default if default else 2
+            text = str(expected)
+        code, out = run_cli(
+            "simulate", "--database-size", "50", "--mpl", "4", "--completions", "20",
+            *context, field.metadata["flag"], text, "--json",
+        )
+        assert code == 0
+        assert json.loads(out)["params"][field.name] == expected
+
+    def test_no_option_is_added_or_lost(self):
+        import contextlib
+
+        help_text = io.StringIO()
+        with pytest.raises(SystemExit), contextlib.redirect_stdout(help_text):
+            run_cli("simulate", "--help")
+        usage = help_text.getvalue().split("\n\n")[0]
+        assert sorted(re.findall(r"\[(--[a-z-]+)", usage)) == sorted([
+            "--workload", "--database-size", "--mpl", "--resource-units",
+            "--resource-placement", "--msg-time", "--site-units",
+            "--write-probability", "--pc", "--pr", "--sites", "--replication",
+            "--replication-protocol", "--quorum-r", "--quorum-w",
+            "--commit-protocol", "--prepare-timeout", "--policy", "--completions",
+            "--seed", "--unfair", "--fail-at", "--recover-at", "--json",
+        ])
+
+    def test_parameter_errors_show_the_simulate_usage(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli("simulate", "--msg-time", "-1")
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage: repro simulate" in err
+        assert "--msg-time: msg_time" in err

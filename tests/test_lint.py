@@ -215,9 +215,11 @@ class TestRep005:
                 "        return True\n"
                 "_PROTOCOLS = {Eager.name: Eager}\n"
             ),
-            "src/repro/cli.py": (
-                "def build(parser):\n"
-                "    parser.add_argument('--commit-protocol', choices=['one-phase'])\n"
+            "src/repro/sim/params.py": (
+                "class SimulationParameters:\n"
+                "    commit_protocol: str = _flag(\n"
+                "        'one-phase', '--commit-protocol', 'help', choices=('one-phase',)\n"
+                "    )\n"
             ),
         }
         violations = lint_sources(sources)
@@ -235,9 +237,11 @@ class TestRep005:
                 "        return True\n"
                 "_PROTOCOLS = {Eager.name: Eager}\n"
             ),
-            "src/repro/cli.py": (
-                "def build(parser):\n"
-                "    parser.add_argument('--commit-protocol', choices=['eager'])\n"
+            "src/repro/sim/params.py": (
+                "class SimulationParameters:\n"
+                "    commit_protocol: str = _flag(\n"
+                "        'eager', '--commit-protocol', 'help', choices=('eager',)\n"
+                "    )\n"
             ),
         }
         assert "REP005" not in rules_in(good)

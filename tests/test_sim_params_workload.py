@@ -1,5 +1,6 @@
 """Tests for simulation parameters and the two workload generators."""
 
+import dataclasses
 import zlib
 
 import pytest
@@ -67,6 +68,28 @@ class TestSimulationParameters:
     def test_invalid_parameters_rejected(self, overrides):
         with pytest.raises(SimulationError):
             SimulationParameters(**overrides)
+
+    @pytest.mark.parametrize(
+        "name",
+        [field.name for field in dataclasses.fields(SimulationParameters)
+         if "choices" in field.metadata],
+    )
+    def test_unknown_choice_is_rejected_by_name(self, name):
+        with pytest.raises(SimulationError, match=rf"^{name} must be one of"):
+            SimulationParameters(**{name: "no-such-choice"})
+
+    def test_choices_are_declared_on_the_enumerated_fields(self):
+        declared = {
+            field.name for field in dataclasses.fields(SimulationParameters)
+            if "choices" in field.metadata
+        }
+        assert declared == {
+            "policy", "resource_placement", "replication",
+            "replication_protocol", "commit_protocol",
+        }
+
+    def test_policy_may_be_given_by_its_value(self):
+        assert SimulationParameters(policy="2pl").policy is ConflictPolicy.TWO_PHASE_LOCKING
 
     def test_describe_flattens_policy_and_resources(self):
         description = SimulationParameters().describe()
