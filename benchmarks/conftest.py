@@ -1,7 +1,8 @@
 """Shared infrastructure for the benchmark harness.
 
-``test_figures.py`` runs every parameter-sweep experiment of the central
-registry (``repro.analysis.registry``) once: it prints the paper-style series
+``test_figures.py`` runs every experiment of the central registry
+(``repro.analysis.registry``) that the session selects as one batch, each
+distinct simulation once: it prints the paper-style series
 and summary to stdout, saves them under ``benchmarks/results/``, and requires
 the registry entry's shape check to find no failed expectation.  The checks
 live on the entries, beside the builders, so ``repro figures`` reports the
@@ -15,10 +16,9 @@ variable ``REPRO_BENCH_SCALE``:
 * ``paper`` — the paper's own scale (50 000 completions per point, 10 runs);
   expect hours.
 
-``REPRO_BENCH_WORKERS`` (default 1) fans each experiment's points out over
-that many worker processes via the parallel runner; every worker count
-produces byte-identical results, so the shape checks and the saved reports
-never depend on it.
+``REPRO_BENCH_WORKERS`` (default 1) fans that batch's distinct points out
+over that many worker processes; every worker count produces byte-identical
+results, so the shape checks and the saved reports never depend on it.
 """
 
 import os

@@ -10,9 +10,9 @@ series for:
   Pr in {0, 4, 8}.
 
 Pass ``--scale smoke|bench|paper`` to change the amount of simulated work, or
-``--figure figure-10`` (any id from
-``repro.analysis.EXPERIMENT_REGISTRY.runnable_ids()``) to reproduce a
-different experiment.
+``--figure figure-10`` (any id from ``repro.analysis.EXPERIMENT_REGISTRY.ids()``,
+repeatable) to reproduce different experiments.  The experiments run as one
+batch, so a simulation that two of them read runs once.
 
 Run with (after ``pip install -e .`` from the repository root)::
 
@@ -27,7 +27,7 @@ from repro.analysis import (
     PAPER_SCALE,
     SMOKE_SCALE,
     render_result,
-    run_experiment,
+    run_experiments,
 )
 
 _SCALES = {"smoke": SMOKE_SCALE, "bench": BENCH_SCALE, "paper": PAPER_SCALE}
@@ -40,18 +40,17 @@ def main() -> None:
         help="how much simulated work to do per experiment point",
     )
     parser.add_argument(
-        "--figure", action="append", choices=EXPERIMENT_REGISTRY.runnable_ids(), default=None,
+        "--figure", action="append", choices=EXPERIMENT_REGISTRY.ids(), default=None,
         help="experiment id(s) to reproduce (default: figure-4 and figure-14)",
     )
     arguments = parser.parse_args()
     scale = _SCALES[arguments.scale]
     figure_ids = arguments.figure or ["figure-4", "figure-14"]
 
-    for figure_id in figure_ids:
-        spec = EXPERIMENT_REGISTRY.spec(figure_id, scale)
-        print(f"running {figure_id} at scale {scale.name!r} "
-              f"({scale.total_completions} completions/point, {scale.runs} run(s)/point)...")
-        result = run_experiment(spec, progress=lambda line: print("  " + line))
+    print(f"running {', '.join(figure_ids)} at scale {scale.name!r} "
+          f"({scale.total_completions} completions/point, {scale.runs} run(s)/point)...")
+    specs = [EXPERIMENT_REGISTRY.spec(figure_id, scale) for figure_id in figure_ids]
+    for result in run_experiments(specs, progress=lambda line: print("  " + line)):
         print()
         print(render_result(result))
         print()

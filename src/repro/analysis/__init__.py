@@ -7,7 +7,9 @@ from .experiments import (
     ExperimentSpec,
     RegisteredExperiment,
     Variant,
+    point_key,
     run_experiment,
+    run_experiments,
 )
 from .figures import (
     BENCH_SCALE,
@@ -36,7 +38,9 @@ __all__ = [
     "ExperimentSpec",
     "RegisteredExperiment",
     "Variant",
+    "point_key",
     "run_experiment",
+    "run_experiments",
     "BENCH_SCALE",
     "PAPER_SCALE",
     "SMOKE_SCALE",

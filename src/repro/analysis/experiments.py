@@ -3,15 +3,15 @@
 The paper's figures all have the same shape: one or more *variants* (e.g.
 commutativity vs recoverability, or P_r = 0/4/8) swept over a range of
 multiprogramming levels, each point averaged over several runs.  An
-:class:`ExperimentSpec` captures that shape declaratively; :func:`run_experiment`
-executes it and returns an :class:`ExperimentResult` that the reporting module
-renders as the paper-style series.
+:class:`ExperimentSpec` captures that shape declaratively; :func:`run_experiments`
+executes a batch of them, and the reporting module renders each
+:class:`ExperimentResult` as the paper-style series.
 
 Every ``(variant, mpl_level, run_index)`` point is an independent seeded
-simulation, so :func:`run_experiment` can fan the points out over a
-``ProcessPoolExecutor`` (``workers > 1``) and reassemble the results in the
-deterministic spec order — the :class:`ExperimentResult` is identical, point
-for point and byte for byte, to the serial ``workers=1`` path.
+simulation named by :func:`point_key`, so a batch runs each distinct point
+once and can fan the points out over a ``ProcessPoolExecutor`` (``workers >
+1``); its results are identical, point for point and byte for byte, to the
+serial ``workers=1`` path.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from __future__ import annotations
 import dataclasses
 import gc
 import operator
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple,
@@ -39,7 +40,9 @@ __all__ = [
     "ExperimentResult",
     "RegisteredExperiment",
     "unmet",
+    "point_key",
     "run_experiment",
+    "run_experiments",
 ]
 
 
@@ -204,8 +207,6 @@ class ExperimentResult:
 class RegisteredExperiment:
     """One experiment, declared once: its id, category, builder, claim and check.
 
-    ``builder`` is ``None`` for entries that are not parameter sweeps (the
-    table regeneration); the CLI handles those through their own harness.
     ``paper_claim`` is what the paper reports for a figure, in one sentence.
     ``check`` returns the shape expectations a result of the sweep fails,
     each with its numbers (``[]`` when the shape holds): ``repro figures``
@@ -214,11 +215,11 @@ class RegisteredExperiment:
     """
 
     experiment_id: str
-    kind: str  # "figure" | "baseline" | "distributed" | "ablation" | "tables"
+    kind: str  # "figure" | "baseline" | "distributed" | "ablation"
     summary: str
-    builder: Optional[Callable[["ReproductionScale"], ExperimentSpec]] = None
+    builder: Callable[["ReproductionScale"], ExperimentSpec]
+    check: Callable[[ExperimentResult], List[str]]
     paper_claim: str = ""
-    check: Optional[Callable[[ExperimentResult], List[str]]] = None
 
 
 #: One expected relation: ``(what, value, relation, bound)``.
@@ -246,6 +247,9 @@ def unmet(*expectations: Expectation) -> List[str]:
     ]
 
 
+#: One simulation to run: its parameters and its workload kind.
+Task = Tuple[SimulationParameters, str]
+
 #: Per-process cache of the constructed simulations of *one* system: the
 #: system key — the workload kind plus every parameter except the seed and the
 #: sweep knobs :attr:`Simulation._RESET_OVERRIDABLE` normalizes away — maps to
@@ -254,8 +258,8 @@ def unmet(*expectations: Expectation) -> List[str]:
 #: compilation, router wiring) with :meth:`Simulation.reset`; one simulation
 #: per seed because a different seed derives different random streams at
 #: construction time (the ADT tables among them), which ``reset`` deliberately
-#: never changes.  A sweep is variant-major and never returns to an earlier
-#: variant, so a new system evicts the previous one.  An evicted simulation is
+#: never changes.  A sweep is variant-major and a batch goes spec by spec, so
+#: a new system evicts one that is done with.  An evicted simulation is
 #: cyclic garbage, so it is collected on the spot: left to the collector's
 #: own schedule it outlives the next system's construction and the process
 #: holds two systems at its peak.
@@ -267,7 +271,7 @@ _SYSTEM_FIELDS = tuple(
 )
 
 
-def _simulate_point(task: Tuple[SimulationParameters, str]) -> RunMetrics:
+def _simulate_point(task: Task) -> RunMetrics:
     """Run one ``(params, workload)`` point; module-level so it pickles."""
     params, workload_kind = task
     system = (workload_kind, tuple(getattr(params, name) for name in _SYSTEM_FIELDS))
@@ -285,9 +289,14 @@ def _simulate_point(task: Tuple[SimulationParameters, str]) -> RunMetrics:
     return simulation.run()
 
 
-def _point_tasks(spec: ExperimentSpec) -> List[Tuple[SimulationParameters, str]]:
+def point_key(params: SimulationParameters, workload: str) -> Tuple:
+    """What names one simulation: points with equal keys are the same run."""
+    return (workload, dataclasses.astuple(params))
+
+
+def _point_tasks(spec: ExperimentSpec) -> List[Task]:
     """Every (variant, mpl, run) point in deterministic spec order."""
-    tasks: List[Tuple[SimulationParameters, str]] = []
+    tasks: List[Task] = []
     for variant in spec.variants:
         for mpl_level in spec.mpl_levels:
             for run_index in range(spec.runs):
@@ -300,35 +309,65 @@ def _point_tasks(spec: ExperimentSpec) -> List[Tuple[SimulationParameters, str]]
     return tasks
 
 
+def run_experiments(
+    specs: Sequence[ExperimentSpec],
+    progress: Optional[Callable[[str], None]] = None,
+    workers: int = 1,
+) -> Iterator[ExperimentResult]:
+    """Execute a batch of experiments, each distinct point once.
+
+    Yields each spec's :class:`ExperimentResult` in spec order as soon as its
+    points are in; a point (see :func:`point_key`) runs where the batch first
+    names it.  ``progress`` (if given) is called with a human-readable line
+    after each (variant, mpl) point of each spec, as a lone
+    :func:`run_experiment` per spec would call it.
+
+    ``workers`` fans the distinct points out over one ``ProcessPoolExecutor``.
+    Every point is an independent simulation fully determined by
+    ``(parameters, seed)``, so the results are identical for every worker
+    count; ``workers=1`` (the default) runs the exact serial path with no
+    executor and no pickling.
+    """
+    for spec in specs:
+        spec.validate()
+    if workers < 1:
+        raise ExperimentError(f"workers must be >= 1, got {workers}")
+    keyed = [[(point_key(*task), task) for task in _point_tasks(spec)] for spec in specs]
+    # Equal keys are equal tasks, so each key keeps its first position.
+    distinct = dict(pair for tasks in keyed for pair in tasks)
+    with ExitStack() as stack:
+        if workers == 1:
+            metrics: Iterator[RunMetrics] = map(_simulate_point, distinct.values())
+        else:
+            # Imported on use: a bare import of the package stays free of the pool.
+            from concurrent.futures import ProcessPoolExecutor
+
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+            metrics = pool.map(_simulate_point, distinct.values())
+        arriving = zip(distinct, metrics)
+        done: Dict[Tuple, RunMetrics] = {}
+
+        def metrics_of(tasks: List[Tuple[Tuple, Task]]) -> Iterator[RunMetrics]:
+            # Pulled lazily: the serial path interleaves simulation and progress.
+            for key, _ in tasks:
+                while key not in done:
+                    ran, run_metrics = next(arriving)
+                    done[ran] = run_metrics
+                yield done[key]
+
+        for spec, tasks in zip(specs, keyed):
+            yield _assemble(spec, metrics_of(tasks), progress)
+
+
 def run_experiment(
     spec: ExperimentSpec,
     progress: Optional[Callable[[str], None]] = None,
     workers: int = 1,
 ) -> ExperimentResult:
-    """Execute every (variant, mpl, run) point of an experiment.
-
-    ``progress`` (if given) is called with a human-readable string after each
-    completed point; the benchmark harness uses it to stream status lines.
-
-    ``workers`` fans the points out over a ``ProcessPoolExecutor``.  Every
-    point is an independent simulation fully determined by ``(parameters,
-    seed)``, and the results are reassembled in the deterministic spec order,
-    so the returned :class:`ExperimentResult` is identical for every worker
-    count; ``workers=1`` (the default) runs the exact serial path with no
-    executor and no pickling.
-    """
-    spec.validate()
-    if workers < 1:
-        raise ExperimentError(f"{spec.experiment_id}: workers must be >= 1")
-    tasks = _point_tasks(spec)
-    if workers == 1:
-        metrics_iter: Iterator[RunMetrics] = (_simulate_point(task) for task in tasks)
-        return _assemble(spec, metrics_iter, progress)
-    # Imported on use: a bare import of the package stays free of the pool.
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=workers) as executor:
-        return _assemble(spec, executor.map(_simulate_point, tasks), progress)
+    """Execute every (variant, mpl, run) point of one experiment: a batch of
+    one (see :func:`run_experiments`)."""
+    (result,) = run_experiments([spec], progress, workers)
+    return result
 
 
 def _assemble(

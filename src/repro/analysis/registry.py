@@ -3,11 +3,11 @@
 Each experiment is declared once, beside its builder, as a
 :class:`~repro.analysis.experiments.RegisteredExperiment`: the figures in
 :mod:`repro.analysis.figures`, the ablations in :mod:`repro.analysis.ablations`.
-The registry only assembles those entries, plus the table regeneration, into
-one index — id → entry — that the ``repro figures`` subcommand and the
-benchmark harness both drive.  Iteration order is registration order (paper
-order), which is what makes "reassembled in deterministic registry order" a
-meaningful guarantee for the parallel runner.
+The registry only assembles those entries, all parameter sweeps (the tables
+come from ``repro tables``), into one index — id → entry — that the ``repro
+figures`` subcommand and the benchmark harness both drive.  Iteration order
+is registration order (paper order), which is what makes "reassembled in
+deterministic registry order" a meaningful guarantee for the parallel runner.
 """
 
 from __future__ import annotations
@@ -28,18 +28,12 @@ __all__ = [
 class ExperimentRegistry:
     """Ordered id → :class:`RegisteredExperiment` index."""
 
-    def __init__(self, entries: Optional[List[RegisteredExperiment]] = None):
+    def __init__(self, entries: List[RegisteredExperiment]):
         self._entries: Dict[str, RegisteredExperiment] = {}
-        for entry in entries or []:
-            self.register(entry)
-
-    def register(self, entry: RegisteredExperiment) -> None:
-        """Add one entry; duplicate ids are a programming error."""
-        if entry.experiment_id in self._entries:
-            raise ExperimentError(
-                f"experiment {entry.experiment_id!r} is already registered"
-            )
-        self._entries[entry.experiment_id] = entry
+        for entry in entries:
+            # A duplicate id is a programming error.
+            if self._entries.setdefault(entry.experiment_id, entry) is not entry:
+                raise ExperimentError(f"experiment {entry.experiment_id!r} is registered twice")
 
     # ------------------------------------------------------------------
     # Lookup
@@ -61,14 +55,6 @@ class ExperimentRegistry:
             if kind is None or entry.kind == kind
         ]
 
-    def runnable_ids(self) -> List[str]:
-        """Ids with a spec builder (everything the parallel runner can run)."""
-        return [
-            entry.experiment_id
-            for entry in self._entries.values()
-            if entry.builder is not None
-        ]
-
     def entry(self, experiment_id: str) -> RegisteredExperiment:
         """Look one entry up, with the known ids in the error message."""
         try:
@@ -81,28 +67,11 @@ class ExperimentRegistry:
     def spec(
         self, experiment_id: str, scale: ReproductionScale = BENCH_SCALE
     ) -> ExperimentSpec:
-        """Build the spec of one runnable experiment at the given scale."""
-        entry = self.entry(experiment_id)
-        if entry.builder is None:
-            raise ExperimentError(
-                f"{experiment_id!r} is not a parameter sweep (kind "
-                f"{entry.kind!r}); it has no ExperimentSpec"
-            )
-        return entry.builder(scale)
+        """Build the spec of one experiment at the given scale."""
+        return self.entry(experiment_id).builder(scale)
 
 
 #: The default registry: all 20 figure experiments (paper figures, the
-#: strict-2PL baseline, the four distributed experiments), the two
-#: simulation ablations, and the table regeneration, which is not a
-#: parameter sweep and so has neither a builder nor a check.
-EXPERIMENT_REGISTRY = ExperimentRegistry(
-    [
-        *FIGURE_EXPERIMENTS,
-        *ABLATION_EXPERIMENTS,
-        RegisteredExperiment(
-            experiment_id="tables",
-            kind="tables",
-            summary="Tables I-X: declared vs derived compatibility + parameters",
-        ),
-    ]
-)
+#: strict-2PL baseline, the four distributed experiments) and the two
+#: simulation ablations.
+EXPERIMENT_REGISTRY = ExperimentRegistry([*FIGURE_EXPERIMENTS, *ABLATION_EXPERIMENTS])

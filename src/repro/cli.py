@@ -6,10 +6,11 @@ The CLI exposes the experiment harness without writing any Python:
     regenerate the compatibility tables (Tables I-VIII) and the parameter
     table (Tables IX-X), comparing declared and derived entries;
 ``python -m repro figures [--list] [--only ID ...] [--scale smoke|bench|paper] [--workers N] [--out DIR]``
-    list the experiment registry (figures, ablations, tables), or run
-    experiments through the parallel runner and print (and optionally save)
-    each paper-style report, followed on stdout by whether the expected
-    shape held; every worker count produces byte-identical results;
+    list the experiment registry (the figures and the ablations), or run a
+    selection of them as one batch, each distinct simulation once, and print
+    (and optionally save) each paper-style report, followed on stdout by
+    whether the expected shape held; every worker count produces
+    byte-identical results;
 ``python -m repro simulate [--mpl 50 --policy recoverability ...]``
     run a single simulation point and print its metrics; ``--policy 2pl``
     selects the strict two-phase-locking baseline backend.  ``repro simulate
@@ -55,10 +56,9 @@ from .analysis import (
     PAPER_SCALE,
     SMOKE_SCALE,
     compare_tables,
-    paper_table_reports,
     parameter_table,
     render_result,
-    run_experiment,
+    run_experiments,
 )
 from .adts import paper_types
 from .core.errors import SimulationError
@@ -138,8 +138,8 @@ def _build_parser() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.Argumen
     figures.add_argument("--list", action="store_true", dest="list_only",
                          help="list every registered experiment and exit")
     figures.add_argument("--only", nargs="+", metavar="ID", default=None,
-                         help="restrict to these experiment ids "
-                              "(default: every parameter-sweep experiment)")
+                         choices=EXPERIMENT_REGISTRY.ids(),
+                         help="restrict to these experiment ids (default: all)")
     figures.add_argument("--workers", type=int, default=1,
                          help="worker processes for the point fan-out; the "
                               "results are identical for every worker count "
@@ -190,6 +190,9 @@ def _build_parser() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.Argumen
                           help="recover SITE at simulated TIME seconds (repeatable)")
     simulate.add_argument("--json", action="store_true",
                           help="emit machine-readable deterministic metrics as JSON")
+    # argparse reads a value that starts with "-" as an option unless it is a
+    # plain number; "--fail-at -2:1" must reach validate()'s negative-time error.
+    simulate._negative_number_matcher = re.compile(r"^-\.?\d")
     return parser, subparsers.choices
 
 
@@ -202,15 +205,8 @@ def _command_tables(type_name: Optional[str], out) -> int:
     return 0
 
 
-def _render_tables_report() -> str:
-    """The full Tables I-X report the registry's ``tables`` entry produces."""
-    sections = [report.render() for report in paper_table_reports()]
-    sections.append(parameter_table())
-    return "\n\n".join(sections)
-
-
 def _command_figures(arguments, out, error) -> int:
-    """Drive the experiment registry through the parallel runner."""
+    """List the registry, or run the selected experiments as one batch."""
     if arguments.list_only:
         width = max(len(entry.experiment_id) for entry in EXPERIMENT_REGISTRY)
         for entry in EXPERIMENT_REGISTRY:
@@ -221,32 +217,18 @@ def _command_figures(arguments, out, error) -> int:
         return 0
     if arguments.workers < 1:
         error(f"--workers must be >= 1, got {arguments.workers}")
-    experiment_ids = arguments.only or EXPERIMENT_REGISTRY.runnable_ids()
-    unknown = [i for i in experiment_ids if i not in EXPERIMENT_REGISTRY]
-    if unknown:
-        error(
-            f"unknown experiments {unknown}; known: "
-            f"{sorted(EXPERIMENT_REGISTRY.ids())}"
-        )
+    experiment_ids = arguments.only or EXPERIMENT_REGISTRY.ids()
     scale = _SCALES[arguments.scale]
-    for experiment_id in experiment_ids:
-        entry = EXPERIMENT_REGISTRY.entry(experiment_id)
-        verdict = ""
-        if entry.builder is None:
-            report = _render_tables_report()
-        else:
-            spec = EXPERIMENT_REGISTRY.spec(experiment_id, scale)
-            result = run_experiment(
-                spec,
-                progress=lambda line: out.write("  " + line + "\n"),
-                workers=arguments.workers,
-            )
-            report = render_result(result)
-            if entry.check is not None:
-                failed = entry.check(result)
-                held = "not held: " + "; ".join(failed) if failed else "held"
-                verdict = f"shape ({scale.name} scale): {held}\n"
-        out.write(report + "\n" + verdict)
+    results = run_experiments(
+        [EXPERIMENT_REGISTRY.spec(experiment_id, scale) for experiment_id in experiment_ids],
+        progress=lambda line: out.write("  " + line + "\n"),
+        workers=arguments.workers,
+    )
+    for experiment_id, result in zip(experiment_ids, results):
+        report = render_result(result)
+        failed = EXPERIMENT_REGISTRY.entry(experiment_id).check(result)
+        held = "not held: " + "; ".join(failed) if failed else "held"
+        out.write(f"{report}\nshape ({scale.name} scale): {held}\n")
         if arguments.out is not None:
             arguments.out.mkdir(parents=True, exist_ok=True)
             (arguments.out / f"{experiment_id}.txt").write_text(report + "\n")

@@ -22,10 +22,12 @@ from repro.analysis import (
     compare_tables,
     paper_table_reports,
     parameter_table,
+    point_key,
     render_result,
     render_series,
     render_summary,
     run_experiment,
+    run_experiments,
 )
 from repro.core.errors import ExperimentError
 from repro.core.policy import ConflictPolicy
@@ -172,29 +174,62 @@ class TestParallelRunner:
 
 
 def figure_ids():
-    """The 20 figure experiments: every parameter sweep but the ablations."""
-    return [
-        entry.experiment_id
-        for entry in EXPERIMENT_REGISTRY
-        if entry.builder is not None and entry.kind != "ablation"
+    """The 20 figure experiments: every experiment but the ablations."""
+    return [entry.experiment_id for entry in EXPERIMENT_REGISTRY if entry.kind != "ablation"]
+
+
+def batch_points(experiment_ids, scale):
+    """How many points a batch of registry experiments names, and how many
+    of them are distinct simulations; nothing is run."""
+    tasks = [
+        task
+        for experiment_id in experiment_ids
+        for task in experiments._point_tasks(EXPERIMENT_REGISTRY.spec(experiment_id, scale))
     ]
+    return len(tasks), len({point_key(*task) for task in tasks})
+
+
+class TestBatchRunner:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_batch_matches_each_spec_alone(self, workers):
+        specs = [tiny_spec(), tiny_spec(experiment_id="other", mpl_levels=(15, 25))]
+        alone_lines, batch_lines = [], []
+        alone = [run_experiment(spec, progress=alone_lines.append) for spec in specs]
+        batch = list(run_experiments(specs, progress=batch_lines.append, workers=workers))
+        assert [result.spec for result in batch] == specs
+        assert [result.points for result in batch] == [result.points for result in alone]
+        assert batch_lines == alone_lines
+
+    @pytest.mark.parametrize("experiment_ids, scale, named, distinct", [
+        (EXPERIMENT_REGISTRY.ids(), SMOKE_SCALE, 116, 80),
+        (EXPERIMENT_REGISTRY.ids(), BENCH_SCALE, 260, 174),
+        (EXPERIMENT_REGISTRY.ids(), PAPER_SCALE, 3170, 2090),
+        # Figures 4-7 read four metrics of one set of runs.
+        (["figure-4", "figure-5", "figure-6", "figure-7"], PAPER_SCALE, 480, 120),
+    ], ids=["smoke", "bench", "paper", "figures-4-to-7-paper"])
+    def test_distinct_points_of_a_batch(self, experiment_ids, scale, named, distinct):
+        assert batch_points(experiment_ids, scale) == (named, distinct)
+
+    def test_one_site_curves_of_figure_4_sites_are_the_centralized_figures(self):
+        ids = ["figure-4", "figure-4-2pl", "figure-4-sites"]
+        results = dict(zip(ids, run_experiments(
+            [EXPERIMENT_REGISTRY.spec(experiment_id, SMOKE_SCALE) for experiment_id in ids]
+        )))
+        sites = results["figure-4-sites"].points
+        assert sites["1-site/semantic"] == results["figure-4"].points["recoverability"]
+        assert sites["1-site/2pl"] == results["figure-4-2pl"].points["2pl"]
 
 
 class TestExperimentRegistry:
-    def test_registry_covers_figures_tables_and_ablations(self):
+    def test_registry_covers_figures_and_ablations(self):
         ablations = ["ablation-pseudo-commit-slot", "ablation-write-probability"]
         assert EXPERIMENT_REGISTRY.ids("ablation") == ablations
-        assert EXPERIMENT_REGISTRY.ids() == figure_ids() + ablations + ["tables"]
+        assert EXPERIMENT_REGISTRY.ids() == figure_ids() + ablations
 
-    def test_every_runnable_entry_has_a_check(self):
-        for experiment_id in EXPERIMENT_REGISTRY.runnable_ids():
-            assert callable(EXPERIMENT_REGISTRY.entry(experiment_id).check), experiment_id
-        assert EXPERIMENT_REGISTRY.entry("tables").check is None
-
-    def test_runnable_ids_excludes_tables(self):
-        runnable = EXPERIMENT_REGISTRY.runnable_ids()
-        assert "tables" not in runnable
-        assert set(runnable) == set(EXPERIMENT_REGISTRY.ids()) - {"tables"}
+    def test_every_entry_has_a_builder_and_a_check(self):
+        for entry in EXPERIMENT_REGISTRY:
+            assert callable(entry.builder), entry.experiment_id
+            assert callable(entry.check), entry.experiment_id
 
     def test_distributed_figures_are_kinded(self):
         for experiment_id in (
@@ -215,12 +250,12 @@ class TestExperimentRegistry:
         with pytest.raises(ExperimentError, match="figure-4"):
             EXPERIMENT_REGISTRY.entry("figure-99")
 
-    def test_spec_on_tables_entry_raises(self):
-        with pytest.raises(ExperimentError, match="tables"):
+    def test_tables_are_not_a_registry_entry(self):
+        with pytest.raises(ExperimentError, match="unknown experiment 'tables'"):
             EXPERIMENT_REGISTRY.spec("tables")
 
-    def test_spec_builds_and_validates_for_every_runnable_id(self):
-        for experiment_id in EXPERIMENT_REGISTRY.runnable_ids():
+    def test_spec_builds_and_validates_for_every_id(self):
+        for experiment_id in EXPERIMENT_REGISTRY.ids():
             spec = EXPERIMENT_REGISTRY.spec(experiment_id, SMOKE_SCALE)
             spec.validate()
             assert spec.experiment_id == experiment_id
@@ -430,7 +465,7 @@ def test_import_loads_no_profiler_modules():
 
 
 def test_import_loads_no_process_pool_modules():
-    # ``run_experiment`` imports its process pool only when it fans out
+    # ``run_experiments`` imports its process pool only when it fans out
     # (workers > 1); the serial path and a bare import must not pay for it.
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
     probe = (

@@ -66,7 +66,8 @@ class TestFiguresCommand:
         assert code == 0
         for experiment_id in EXPERIMENT_REGISTRY.ids():
             assert experiment_id in text
-        assert "[distributed]" in text and "[tables]" in text
+        assert "[distributed]" in text and "[ablation]" in text
+        assert "tables" not in text
 
     def test_only_with_workers_and_out(self, tmp_path):
         code, text = run_cli(
@@ -84,10 +85,29 @@ class TestFiguresCommand:
         _, parallel = run_cli(*argv, "--workers", "2")
         assert parallel == serial
 
-    def test_tables_entry_renders_table_report(self):
-        code, text = run_cli("figures", "--only", "tables")
+    def test_tables_are_not_a_figures_entry(self, capsys):
+        # The tables come from ``repro tables`` (TestTablesCommand).
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli("figures", "--only", "tables")
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'tables'" in capsys.readouterr().err
+
+    def test_figures_4_to_7_share_their_runs(self, monkeypatch):
+        import repro.analysis.experiments as experiments
+
+        calls = []
+        simulate = experiments._simulate_point
+        monkeypatch.setattr(
+            experiments, "_simulate_point", lambda task: calls.append(task) or simulate(task)
+        )
+        code, text = run_cli(
+            "figures", "--only", "figure-4", "figure-5", "figure-6", "figure-7",
+            "--scale", "smoke",
+        )
         assert code == 0
-        assert "Table I" in text and "database_size" in text
+        assert text.count("shape (smoke scale): held\n") == 4
+        # Two variants at two mpl levels, one run each: 4 simulations, not 16.
+        assert len(calls) == 4
 
     def test_unknown_id_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -303,6 +323,14 @@ class TestSimulateCommand:
         captured = capsys.readouterr()
         assert flag in captured.err
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("flag", ["--fail-at", "--recover-at"])
+    def test_a_negative_time_reaches_validation(self, capsys, flag):
+        # A separate value that starts with "-" is still the flag's value.
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli("simulate", "--sites", "2", flag, "-2:1")
+        assert excinfo.value.code == 2
+        assert "failure_schedule time -2.0 is negative" in capsys.readouterr().err
 
     def test_bad_parameter_combinations_exit_cleanly(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -76,7 +76,7 @@ class TestPublicApi:
         import repro.sim
 
         assert repro.adts.paper_types() == ["page", "stack", "set", "table"]
-        assert len(repro.analysis.EXPERIMENT_REGISTRY.runnable_ids()) == 22
+        assert len(repro.analysis.EXPERIMENT_REGISTRY) == 22
         assert repro.sim.SimulationParameters().database_size == 1000
         assert repro.distributed.TransactionRouter().site_count == 1
 

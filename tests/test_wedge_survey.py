@@ -31,3 +31,22 @@ def test_non_numeric_seed_is_a_usage_error(capsys):
         wedge_survey.main(["--seeds", "4-x"])
     assert excinfo.value.code == 2
     assert "4-x" in capsys.readouterr().err
+
+
+def test_a_worker_count_below_one_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        wedge_survey.main(["--only", "figure-4-commit", "--workers", "-3"])
+    assert excinfo.value.code == 2
+    assert "--workers" in capsys.readouterr().err
+
+
+def test_points_are_distinct_runs_in_registry_order():
+    rows = [point[:4] for point in wedge_survey.points(["figure-4-commit"], range(401, 441))]
+    # Two variants x three mpl levels x 40 seeds, the seed varying fastest.
+    assert len(rows) == len(set(rows)) == 240
+    assert rows[:2] == [
+        ("figure-4-commit", "one-phase", 10, 401), ("figure-4-commit", "one-phase", 10, 402),
+    ]
+    # Figure 5 reads figure 4's runs: each is named once, under figure-4.
+    shared = [point[0] for point in wedge_survey.points(["figure-4", "figure-5"], [1])]
+    assert shared == ["figure-4"] * 10

@@ -14,7 +14,6 @@ message — the valve's line, then the first lines of the router's
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import pathlib
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -23,7 +22,9 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from repro.analysis import BENCH_SCALE, EXPERIMENT_REGISTRY  # noqa: E402  (path bootstrap above)
+from repro.analysis import (  # noqa: E402  (path bootstrap above)
+    BENCH_SCALE, EXPERIMENT_REGISTRY, point_key,
+)
 from repro.core.errors import SimulationError  # noqa: E402
 from repro.sim import Simulation, SimulationParameters  # noqa: E402
 
@@ -66,7 +67,7 @@ def points(experiment_ids: Iterable[str], seeds: Sequence[int]) -> Iterator[Poin
                     params = spec.base_params.replace(
                         mpl_level=mpl, seed=seed, **dict(variant.overrides)
                     )
-                    key = (spec.workload, dataclasses.astuple(params))
+                    key = point_key(params, spec.workload)
                     if key not in seen:
                         seen.add(key)
                         yield experiment_id, variant.label, mpl, seed, params, spec.workload
@@ -85,14 +86,16 @@ def run_point(point: Point) -> Optional[str]:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--only", nargs="+", metavar="ID",
-                        choices=EXPERIMENT_REGISTRY.runnable_ids(),
-                        help="experiment ids to survey (default: every runnable one)")
+                        choices=EXPERIMENT_REGISTRY.ids(),
+                        help="experiment ids to survey (default: all)")
     parser.add_argument("--seeds", type=parse_seeds, default="401-440",
                         help="seeds, e.g. 401-440 or 1,7,411 (default: 401-440)")
     parser.add_argument("--workers", type=int, default=1,
                         help="worker processes (rows stay in registry order)")
     args = parser.parse_args(argv)
-    todo = list(points(args.only or EXPERIMENT_REGISTRY.runnable_ids(), args.seeds))
+    if args.workers < 1:
+        parser.error(f"--workers must be >= 1, got {args.workers}")
+    todo = list(points(args.only or EXPERIMENT_REGISTRY.ids(), args.seeds))
     if args.workers > 1:
         with ProcessPoolExecutor(args.workers) as pool:
             wedges = report(todo, pool.map(run_point, todo))
