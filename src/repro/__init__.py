@@ -20,7 +20,12 @@ Quick start::
     scheduler.perform(t2.tid, "S", "push", 2)   # recoverable: executes now
     scheduler.commit(t2.tid)                     # pseudo-commits behind T1
     scheduler.commit(t1.tid)                     # both durably commit
+
+The multi-site layer (:mod:`repro.distributed`) and the offline checkers load
+on first use of one of their names.
 """
+
+from typing import TYPE_CHECKING, Any
 
 from .core import (
     AbortReason,
@@ -32,10 +37,8 @@ from .core import (
     DependencyGraph,
     EdgeKind,
     Event,
-    ExecutionLog,
     Invocation,
     ObjectManager,
-    ObjectUniverse,
     OperationResult,
     OperationSpec,
     RelationTable,
@@ -49,20 +52,34 @@ from .core import (
     TransactionStatus,
     TwoPhaseLockingBackend,
     TypeSpecification,
-    check_declared_sound,
-    derive_compatibility,
-    is_free_of_cascading_aborts,
-    is_log_sound,
-    is_serializable,
 )
-from .distributed import (
-    GlobalRequest,
-    GlobalTransaction,
-    PlacementPolicy,
-    Site,
-    SiteStatus,
-    TransactionRouter,
-)
+from .core.lazy import lazy_exports
+from .sim.routing import register_router_factory
+
+if TYPE_CHECKING:
+    from .core import (ExecutionLog, ObjectUniverse, check_declared_sound, derive_compatibility,
+                       is_free_of_cascading_aborts, is_log_sound, is_serializable)
+    from .distributed import (GlobalRequest, GlobalTransaction, PlacementPolicy, Site,
+                              SiteStatus, TransactionRouter)
+else:
+    __getattr__ = lazy_exports(__name__, {
+        "core": ("ExecutionLog", "ObjectUniverse", "check_declared_sound",
+                 "derive_compatibility", "is_free_of_cascading_aborts",
+                 "is_log_sound", "is_serializable"),
+        "distributed": ("GlobalRequest", "GlobalTransaction", "PlacementPolicy",
+                        "Site", "SiteStatus", "TransactionRouter"),
+    })
+
+
+def _build_router(**options: Any) -> Any:
+    # ``repro.sim`` may not import ``repro.distributed`` (REP004), so the
+    # router arrives through this seam, and a centralized run never loads it.
+    from .distributed import TransactionRouter
+
+    return TransactionRouter(**options)
+
+
+register_router_factory(_build_router)
 
 __version__ = "1.2.0"
 

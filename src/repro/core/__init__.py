@@ -5,16 +5,19 @@ The subpackage is organised bottom-up:
 * :mod:`~repro.core.specification` — the ``state``/``return`` model of
   operations on atomic data types;
 * :mod:`~repro.core.compatibility` — commutativity and recoverability tables;
-* :mod:`~repro.core.derivation` — deriving those tables from executable specs;
-* :mod:`~repro.core.history` — execution logs;
 * :mod:`~repro.core.dependency_graph` — the unified wait-for /
   commit-dependency graph;
 * :mod:`~repro.core.object_manager`, :mod:`~repro.core.transaction`,
   :mod:`~repro.core.policy`, :mod:`~repro.core.scheduler` — the run-time
-  protocol of Section 4;
-* :mod:`~repro.core.serializability` — offline soundness / serializability
-  checkers used by the tests.
+  protocol of Section 4.
+
+No simulation runs the offline tools, which load on first use of a name:
+:mod:`~repro.core.derivation` (tables from executable specs),
+:mod:`~repro.core.history` (execution logs) and
+:mod:`~repro.core.serializability` (soundness / serializability checkers).
 """
+
+from typing import TYPE_CHECKING
 
 from .backends import (
     ConcurrencyControlBackend,
@@ -25,14 +28,6 @@ from .backends import (
 )
 from .compatibility import Answer, CompatibilitySpec, ConflictClass, RelationTable
 from .dependency_graph import DependencyGraph, Edge, EdgeKind
-from .derivation import (
-    check_declared_sound,
-    derive_commutativity_table,
-    derive_compatibility,
-    derive_recoverability_table,
-    invocation_recoverable,
-    invocations_commute,
-)
 from .errors import (
     ReproError,
     SimulationError,
@@ -42,7 +37,7 @@ from .errors import (
     UnknownObjectError,
     UnknownOperationError,
 )
-from .history import ExecutionLog, LogRecord, RecordKind
+from .lazy import lazy_exports
 from .object_manager import ObjectManager, PendingRequest
 from .policy import ConflictPolicy, effective_class
 from .scheduler import (
@@ -52,15 +47,6 @@ from .scheduler import (
     Scheduler,
     SchedulerListener,
     SchedulerStatistics,
-)
-from .serializability import (
-    ObjectUniverse,
-    build_dependency_graph,
-    is_free_of_cascading_aborts,
-    is_log_sound,
-    is_rw_conflict_serializable,
-    is_serializable,
-    serialization_orders,
 )
 from .specification import (
     Event,
@@ -72,6 +58,27 @@ from .specification import (
     apply_sequence,
 )
 from .transaction import Transaction, TransactionStatus
+
+if TYPE_CHECKING:
+    from .derivation import (check_declared_sound, derive_commutativity_table,
+                             derive_compatibility, derive_recoverability_table,
+                             invocation_recoverable, invocations_commute)
+    from .history import ExecutionLog, LogRecord, RecordKind
+    from .serializability import (ObjectUniverse, build_dependency_graph,
+                                  is_free_of_cascading_aborts, is_log_sound,
+                                  is_rw_conflict_serializable, is_serializable,
+                                  serialization_orders)
+else:
+    __getattr__ = lazy_exports(__name__, {
+        "derivation": ("check_declared_sound", "derive_commutativity_table",
+                       "derive_compatibility", "derive_recoverability_table",
+                       "invocation_recoverable", "invocations_commute"),
+        "history": ("ExecutionLog", "LogRecord", "RecordKind"),
+        "serializability": ("ObjectUniverse", "build_dependency_graph",
+                            "is_free_of_cascading_aborts", "is_log_sound",
+                            "is_rw_conflict_serializable", "is_serializable",
+                            "serialization_orders"),
+    })
 
 __all__ = [
     "ConcurrencyControlBackend",

@@ -16,7 +16,8 @@ commit-time cycle certification, W-ack durability and failure-triggered
 re-replication.
 
 See :mod:`repro.distributed.router`, :mod:`repro.distributed.replication`
-and :mod:`repro.distributed.commit` for the protocol details.
+and :mod:`repro.distributed.commit` for the protocol details.  A simulation
+imports this package on its first multi-site build (see :mod:`repro.sim.routing`).
 """
 
 from .commit import (
@@ -50,13 +51,6 @@ from .router import (
     TransactionRouter,
 )
 from .site import Site, SiteStatus
-
-# The simulator obtains its router through the seam in
-# :mod:`repro.sim.routing` so that ``repro.sim`` never imports this package
-# (the REP004 layering rule); installing the constructor here closes the loop.
-from ..sim.routing import register_router_factory
-
-register_router_factory(TransactionRouter)
 
 __all__ = [
     "AvailableCopies",

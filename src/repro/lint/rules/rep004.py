@@ -2,10 +2,12 @@
 
 ``repro.core`` and ``repro.adts`` are the bottom layer and never import the
 simulation or distributed packages; ``repro.sim`` sits above them and never
-imports ``repro.distributed`` (the router arrives through the
-:mod:`repro.sim.routing` seam).  ``repro.distributed`` may import anything
-below it.  Violations are exactly the imports whose target layer ranks above
-the importing file's layer.
+imports ``repro.distributed``: the router arrives through the
+:mod:`repro.sim.routing` seam, whose constructor the unlayered ``repro``
+package registers and which imports ``repro.distributed`` on the first
+multi-site build.  ``repro.distributed`` may import anything below it.
+Violations are exactly the imports whose target layer ranks above the
+importing file's layer.
 """
 
 from __future__ import annotations

@@ -9,10 +9,11 @@ with a failure schedule) gets the multi-site ``TransactionRouter``.
 
 Layering rule (enforced by ``repro lint`` as REP004): :mod:`repro.sim` never
 imports :mod:`repro.distributed`, so the router dependency is inverted — the
-distributed package registers its router constructor here when it is
-imported (which importing :mod:`repro` always does).  The registry holds a
-single factory: the router *implementation* is not pluggable, only its
-location in the import graph is.
+:mod:`repro` package registers a router constructor here when it loads, and
+that constructor imports :mod:`repro.distributed` on the first multi-site
+build, so a centralized run never loads the multi-site stack.  The registry
+holds a single factory: the router *implementation* is not pluggable, only
+its location in the import graph is.
 """
 
 from __future__ import annotations
@@ -38,14 +39,15 @@ __all__ = [
 #: (site_count, replication, policy, protocol selections, ...).
 RouterFactory = Callable[..., Any]
 
-_router_factory: Optional[RouterFactory] = None
+#: Set by the :mod:`repro` package, which always loads before this module.
+_router_factory: RouterFactory
 
 #: The one site of a centralized system, as the chargers' ``executed_sites``.
 _HOME_ONLY = (0,)
 
 
 def register_router_factory(factory: RouterFactory) -> None:
-    """Install the router constructor (called by ``repro.distributed``)."""
+    """Install the router constructor (called by the :mod:`repro` package)."""
     global _router_factory
     _router_factory = factory
 
@@ -115,6 +117,8 @@ def create_coordinator(
     ``params.policy`` selects the concurrency-control backend per site;
     a ``backend`` instance overrides that choice outright, but only for the
     centralized configuration — several sites each need one of their own.
+    Any other configuration gets a router from the registered factory, whose
+    first call imports :mod:`repro.distributed`.
     """
     if is_centralized(params):
         return CentralCoordinator(
@@ -129,12 +133,6 @@ def create_coordinator(
         raise SimulationError(
             "an explicit backend instance requires site_count=1 and no "
             "failure schedule; select per-site backends through params.policy"
-        )
-    if _router_factory is None:
-        raise SimulationError(
-            "no router factory is registered; import repro.distributed "
-            "(importing the repro package does this) before building a "
-            "Simulation"
         )
     router = _router_factory(
         site_count=params.site_count,

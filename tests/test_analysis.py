@@ -1,6 +1,7 @@
 """Tests for the experiment harness, figure registry, tables, and reporting."""
 
 import gc
+import json
 import os
 import pathlib
 import subprocess
@@ -447,34 +448,71 @@ class TestTables:
         assert "write_probability" in text
 
 
-def test_import_loads_no_profiler_modules():
-    # The analysis package runs experiments; it must not pull in the
-    # profiler or the interpreter-build probes as a side effect of import.
+def modules_loaded_by(code):
+    """The modules that running ``code`` adds to a fresh interpreter's ``sys.modules``."""
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
     probe = (
-        "import sys; before = set(sys.modules); import repro.analysis; "
-        "added = set(sys.modules) - before; "
-        "print(sorted({'cProfile', 'pstats', 'profile', 'sysconfig'} & added))"
+        "import json, sys; before = set(sys.modules)\n"
+        f"{code}\n"
+        "print(json.dumps(sorted(set(sys.modules) - before)))"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(src), os.environ.get("PYTHONPATH")])))
     result = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env
     )
-    assert result.stdout.strip() == "[]"
+    return set(json.loads(result.stdout.splitlines()[-1]))
+
+
+def test_import_loads_no_profiler_modules():
+    # The analysis package runs experiments; it must not pull in the
+    # profiler or the interpreter-build probes as a side effect of import.
+    added = modules_loaded_by("import repro.analysis")
+    assert not {"cProfile", "pstats", "profile", "sysconfig"} & added
 
 
 def test_import_loads_no_process_pool_modules():
     # ``run_experiments`` imports its process pool only when it fans out
     # (workers > 1); the serial path and a bare import must not pay for it.
-    src = pathlib.Path(__file__).resolve().parent.parent / "src"
-    probe = (
-        "import sys; import repro.analysis; "
-        "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))"
+    added = modules_loaded_by("import repro.analysis")
+    assert not {"concurrent.futures", "multiprocessing"} & added
+
+
+def test_import_analysis_defers_the_table_derivation():
+    added = modules_loaded_by("import repro.analysis")
+    assert "repro.analysis.figures" in added
+    assert not {"repro.analysis.tables", "repro.core.derivation"} & added
+
+
+RUN_50 = (
+    "from repro.sim import Simulation, SimulationParameters\n"
+    "simulation = Simulation(SimulationParameters(\n"
+    "    total_completions=50, site_count={sites}), workload_kind='readwrite')\n"
+    "assert simulation.run().completions == 50\n"
+    "assert (type(simulation.router).__name__ == 'TransactionRouter') == ({sites} > 1)"
+)
+
+
+def test_centralized_run_loads_no_multi_site_checker_or_analysis_modules():
+    # The paper's own configuration never runs these layers, so it must not
+    # pay for importing them.
+    added = modules_loaded_by(RUN_50.format(sites=1))
+    assert "repro.sim.simulator" in added
+    unused = ("repro.distributed", "repro.core.history", "repro.core.serializability",
+              "repro.core.derivation", "repro.analysis")
+    assert sorted(m for m in added if m.startswith(unused)) == []
+
+
+def test_bare_package_imports_resolve_the_deferred_modules():
+    added = modules_loaded_by(
+        "import repro\n"
+        "assert repro.distributed.TransactionRouter().site_count == 1\n"
+        "import repro.core\n"
+        "assert repro.core.history.ExecutionLog is repro.ExecutionLog"
     )
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-    result = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env
-    )
-    assert result.stdout.strip() == "[]"
+    assert {"repro.distributed.router", "repro.core.history"} <= added
+
+
+def test_multi_site_run_loads_the_router_on_first_use():
+    added = modules_loaded_by(RUN_50.format(sites=2))
+    assert "repro.distributed.router" in added

@@ -1,5 +1,7 @@
 """Tests for the transaction record, its status machine, and the public API."""
 
+import importlib
+
 import pytest
 
 import repro
@@ -68,6 +70,31 @@ class TestPublicApi:
 
         for name in core_all:
             assert hasattr(core, name), name
+
+    def test_star_import_binds_every_top_level_name(self):
+        namespace = {}
+        exec("from repro import *", namespace)
+        assert [name for name in repro.__all__ if name not in namespace] == []
+        assert namespace["TransactionRouter"] is repro.distributed.TransactionRouter
+
+    def test_bare_imports_reach_the_deferred_subpackages(self):
+        # The multi-site stack and the offline checkers load on first use,
+        # so attribute access through a bare package import must still work.
+        import repro.core
+
+        assert repro.distributed.TransactionRouter.__name__ == "TransactionRouter"
+        assert repro.core.history.ExecutionLog is repro.ExecutionLog
+
+    def test_analysis_all_names_resolve(self):
+        import repro.analysis as analysis
+
+        for name in analysis.__all__:
+            assert getattr(analysis, name) is not None, name
+
+    @pytest.mark.parametrize("package", ["repro", "repro.core", "repro.analysis"])
+    def test_unknown_name_still_raises_attribute_error(self, package):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            getattr(importlib.import_module(package), "no_such_name")
 
     def test_subpackages_import(self):
         import repro.adts
