@@ -48,24 +48,24 @@ import pathlib
 import re
 import sys
 import typing
-from typing import Dict, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
 
 from .analysis import (
     BENCH_SCALE,
     EXPERIMENT_REGISTRY,
     PAPER_SCALE,
     SMOKE_SCALE,
-    compare_tables,
-    parameter_table,
     render_result,
     run_experiments,
 )
 from .adts import paper_types
 from .core.errors import SimulationError
-from .distributed import RouterStatistics
 from .sim.params import SimulationParameters
 from .sim.routing import CentralCoordinator
 from .sim.simulator import Simulation
+
+if TYPE_CHECKING:
+    from .distributed import RouterStatistics
 
 _SCALES = {"smoke": SMOKE_SCALE, "bench": BENCH_SCALE, "paper": PAPER_SCALE}
 
@@ -197,6 +197,8 @@ def _build_parser() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.Argumen
 
 
 def _command_tables(type_name: Optional[str], out) -> int:
+    from .analysis.tables import compare_tables, parameter_table
+
     names = [type_name] if type_name else paper_types()
     for name in names:
         out.write(compare_tables(name).render() + "\n\n")
@@ -261,6 +263,8 @@ def _command_lint(paths, as_json: bool, out, error) -> int:
 
 def _global_accounting(coordinator) -> RouterStatistics:
     """Global transaction accounting of a run, whoever coordinated it."""
+    from .distributed import RouterStatistics
+
     if not isinstance(coordinator, CentralCoordinator):
         return coordinator.router_stats
     # No router: the scheduler's transactions are the global ones, and

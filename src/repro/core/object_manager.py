@@ -15,7 +15,9 @@ This is the *intentions-list* view of recovery (Section 4.4): commit folds
 the log into the committed state, abort deletes from it.
 The log is two indexes — each transaction's events, and per distinct
 (operation, conflict parameter) the live operations per owner — from which
-``uncommitted``, the log in execution order, is derived.
+``uncommitted``, the log in execution order, is derived.  A copy with no
+uncommitted operation holds no log: both indexes are then one shared,
+read-only empty mapping, and a copy's first event allocates its own.
 :meth:`ObjectManager.execute` is the only code that applies an operation and
 logs its event.  Real states go through the type specification alone: the
 manager keeps ``current_state`` equal to ``committed_state`` with
@@ -29,7 +31,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
+from types import MappingProxyType
+from typing import Any, Dict, Iterable, List, Optional, Set, Tuple, cast
 
 from .compatibility import CompatibilitySpec, ConflictClass
 from .policy import ConflictPolicy, effective_class
@@ -56,6 +59,10 @@ _CONFLICT = ConflictClass.CONFLICT
 
 #: Sort key of the derived ``uncommitted`` log.
 _SEQUENCE = attrgetter("sequence")
+
+#: The log of every idle copy: one empty mapping, read-only so that a write
+#: that forgets to allocate fails loudly, typed as a dict for the readers.
+_NO_LOG: Dict[Any, Any] = cast(Dict[Any, Any], MappingProxyType({}))
 
 __all__ = ["PendingRequest", "ObjectManager"]
 
@@ -88,7 +95,10 @@ class ObjectManager:
     *distinct* operation once.  An invocation outside the tables or with an
     unhashable parameter gets a group of its own, keyed ``(-1, id(event))``
     (the event stays in ``_events_by_tid`` while the group lives).
-    ``uncommitted`` is derived: the events in ``sequence`` order.
+    ``uncommitted`` is derived: the events in ``sequence`` order.  An idle
+    copy — none built yet, or its last transaction gone — holds no log: both
+    indexes are the shared read-only ``_NO_LOG``, and ``execute`` allocates
+    them on the copy's first event.
 
     A manager owns only its states, its blocked queue and the log indexes
     above.  The operation index and the compiled tables are references to
@@ -148,11 +158,11 @@ class ObjectManager:
         self.blocked: List[PendingRequest] = []
         #: Uncommitted events per transaction, each list in execution order.
         #: Operations of pseudo-committed transactions stay here until the
-        #: durable commit.
-        self._events_by_tid: Dict[int, List[Event]] = {}
+        #: durable commit.  ``_NO_LOG`` while the copy is idle.
+        self._events_by_tid: Dict[int, List[Event]] = _NO_LOG
         #: Owner counts per (op id, conflict parameter) group; kept in step
         #: with ``_events_by_tid`` by ``execute`` and removal.
-        self._op_groups: Dict[Tuple[int, Any], Dict[int, int]] = {}
+        self._op_groups: Dict[Tuple[int, Any], Dict[int, int]] = _NO_LOG
         # Everything below is shared with every other manager over the same
         # compatibility spec; a manager only holds references.
         #: Interned operation ids: table operations in declared order.  The
@@ -360,7 +370,7 @@ class ObjectManager:
         changed; an unmaterialized object records ``None``.  The event goes
         into the log: its transaction's events and its group's owner count.
         Removal never needs the group key again: it pops the transaction from
-        every group's owners.
+        every group's owners.  An idle copy's first event allocates the log.
         """
         if self.materialize_state:
             result = self.spec.apply(self.current_state, invocation)
@@ -374,7 +384,11 @@ class ObjectManager:
         by_tid = self._events_by_tid
         events = by_tid.get(transaction_id)
         if events is None:
-            by_tid[transaction_id] = [event]
+            if by_tid is _NO_LOG:
+                self._events_by_tid = {transaction_id: [event]}
+                self._op_groups = {}
+            else:
+                by_tid[transaction_id] = [event]
         else:
             events.append(event)
         try:
@@ -447,16 +461,19 @@ class ObjectManager:
         — the paper's ``E || A_j`` semantics.  A transaction that owned the
         whole log leaves nothing to recompute (the visible state is already
         the post-commit committed state, the committed state the post-abort
-        visible one).  Otherwise the transaction is popped from the owners of
-        every operation group (an emptied group goes), and on a materialized
-        object the visible state is refolded from the committed one.
+        visible one), and the copy goes back to holding no log.  Otherwise
+        the transaction is popped from the owners of every operation group
+        (an emptied group goes), and on a materialized object the visible
+        state is refolded from the committed one.
         """
         by_tid = self._events_by_tid
+        if by_tid is _NO_LOG:
+            return []
         removed = by_tid.pop(transaction_id, None)
         if not removed:
             return []
         if not by_tid:
-            self._op_groups = {}
+            self._events_by_tid = self._op_groups = _NO_LOG
             if commit:
                 self.committed_state = self.current_state
             else:
@@ -517,13 +534,12 @@ class ObjectManager:
     def discard_volatile(self) -> None:
         """Drop what a crash loses: the uncommitted log, the blocked queue
         and their indexes.  The committed state is durable and becomes the
-        visible state again; the construction-time artifacts that make
-        managers expensive to build — compiled policy tables and interned
-        operation ids — are kept."""
+        visible state again, and the copy holds no log; the
+        construction-time artifacts that make managers expensive to build —
+        compiled policy tables and interned operation ids — are kept."""
         self.current_state = self.committed_state
         self.blocked.clear()
-        self._op_groups.clear()
-        self._events_by_tid.clear()
+        self._events_by_tid = self._op_groups = _NO_LOG
 
     def restore_initial_state(self) -> None:
         """Rewind the committed (and visible) state to the registered one."""

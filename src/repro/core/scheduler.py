@@ -43,7 +43,7 @@ A minimal example::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import AbstractSet, Any, Callable, Dict, List, Optional, Set
+from typing import AbstractSet, Any, Callable, Dict, List, Mapping, Optional, Set
 
 from .backends import ConcurrencyControlBackend, make_backend
 from .compatibility import CompatibilitySpec
@@ -219,6 +219,22 @@ class Scheduler:
     # ------------------------------------------------------------------
     # Setup
     # ------------------------------------------------------------------
+    def register_objects(
+        self, spec: TypeSpecification, tables: Mapping[str, Optional[CompatibilitySpec]], *,
+        initial_state: Any = None, materialize_state: bool = True,
+    ) -> None:
+        """Register one shared object of type ``spec`` per name in ``tables``.
+
+        ``tables`` maps each name to its compatibility tables (``None``: the
+        type's declared ones); the managers are built in ``tables`` order.
+        This is the one place that builds managers.
+        """
+        objects = self.objects
+        for name, compatibility in tables.items():
+            objects[name] = ObjectManager(
+                name, spec, compatibility, initial_state, materialize_state
+            )
+
     def register_object(
         self,
         name: str,
@@ -227,16 +243,13 @@ class Scheduler:
         initial_state: Any = None,
         materialize_state: bool = True,
     ) -> ObjectManager:
-        """Register a shared object managed by this scheduler."""
-        manager = ObjectManager(
-            name=name,
-            spec=spec,
-            compatibility=compatibility,
-            initial_state=initial_state,
-            materialize_state=materialize_state,
+        """Register a shared object managed by this scheduler: the batch of
+        one of :meth:`register_objects`."""
+        self.register_objects(
+            spec, {name: compatibility},
+            initial_state=initial_state, materialize_state=materialize_state,
         )
-        self.objects[name] = manager
-        return manager
+        return self.objects[name]
 
     def object(self, name: str) -> ObjectManager:
         """Return the object manager for ``name``."""

@@ -65,7 +65,7 @@ all: :mod:`repro.sim.routing` hands it the scheduler directly.)
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Set, Union
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Mapping, Optional, Set, Tuple, Union
 
 from ..core.compatibility import CompatibilitySpec
 from ..core.errors import (
@@ -369,8 +369,10 @@ class TransactionRouter:
         self._specs: Dict[str, TypeSpecification] = {}
         #: Object name -> {op name -> is_read_only}, filled lazily: submit
         #: consults this instead of re-resolving the operation spec (and
-        #: absorbing its try/except) per request.
+        #: absorbing its try/except) per request.  Read-only-ness is the
+        #: spec's, so a spec's objects share one cache (``_read_only_by_spec``).
         self._read_only_by_op: Dict[str, Dict[str, bool]] = {}
+        self._read_only_by_spec: Dict[TypeSpecification, Dict[str, bool]] = {}
         self._listeners: List[SchedulerListener] = []
         self._next_gtid = 0
         #: Where granted operations are charged for hardware/network time
@@ -388,6 +390,36 @@ class TransactionRouter:
     # ------------------------------------------------------------------
     # Setup (Scheduler-compatible, so workloads can register blindly)
     # ------------------------------------------------------------------
+    def register_objects(
+        self, spec: TypeSpecification, tables: Mapping[str, Optional[CompatibilitySpec]], *,
+        initial_state: Any = None, materialize_state: bool = True,
+    ) -> None:
+        """Place the copies of each object named in ``tables`` (name ->
+        compatibility tables, ``None`` for the type's own) according to the
+        placement policy, which is asked once per name.  The names are
+        grouped by the site tuple they are placed on, and each site gets one
+        :meth:`Site.register_objects` call per (site, replicated) group."""
+        self._specs.update(dict.fromkeys(tables, spec))
+        read_only = self._read_only_by_spec.setdefault(spec, {})
+        self._read_only_by_op.update(dict.fromkeys(tables, read_only))
+        placed: Dict[Tuple[int, ...], Dict[str, Optional[CompatibilitySpec]]] = {}
+        for name, compatibility in tables.items():
+            sites = self.placement.sites_for(name)
+            group = placed.get(sites)
+            if group is None:
+                group = placed[sites] = {}
+            group[name] = compatibility
+        groups: Dict[Tuple[int, bool], Dict[str, Optional[CompatibilitySpec]]] = {}
+        for sites, group in placed.items():
+            for site_id in sites:
+                key = site_id, len(sites) > 1
+                groups[key] = {**groups[key], **group} if key in groups else group
+        for (site_id, replicated), group in groups.items():
+            self.sites[site_id].register_objects(
+                spec, group, initial_state=initial_state,
+                materialize_state=materialize_state, replicated=replicated,
+            )
+
     def register_object(
         self,
         name: str,
@@ -396,20 +428,11 @@ class TransactionRouter:
         initial_state: Any = None,
         materialize_state: bool = True,
     ) -> None:
-        """Place an object's copies according to the placement policy."""
-        sites = self.placement.sites_for(name)
-        replicated = len(sites) > 1
-        self._specs[name] = spec
-        self._read_only_by_op[name] = {}
-        for site_id in sites:
-            self.sites[site_id].register_object(
-                name,
-                spec,
-                compatibility=compatibility,
-                initial_state=initial_state,
-                materialize_state=materialize_state,
-                replicated=replicated,
-            )
+        """Place an object's copies: the batch of one of :meth:`register_objects`."""
+        self.register_objects(
+            spec, {name: compatibility},
+            initial_state=initial_state, materialize_state=materialize_state,
+        )
 
     def add_listener(self, listener: SchedulerListener) -> None:
         """Subscribe a listener to *global* transaction events."""

@@ -35,7 +35,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import enum
-from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, Optional, Set
+from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, Mapping, Optional, Set
 
 from ..core.backends import ConcurrencyControlBackend
 from ..core.errors import ReproError
@@ -115,23 +115,16 @@ class Site:
     # ------------------------------------------------------------------
     # Objects
     # ------------------------------------------------------------------
-    def register_object(
-        self,
-        name: str,
-        spec: TypeSpecification,
-        compatibility: Optional[CompatibilitySpec] = None,
-        initial_state: Any = None,
-        materialize_state: bool = True,
-        replicated: bool = False,
+    def register_objects(
+        self, spec: TypeSpecification, tables: Mapping[str, Optional[CompatibilitySpec]], *,
+        initial_state: Any = None, materialize_state: bool = True, replicated: bool = False,
     ) -> None:
-        """Place a copy of an object at this site."""
-        self._copies[name] = replicated
-        self.scheduler.register_object(
-            name,
-            spec,
-            compatibility=compatibility,
-            initial_state=initial_state,
-            materialize_state=materialize_state,
+        """Place a copy of each object named in ``tables`` at this site
+        (see :meth:`~repro.core.scheduler.Scheduler.register_objects`);
+        ``replicated`` says whether other sites hold copies too."""
+        self._copies.update(dict.fromkeys(tables, replicated))
+        self.scheduler.register_objects(
+            spec, tables, initial_state=initial_state, materialize_state=materialize_state
         )
 
     def holds(self, name: str) -> bool:

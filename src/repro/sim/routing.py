@@ -55,16 +55,17 @@ def register_router_factory(factory: RouterFactory) -> None:
 class CentralCoordinator:
     """One scheduler, driven directly: the centralized system of the paper.
 
-    ``begin``, ``submit``, ``commit``, ``add_listener``, ``register_object``
-    and ``reset`` *are* the scheduler's bound methods: an operation costs
-    what the scheduler charges, and the simulator reads the scheduler's own
-    handles and listener callbacks.  What remains here is the physical phase
-    (every operation runs at site 0, every transaction's home) and the
-    multi-site summaries, which are empty.
+    ``begin``, ``submit``, ``commit``, ``add_listener``, ``register_objects``
+    (the batch registration a workload makes), ``register_object`` (its
+    batch of one) and ``reset`` *are* the scheduler's bound methods: an
+    operation costs what the scheduler charges, and the simulator reads the
+    scheduler's own handles and listener callbacks.  What remains here is
+    the physical phase (every operation runs at site 0, every transaction's
+    home) and the multi-site summaries, which are empty.
     """
 
     __slots__ = ("scheduler", "begin", "submit", "commit", "add_listener",
-                 "register_object", "reset", "_charger")
+                 "register_objects", "register_object", "reset", "_charger")
 
     def __init__(self, scheduler: Scheduler):
         self.scheduler = scheduler
@@ -72,6 +73,7 @@ class CentralCoordinator:
         self.submit = scheduler.submit
         self.commit = scheduler.commit
         self.add_listener = scheduler.add_listener
+        self.register_objects = scheduler.register_objects
         self.register_object = scheduler.register_object
         self.reset = scheduler.reset
         self._charger: ResourceCharger = None  # type: ignore[assignment]

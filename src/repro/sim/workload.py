@@ -71,7 +71,8 @@ class Workload:
         ]
 
     def register_objects(self, scheduler: Scheduler) -> None:
-        """Register every database object with the scheduler."""
+        """Register every database object with the coordinator, in one
+        ``register_objects`` call."""
         raise NotImplementedError
 
     def next_transaction(self) -> TransactionTemplate:
@@ -111,15 +112,9 @@ class ReadWriteWorkload(Workload):
         self._page_type = PageType()
 
     def register_objects(self, scheduler: Scheduler) -> None:
-        compatibility = self._page_type.compatibility()
         # No simulation reads a page's value, so none is ever computed.
-        for name in self._object_names:
-            scheduler.register_object(
-                name,
-                self._page_type,
-                compatibility=compatibility,
-                materialize_state=False,
-            )
+        tables = dict.fromkeys(self._object_names, self._page_type.compatibility())
+        scheduler.register_objects(self._page_type, tables, materialize_state=False)
 
     def next_transaction(self) -> TransactionTemplate:
         steps: List[Tuple[str, Invocation]] = []
@@ -273,14 +268,8 @@ class AbstractDataTypeWorkload(Workload):
                 for name in self._object_names
             ]
             _TABLE_SET_SLOT = (cache_key, table_set)
-        for name, table in zip(self._object_names, table_set):
-            self.tables[name] = table
-            scheduler.register_object(
-                name,
-                self._spec,
-                compatibility=table,
-                materialize_state=False,
-            )
+        self.tables.update(zip(self._object_names, table_set))
+        scheduler.register_objects(self._spec, self.tables, materialize_state=False)
 
     def next_transaction(self) -> TransactionTemplate:
         steps: List[Tuple[str, Invocation]] = []

@@ -516,3 +516,27 @@ def test_bare_package_imports_resolve_the_deferred_modules():
 def test_multi_site_run_loads_the_router_on_first_use():
     added = modules_loaded_by(RUN_50.format(sites=2))
     assert "repro.distributed.router" in added
+
+
+SIMULATE_50 = (
+    "import io, json\n"
+    "from repro.cli import main\n"
+    "out = io.StringIO()\n"
+    "assert main(['simulate', '--completions', '50'{options}], out=out) == 0\n"
+    "{check}"
+)
+
+
+def test_centralized_simulate_command_loads_no_multi_site_or_table_modules():
+    added = modules_loaded_by(SIMULATE_50.format(
+        options="", check="assert out.getvalue().startswith('throughput')"))
+    assert "repro.cli" in added
+    unused = ("repro.distributed", "repro.analysis.tables", "repro.core.derivation")
+    assert sorted(m for m in added if m.startswith(unused)) == []
+
+
+def test_multi_site_simulate_command_prints_its_router_accounting():
+    added = modules_loaded_by(SIMULATE_50.format(
+        options=", '--sites', '2', '--json'",
+        check="assert json.loads(out.getvalue())['sites']['begins'] >= 50"))
+    assert "repro.distributed.router" in added

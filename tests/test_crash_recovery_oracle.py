@@ -75,11 +75,13 @@ class RebuildingSite(Site):
         self._durable = {}
         super().__init__(site_id, policy=policy, fair=fair, backend_factory=backend_factory)
 
-    def register_object(self, name, spec, compatibility=None, initial_state=None,
-                        materialize_state=True, replicated=False):
-        self._remembered[name] = (spec, compatibility, initial_state, materialize_state)
-        super().register_object(
-            name, spec, compatibility=compatibility, initial_state=initial_state,
+    def register_objects(self, spec, tables, *, initial_state=None, materialize_state=True,
+                         replicated=False):
+        # Every registration, single or batched, reaches a site through here.
+        for name, compatibility in tables.items():
+            self._remembered[name] = (spec, compatibility, initial_state, materialize_state)
+        super().register_objects(
+            spec, tables, initial_state=initial_state,
             materialize_state=materialize_state, replicated=replicated,
         )
 

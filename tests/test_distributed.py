@@ -3,7 +3,8 @@
 Covers the placement policies, the router's read-one/write-all-available
 routing, the available-copies failure rules (site failure aborts its writers;
 recovered replicated copies are unreadable until a committed write), the
-cross-site deadlock guard, and statistics aggregation across crashes.
+cross-site deadlock guard, statistics aggregation across crashes, and that
+batch registration builds what registering name by name builds.
 """
 
 import pytest
@@ -23,7 +24,9 @@ from repro.distributed import (
 from repro.core.dependency_graph import EdgeKind
 from repro.core.errors import ReproError, SimulationError, TransactionStateError
 from repro.sim.params import SimulationParameters
+from repro.sim.random_source import RandomSource
 from repro.sim.simulator import Simulation
+from repro.sim.workload import AbstractDataTypeWorkload
 
 
 def make_router(sites=2, replication="copies", policy=ConflictPolicy.RECOVERABILITY,
@@ -466,3 +469,59 @@ class TestRecoveredTidReuse:
         params = spec.base_params.replace(mpl_level=50, seed=411, **dict(variant.overrides))
         metrics = Simulation(params).run()
         assert metrics.completions == params.total_completions
+
+
+def registration(router):
+    """Everything registration decides, with specs and tables by identity."""
+    return (
+        {name: id(spec) for name, spec in router._specs.items()},
+        [list(site._copies.items()) for site in router.sites],
+        [
+            [
+                (name, manager.name, id(manager.spec), id(manager.compatibility),
+                 manager.materialize_state, manager.committed_state,
+                 manager.current_state, manager._initial_committed)
+                for name, manager in site.scheduler.objects.items()
+            ]
+            for site in router.sites
+        ],
+    )
+
+
+def registrations(kind):
+    """``(spec, tables, options)`` of a batch, one kind per registration shape."""
+    names = [f"obj{index:02d}" for index in range(12)]
+    if kind == "adt-tables":
+        # Per-object random tables, through the workload's own batch.
+        params = SimulationParameters(database_size=len(names))
+        workload = AbstractDataTypeWorkload(params, RandomSource(1))
+        workload.register_objects(TransactionRouter())
+        spec = workload._spec
+        return spec, dict(workload.tables), dict(materialize_state=False)
+    page = PageType()
+    tables = dict.fromkeys(names, page.compatibility())
+    if kind == "materialized-state":
+        return page, tables, dict(initial_state=5, materialize_state=True)
+    return page, tables, dict(materialize_state=False)
+
+
+class TestBatchRegistration:
+    """``register_objects`` builds exactly what ``register_object`` per name
+    builds, in the same order, at every site."""
+
+    @pytest.mark.parametrize("kind", ["shared-table", "adt-tables", "materialized-state"])
+    @pytest.mark.parametrize("replication", ["copies", "hash"])
+    def test_batch_equals_singles(self, replication, kind):
+        spec, tables, options = registrations(kind)
+        batch = TransactionRouter(site_count=3, replication=replication)
+        batch.register_objects(spec, tables, **options)
+        singles = TransactionRouter(site_count=3, replication=replication)
+        for name, compatibility in tables.items():
+            singles.register_object(name, spec, compatibility, **options)
+        assert registration(batch) == registration(singles)
+        assert sum(len(site._copies) for site in batch.sites) == (
+            3 * len(tables) if replication == "copies" else len(tables)
+        )
+        for router in (batch, singles):
+            # Read-only-ness belongs to the spec: its objects share one cache.
+            assert len({id(cache) for cache in router._read_only_by_op.values()}) == 1

@@ -395,9 +395,9 @@ class TestUnmaterializedCatchUp:
         site = Site(0)
         page = PageType()
         compatibility = page.compatibility()
-        site.register_object("x", page, compatibility=compatibility, initial_state=3,
-                             materialize_state=False, replicated=True)
-        site.register_object("y", page, compatibility=compatibility, replicated=True)
+        site.register_objects(page, {"x": compatibility}, initial_state=3,
+                              materialize_state=False, replicated=True)
+        site.register_objects(page, {"y": compatibility}, replicated=True)
         return site
 
     def test_committed_snapshot_omits_unmaterialized_copies(self):
