@@ -8,8 +8,9 @@ executes a batch of them, and the reporting module renders each
 :class:`ExperimentResult` as the paper-style series.
 
 Every ``(variant, mpl_level, run_index)`` point is an independent seeded
-simulation named by :func:`point_key`, so a batch runs each distinct point
-once and can fan the points out over a ``ProcessPoolExecutor`` (``workers >
+simulation named by :func:`point_key`: a :class:`~repro.sim.Simulation` built
+for the point, run once and dropped.  A batch runs each distinct point once
+and can fan the points out over a ``ProcessPoolExecutor`` (``workers >
 1``); its results are identical, point for point and byte for byte, to the
 serial ``workers=1`` path.
 """
@@ -250,43 +251,16 @@ def unmet(*expectations: Expectation) -> List[str]:
 #: One simulation to run: its parameters and its workload kind.
 Task = Tuple[SimulationParameters, str]
 
-#: Per-process cache of the constructed simulations of *one* system: the
-#: system key — the workload kind plus every parameter except the seed and the
-#: sweep knobs :attr:`Simulation._RESET_OVERRIDABLE` normalizes away — maps to
-#: that system's simulations by seed.  A sweep's points differ only in those
-#: knobs, so each hit replaces a full rebuild (object registration, table
-#: compilation, router wiring) with :meth:`Simulation.reset`; one simulation
-#: per seed because a different seed derives different random streams at
-#: construction time (the ADT tables among them), which ``reset`` deliberately
-#: never changes.  A sweep is variant-major and a batch goes spec by spec, so
-#: a new system evicts one that is done with.  An evicted simulation is
-#: cyclic garbage, so it is collected on the spot: left to the collector's
-#: own schedule it outlives the next system's construction and the process
-#: holds two systems at its peak.
-_SIMULATION_CACHE: Dict[Tuple, Dict[int, Simulation]] = {}
-#: The fields of that system key: all but the seed and the reset knobs.
-_SYSTEM_FIELDS = tuple(
-    declared.name for declared in dataclasses.fields(SimulationParameters)
-    if declared.name not in Simulation._RESET_OVERRIDABLE + ("seed",)
-)
-
 
 def _simulate_point(task: Task) -> RunMetrics:
     """Run one ``(params, workload)`` point; module-level so it pickles."""
     params, workload_kind = task
-    system = (workload_kind, tuple(getattr(params, name) for name in _SYSTEM_FIELDS))
-    by_seed = _SIMULATION_CACHE.get(system)
-    if by_seed is None:
-        if _SIMULATION_CACHE:
-            _SIMULATION_CACHE.clear()
-            gc.collect()
-        by_seed = _SIMULATION_CACHE[system] = {}
-    simulation = by_seed.get(params.seed)
-    if simulation is None:
-        simulation = by_seed[params.seed] = Simulation(params, workload_kind=workload_kind)
-    else:
-        simulation.reset(params)
-    return simulation.run()
+    metrics = Simulation(params, workload_kind=workload_kind).run()
+    # The dropped system is cyclic garbage (its components point back at one
+    # another): left to the collector's schedule it outlives the next point's
+    # construction, and the process holds two systems at its peak.
+    gc.collect()
+    return metrics
 
 
 def point_key(params: SimulationParameters, workload: str) -> Tuple:

@@ -170,7 +170,8 @@ class ConcurrencyControlBackend:
                 scheduler.retry_blocked(manager)
 
     def reset(self) -> None:
-        """Drop per-run protocol state (for :meth:`Scheduler.reset`).
+        """Drop the protocol's volatile state: a site crash
+        (:meth:`Scheduler.discard_volatile`) loses it.
 
         The base backends keep no state beyond the scheduler reference; the
         2PL backend clears its lock table here.

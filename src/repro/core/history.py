@@ -66,7 +66,7 @@ class ExecutionLog(SchedulerListener):
     Subscribed to a scheduler, it records every operation the scheduler
     executes or grants and every pseudo-commit, commit and abort, in the
     order the scheduler announces them.  The log belongs to its subscriber:
-    the scheduler's ``reset()`` and ``discard_volatile()`` leave it as it is.
+    a crash (the scheduler's ``discard_volatile()``) leaves it as it is.
     """
 
     def __init__(self) -> None:

@@ -126,7 +126,7 @@ class ObjectManager:
 
     __slots__ = (
         "name", "spec", "compatibility", "materialize_state",
-        "committed_state", "current_state", "_initial_committed",
+        "committed_state", "current_state",
         "blocked", "_events_by_tid", "_op_groups",
         "_op_index", "_n_ops", "_param_is_args",
         "_compiled_policy", "_compiled_tables",
@@ -150,10 +150,6 @@ class ObjectManager:
             initial_state = spec.initial_state()
         self.committed_state: Any = initial_state
         self.current_state: Any = initial_state
-        #: The committed state this manager started from.  ``reset()``
-        #: restores it by reference: states are treated as immutable by the
-        #: whole framework (operations return new states), so sharing is safe.
-        self._initial_committed: Any = initial_state
         #: FIFO queue of blocked requests.
         self.blocked: List[PendingRequest] = []
         #: Uncommitted events per transaction, each list in execution order.
@@ -170,7 +166,7 @@ class ObjectManager:
         #: ``requested_id * n + executed_id`` — classification is two int
         #: index operations instead of tuple-key construction + dict probes.
         self._op_index: Dict[str, int] = compatibility.op_index
-        self._n_ops = len(compatibility.operations)
+        self._n_ops = len(self._op_index)
         #: True when the spec uses the default conflict parameter (the raw
         #: argument tuple) — lets the hot path skip a method call per probe.
         self._param_is_args = (
@@ -529,7 +525,7 @@ class ObjectManager:
         return removed
 
     # ------------------------------------------------------------------
-    # Reset
+    # Crash
     # ------------------------------------------------------------------
     def discard_volatile(self) -> None:
         """Drop what a crash loses: the uncommitted log, the blocked queue
@@ -540,15 +536,6 @@ class ObjectManager:
         self.current_state = self.committed_state
         self.blocked.clear()
         self._events_by_tid = self._op_groups = _NO_LOG
-
-    def restore_initial_state(self) -> None:
-        """Rewind the committed (and visible) state to the registered one."""
-        self.committed_state = self.current_state = self._initial_committed
-
-    def reset(self) -> None:
-        """Restore the manager to its just-constructed state."""
-        self.discard_volatile()
-        self.restore_initial_state()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

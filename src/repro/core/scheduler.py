@@ -226,9 +226,13 @@ class Scheduler:
         """Register one shared object of type ``spec`` per name in ``tables``.
 
         ``tables`` maps each name to its compatibility tables (``None``: the
-        type's declared ones); the managers are built in ``tables`` order.
-        This is the one place that builds managers.
+        type's declared ones); the managers are built in ``tables`` order and
+        start from one shared ``initial_state`` (default: one
+        ``spec.initial_state()`` for the batch; states are never edited in
+        place).  This is the one place that builds managers.
         """
+        if initial_state is None:
+            initial_state = spec.initial_state()
         objects = self.objects
         for name, compatibility in tables.items():
             objects[name] = ObjectManager(
@@ -285,7 +289,7 @@ class Scheduler:
 
     @property
     def begun(self) -> int:
-        """Transactions begun since construction (or the last reset)."""
+        """Transactions begun since construction (or the last crash)."""
         return self._next_tid
 
     def transaction(self, transaction_id: int) -> Transaction:
@@ -518,7 +522,7 @@ class Scheduler:
             self._blocked_objects.pop(manager.name, None)
 
     # ------------------------------------------------------------------
-    # Reset
+    # Crash
     # ------------------------------------------------------------------
     def discard_volatile(self) -> None:
         """Drop exactly what a crash loses, in place.
@@ -540,18 +544,6 @@ class Scheduler:
         self._next_tid = 0
         self._sequence = 0
         self.backend.reset()
-
-    def reset(self) -> None:
-        """Restore the scheduler to its just-constructed state.
-
-        A crash (:meth:`discard_volatile`) that also loses the disk: every
-        manager additionally rewinds to its registered initial state, so a
-        seeded run on a reset scheduler is bit-identical to one on a freshly
-        constructed scheduler.
-        """
-        self.discard_volatile()
-        for manager in self.objects.values():
-            manager.restore_initial_state()
 
     # ------------------------------------------------------------------
     # Commit protocol

@@ -162,15 +162,6 @@ class CommitProtocol:
     def _expire_member(self, member: tuple) -> None:
         """Typed drain handler for the prepare timeout (no-op by default)."""
 
-    def reset(self) -> None:
-        """Discard per-run state for a reused router.
-
-        Router and clock attachments are wiring, not run state — both are
-        kept (the simulator resets its engine in place, so the scheduled
-        clock stays valid).
-        """
-        self.stats = CommitStatistics()
-
     # ------------------------------------------------------------------
     # Shared machinery
     # ------------------------------------------------------------------
@@ -310,11 +301,6 @@ class TwoPhase(CommitProtocol):
         #: Pseudo-committed transactions whose live branches all acked but
         #: whose durability condition is still unmet (under-stamped).
         self._awaiting: Set[int] = set()
-        self._rechecking = False
-
-    def reset(self) -> None:
-        super().reset()
-        self._awaiting.clear()
         self._rechecking = False
 
     # ------------------------------------------------------------------

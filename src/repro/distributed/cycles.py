@@ -61,10 +61,6 @@ class UnionCycleDetector:
 
     def __init__(self, router: "TransactionRouter"):
         self.router = router
-        self.reset()
-
-    def reset(self) -> None:
-        """An empty union over the sites' current graphs; the gate rewound."""
         #: Union-graph mutation total at the end of the last periodic sweep;
         #: a sweep whose total is unchanged has nothing new to inspect.
         self._swept_mutations = 0

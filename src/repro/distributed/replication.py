@@ -119,8 +119,7 @@ class ReplicationProtocol:
     def __init__(self) -> None:
         self.router: "TransactionRouter" = None  # type: ignore[assignment]
         self.stats = ReplicationStatistics()
-        #: :meth:`_rotated` memo by object name (a pure function: :meth:`reset`
-        #: keeps it).
+        #: :meth:`_rotated` memo by object name.
         self._rotations: Dict[str, Tuple[int, ...]] = {}
 
     def attach(self, router: "TransactionRouter") -> None:
@@ -131,14 +130,6 @@ class ReplicationProtocol:
                 "protocols hold per-run state and must not be shared"
             )
         self.router = router
-
-    def reset(self) -> None:
-        """Discard per-run state for a reused router.
-
-        The router attachment is wiring, not run state — it is kept (and
-        :meth:`attach` would reject a second call anyway).
-        """
-        self.stats = ReplicationStatistics()
 
     # ------------------------------------------------------------------
     # Shared helpers
@@ -317,13 +308,6 @@ class _VersionedCatchUp(ReplicationProtocol):
     def attach(self, router: "TransactionRouter") -> None:
         super().attach(router)
         self._version = [{} for _ in range(router.placement.site_count)]
-
-    def reset(self) -> None:
-        super().reset()
-        for versions in self._version:
-            versions.clear()
-        self._latest.clear()
-        self._commit_targets.clear()
 
     def version_of(self, site_id: int, object_name: str) -> int:
         """The committed version of one copy (0 until its first write)."""
@@ -692,10 +676,6 @@ class PrimaryCopy(_VersionedCatchUp):
         super().__init__()
         #: Placement tuple -> currently elected primary site id.
         self._primaries: Dict[Tuple[int, ...], int] = {}
-
-    def reset(self) -> None:
-        super().reset()
-        self._primaries.clear()
 
     def primary_of(self, object_name: str) -> Optional[int]:
         """The current primary for an object (electing one if needed)."""

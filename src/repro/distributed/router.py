@@ -360,8 +360,8 @@ class TransactionRouter:
         self.transactions: Dict[int, GlobalTransaction] = {}
         self.router_stats = RouterStatistics()
         for site in self.sites:
-            # Subscribed once for the site's lifetime: recovery and reset
-            # happen in place and keep the scheduler's listeners.
+            # Subscribed once for the site's lifetime: recovery happens in
+            # place and keeps the scheduler's listeners.
             site.scheduler.add_listener(_SiteRelay(self, site))
         #: Per-site map of local transaction id -> global transaction id.
         self._local_map: List[Dict[int, int]] = [{} for _ in range(site_count)]
@@ -437,28 +437,6 @@ class TransactionRouter:
     def add_listener(self, listener: SchedulerListener) -> None:
         """Subscribe a listener to *global* transaction events."""
         self._listeners.append(listener)
-
-    def reset(self) -> None:
-        """Restore the router to its just-constructed, just-registered state.
-
-        Everything structural is kept — object registrations, placement,
-        protocol instances, listeners — while all per-run state (transactions,
-        scheduler contents, protocol bookkeeping, statistics) rewinds to what
-        a fresh build would hold.  The resource charger is *not* kept: it has
-        queueing state of its own, so callers re-attach one (the simulator
-        rebuilds it per run) before charging operations again.
-        """
-        for site in self.sites:
-            site.reset()
-        self.transactions.clear()
-        self.router_stats = RouterStatistics()
-        for local in self._local_map:
-            local.clear()
-        self._next_gtid = 0
-        self._charger = None
-        self.replication.reset()
-        self.commit_protocol.reset()
-        self._cycles.reset()
 
     def attach_resources(self, charger: "ResourceCharger") -> None:
         """Wire up the hardware granted operations are charged to.

@@ -226,20 +226,6 @@ class Site:
         self.failures += 1
         self.unreadable.clear()
 
-    def reset(self) -> None:
-        """Restore the site to its just-registered initial state, in place
-        (managers rewind to their registered initial states), up or down."""
-        if self._parked is not None:
-            self.scheduler, self._parked = self._parked, None
-        self.scheduler.reset()
-        self.status = SiteStatus.UP
-        self.generation = 0
-        self.unreadable.clear()
-        self.failures = 0
-        self.recoveries = 0
-        self.domain = None
-        self._retired_stats = SchedulerStatistics()
-
     def recover(self) -> None:
         """Bring the site back up on its durable state.
 

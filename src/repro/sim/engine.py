@@ -76,9 +76,7 @@ class EventEngine:
         #: :meth:`request_stop` from inside a callback).
         self._stop = False
         #: Kind-indexed dispatch table for typed members.  Index 0 is the
-        #: reserved "generic callable" kind and never holds a handler;
-        #: registrations survive :meth:`reset` (producers register once, at
-        #: construction, and a reset run reuses the same kinds).
+        #: reserved "generic callable" kind and never holds a handler.
         self._handlers: List[Optional[KindHandler]] = [None]
 
     # ------------------------------------------------------------------
@@ -239,29 +237,6 @@ class EventEngine:
             self._batch_index = index
             self.events_processed += processed
         return processed
-
-    # ------------------------------------------------------------------
-    # Reset
-    # ------------------------------------------------------------------
-    def reset(self) -> None:
-        """Restore the engine to its just-constructed state, in place.
-
-        In place because long-lived components hold references to this
-        engine and its bound methods (the resource domains, the commit
-        protocol's clock): replacing the instance would silently orphan
-        them, while clearing it keeps every reference valid.  Registered
-        kind handlers are deliberately preserved: producers register once,
-        at construction, and the reset run reuses the same kind integers.
-        """
-        self._queue.clear()
-        self._open_batch = None
-        self._open_time = 0.0
-        self._batch = None
-        self._batch_index = 0
-        self._sequence = 0
-        self.now = 0.0
-        self.events_processed = 0
-        self._stop = False
 
     def pending(self) -> int:
         """Number of events still queued."""

@@ -56,8 +56,8 @@ class CentralCoordinator:
     """One scheduler, driven directly: the centralized system of the paper.
 
     ``begin``, ``submit``, ``commit``, ``add_listener``, ``register_objects``
-    (the batch registration a workload makes), ``register_object`` (its
-    batch of one) and ``reset`` *are* the scheduler's bound methods: an
+    (the batch registration a workload makes) and ``register_object`` (its
+    batch of one) *are* the scheduler's bound methods: an
     operation costs what the scheduler charges, and the simulator reads the
     scheduler's own handles and listener callbacks.  What remains here is
     the physical phase (every operation runs at site 0, every transaction's
@@ -65,7 +65,7 @@ class CentralCoordinator:
     """
 
     __slots__ = ("scheduler", "begin", "submit", "commit", "add_listener",
-                 "register_objects", "register_object", "reset", "_charger")
+                 "register_objects", "register_object", "_charger")
 
     def __init__(self, scheduler: Scheduler):
         self.scheduler = scheduler
@@ -75,7 +75,6 @@ class CentralCoordinator:
         self.add_listener = scheduler.add_listener
         self.register_objects = scheduler.register_objects
         self.register_object = scheduler.register_object
-        self.reset = scheduler.reset
         self._charger: ResourceCharger = None  # type: ignore[assignment]
 
     @property

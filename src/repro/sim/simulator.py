@@ -47,7 +47,6 @@ the scheduler from inside one of its callbacks.
 
 from __future__ import annotations
 
-import dataclasses
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
@@ -165,6 +164,7 @@ class Simulation(SchedulerListener):
         self._next_logical_id = 0
         self._by_scheduler_tid: Dict[int, LogicalTransaction] = {}
         self._measuring = params.warmup_completions == 0
+        self._ran = False
 
     # ------------------------------------------------------------------
     # Run control
@@ -182,7 +182,15 @@ class Simulation(SchedulerListener):
         is allowed to finish.  Driving the engine in between-completion
         segments does not change which events run or their order, so
         simulation streams are unaffected.
+
+        A simulation runs once: a second call raises
+        :class:`~repro.core.errors.SimulationError`.
         """
+        if self._ran:
+            raise SimulationError(
+                "a Simulation runs once; build a new Simulation for another run"
+            )
+        self._ran = True
         self.metrics.begin_measurement(
             0.0,
             self.router.stats,
@@ -271,58 +279,6 @@ class Simulation(SchedulerListener):
 
     def _done(self) -> bool:
         return self.completions >= self.params.total_completions
-
-    # ------------------------------------------------------------------
-    # Reuse across parameter points
-    # ------------------------------------------------------------------
-    #: Parameter fields a reused simulation may change between points.  They
-    #: shape the *load* (how many transactions run concurrently, how long),
-    #: not the *system*: everything reachable from object registration — the
-    #: database, placement, protocols, hardware shape — must match, or the
-    #: constructed managers would not be the ones a fresh build produces.
-    _RESET_OVERRIDABLE = ("mpl_level", "total_completions", "warmup_completions")
-
-    def reset(self, params: SimulationParameters) -> None:
-        """Restore seed-equivalent initial state for another run.
-
-        After ``reset(params)`` the simulation behaves exactly like a freshly
-        constructed ``Simulation(params, ...)``: the random streams rewind to
-        their seed-derived starts, every scheduler and object manager returns
-        to its registered initial state, and the engine clock restarts at
-        zero — while the expensive construction work (object registration,
-        compatibility-table compilation, router wiring) is reused.  ``params``
-        may differ from the constructing parameters only in the sweep knobs
-        listed in ``_RESET_OVERRIDABLE``; anything else raises
-        :class:`~repro.core.errors.SimulationError`.
-        """
-        overrides = {name: getattr(self.params, name) for name in self._RESET_OVERRIDABLE}
-        if dataclasses.astuple(params.replace(**overrides)) != dataclasses.astuple(self.params):
-            raise SimulationError(
-                "reset() may only change "
-                + "/".join(self._RESET_OVERRIDABLE)
-                + "; other parameters shape the constructed system and need a new Simulation"
-            )
-        self.params = params
-        self.engine.reset()
-        root_rng = RandomSource(params.seed)
-        self.workload_rng = root_rng.spawn("workload")
-        self.think_rng = root_rng.spawn("think")
-        self.resource_rng = root_rng.spawn("resources")
-        self.workload.reset(self.workload_rng)
-        self.router.reset()
-        # The charger is cheap and holds queueing state; rebuild it like the
-        # constructor does (the engine reference it captures was reset in
-        # place, so its clock is this run's clock).
-        self.resources = make_resource_charger(self.engine, params, self.resource_rng)
-        self.router.attach_resources(self.resources)
-        self.terminals = TerminalPool(params.num_terminals)
-        self.metrics = MetricsCollector()
-        self.ready_queue.clear()
-        self.active_count = 0
-        self.completions = 0
-        self._next_logical_id = 0
-        self._by_scheduler_tid.clear()
-        self._measuring = params.warmup_completions == 0
 
     # ------------------------------------------------------------------
     # Arrival, admission and the ready queue

@@ -79,16 +79,6 @@ class Workload:
         """Generate the operation list of a new transaction."""
         raise NotImplementedError
 
-    def reset(self, rng: RandomSource) -> None:
-        """Rewind the template stream for a reused simulation.
-
-        Registration never consumes this stream (the ADT tables come from a
-        ``spawn``-derived child, which reads only the seed), so rebinding the
-        stream alone makes ``next_transaction`` reproduce a fresh build's
-        templates exactly.
-        """
-        self.rng = rng
-
     # ------------------------------------------------------------------
     # Shared helpers
     # ------------------------------------------------------------------
@@ -214,11 +204,11 @@ def _abstract_operation(name: str) -> OperationSpec:
 #: The last generated ADT table set as ``(key, tables)``, keyed by everything
 #: that determines it: the derived table-stream seed and the generation
 #: parameters.  A rebuild of the same system (the benchmark harness times
-#: repeated constructions of one) reuses it instead of drawing 1000 tables
-#: again; ``_SIMULATION_CACHE`` in ``repro.analysis.experiments`` already
-#: reuses a system across mpl levels, so no run reads back an older set, and
-#: keeping only the last one keeps dead tables from piling up.  Tables are
-#: immutable at run time (managers only read them), so sharing is safe.
+#: repeated constructions of one; a one-run sweep builds one system per mpl
+#: level) reuses it instead of drawing 1000 tables again.  A multi-run sweep
+#: alternates seeds, so it draws a set about once per point; keeping only
+#: the last one keeps dead tables from piling up.  Tables are immutable at
+#: run time (managers only read them), so sharing is safe.
 _TABLE_SET_SLOT: Optional[Tuple[Tuple, List[CompatibilitySpec]]] = None
 
 

@@ -34,6 +34,7 @@ from repro.core.errors import ExperimentError
 from repro.core.policy import ConflictPolicy
 from repro.sim.metrics import RunMetrics
 from repro.sim.params import SimulationParameters
+from repro.sim.simulator import Simulation
 
 
 def tiny_spec(**overrides):
@@ -140,19 +141,23 @@ class TestRunExperiment:
         assert len(lines) == 2
         assert all("test-exp" in line for line in lines)
 
-    def test_an_evicted_system_is_collected_at_once(self, monkeypatch):
-        monkeypatch.setattr(experiments, "_SIMULATION_CACHE", {})
+    def test_a_point_frees_its_system_before_returning(self, monkeypatch):
+        built = []
+
+        class Recorded(Simulation):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(weakref.ref(self))
+
+        monkeypatch.setattr(experiments, "Simulation", Recorded)
         params = SimulationParameters(database_size=20, total_completions=10, mpl_level=2)
-        experiments._simulate_point((params, "readwrite"))
-        (by_seed,) = experiments._SIMULATION_CACHE.values()
-        evicted = weakref.ref(by_seed[params.seed])
-        del by_seed
-        gc.disable()  # only the eviction itself may collect it
+        gc.disable()  # only the point's own collection may free the system
         try:
-            experiments._simulate_point((params.replace(database_size=21), "readwrite"))
+            experiments._simulate_point((params, "readwrite"))
+            (system,) = built
+            assert system() is None  # before gc.enable() may collect it
         finally:
             gc.enable()
-        assert evicted() is None
 
 
 class TestParallelRunner:

@@ -156,8 +156,6 @@ class TestWhatACrashDiscards:
         for _ in range(3):
             router.fail_site(1)
             router.recover_site(1)
-        router.fail_site(2)
-        router.reset()  # resets a site that is down right now, too
         for site in router.sites:
             relays = [
                 listener for listener in site.scheduler._listeners
@@ -165,16 +163,6 @@ class TestWhatACrashDiscards:
             ]
             assert len(relays) == 1 and relays[0].site is site
             assert len(site.scheduler._on_committed) == 1
-
-    def test_reset_after_a_crash_restores_the_registered_initial_state(self):
-        router = make_router()
-        site = dirty_site(router)
-        router.fail_site(site.site_id)
-        router.recover_site(site.site_id)
-        assert site.scheduler.committed_state("x") == 7
-        router.reset()
-        assert all(s.scheduler.committed_state("x") == 0 for s in router.sites)
-        assert site.generation == 0 and site.failures == 0 and not site.unreadable
 
     def test_sweep_gate_stays_monotonic_across_the_crash(self):
         router = make_router()

@@ -3,16 +3,16 @@
 ``Site.recover()`` brings the *same* scheduler and object managers back with
 their volatile state discarded.  The reference below is the lifecycle it
 replaced — a crash deep-copies the committed states and throws the scheduler
-away; recovery (and ``reset()``) constructs a new scheduler and re-registers
-every object from remembered registrations, then re-subscribes the
-listeners — kept here as an independent oracle: it overrides the whole
-lifecycle and shares no code with ``Site.fail``/``recover``/``reset``,
-``Scheduler.discard_volatile`` or ``ObjectManager.discard_volatile``.
+away; recovery constructs a new scheduler and re-registers every object from
+remembered registrations, then re-subscribes the listeners — kept here as an
+independent oracle: it overrides the whole lifecycle and shares no code with
+``Site.fail``/``recover``, ``Scheduler.discard_volatile`` or
+``ObjectManager.discard_volatile``.
 
 Seeded multi-site runs through a scripted double crash must agree on every
 deterministic observable and on every copy's committed state, for each
 replication protocol x commit protocol, the read/write and ADT workloads and
-both backends; so must a ``Simulation.reset()`` reuse after a crashed run.
+both backends; so must a run that ends with a site still down.
 The read/write runs go with and without real page values: only with them do
 the durable states and the catch-up's copies hold anything, and then up
 copies at one stamped version must also hold one value.
@@ -24,7 +24,7 @@ import pytest
 from page_values import keep_page_values
 
 from repro.core.policy import ConflictPolicy
-from repro.core.scheduler import Scheduler, SchedulerStatistics
+from repro.core.scheduler import Scheduler
 from repro.distributed import router as router_module
 from repro.distributed.site import Site, SiteStatus
 from repro.sim.params import SimulationParameters
@@ -122,18 +122,6 @@ class RebuildingSite(Site):
         self.status = SiteStatus.UP
         self.recoveries += 1
 
-    def reset(self):
-        if self.scheduler is not None:
-            self._listeners = list(self.scheduler._listeners)
-        self._rebuild({}, self._listeners)
-        self.status = SiteStatus.UP
-        self.generation = 0
-        self.unreadable.clear()
-        self.failures = 0
-        self.recoveries = 0
-        self.domain = None
-        self._durable = {}
-        self._retired_stats = SchedulerStatistics()
 
 
 def reference_simulation(monkeypatch, params, workload_kind):
@@ -242,9 +230,7 @@ def test_in_place_recovery_matches_rebuild(protocol, commit_protocol, variant, m
 
 @pytest.mark.parametrize("page_values", [False, True], ids=["no-values", "values"])
 @pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
-def test_reset_reuse_after_a_crashed_run_matches_rebuild(protocol, page_values, monkeypatch):
-    # The run ends with site 1 still down: reset() must bring it back, from
-    # the registered initial states rather than the crashed run's durable ones.
+def test_a_run_ending_with_a_site_down_matches_rebuild(protocol, page_values, monkeypatch):
     if page_values:
         keep_page_values(monkeypatch)
     params = crash_params(
@@ -260,11 +246,3 @@ def test_reset_reuse_after_a_crashed_run_matches_rebuild(protocol, page_values, 
         assert committed_writes(expected) > 0
         assert_copies_agree_by_version(simulation)
     assert not simulation.router.sites[1].status.is_up
-    for _ in range(2):
-        simulation.reset(params)
-        assert all(site.status.is_up for site in simulation.router.sites)
-        assert observables(simulation, simulation.run()) == expected
-
-    # ...and the reference's own reset() agrees, so the oracle is sound.
-    reference.reset(params)
-    assert observables(reference, reference.run()) == expected

@@ -480,7 +480,7 @@ def registration(router):
             [
                 (name, manager.name, id(manager.spec), id(manager.compatibility),
                  manager.materialize_state, manager.committed_state,
-                 manager.current_state, manager._initial_committed)
+                 manager.current_state)
                 for name, manager in site.scheduler.objects.items()
             ]
             for site in router.sites

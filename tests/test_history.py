@@ -137,13 +137,12 @@ class TestSubscribedToAScheduler:
         self.drive(scheduler)
         assert not hasattr(scheduler, "history")
 
-    def test_the_log_outlives_a_crash_and_a_reset(self):
+    def test_the_log_outlives_a_crash(self):
         scheduler = Scheduler()
         log = ExecutionLog()
         scheduler.add_listener(log)
         self.drive(scheduler)
         scheduler.discard_volatile()
-        scheduler.reset()
         assert len(log) == 7
         transaction = scheduler.begin()
         scheduler.perform(transaction.tid, "S", "push", 1)

@@ -443,7 +443,7 @@ class TestFallbackGroups:
     """An unhashable parameter or an operation outside the tables gets a
     group per event, keyed by the event's id; the group goes with it."""
 
-    @pytest.mark.parametrize("ending", ["commit", "abort", "discard_volatile", "reset"])
+    @pytest.mark.parametrize("ending", ["commit", "abort", "discard_volatile"])
     @pytest.mark.parametrize("kind", sorted(FALLBACKS))
     def test_fallback_groups_leave_nothing_behind(self, kind, ending):
         make, invocation = FALLBACKS[kind]
@@ -460,8 +460,8 @@ class TestFallbackGroups:
         # Classification still sees every fallback operation.
         policy = ConflictPolicy.RECOVERABILITY
         assert manager.classify_request(Invocation("read"), 1, policy) == ({2, 3}, set())
-        if ending in ("discard_volatile", "reset"):
-            getattr(manager, ending)()
+        if ending == "discard_volatile":
+            manager.discard_volatile()
         else:
             manager.remove_transaction(2, commit=ending == "commit")
             assert [key[1] for key in manager._op_groups if key[0] < 0] == [

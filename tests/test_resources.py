@@ -449,36 +449,6 @@ class TestMaintainedLoad:
         simulation.run(max_events=1_000_000)
         assert len(in_flight) == 2 and min(in_flight) > 0
 
-    def test_reset_starts_from_a_fresh_zero_count(self):
-        params = SimulationParameters(**dict(AC4_PER_SITE, total_completions=150))
-        simulation = Simulation(params, "readwrite")
-        first = simulation.run()
-        stale = self.domains_of(simulation)
-        assert any(domain.load > 0 for domain in stale)  # stopped mid-flight
-        simulation.reset(params)
-        fresh = self.domains_of(simulation)
-        assert all(domain.load == 0 for domain in fresh)
-        assert not set(map(id, fresh)) & set(map(id, stale))
-        self.watch(simulation)
-        assert simulation.run(max_events=1_000_000).counters() == first.counters()
-
-    @pytest.mark.parametrize("overrides", [
-        dict(AC4_PER_SITE, total_completions=50),
-        dict(mpl_level=20, total_completions=50, resource_units=1, msg_time=0.001,
-             site_count=2, replication="copies"),  # the shared global pool
-    ], ids=["per-site", "global"])
-    def test_reset_registers_no_new_event_kinds(self, overrides):
-        # The charger is rebuilt on every reset; its stage handlers are
-        # module-level, so the engine's kind table must not grow.
-        params = SimulationParameters(**overrides)
-        simulation = Simulation(params, "readwrite")
-        kinds = len(simulation.engine._handlers)
-        first = simulation.run().counters()
-        for _ in range(2):
-            simulation.reset(params)
-            assert len(simulation.engine._handlers) == kinds
-            assert simulation.run().counters() == first
-
     def test_infinite_domains_never_count(self):
         params = SimulationParameters(
             **dict(AC4_PER_SITE, total_completions=150, resource_units=None))

@@ -201,20 +201,6 @@ class TestEventEngine:
         assert fired == [(1, 2)]
         assert engine.events_processed == 0 and engine.now == 0.0
 
-    def test_reset_discards_a_partly_drained_batch_and_keeps_kinds(self):
-        engine, fired = EventEngine(), []
-        kind = engine.register_kind(lambda member: fired.append(member[1]))
-        engine.schedule(1.0, engine.request_stop)
-        self.batch_of(engine, fired, "bc")
-        engine.schedule(3.0, lambda: fired.append("later"))
-        engine.run_until_stop()
-        assert engine.pending() == 3
-        engine.reset()
-        assert (engine.pending(), engine.now, engine.events_processed) == (0, 0.0, 0)
-        engine.schedule(0.5, (kind, "after reset"))
-        engine.run_until_stop()
-        assert fired == ["after reset"] and engine.now == 0.5
-
     def test_run_raises_if_queue_drains_before_condition(self):
         engine = EventEngine()
         engine.schedule(1.0, lambda: None)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.errors import SimulationError
 from repro.core.policy import ConflictPolicy
 from repro.sim.metrics import MetricsCollector, RunMetrics
 from repro.sim.params import SimulationParameters
@@ -87,6 +88,12 @@ class TestSimulationRuns:
         assert metrics.completions >= tiny_params.total_completions
         assert metrics.throughput > 0
         assert metrics.response_time > 0
+
+    def test_a_second_run_raises(self, tiny_params):
+        simulation = Simulation(tiny_params, "readwrite")
+        simulation.run()
+        with pytest.raises(SimulationError, match="build a new Simulation"):
+            simulation.run()
 
     def test_same_seed_is_deterministic(self, tiny_params):
         first = run_simulation(tiny_params, "readwrite")

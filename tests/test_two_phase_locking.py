@@ -26,7 +26,7 @@ from repro.core.serializability import ObjectUniverse, is_log_sound, is_serializ
 from repro.core.specification import Invocation
 from repro.core.transaction import TransactionStatus
 from repro.sim.params import SimulationParameters
-from repro.sim.simulator import Simulation, run_simulation
+from repro.sim.simulator import run_simulation
 
 
 def locking_scheduler(*objects):
@@ -241,7 +241,7 @@ class TestLockTable:
         assert scheduler.commit(t1.tid) is TransactionStatus.COMMITTED
         assert backend.holders("P") == {}
 
-    @pytest.mark.parametrize("forget", ["reset", "discard_volatile"])
+    @pytest.mark.parametrize("forget", ["discard_volatile"])
     def test_reset_empties_the_lock_table(self, forget):
         scheduler = locking_scheduler(("P", PageType()))
         stale = scheduler.begin()
@@ -255,22 +255,6 @@ class TestLockTable:
         assert scheduler.backend.holders("P") == {fresh.tid: LockMode.EXCLUSIVE}
         assert scheduler.commit(fresh.tid) is TransactionStatus.COMMITTED
         assert scheduler.backend.holders("P") == {}
-
-    def test_simulation_reset_drops_the_locks_the_last_run_left_held(self):
-        params = SimulationParameters(
-            policy=ConflictPolicy.TWO_PHASE_LOCKING, seed=3, database_size=30,
-            mpl_level=12, total_completions=100,
-        )
-        fresh = run_simulation(params, workload_kind="readwrite").counters()
-        simulation = Simulation(params, workload_kind="readwrite")
-        assert simulation.run().counters() == fresh
-        backend = simulation.router.scheduler.backend
-        names = list(simulation.router.scheduler.objects)
-        # The run stops at its last completion with transactions in flight.
-        assert any(backend.holders(name) for name in names)
-        simulation.reset(params)
-        assert not any(backend.holders(name) for name in names)
-        assert simulation.run().counters() == fresh
 
 
 # ----------------------------------------------------------------------
