@@ -98,6 +98,24 @@ def test_direct_coordinator_matches_a_forced_router(policy, workload, resources)
         assert direct == routed, (commit, replication, seed)
 
 
+@pytest.mark.parametrize("workload", ["readwrite", "adt"])
+@pytest.mark.parametrize("policy", sorted(POLICIES))
+def test_successive_builds_agree_across_two_mpl_points(policy, workload):
+    params = SimulationParameters(
+        mpl_level=12, total_completions=80, database_size=60, seed=7,
+        policy=POLICIES[policy], resource_units=2,
+    )
+    other = params.replace(mpl_level=5, total_completions=50)
+
+    def sweep(build):
+        return tuple(digest(build(point).run()) for point in (params, other, params))
+
+    direct = sweep(lambda point: Simulation(point, workload))
+    routed = sweep(lambda point: routed_simulation(point, workload))
+    assert direct == routed
+    assert direct[0] == direct[2] != direct[1]
+
+
 @pytest.mark.parametrize("case", sorted(PINNED))
 def test_pre_refactor_pins_hold_on_a_forced_router(case):
     # test_sites_equivalence runs the same pins on the direct coordinator.

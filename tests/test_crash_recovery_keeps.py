@@ -164,6 +164,21 @@ class TestWhatACrashDiscards:
             assert len(relays) == 1 and relays[0].site is site
             assert len(site.scheduler._on_committed) == 1
 
+    def test_a_new_router_starts_from_the_registered_initial_state(self):
+        # A recovered site keeps its durable state; the spec its copies were
+        # registered from does not, so the next build starts from zero.
+        router = make_router()
+        site = dirty_site(router)
+        router.fail_site(site.site_id)
+        router.recover_site(site.site_id)
+        assert site.scheduler.committed_state("x") == 7
+        assert site.generation == 1 and site.failures == 1
+        fresh = make_router()
+        assert all(s.scheduler.committed_state("x") == 0 for s in fresh.sites)
+        assert all(
+            s.generation == 0 and s.failures == 0 and not s.unreadable for s in fresh.sites
+        )
+
     def test_sweep_gate_stays_monotonic_across_the_crash(self):
         router = make_router()
         seen = [router._cycles.union_mutations()]

@@ -18,6 +18,7 @@ from repro.core.specification import (
     OperationResult,
     OperationSpec,
 )
+from repro.core.transaction import TransactionStatus
 from repro.sim import RandomSource, Simulation, SimulationParameters
 from repro.sim.workload import random_compatibility_table
 
@@ -502,6 +503,31 @@ class TestFallbackGroups:
         scheduler.abort(writer.tid)
         assert list(manager._op_groups) == [(0, ())]
         assert manager.live_transactions() == {reader.tid}
+
+    @pytest.mark.parametrize("kind", sorted(FALLBACKS))
+    def test_a_scheduler_crash_drops_fallback_groups_and_blocked_requests(self, kind):
+        # A site crash reaches the groups through ``Scheduler.discard_volatile``.
+        _, invocation = FALLBACKS[kind]
+        scheduler = Scheduler(policy=ConflictPolicy.RECOVERABILITY)
+        if kind == "unknown-op":  # writes conflict: the second one waits
+            manager = make_narrow_page(scheduler=scheduler)
+        else:
+            manager = scheduler.register_object("P", PageType())
+        reader, first, second = scheduler.begin(), scheduler.begin(), scheduler.begin()
+        assert scheduler.perform(reader.tid, manager.name, "read").executed
+        scheduler.perform(first.tid, manager.name, "write", *invocation.args)
+        waiting = scheduler.perform(second.tid, manager.name, "write", *invocation.args)
+        assert scheduler.commit(reader.tid) is TransactionStatus.COMMITTED
+        assert waiting.blocked == (kind == "unknown-op") == bool(manager.blocked)
+        assert [key for key in manager._op_groups if key[0] < 0]
+        scheduler.discard_volatile()
+        assert manager._events_by_tid is manager._op_groups is _NO_LOG
+        assert not manager.blocked and manager.current_state == manager.committed_state == 0
+        after = scheduler.begin()
+        assert scheduler.perform(after.tid, manager.name, "write", *invocation.args).executed
+        assert scheduler.commit(after.tid) is TransactionStatus.COMMITTED
+        assert manager._events_by_tid is manager._op_groups is _NO_LOG
+        assert manager.committed_state == invocation.args[0]
 
 
 #: Bytes that building the ``ac4-persite`` system may allocate per object

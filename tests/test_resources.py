@@ -449,6 +449,36 @@ class TestMaintainedLoad:
         simulation.run(max_events=1_000_000)
         assert len(in_flight) == 2 and min(in_flight) > 0
 
+    def test_a_new_build_starts_from_a_fresh_zero_count(self):
+        params = SimulationParameters(**dict(AC4_PER_SITE, total_completions=150))
+        first = Simulation(params, "readwrite")
+        counters = first.run().counters()
+        stale = self.domains_of(first)
+        assert any(domain.load > 0 for domain in stale)  # stopped mid-flight
+        second = Simulation(params, "readwrite")
+        fresh = self.domains_of(second)
+        assert all(domain.load == 0 for domain in fresh)
+        assert not set(map(id, fresh)) & set(map(id, stale))
+        self.watch(second)
+        assert second.run(max_events=1_000_000).counters() == counters
+
+    @pytest.mark.parametrize("overrides", [
+        dict(AC4_PER_SITE, total_completions=50),
+        dict(mpl_level=20, total_completions=50, resource_units=1, msg_time=0.001,
+             site_count=2, replication="copies"),  # the shared global pool
+    ], ids=["per-site", "global"])
+    def test_every_build_registers_the_same_event_kinds(self, overrides):
+        # The charger's stage handlers are module-level: each build's engine
+        # gets the same kind table, and a previous run leaves it unchanged.
+        params = SimulationParameters(**overrides)
+        first = Simulation(params, "readwrite")
+        kinds = len(first.engine._handlers)
+        counters = first.run().counters()
+        for _ in range(2):
+            simulation = Simulation(params, "readwrite")
+            assert len(simulation.engine._handlers) == kinds
+            assert simulation.run().counters() == counters
+
     def test_infinite_domains_never_count(self):
         params = SimulationParameters(
             **dict(AC4_PER_SITE, total_completions=150, resource_units=None))

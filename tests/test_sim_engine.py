@@ -201,6 +201,20 @@ class TestEventEngine:
         assert fired == [(1, 2)]
         assert engine.events_processed == 0 and engine.now == 0.0
 
+    def test_a_stop_mid_batch_keeps_typed_members_and_new_events_in_time_order(self):
+        engine, fired = EventEngine(), []
+        kind = engine.register_kind(lambda member: fired.append(member[1]))
+        engine.schedule(1.0, engine.request_stop)
+        for label in "bc":
+            engine.schedule(1.0, (kind, label))
+        engine.schedule(3.0, (kind, "later"))
+        engine.run_until_stop()
+        assert engine.pending() == 3 and engine.now == 1.0 and fired == []
+        engine.schedule(0.5, (kind, "after stop"))
+        engine.run_until_stop()
+        assert fired == ["b", "c", "after stop", "later"] and engine.now == 3.0
+        assert engine.events_processed == 5
+
     def test_run_raises_if_queue_drains_before_condition(self):
         engine = EventEngine()
         engine.schedule(1.0, lambda: None)

@@ -26,7 +26,7 @@ from repro.core.serializability import ObjectUniverse, is_log_sound, is_serializ
 from repro.core.specification import Invocation
 from repro.core.transaction import TransactionStatus
 from repro.sim.params import SimulationParameters
-from repro.sim.simulator import run_simulation
+from repro.sim.simulator import Simulation, run_simulation
 
 
 def locking_scheduler(*objects):
@@ -255,6 +255,23 @@ class TestLockTable:
         assert scheduler.backend.holders("P") == {fresh.tid: LockMode.EXCLUSIVE}
         assert scheduler.commit(fresh.tid) is TransactionStatus.COMMITTED
         assert scheduler.backend.holders("P") == {}
+
+    def test_a_new_simulation_starts_without_the_locks_the_last_run_left_held(self):
+        params = SimulationParameters(
+            policy=ConflictPolicy.TWO_PHASE_LOCKING, seed=3, database_size=30,
+            mpl_level=12, total_completions=100,
+        )
+        fresh = run_simulation(params, workload_kind="readwrite").counters()
+        first = Simulation(params, workload_kind="readwrite")
+        assert first.run().counters() == fresh
+        backend = first.router.scheduler.backend
+        names = list(first.router.scheduler.objects)
+        # The run stops at its last completion with transactions in flight.
+        assert any(backend.holders(name) for name in names)
+        second = Simulation(params, workload_kind="readwrite")
+        assert second.router.scheduler.backend is not backend
+        assert not any(second.router.scheduler.backend.holders(name) for name in names)
+        assert second.run().counters() == fresh
 
 
 # ----------------------------------------------------------------------
