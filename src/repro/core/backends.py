@@ -255,10 +255,6 @@ class LockMode(enum.Enum):
     SHARED = "shared"
     EXCLUSIVE = "exclusive"
 
-    def conflicts_with(self, other: "LockMode") -> bool:
-        """Two lock requests conflict unless both are shared."""
-        return self is LockMode.EXCLUSIVE or other is LockMode.EXCLUSIVE
-
 
 #: Read by every 2PL decision and grant, bound once like the aliases above.
 _SHARED = LockMode.SHARED

@@ -121,9 +121,6 @@ class DependencyGraph:
             self._ord[node] = self._next_ord
             self._next_ord += 1
 
-    def has_node(self, node: int) -> bool:
-        return node in self._successors
-
     def nodes(self) -> Set[int]:
         return set(self._successors)
 

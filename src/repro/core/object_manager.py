@@ -111,11 +111,13 @@ class ObjectManager:
         The object's name (unique within a scheduler).
     spec:
         The object's :class:`~repro.core.specification.TypeSpecification`.
+    initial_state:
+        Starting committed state, taken as given (the scheduler's
+        registration decides the default, ``spec.initial_state()``, once
+        per batch).
     compatibility:
         The compatibility tables to use.  Defaults to the type's declared
         tables; the simulation workloads pass randomly generated tables here.
-    initial_state:
-        Starting committed state; defaults to ``spec.initial_state()``.
     materialize_state:
         When ``False`` the manager skips applying operations to real states
         and records ``None`` return values.  The simulator's workloads all
@@ -136,8 +138,8 @@ class ObjectManager:
         self,
         name: str,
         spec: TypeSpecification,
+        initial_state: Any,
         compatibility: Optional[CompatibilitySpec] = None,
-        initial_state: Any = None,
         materialize_state: bool = True,
     ):
         self.name = name
@@ -146,8 +148,6 @@ class ObjectManager:
             compatibility = spec.compatibility()
         self.compatibility = compatibility
         self.materialize_state = materialize_state
-        if initial_state is None:
-            initial_state = spec.initial_state()
         self.committed_state: Any = initial_state
         self.current_state: Any = initial_state
         #: FIFO queue of blocked requests.

@@ -236,7 +236,7 @@ class Scheduler:
         objects = self.objects
         for name, compatibility in tables.items():
             objects[name] = ObjectManager(
-                name, spec, compatibility, initial_state, materialize_state
+                name, spec, initial_state, compatibility, materialize_state
             )
 
     def register_object(

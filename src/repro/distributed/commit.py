@@ -52,10 +52,8 @@ sets stay closed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import (
     TYPE_CHECKING,
-    Callable,
     Optional,
     Sequence,
     Set,
@@ -72,6 +70,7 @@ _PSEUDO_COMMITTED = TransactionStatus.PSEUDO_COMMITTED
 _COMMITTED = TransactionStatus.COMMITTED
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
+    from ..sim.engine import EventEngine
     from .router import GlobalTransaction, TransactionRouter
     from .site import Site
 
@@ -125,13 +124,12 @@ class CommitProtocol:
     def __init__(self) -> None:
         self.router: "TransactionRouter" = None  # type: ignore[assignment]
         self.stats = CommitStatistics()
-        #: Engine hook for future work (the prepare timeout); ``None`` for
-        #: direct router users, who drive no simulated clock.
-        self._schedule: Optional[Callable[[float, Callable[[], None]], None]] = None
-        #: Typed event kind for the prepare timeout, registered when the
-        #: clock owner also hands over its kind registry (the simulator's
-        #: engine); ``0`` means "not registered — schedule a partial".
-        self._expire_kind = 0
+        #: The simulation engine that runs future work (the prepare
+        #: timeout); ``None`` for direct router users, who drive no
+        #: simulated clock.
+        self._engine: Optional["EventEngine"] = None
+        #: Event kind of the prepare timeout on that engine (set with it).
+        self._expire_kind = -1
 
     def attach(self, router: "TransactionRouter") -> None:
         """Bind the protocol to its router (called once, at construction)."""
@@ -142,25 +140,18 @@ class CommitProtocol:
             )
         self.router = router
 
-    def attach_clock(
-        self,
-        schedule: Callable[[float, Callable[[], None]], None],
-        register_kind: Optional[Callable[[Callable[[tuple], None]], int]] = None,
-    ) -> None:
-        """Give the protocol a way to schedule future work (engine events).
+    def attach_clock(self, engine: "EventEngine") -> None:
+        """Give the protocol the engine that runs its future work.
 
-        ``register_kind`` (the engine's ``register_kind``, when the clock
-        belongs to an :class:`~repro.sim.engine.EventEngine`) additionally
-        lets the protocol register its recurring timeout as a typed event
-        kind, so each scheduled timeout is a plain ``(kind, gtid)`` tuple
-        instead of a ``functools.partial`` allocation.
+        The protocol registers its prepare timeout as an event kind, so each
+        scheduled timeout is a plain ``(kind, gtid)`` member.  Without an
+        engine (a router driven directly) no timeout is ever scheduled.
         """
-        self._schedule = schedule
-        if register_kind is not None and self._expire_kind == 0:
-            self._expire_kind = register_kind(self._expire_member)
+        self._engine = engine
+        self._expire_kind = engine.register_kind(self._expire)
 
-    def _expire_member(self, member: tuple) -> None:
-        """Typed drain handler for the prepare timeout (no-op by default)."""
+    def _expire(self, member: tuple) -> None:
+        """Typed handler for the prepare timeout (no-op by default)."""
 
     # ------------------------------------------------------------------
     # Shared machinery
@@ -392,24 +383,15 @@ class TwoPhase(CommitProtocol):
         if transaction.gtid in self._awaiting:
             return
         self._awaiting.add(transaction.gtid)
-        if self.prepare_timeout is not None and self._schedule is not None:
-            if self._expire_kind:
-                # Typed member: the engine drains it straight into
-                # ``_expire_member`` with no partial allocated per hold.
-                self._schedule(
-                    self.prepare_timeout,
-                    (self._expire_kind, transaction.gtid),  # type: ignore[arg-type]
-                )
-            else:
-                self._schedule(
-                    self.prepare_timeout, partial(self._expire, transaction.gtid)
-                )
+        if self.prepare_timeout is not None and self._engine is not None:
+            self._engine.schedule(
+                self.prepare_timeout, (self._expire_kind, transaction.gtid)
+            )
 
-    def _expire_member(self, member: tuple) -> None:
-        self._expire(member[1])
-
-    def _expire(self, gtid: int) -> None:
-        """The prepare timeout: report the commit even while under-stamped."""
+    def _expire(self, member: tuple) -> None:
+        """Typed handler ``(kind, gtid)``, the prepare timeout: report the
+        commit even while under-stamped."""
+        gtid = member[1]
         if gtid not in self._awaiting:
             return
         self._awaiting.discard(gtid)

@@ -460,17 +460,13 @@ class TransactionRouter:
     # ------------------------------------------------------------------
     # Resource charging (the physical phase of a granted operation)
     # ------------------------------------------------------------------
-    def perform_step(
-        self, transaction_id: int, done: Union[Callable[[], None], tuple]
-    ) -> None:
+    def perform_step(self, transaction_id: int, done: tuple) -> None:
         """Charge the transaction's in-flight granted operation.
 
         Delegates to the attached charger with the sites whose replicas
-        executed the operation and the transaction's home site; ``done``
-        fires when the physical phase (CPU/disk service plus any network
-        delay) completes.  ``done`` may be a typed engine member (a
-        ``(kind, *payload)`` tuple) — the charger schedules or dispatches
-        it through the engine's kind table.
+        executed the operation and the transaction's home site; ``done``, a
+        typed engine member ``(kind, *payload)``, drains when the physical
+        phase (CPU/disk service plus any network delay) completes.
         """
         charger = self._charger
         if charger is None:

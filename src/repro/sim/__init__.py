@@ -19,7 +19,7 @@ from .resources import (
     make_resource_charger,
 )
 from .simulator import LogicalTransaction, Simulation, run_simulation
-from .terminals import Terminal, TerminalPool
+from .terminals import Terminal
 from .workload import (
     AbstractDataTypeWorkload,
     ReadWriteWorkload,
@@ -46,7 +46,6 @@ __all__ = [
     "Simulation",
     "run_simulation",
     "Terminal",
-    "TerminalPool",
     "AbstractDataTypeWorkload",
     "ReadWriteWorkload",
     "TransactionTemplate",

@@ -42,15 +42,15 @@ through; :func:`make_resource_charger` picks the placement from
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Collection, Deque, Dict, Iterable, List, Optional, Union
+from typing import Collection, Deque, Dict, Iterable, List, Optional
 
 from .engine import EventEngine
 from .params import SimulationParameters
 from .random_source import RandomSource
 
-#: An operation-phase continuation: a plain callback, or a typed engine
-#: member ``(kind, *payload)`` registered via ``EventEngine.register_kind``.
-Done = Union[Callable[[], None], tuple]
+#: An operation-phase continuation: a typed engine member ``(kind, *payload)``
+#: whose kind was registered via ``EventEngine.register_kind``.
+Done = tuple
 
 __all__ = [
     "FifoServer",
@@ -129,10 +129,8 @@ def _io_finished(member: tuple) -> None:
         disk.free += 1
     # Before ``done``: it may route the next read, which picks by load.
     domain.load -= 1
-    if done.__class__ is tuple:
-        domain.engine.dispatch(done)
-    else:
-        done()
+    # ``EventEngine.dispatch`` inlined: every finite phase ends here.
+    domain.engine.handlers[done[0]](done)
 
 
 def _remote_arrived(member: tuple) -> None:
@@ -192,13 +190,12 @@ class ResourceDomain:
 
     # ------------------------------------------------------------------
     def perform_step(self, done: Done) -> None:
-        """Run the resource phase of one operation, then call ``done``.
+        """Run the resource phase of one operation, then drain ``done``.
 
-        Under infinite resources this is a single delay of ``step_time``;
-        under finite resources it is CPU service followed by disk service,
-        each with possible queueing.  ``done`` may be a typed engine member
-        — the infinite path schedules it as-is, the finite path dispatches
-        it through the engine's kind table when the disk releases.
+        Under infinite resources this is a single delay of ``step_time``
+        (``done`` is scheduled as-is); under finite resources it is CPU
+        service followed by disk service, each with possible queueing, and
+        the I/O stage dispatches ``done`` when the disk releases.
         """
         cpus = self.cpus
         if cpus is None:
@@ -241,7 +238,8 @@ class ResourceCharger:
     :meth:`perform_operation` once per granted global operation with the set
     of sites whose replicas executed it and the transaction's home site; the
     charger decides which hardware serves the work and what network delay
-    applies, then calls ``done`` when the physical phase completes.
+    applies, then drains ``done`` (a typed engine member) when the physical
+    phase completes.
     """
 
     #: Network delay of one cross-site message (zero: no network model).
@@ -255,7 +253,7 @@ class ResourceCharger:
         home_site: int,
         done: Done,
     ) -> None:
-        """Charge one granted operation's physical phase, then call ``done``.
+        """Charge one granted operation's physical phase, then drain ``done``.
 
         ``executed_sites`` is a set (distinct site ids, no order): a charger
         that only counts uses ``len`` and ``in``, one that orders events sorts.
@@ -361,30 +359,6 @@ class GlobalResourceModel(ResourceCharger):
         return summary
 
 
-class _BranchJoin:
-    """Countdown join: fires ``done`` when every replica branch finishes.
-
-    One per fanned-out operation — a slotted callable instead of a
-    ``nonlocal`` closure, so the fan-out allocates no function objects.
-    """
-
-    __slots__ = ("remaining", "done", "engine")
-
-    def __init__(self, remaining: int, done: Done, engine: EventEngine):
-        self.remaining = remaining
-        self.done = done
-        self.engine = engine
-
-    def __call__(self) -> None:
-        self.remaining -= 1
-        if self.remaining == 0:
-            done = self.done
-            if done.__class__ is tuple:
-                self.engine.dispatch(done)
-            else:
-                done()
-
-
 class PerSiteResources(ResourceCharger):
     """One :class:`ResourceDomain` per site: hardware follows data placement.
 
@@ -415,6 +389,7 @@ class PerSiteResources(ResourceCharger):
         #: Operation charges that involved at least one remote replica.
         self.remote_operations = 0
         self._kind_remote = engine.register_kind(_remote_arrived)
+        self._kind_join = engine.register_kind(self._branch_finished)
 
         def units_of(site_id: int) -> Optional[int]:
             if params.site_units is not None:
@@ -454,7 +429,9 @@ class PerSiteResources(ResourceCharger):
             join = done
         elif executed_sites:
             sites = sorted(executed_sites)
-            join = _BranchJoin(len(sites), done, self.engine)
+            # Countdown join: each branch's phase ends in this one member,
+            # and the last of them runs ``done``.
+            join = (self._kind_join, [len(sites)], done)
         else:
             raise ValueError("perform_operation needs at least one executing site")
         msg_time = self.msg_time
@@ -469,6 +446,14 @@ class PerSiteResources(ResourceCharger):
                 domain.perform_step(join)
         if remote:
             self.remote_operations += 1
+
+    def _branch_finished(self, member: tuple) -> None:
+        """Join ``(kind, [remaining], done)``: one replica branch finished;
+        the last one drains ``done``."""
+        remaining = member[1]
+        remaining[0] -= 1
+        if not remaining[0]:
+            self.engine.dispatch(member[2])
 
     # ------------------------------------------------------------------
     def utilisation_summary(self) -> Dict[str, object]:

@@ -18,7 +18,7 @@ its location in the import graph is.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional, Union
+from typing import Any, Callable, Dict, Optional
 
 from ..core.backends import ConcurrencyControlBackend
 from ..core.errors import SimulationError
@@ -85,11 +85,9 @@ class CentralCoordinator:
         """Wire up the hardware granted operations are charged to."""
         self._charger = charger
 
-    def perform_step(
-        self, transaction_id: int, done: Union[Callable[[], None], tuple]
-    ) -> None:
-        """Charge the transaction's granted operation; ``done`` fires (or,
-        as a typed engine member, drains) when the physical phase completes."""
+    def perform_step(self, transaction_id: int, done: tuple) -> None:
+        """Charge the transaction's granted operation; ``done``, a typed
+        engine member, drains when the physical phase completes."""
         self._charger.perform_operation(_HOME_ONLY, 0, done)
 
     def commit_network_delay(self, transaction_id: int) -> float:
@@ -148,9 +146,6 @@ def create_coordinator(
         prepare_timeout=params.prepare_timeout,
     )
     # The commit protocol may need to schedule future work (the two-phase
-    # prepare timeout); hand it the engine's clock, plus the kind registry
-    # so its recurring timeout drains as a typed member.
-    router.commit_protocol.attach_clock(
-        engine.schedule, register_kind=engine.register_kind
-    )
+    # prepare timeout) on the engine.
+    router.commit_protocol.attach_clock(engine)
     return router

@@ -49,7 +49,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import partial
 from typing import Deque, Dict, Optional, Tuple
 
 from ..core.backends import ConcurrencyControlBackend
@@ -67,7 +66,7 @@ from .params import SimulationParameters
 from .random_source import RandomSource
 from .resources import make_resource_charger
 from .routing import CentralCoordinator, create_coordinator
-from .terminals import Terminal, TerminalPool
+from .terminals import Terminal
 from .workload import TransactionTemplate, Workload, make_workload
 
 __all__ = ["LogicalTransaction", "Simulation", "run_simulation"]
@@ -110,10 +109,6 @@ class LogicalTransaction:
     completion_time: Optional[float] = None
     slot_released: bool = False
 
-    @property
-    def remaining_steps(self) -> int:
-        return len(self.template) - self.steps_done
-
     def next_step(self) -> Tuple[str, Invocation]:
         return self.template.steps[self.steps_done]
 
@@ -130,16 +125,17 @@ class Simulation(SchedulerListener):
     ):
         self.params = params
         self.engine = EventEngine()
-        # Typed event kinds for the simulator's recurring producers, bound
-        # once here (registration order is construction order, hence
-        # deterministic).  Each hot-loop event is then a plain
-        # ``(kind, *payload)`` tuple drained through the engine's dispatch
-        # table instead of a per-event ``functools.partial``.
+        # Event kinds for the simulator's producers, bound once here
+        # (registration order is construction order, hence deterministic).
+        # Each event is then a plain ``(kind, *payload)`` tuple drained
+        # through the engine's dispatch table.
         self._kind_submit = self.engine.register_kind(self._submit)
         self._kind_op_finished = self.engine.register_kind(self._operation_finished)
         self._kind_fanout = self.engine.register_kind(self._complete_after_fanout)
         self._kind_restart = self.engine.register_kind(self._restart)
         self._kind_sweep = self.engine.register_kind(self._sweep)
+        self._kind_site_event = self.engine.register_kind(self._site_event)
+        self._kind_release_slot = self.engine.register_kind(self._release_slot)
         root_rng = RandomSource(params.seed)
         self.workload_rng = root_rng.spawn("workload")
         self.think_rng = root_rng.spawn("think")
@@ -155,7 +151,7 @@ class Simulation(SchedulerListener):
         # phase is done" — so hardware follows data placement.
         self.resources = make_resource_charger(self.engine, params, self.resource_rng)
         self.router.attach_resources(self.resources)
-        self.terminals = TerminalPool(params.num_terminals)
+        self.terminals = [Terminal(terminal_id=i) for i in range(1, params.num_terminals + 1)]
         self.metrics = MetricsCollector()
 
         self.ready_queue: Deque[LogicalTransaction] = deque()
@@ -169,19 +165,18 @@ class Simulation(SchedulerListener):
     # ------------------------------------------------------------------
     # Run control
     # ------------------------------------------------------------------
-    def run(self, max_events: Optional[int] = None) -> RunMetrics:
+    def run(self) -> RunMetrics:
         """Run until ``total_completions`` transactions complete.
 
-        ``max_events`` caps the *total* events of the run.  When it is left
-        at the default, the safety valve is progress-aware instead: the run
-        may process any number of events overall, but raises if no
-        transaction completes within a large fixed budget.  A genuine
-        configuration error (a zero-delay event loop, a wedged scheduler)
-        makes no progress and still trips the valve, while a heavily
-        thrashing high-contention run — which completes work, just slowly —
-        is allowed to finish.  Driving the engine in between-completion
-        segments does not change which events run or their order, so
-        simulation streams are unaffected.
+        The safety valve is progress-aware: the run may process any number
+        of events overall, but raises if no transaction completes within a
+        large fixed budget.  A genuine configuration error (a zero-delay
+        event loop, a wedged scheduler) makes no progress and trips the
+        valve, while a heavily thrashing high-contention run — which
+        completes work, just slowly — is allowed to finish.  Each completion
+        requests an engine stop (see ``_complete``), so the engine runs in
+        between-completion segments; that changes neither which events run
+        nor their order.
 
         A simulation runs once: a second call raises
         :class:`~repro.core.errors.SimulationError`.
@@ -201,32 +196,25 @@ class Simulation(SchedulerListener):
         self._schedule_site_events()
         self._schedule_cycle_sweep()
         for terminal in self.terminals:
-            terminal.think_then_submit_typed(
+            terminal.think_then_submit(
                 self.engine, self.think_rng, self.params.ext_think_time, self._kind_submit
             )
-        if max_events is not None:
-            self.engine.run(until=self._done, max_events=max_events)
-        else:
-            stall_budget = max(
-                2_000_000,
-                200 * self.params.total_completions * self.params.max_length,
-            )
-            # Each completion requests an engine stop (see ``_complete``), so
-            # the engine runs flag-checked between-completion segments —
-            # identical event streams to the old per-event predicate, without
-            # two interpreter calls per event to evaluate it.
-            while not self._done():
-                before = self.completions
-                try:
-                    self.engine.run_until_stop(max_events=stall_budget)
-                except SimulationError as stall:
-                    if isinstance(self.router, CentralCoordinator):
-                        raise
-                    raise SimulationError(f"{stall}\n{self.router.stall_report()}") from None
-                if self.completions == before and not self._done():
-                    raise SimulationError(
-                        "event queue drained before the stop condition was met"
-                    )
+        stall_budget = max(
+            2_000_000,
+            200 * self.params.total_completions * self.params.max_length,
+        )
+        while not self._done():
+            before = self.completions
+            try:
+                self.engine.run(max_events=stall_budget)
+            except SimulationError as stall:
+                if isinstance(self.router, CentralCoordinator):
+                    raise
+                raise SimulationError(f"{stall}\n{self.router.stall_report()}") from None
+            if self.completions == before and not self._done():
+                raise SimulationError(
+                    "event queue drained before the stop condition was met"
+                )
         return self.metrics.freeze(
             self.engine.now,
             self.router.stats,
@@ -239,7 +227,7 @@ class Simulation(SchedulerListener):
     def _schedule_site_events(self) -> None:
         """Turn the failure schedule into engine events (site crash/recover)."""
         for time, action, site_id in self.params.failure_schedule:
-            self.engine.schedule_at(time, partial(self._site_event, action, site_id))
+            self.engine.schedule_at(time, (self._kind_site_event, action, site_id))
 
     def _schedule_cycle_sweep(self) -> None:
         """Periodically sweep the union graph for late-closing cycles.
@@ -268,7 +256,10 @@ class Simulation(SchedulerListener):
         self.router.sweep_global_cycles()
         self.engine.schedule(self.params.step_time, member)
 
-    def _site_event(self, action: str, site_id: int) -> None:
+    def _site_event(self, member: tuple) -> None:
+        """Typed handler ``(kind, action, site_id)``: a scripted crash or
+        recovery."""
+        _, action, site_id = member
         site = self.router.sites[site_id]
         # Tolerate schedules that fail an already-failed site (or recover a
         # live one): the scripted scenario keeps its meaning, nothing breaks.
@@ -319,8 +310,15 @@ class Simulation(SchedulerListener):
         while self.ready_queue and self.active_count < self.params.mpl_level:
             self._start(self.ready_queue.popleft())
 
-    def _release_slot(self, transaction: LogicalTransaction) -> None:
-        """Free the transaction's multiprogramming slot exactly once."""
+    def _release_slot(self, member: tuple) -> None:
+        """Typed handler ``(kind, transaction, ...)``: free the transaction's
+        multiprogramming slot exactly once.
+
+        Scheduled when a held slot's durable commit arrives; the completion
+        and restart paths call it directly with the member they drained,
+        which carries the transaction in the same place.
+        """
+        transaction: LogicalTransaction = member[1]
         if transaction.slot_released:
             return
         transaction.slot_released = True
@@ -340,9 +338,6 @@ class Simulation(SchedulerListener):
         # the restart — nothing to do here.
 
     def _run_resource_phase(self, transaction: LogicalTransaction) -> None:
-        # A typed member rather than a partial: this runs once per executed
-        # operation, and the engine drains the tuple straight into
-        # ``_operation_finished`` with no function object allocated.
         assert transaction.scheduler_tid is not None
         self.router.perform_step(
             transaction.scheduler_tid,
@@ -388,7 +383,7 @@ class Simulation(SchedulerListener):
         if delay > 0:
             self.engine.schedule(delay, (self._kind_fanout, transaction, member[2]))
         else:
-            self._complete(transaction)
+            self._complete(member)
 
     def _complete_after_fanout(self, member: tuple) -> None:
         """Typed handler ``(kind, transaction, attempt)``: commit fan-out
@@ -400,12 +395,15 @@ class Simulation(SchedulerListener):
             or transaction.scheduler_tid is None
         ):
             return
-        self._complete(transaction)
+        self._complete(member)
 
     # ------------------------------------------------------------------
     # Completion (pseudo-commit or commit)
     # ------------------------------------------------------------------
-    def _complete(self, transaction: LogicalTransaction) -> None:
+    def _complete(self, member: tuple) -> None:
+        """Commit the transaction of a drained ``(kind, transaction, attempt)``
+        phase member whose template is exhausted."""
+        transaction: LogicalTransaction = member[1]
         assert transaction.scheduler_tid is not None
         status = self.router.commit(transaction.scheduler_tid)
         if status is _ABORTED:
@@ -416,8 +414,7 @@ class Simulation(SchedulerListener):
         transaction.completed = True
         transaction.completion_time = self.engine.now
         self.completions += 1
-        # Hand control back to ``run`` before the next event, exactly where
-        # the old completion predicate would have flipped.
+        # Hand control back to ``run`` before the next event.
         self.engine.request_stop()
         self._maybe_start_measuring()
         if self._measuring:
@@ -426,14 +423,14 @@ class Simulation(SchedulerListener):
                 pseudo=status is _PSEUDO_COMMITTED,
             )
         transaction.terminal.completed += 1
-        transaction.terminal.think_then_submit_typed(
+        transaction.terminal.think_then_submit(
             self.engine, self.think_rng, self.params.ext_think_time, self._kind_submit
         )
         if status is _COMMITTED:
             self._by_scheduler_tid.pop(transaction.scheduler_tid, None)
-            self._release_slot(transaction)
+            self._release_slot(member)
         elif not self.params.pseudo_commit_holds_slot:
-            self._release_slot(transaction)
+            self._release_slot(member)
         # Otherwise the slot is held until the durable commit arrives through
         # the on_committed callback.
 
@@ -489,7 +486,7 @@ class Simulation(SchedulerListener):
         if transaction is None:
             return
         if self.params.pseudo_commit_holds_slot and transaction.completed:
-            self.engine.schedule(0.0, partial(self._release_slot, transaction))
+            self.engine.schedule(0.0, (self._kind_release_slot, transaction))
 
     # ------------------------------------------------------------------
     # Restarts
@@ -500,7 +497,7 @@ class Simulation(SchedulerListener):
         transaction: LogicalTransaction = member[1]
         if self._measuring:
             self.metrics.record_restart()
-        self._release_slot(transaction)
+        self._release_slot(member)
         if self._done():
             return
         self.ready_queue.append(transaction)
@@ -510,10 +507,7 @@ class Simulation(SchedulerListener):
 def run_simulation(
     params: SimulationParameters,
     workload_kind: str = "readwrite",
-    max_events: Optional[int] = None,
     backend: Optional[ConcurrencyControlBackend] = None,
 ) -> RunMetrics:
     """Convenience wrapper: build a :class:`Simulation` and run it."""
-    return Simulation(params, workload_kind=workload_kind, backend=backend).run(
-        max_events=max_events
-    )
+    return Simulation(params, workload_kind=workload_kind, backend=backend).run()

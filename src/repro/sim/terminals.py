@@ -11,13 +11,11 @@ how fast the system completes work.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable, Iterator
 
 from .engine import EventEngine
 from .random_source import RandomSource
 
-__all__ = ["Terminal", "TerminalPool"]
+__all__ = ["Terminal"]
 
 
 @dataclass(slots=True)
@@ -35,46 +33,9 @@ class Terminal:
         engine: EventEngine,
         rng: RandomSource,
         mean_think_time: float,
-        submit: Callable[["Terminal"], None],
-    ) -> None:
-        """Schedule the terminal's next submission after a think time."""
-        delay = rng.exponential(mean_think_time)
-        engine.schedule(delay, partial(submit, self))
-
-    def think_then_submit_typed(
-        self,
-        engine: EventEngine,
-        rng: RandomSource,
-        mean_think_time: float,
         kind: int,
     ) -> None:
-        """Typed-member variant of :meth:`think_then_submit`.
-
-        Schedules the tuple ``(kind, self)`` instead of a partial: the
-        simulator registered its submission handler under ``kind`` once at
-        construction, so each think expiration allocates no function object
-        and drains through the engine's kind dispatch table.  The rng draw
-        and the scheduled delay are exactly :meth:`think_then_submit`'s.
-        """
+        """Schedule the terminal's next submission, ``(kind, self)``, after
+        an exponential think time (the simulator registered its submission
+        handler under ``kind``)."""
         engine.schedule(rng.exponential(mean_think_time), (kind, self))
-
-
-class TerminalPool:
-    """The population of terminals for one simulation run."""
-
-    def __init__(self, count: int):
-        self.terminals = [Terminal(terminal_id=i) for i in range(1, count + 1)]
-
-    def __iter__(self) -> Iterator[Terminal]:
-        return iter(self.terminals)
-
-    def __len__(self) -> int:
-        return len(self.terminals)
-
-    @property
-    def total_submitted(self) -> int:
-        return sum(t.submitted for t in self.terminals)
-
-    @property
-    def total_completed(self) -> int:
-        return sum(t.completed for t in self.terminals)

@@ -442,7 +442,7 @@ class TestStallReport:
         replicated = Simulation(SimulationParameters(
             seed=1, total_completions=5, site_count=2, replication="copies",
         ))
-        monkeypatch.setattr(replicated.engine, "run_until_stop", stall)
+        monkeypatch.setattr(replicated.engine, "run", stall)
         with pytest.raises(SimulationError) as raised:
             replicated.run()
         message = str(raised.value)
@@ -450,7 +450,7 @@ class TestStallReport:
         assert message.endswith(replicated.router.stall_report())
         assert "site 1: up" in message and "union graph: acyclic" in message
         central = Simulation(SimulationParameters(seed=1, total_completions=5))
-        monkeypatch.setattr(central.engine, "run_until_stop", stall)
+        monkeypatch.setattr(central.engine, "run", stall)
         with pytest.raises(SimulationError, match=r"2000000 events$"):
             central.run()
 

@@ -151,7 +151,9 @@ SAMPLE_INVOCATIONS = {
 def test_classify_request_matches_naive_scan(type_name, spec_factory, seed):
     rng = random.Random(seed)
     spec = spec_factory()
-    manager = ObjectManager(name="O", spec=spec, materialize_state=False)
+    manager = ObjectManager(
+        name="O", spec=spec, initial_state=spec.initial_state(), materialize_state=False
+    )
     invocations = list(SAMPLE_INVOCATIONS[type_name])
     policies = (ConflictPolicy.COMMUTATIVITY, ConflictPolicy.RECOVERABILITY)
     sequence = 0

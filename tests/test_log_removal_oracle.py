@@ -21,6 +21,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from page_values import keep_page_values
+from stepping import schedulers_of
 
 from repro.adts import PageType, SetType, StackType, TableType
 from repro.core import scheduler as scheduler_module
@@ -29,7 +30,6 @@ from repro.core.object_manager import ObjectManager
 from repro.core.policy import ConflictPolicy
 from repro.core.specification import Invocation
 from repro.sim.params import SimulationParameters
-from repro.sim.routing import CentralCoordinator
 from repro.sim.simulator import Simulation
 
 
@@ -127,7 +127,10 @@ POLICIES = (ConflictPolicy.RECOVERABILITY, ConflictPolicy.COMMUTATIVITY)
 
 def build(manager_class, name):
     spec_factory, compatibility, _ = OBJECTS[name]
-    return manager_class(name=name, spec=spec_factory(), compatibility=compatibility)
+    spec = spec_factory()
+    return manager_class(
+        name=name, spec=spec, initial_state=spec.initial_state(), compatibility=compatibility
+    )
 
 
 def assert_same(actual, expected):
@@ -276,14 +279,6 @@ END_TO_END = {
     "quorum-2pc-double-crash": ("readwrite", False, QUORUM_2PC_DOUBLE_CRASH),
     "quorum-2pc-double-crash-values": ("readwrite", True, QUORUM_2PC_DOUBLE_CRASH),
 }
-
-
-def schedulers_of(simulation):
-    """The run's live schedulers: the coordinator's own, or one per up site."""
-    coordinator = simulation.router
-    if isinstance(coordinator, CentralCoordinator):
-        return [coordinator.scheduler]
-    return [site.scheduler for site in coordinator.sites if site.status.is_up]
 
 
 def run_and_observe(params, workload_kind, manager_class, monkeypatch):

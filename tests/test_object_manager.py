@@ -24,6 +24,7 @@ from repro.sim.workload import random_compatibility_table
 
 
 def make_stack_manager(**kwargs):
+    kwargs.setdefault("initial_state", ())
     return ObjectManager(name="S", spec=StackType(), **kwargs)
 
 
@@ -66,7 +67,7 @@ class TestClassification:
         assert result == ({1}, set())
 
     def test_classify_pair_uses_parameter_semantics(self):
-        manager = ObjectManager(name="T", spec=TableType())
+        manager = ObjectManager(name="T", spec=TableType(), initial_state={})
         same_key = manager.classify_pair(
             Invocation("insert", ("k", "x")),
             Invocation("lookup", ("k",)),
@@ -92,13 +93,14 @@ class TestCompiledTables:
     @pytest.mark.parametrize("policy", list(ConflictPolicy))
     @pytest.mark.parametrize("make_spec", [PageType, random_table_type])
     def test_unqualified_tables_compile_to_one_array(self, make_spec, policy):
-        manager = ObjectManager(name="X", spec=make_spec())
+        spec = make_spec()
+        manager = ObjectManager(name="X", spec=spec, initial_state=spec.initial_state())
         tables = manager._tables_for(policy)
         assert tables[0] is tables[1] is tables[2]
         assert None not in tables[0]
 
     def test_qualified_entries_keep_three_arrays(self):
-        manager = ObjectManager(name="T", spec=TableType())
+        manager = ObjectManager(name="T", spec=TableType(), initial_state={})
         unconditional, same_param, diff_param = manager._tables_for(ConflictPolicy.RECOVERABILITY)
         assert same_param != diff_param
         assert None in unconditional
@@ -109,7 +111,7 @@ class TestCompiledTables:
     )
     def test_classify_pair_agrees_with_the_spec(self, make_spec, policy):
         spec = make_spec()
-        manager = ObjectManager(name="X", spec=spec)
+        manager = ObjectManager(name="X", spec=spec, initial_state=spec.initial_state())
         compatibility = manager.compatibility
         for requested_op in compatibility.operations:
             for executed_op in compatibility.operations:
@@ -208,7 +210,7 @@ class TestExecutionAndRemoval:
 
     def test_unmaterialized_manager_skips_state(self):
         manager = ObjectManager(
-            name="A", spec=StackType(), materialize_state=False
+            name="A", spec=StackType(), initial_state=(), materialize_state=False
         )
         event = manager.execute(Invocation("push", (4,)), 1, 1)
         assert event.value is None
@@ -237,7 +239,7 @@ def make_counting_manager():
         operations={"push": OperationSpec(name="push", function=push)},
         compatibility=CompatibilitySpec("counting", commutativity=table, recoverability=table),
     )
-    return ObjectManager(name="C", spec=spec), calls
+    return ObjectManager(name="C", spec=spec, initial_state=()), calls
 
 
 class TestRemovalCost:
@@ -316,7 +318,7 @@ def make_counting_page(manager_class=ObjectManager, spec_class=FunctionalTypeSpe
         },
         compatibility=PageType().compatibility(),
     )
-    return manager_class(name="P", spec=spec), calls
+    return manager_class(name="P", spec=spec, initial_state=3), calls
 
 
 #: (transaction, invocation) scripts over transactions 1 (reads only) and 2.
@@ -404,12 +406,12 @@ def make_narrow_page(default=Answer.NO, scheduler=None):
     compatibility = CompatibilitySpec("narrow page", commutativity=table, recoverability=table)
     if scheduler is not None:
         return scheduler.register_object("N", PageType(), compatibility=compatibility)
-    return ObjectManager(name="N", spec=PageType(), compatibility=compatibility)
+    return ObjectManager(name="N", spec=PageType(), initial_state=0, compatibility=compatibility)
 
 
 #: kind -> (manager factory, invocation that lands in a fallback group).
 FALLBACKS = {
-    "unhashable-param": (lambda: ObjectManager(name="P", spec=PageType()),
+    "unhashable-param": (lambda: ObjectManager(name="P", spec=PageType(), initial_state=0),
                          Invocation("write", ([7],))),
     "unknown-op": (make_narrow_page, Invocation("write", (5,))),
 }
@@ -557,3 +559,18 @@ def test_building_copies_allocates_no_log_per_copy():
     assert len(managers) == 4000
     assert all(m._events_by_tid is m._op_groups is _NO_LOG for m in managers)
     assert built / len(managers) <= BYTES_PER_COPY
+
+
+def test_one_adt_batch_decides_the_initial_state_once(monkeypatch):
+    # The registration decides the default state; each copy takes it as given.
+    calls = []
+    initial_state = FunctionalTypeSpecification.initial_state
+
+    def counting(spec):
+        calls.append(spec.name)
+        return initial_state(spec)
+
+    monkeypatch.setattr(FunctionalTypeSpecification, "initial_state", counting)
+    simulation = Simulation(SimulationParameters(seed=1, database_size=300), "adt")
+    assert len(simulation.router.scheduler.objects) == 300
+    assert calls == ["adt-object"]

@@ -9,7 +9,7 @@ backend, whether or not the scheduler retains terminated transactions.
 """
 
 import pytest
-from test_log_removal_oracle import schedulers_of
+from stepping import schedulers_of
 
 from repro.adts import StackType
 from repro.core.policy import ConflictPolicy

@@ -10,6 +10,7 @@ read-one replica selection.
 import zlib
 
 import pytest
+from stepping import check_between_events
 
 from repro.adts.page import PageType
 from repro.core.errors import ReproError
@@ -38,6 +39,16 @@ class CountingRandomSource(RandomSource):
         return super().index(n)
 
 
+def stamp(engine, times):
+    """A continuation member that appends the simulated time it drains at."""
+    return (engine.register_kind(lambda member: times.append(engine.now)),)
+
+
+def noop(engine):
+    """A continuation member that does nothing."""
+    return stamp(engine, [])
+
+
 def finite_domain(engine, rng, *, num_cpus=1, num_disks=2, **overrides):
     params = SimulationParameters(total_completions=1)
     return ResourceDomain(
@@ -57,7 +68,7 @@ class TestResourceDomain:
         engine = EventEngine()
         domain = finite_domain(engine, RandomSource(1), num_cpus=0, num_disks=0)
         done = []
-        domain.perform_step(lambda: done.append(engine.now))
+        domain.perform_step(stamp(engine, done))
         engine.run()
         assert done == [pytest.approx(0.05)]
         assert domain.infinite and domain.load == 0
@@ -67,8 +78,8 @@ class TestResourceDomain:
         engine = EventEngine()
         domain = finite_domain(engine, RandomSource(1), num_cpus=1)
         done = []
-        domain.perform_step(lambda: done.append(engine.now))
-        domain.perform_step(lambda: done.append(engine.now))
+        domain.perform_step(stamp(engine, done))
+        domain.perform_step(stamp(engine, done))
         assert domain.load == 2  # one in service, one queued
         engine.run()
         # The second step waits for the only CPU; both finish eventually.
@@ -81,7 +92,7 @@ class TestResourceDomain:
         engine = EventEngine()
         rng = CountingRandomSource(1)
         domain = finite_domain(engine, rng, num_cpus=1, num_disks=2)
-        domain.perform_step(lambda: None)
+        domain.perform_step(noop(engine))
         engine.run()
         assert rng.draws == 1
 
@@ -93,8 +104,9 @@ class TestResourceDomain:
         engine = EventEngine()
         domain = finite_domain(engine, RandomSource(1), num_cpus=2, num_disks=1)
         done = []
+        finished = engine.register_kind(lambda member: done.append((member[1], engine.now)))
         for label in "ABCD":
-            domain.perform_step(lambda label=label: done.append((label, engine.now)))
+            domain.perform_step((finished, label))
         summary = domain.utilisation_summary()
         assert summary["cpu_served"] == 2 and summary["cpu_waits"] == 2
         assert domain.load == 4 and len(domain.cpus.queue) == 2
@@ -117,7 +129,7 @@ class TestGlobalResourceModel:
         rng = CountingRandomSource(1)
         params = SimulationParameters(total_completions=1, resource_units=1)
         model = GlobalResourceModel(engine, params, rng)
-        model.perform_operation((0,), 0, lambda: None)
+        model.perform_operation((0,), 0, noop(engine))
         engine.run()
         assert rng.draws == 1
 
@@ -126,7 +138,7 @@ class TestGlobalResourceModel:
         params = SimulationParameters(total_completions=1, resource_units=1)
         model = GlobalResourceModel(engine, params, RandomSource(1))
         done = []
-        model.perform_operation([0, 1, 2], 0, lambda: done.append(engine.now))
+        model.perform_operation([0, 1, 2], 0, stamp(engine, done))
         engine.run()
         assert done == [pytest.approx(0.015 + 0.035)]
         assert model.utilisation_summary()["cpu_served"] == 1
@@ -136,7 +148,7 @@ class TestGlobalResourceModel:
         params = SimulationParameters(total_completions=1, msg_time=0.5)
         model = GlobalResourceModel(engine, params, RandomSource(1))
         done = []
-        model.perform_operation([1], 0, lambda: done.append(engine.now))
+        model.perform_operation([1], 0, stamp(engine, done))
         engine.run()
         assert done == [pytest.approx(0.5 + 0.05)]
         assert model.messages_sent == 1
@@ -147,7 +159,7 @@ class TestGlobalResourceModel:
         params = SimulationParameters(total_completions=1, msg_time=0.5)
         model = GlobalResourceModel(engine, params, RandomSource(1))
         done = []
-        model.perform_operation([0], 0, lambda: done.append(engine.now))
+        model.perform_operation([0], 0, stamp(engine, done))
         engine.run()
         assert done == [pytest.approx(0.05)]
         assert model.messages_sent == 0
@@ -159,7 +171,7 @@ class TestGlobalResourceModel:
         engine = EventEngine()
         params = SimulationParameters(total_completions=1, msg_time=0.5)
         model = GlobalResourceModel(engine, params, RandomSource(1))
-        model.perform_operation([0, 1, 2], 0, lambda: None)
+        model.perform_operation([0, 1, 2], 0, noop(engine))
         engine.run()
         assert model.messages_sent == 2
 
@@ -192,8 +204,8 @@ class TestPerSiteResources:
         engine, charger = self.make(sites=2, resource_units=1)
         done = []
         # Two local operations at different sites do not queue on each other.
-        charger.perform_operation([0], 0, lambda: done.append(engine.now))
-        charger.perform_operation([1], 1, lambda: done.append(engine.now))
+        charger.perform_operation([0], 0, stamp(engine, done))
+        charger.perform_operation([1], 1, stamp(engine, done))
         engine.run()
         assert done == [pytest.approx(0.05), pytest.approx(0.05)]
         summary = charger.utilisation_summary()
@@ -203,7 +215,7 @@ class TestPerSiteResources:
     def test_write_fanout_charges_every_executing_site(self):
         engine, charger = self.make(sites=2, resource_units=1)
         done = []
-        charger.perform_operation([0, 1], 0, lambda: done.append(engine.now))
+        charger.perform_operation([0, 1], 0, stamp(engine, done))
         engine.run()
         assert done == [pytest.approx(0.05)]  # phases run in parallel
         summary = charger.utilisation_summary()
@@ -214,7 +226,7 @@ class TestPerSiteResources:
         done = []
         # Home is site 0: the branch at site 1 starts msg_time later, and
         # the operation completes when the slowest replica does.
-        charger.perform_operation([0, 1], 0, lambda: done.append(engine.now))
+        charger.perform_operation([0, 1], 0, stamp(engine, done))
         engine.run()
         assert done == [pytest.approx(0.5 + 0.05)]
         assert charger.messages_sent == 1
@@ -224,7 +236,7 @@ class TestPerSiteResources:
 
     def test_zero_msg_time_means_no_network_events(self):
         engine, charger = self.make(sites=2, resource_units=1)
-        charger.perform_operation([0, 1], 0, lambda: None)
+        charger.perform_operation([0, 1], 0, noop(engine))
         engine.run()
         assert charger.messages_sent == 0 and charger.remote_operations == 0
 
@@ -238,7 +250,7 @@ class TestPerSiteResources:
 
     def test_domain_loads_track_outstanding_work(self):
         engine, charger = self.make(sites=2, resource_units=1)
-        charger.perform_operation([0], 0, lambda: None)
+        charger.perform_operation([0], 0, noop(engine))
         assert charger.domains[0].load == 1 and charger.domains[1].load == 0
         engine.run()
         assert charger.domains[0].load == 0
@@ -246,7 +258,7 @@ class TestPerSiteResources:
     def test_infinite_per_site_domains(self):
         engine, charger = self.make(sites=2)
         done = []
-        charger.perform_operation([0, 1], 0, lambda: done.append(engine.now))
+        charger.perform_operation([0, 1], 0, stamp(engine, done))
         engine.run()
         assert done == [pytest.approx(0.05)]
         summary = charger.utilisation_summary()
@@ -314,15 +326,15 @@ class TestRouterResourceIntegration:
         t = router.begin()
         router.perform(t.gtid, "x", "read")
         with pytest.raises(ReproError):
-            router.perform_step(t.gtid, lambda: None)
+            router.perform_step(t.gtid, (0,))
 
     def test_reads_prefer_the_least_loaded_replica(self):
         engine, router, charger = self.make_router(sites=2, resource_units=1)
         # Saturate the replica the hash rotation would pick first.
         hash_target = zlib.crc32(b"x") % 2
         other = 1 - hash_target
-        charger.domains[hash_target].perform_step(lambda: None)
-        charger.domains[hash_target].perform_step(lambda: None)
+        charger.domains[hash_target].perform_step(noop(engine))
+        charger.domains[hash_target].perform_step(noop(engine))
         t = router.begin(home_site=0)
         request = router.perform(t.gtid, "x", "read")
         assert request.executed
@@ -348,7 +360,7 @@ class TestRouterResourceIntegration:
         request = router.perform(t.gtid, "x", "write", 9)
         assert request.executed
         done = []
-        router.perform_step(t.gtid, lambda: done.append(engine.now))
+        router.perform_step(t.gtid, stamp(engine, done))
         engine.run()
         # Write-all: the remote replica's phase starts msg_time later.
         assert done == [pytest.approx(0.5 + 0.015 + 0.035)]
@@ -406,8 +418,7 @@ class TestMaintainedLoad:
                 seen["peak"] = max(seen["peak"], domain.load)
             seen["checks"] += 1
 
-        done = simulation._done
-        simulation._done = lambda: check() or done()
+        check_between_events(simulation, check)
         # A centralized run drives its scheduler directly: no replica choice.
         replication = getattr(simulation.router, "replication", None)
         if replication is not None:
@@ -426,8 +437,8 @@ class TestMaintainedLoad:
     def test_load_equals_the_work_at_the_servers(self, overrides):
         simulation = Simulation(SimulationParameters(**overrides), "readwrite")
         seen = self.watch(simulation)
-        metrics = simulation.run(max_events=1_000_000)  # predicate-driven engine loop
-        assert seen["checks"] > metrics.events_processed
+        metrics = simulation.run()
+        assert seen["checks"] >= metrics.events_processed
         assert seen["peak"] > 1
         # Watching changed nothing.
         assert metrics.counters() == run_simulation(
@@ -446,7 +457,7 @@ class TestMaintainedLoad:
             fail_site(site_id)
 
         simulation.router.fail_site = failing
-        simulation.run(max_events=1_000_000)
+        simulation.run()
         assert len(in_flight) == 2 and min(in_flight) > 0
 
     def test_a_new_build_starts_from_a_fresh_zero_count(self):
@@ -460,7 +471,7 @@ class TestMaintainedLoad:
         assert all(domain.load == 0 for domain in fresh)
         assert not set(map(id, fresh)) & set(map(id, stale))
         self.watch(second)
-        assert second.run(max_events=1_000_000).counters() == counters
+        assert second.run().counters() == counters
 
     @pytest.mark.parametrize("overrides", [
         dict(AC4_PER_SITE, total_completions=50),
@@ -472,11 +483,11 @@ class TestMaintainedLoad:
         # gets the same kind table, and a previous run leaves it unchanged.
         params = SimulationParameters(**overrides)
         first = Simulation(params, "readwrite")
-        kinds = len(first.engine._handlers)
+        kinds = len(first.engine.handlers)
         counters = first.run().counters()
         for _ in range(2):
             simulation = Simulation(params, "readwrite")
-            assert len(simulation.engine._handlers) == kinds
+            assert len(simulation.engine.handlers) == kinds
             assert simulation.run().counters() == counters
 
     def test_infinite_domains_never_count(self):
@@ -484,6 +495,6 @@ class TestMaintainedLoad:
             **dict(AC4_PER_SITE, total_completions=150, resource_units=None))
         simulation = Simulation(params, "readwrite")
         seen = self.watch(simulation)
-        simulation.run(max_events=1_000_000)
+        simulation.run()
         assert seen["checks"] > 0 and seen["peak"] == 0
         assert all(domain.infinite for domain in simulation.resources.domains)

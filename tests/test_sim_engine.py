@@ -3,58 +3,64 @@
 import pytest
 
 from repro.core.errors import SimulationError
-from repro.core.specification import Event, Invocation
 from repro.sim.engine import EventEngine
 from repro.sim.params import SimulationParameters
 from repro.sim.random_source import RandomSource
 from repro.sim.resources import FifoServer, GlobalResourceModel, ResourceDomain
 
 
+def recorder(engine, fired):
+    """Register a kind whose member ``(kind, label)`` appends ``label``."""
+    return engine.register_kind(lambda member: fired.append(member[1]))
+
+
+def stamper(engine, times):
+    """A member that appends the simulated time at which it drains."""
+    return (engine.register_kind(lambda member: times.append(engine.now)),)
+
+
+def caller(engine):
+    """Register a kind whose member ``(kind, function)`` calls ``function``."""
+    return engine.register_kind(lambda member: member[1]())
+
+
 class TestEventEngine:
     def test_events_fire_in_time_order(self):
-        engine = EventEngine()
-        fired = []
-        engine.schedule(2.0, lambda: fired.append("late"))
-        engine.schedule(1.0, lambda: fired.append("early"))
+        engine, fired = EventEngine(), []
+        record = recorder(engine, fired)
+        engine.schedule(2.0, (record, "late"))
+        engine.schedule(1.0, (record, "early"))
         engine.run()
         assert fired == ["early", "late"]
         assert engine.now == 2.0
 
     def test_simultaneous_events_fire_fifo(self):
-        engine = EventEngine()
-        fired = []
+        engine, fired = EventEngine(), []
+        record = recorder(engine, fired)
         for label in ("a", "b", "c"):
-            engine.schedule(1.0, lambda label=label: fired.append(label))
+            engine.schedule(1.0, (record, label))
         engine.run()
         assert fired == ["a", "b", "c"]
 
     def test_negative_delay_rejected(self):
         engine = EventEngine()
         with pytest.raises(SimulationError):
-            engine.schedule(-1.0, lambda: None)
+            engine.schedule(-1.0, (recorder(engine, []), None))
 
     def test_schedule_at_past_time_rejected(self):
         engine = EventEngine()
-        engine.schedule(5.0, lambda: None)
+        record = recorder(engine, [])
+        engine.schedule(5.0, (record, None))
         engine.run()
         with pytest.raises(SimulationError):
-            engine.schedule_at(1.0, lambda: None)
-
-    def test_run_until_predicate(self):
-        engine = EventEngine()
-        fired = []
-        for i in range(5):
-            engine.schedule(float(i + 1), lambda i=i: fired.append(i))
-        engine.run(until=lambda: len(fired) >= 2)
-        assert fired == [0, 1]
-        assert engine.pending() == 3
+            engine.schedule_at(1.0, (record, None))
 
     @pytest.mark.parametrize("interrupt", ["stop", "raise"])
     def test_a_batch_interrupted_in_the_middle_resumes_in_order(self, interrupt):
         # Three members at one timestamp drain as one batch.  The first
         # stops the run or raises; the other two stay queued, in order.
-        engine = EventEngine()
-        fired = []
+        engine, fired = EventEngine(), []
+        record = recorder(engine, fired)
 
         def first():
             fired.append("a")
@@ -63,27 +69,28 @@ class TestEventEngine:
             else:
                 raise RuntimeError("first member failed")
 
-        engine.schedule(1.0, first)
+        engine.schedule(1.0, (caller(engine), first))
         for label in ("b", "c"):
-            engine.schedule(1.0, lambda label=label: fired.append(label))
+            engine.schedule(1.0, (record, label))
         if interrupt == "stop":
-            engine.run_until_stop()
+            engine.run()
         else:
             with pytest.raises(RuntimeError, match="first member failed"):
-                engine.run_until_stop()
+                engine.run()
         assert fired == ["a"]
         assert engine.pending() == 2
         assert engine.now == 1.0
         assert engine.events_processed == 1
-        engine.run_until_stop()
+        engine.run()
         assert fired == ["a", "b", "c"]
         assert engine.pending() == 0
         assert engine.events_processed == 3
 
     @staticmethod
     def batch_of(engine, fired, labels, time=1.0):
+        record = recorder(engine, fired)
         for label in labels:
-            engine.schedule_at(time, lambda label=label: fired.append(label))
+            engine.schedule_at(time, (record, label))
 
     def test_step_takes_one_member_of_a_batch_at_a_time(self):
         engine, fired = EventEngine(), []
@@ -95,45 +102,39 @@ class TestEventEngine:
             assert engine.events_processed == count
         assert not engine.step() and engine.events_processed == 3
 
-    def test_run_predicate_stops_in_the_middle_of_a_batch(self):
-        engine, fired = EventEngine(), []
-        self.batch_of(engine, fired, "abc")
-        engine.run(until=lambda: len(fired) == 1)
-        assert fired == ["a"] and engine.pending() == 2
-        engine.run()
-        assert fired == ["a", "b", "c"]
-
     def test_max_events_in_the_middle_of_a_batch_keeps_the_rest_queued(self):
         engine, fired = EventEngine(), []
         self.batch_of(engine, fired, "abcd")
         with pytest.raises(SimulationError, match="safety limit of 2 events"):
-            engine.run_until_stop(max_events=2)
+            engine.run(max_events=2)
         assert (fired, engine.pending(), engine.events_processed) == (["a", "b"], 2, 2)
-        engine.run_until_stop()
+        engine.run()
         assert fired == ["a", "b", "c", "d"]
 
     def test_a_stop_on_the_last_allowed_event_is_not_an_overrun(self):
         engine, fired = EventEngine(), []
-        engine.schedule(1.0, lambda: fired.append("a"))
-        engine.schedule(1.0, engine.request_stop)
-        engine.schedule(1.0, lambda: fired.append("c"))
-        engine.run_until_stop(max_events=2)
+        record, call = recorder(engine, fired), caller(engine)
+        engine.schedule(1.0, (record, "a"))
+        engine.schedule(1.0, (call, engine.request_stop))
+        engine.schedule(1.0, (record, "c"))
+        engine.run(max_events=2)
         assert fired == ["a"] and engine.pending() == 1
 
     def test_a_stop_requested_outside_a_run_is_cleared_by_the_next_run(self):
         engine, fired = EventEngine(), []
         self.batch_of(engine, fired, "ab")
         engine.request_stop()
-        engine.run_until_stop()
+        engine.run()
         assert fired == ["a", "b"]
 
     def test_a_zero_delay_event_runs_after_the_rest_of_its_batch(self):
         # The popped batch is closed to appends: a member scheduling at the
         # current time starts a new batch behind it.
         engine, fired = EventEngine(), []
-        engine.schedule(1.0, lambda: engine.schedule(0.0, lambda: fired.append("d")))
+        record, call = recorder(engine, fired), caller(engine)
+        engine.schedule(1.0, (call, lambda: engine.schedule(0.0, (record, "d"))))
         self.batch_of(engine, fired, "bc")
-        engine.run_until_stop()
+        engine.run()
         assert fired == ["b", "c", "d"] and engine.now == 1.0
 
     def test_a_time_revisited_after_a_later_batch_keeps_scheduling_order(self):
@@ -146,30 +147,33 @@ class TestEventEngine:
 
     def test_only_a_new_batch_takes_a_heap_entry_and_a_sequence_number(self):
         engine = EventEngine()
-        engine.schedule(1.0, lambda: None)
-        engine.schedule_at(1.0, lambda: None)
-        engine.schedule(1.0, lambda: None)
+        member = (recorder(engine, []), None)
+        engine.schedule(1.0, member)
+        engine.schedule_at(1.0, member)
+        engine.schedule(1.0, member)
         assert len(engine._queue) == 1 and engine._sequence == 1
-        engine.schedule(2.0, lambda: None)
-        engine.schedule(1.0, lambda: None)
+        engine.schedule(2.0, member)
+        engine.schedule(1.0, member)
         assert len(engine._queue) == 3 and engine._sequence == 3
         assert engine.pending() == 5
 
     def test_now_is_the_batch_time_while_its_members_run(self):
         engine, seen = EventEngine(), []
+        call = caller(engine)
         for time in (1.0, 1.0, 2.5):
-            engine.schedule_at(time, lambda: seen.append(engine.now))
+            engine.schedule_at(time, (call, lambda: seen.append(engine.now)))
         engine.run()
         assert seen == [1.0, 1.0, 2.5]
 
-    def test_typed_members_and_callables_share_a_batch_in_order(self):
+    def test_members_of_different_kinds_share_a_batch_in_order(self):
         engine, fired = EventEngine(), []
-        kind = engine.register_kind(lambda member: fired.append(member))
-        engine.schedule(1.0, (kind, "x", 7))
-        engine.schedule(1.0, lambda: fired.append("callable"))
-        engine.schedule(1.0, (kind, "y"))
-        engine.run_until_stop()
-        assert fired == [(kind, "x", 7), "callable", (kind, "y")]
+        whole = engine.register_kind(lambda member: fired.append(member))
+        record = recorder(engine, fired)
+        engine.schedule(1.0, (whole, "x", 7))
+        engine.schedule(1.0, (record, "other kind"))
+        engine.schedule(1.0, (whole, "y"))
+        engine.run()
+        assert fired == [(whole, "x", 7), "other kind", (whole, "y")]
         assert engine.events_processed == 3
 
     def test_a_typed_member_that_raises_leaves_the_rest_of_its_batch(self):
@@ -178,20 +182,20 @@ class TestEventEngine:
         engine.schedule(1.0, (kind, 1))
         self.batch_of(engine, fired, "bc")
         with pytest.raises(ZeroDivisionError):
-            engine.run_until_stop()
+            engine.run()
         assert engine.pending() == 2 and engine.events_processed == 1
-        engine.run_until_stop()
+        engine.run()
         assert fired == ["b", "c"]
 
     def test_a_raise_on_the_last_member_moves_on_to_the_next_batch(self):
         engine, fired = EventEngine(), []
         self.batch_of(engine, fired, "a")
-        engine.schedule(1.0, lambda: 1 / 0)
+        engine.schedule(1.0, (caller(engine), lambda: 1 / 0))
         self.batch_of(engine, fired, "z", time=2.0)
         with pytest.raises(ZeroDivisionError):
-            engine.run_until_stop()
+            engine.run()
         assert engine.pending() == 1 and engine.now == 1.0
-        engine.run_until_stop()
+        engine.run()
         assert fired == ["a", "z"] and engine.now == 2.0
 
     def test_dispatch_runs_a_typed_member_outside_the_drain(self):
@@ -203,33 +207,31 @@ class TestEventEngine:
 
     def test_a_stop_mid_batch_keeps_typed_members_and_new_events_in_time_order(self):
         engine, fired = EventEngine(), []
-        kind = engine.register_kind(lambda member: fired.append(member[1]))
-        engine.schedule(1.0, engine.request_stop)
+        kind = recorder(engine, fired)
+        engine.schedule(1.0, (caller(engine), engine.request_stop))
         for label in "bc":
             engine.schedule(1.0, (kind, label))
         engine.schedule(3.0, (kind, "later"))
-        engine.run_until_stop()
+        engine.run()
         assert engine.pending() == 3 and engine.now == 1.0 and fired == []
         engine.schedule(0.5, (kind, "after stop"))
-        engine.run_until_stop()
+        engine.run()
         assert fired == ["b", "c", "after stop", "later"] and engine.now == 3.0
         assert engine.events_processed == 5
 
-    def test_run_raises_if_queue_drains_before_condition(self):
-        engine = EventEngine()
-        engine.schedule(1.0, lambda: None)
-        with pytest.raises(SimulationError):
-            engine.run(until=lambda: False)
+    def test_run_returns_when_the_queue_drains_without_a_stop(self):
+        engine, fired = EventEngine(), []
+        self.batch_of(engine, fired, "a")
+        engine.run(max_events=10)
+        assert fired == ["a"] and engine.pending() == 0
 
     def test_max_events_safety_valve(self):
         engine = EventEngine()
-
-        def reschedule():
-            engine.schedule(1.0, reschedule)
-
-        engine.schedule(1.0, reschedule)
-        with pytest.raises(SimulationError):
-            engine.run(until=lambda: False, max_events=10)
+        kind = engine.register_kind(lambda member: engine.schedule(1.0, member))
+        engine.schedule(1.0, (kind,))
+        with pytest.raises(SimulationError, match="safety limit of 10 events"):
+            engine.run(max_events=10)
+        assert engine.events_processed == 10
 
     def test_deadlock_thrash_backs_off_and_completes(self):
         # Regression: at mpl=8 over 24 objects under COMMUTATIVITY/adt this
@@ -254,24 +256,13 @@ class TestEventEngine:
         assert metrics.completions >= 40
         assert simulation.engine.events_processed < 100_000
 
-    @pytest.mark.parametrize("drain", ["step", "run", "run_until_stop"])
-    def test_a_tuple_subclass_is_never_a_typed_member(self, drain):
-        # ``core.specification.Event`` is a tuple underneath; the engine's
-        # member test is exact, so scheduling one is an error, not a dispatch
-        # on its first field.
-        engine = EventEngine()
-        engine.register_kind(lambda member: pytest.fail("dispatched as a typed member"))
-        engine.schedule(1.0, Event(1, Invocation("read"), 0, 1))
-        with pytest.raises(TypeError, match="not callable"):
-            getattr(engine, drain)()
-
     def test_registering_a_handler_again_keeps_its_kind(self):
         engine = EventEngine()
         first, second = (lambda member: None), (lambda member: None)
         kind = engine.register_kind(first)
         assert engine.register_kind(second) == kind + 1
         assert engine.register_kind(first) == kind
-        assert len(engine._handlers) == 3
+        assert len(engine.handlers) == 2
 
 
 class TestRandomSource:
@@ -338,8 +329,8 @@ class TestFifoServer:
     def test_grants_free_servers_without_queueing(self):
         engine = EventEngine()
         domain = self.cpu_pool(engine, 2)
-        domain.perform_step(lambda: None)
-        domain.perform_step(lambda: None)
+        domain.perform_step(stamper(engine, []))
+        domain.perform_step(stamper(engine, []))
         server = domain.cpus
         assert isinstance(server, FifoServer)
         assert server.busy == 2 and server.waits == 0 and server.load == 2
@@ -350,8 +341,9 @@ class TestFifoServer:
         engine = EventEngine()
         domain = self.cpu_pool(engine, 1)
         served = []
+        record = recorder(engine, served)
         for label in ("first", "second", "third"):
-            domain.perform_step(lambda label=label: served.append(label))
+            domain.perform_step((record, label))
         server = domain.cpus
         assert server.waits == 2 and len(server.queue) == 2
         engine.run()
@@ -365,7 +357,7 @@ class TestSharedPool:
         params = SimulationParameters(total_completions=1)
         model = GlobalResourceModel(engine, params, RandomSource(1))
         done = []
-        model.perform_operation((0,), 0, lambda: done.append(engine.now))
+        model.perform_operation((0,), 0, stamper(engine, done))
         engine.run()
         assert done == [pytest.approx(params.step_time)]
         assert model.utilisation_summary() == {"resources": "infinite"}
@@ -375,7 +367,7 @@ class TestSharedPool:
         params = SimulationParameters(total_completions=1, resource_units=1)
         model = GlobalResourceModel(engine, params, RandomSource(1))
         done = []
-        model.perform_operation((0,), 0, lambda: done.append(engine.now))
+        model.perform_operation((0,), 0, stamper(engine, done))
         engine.run()
         assert done == [pytest.approx(params.cpu_time + params.io_time)]
         summary = model.utilisation_summary()
@@ -386,8 +378,8 @@ class TestSharedPool:
         params = SimulationParameters(total_completions=1, resource_units=1)
         model = GlobalResourceModel(engine, params, RandomSource(1))
         done = []
-        model.perform_operation((0,), 0, lambda: done.append(engine.now))
-        model.perform_operation((0,), 0, lambda: done.append(engine.now))
+        model.perform_operation((0,), 0, stamper(engine, done))
+        model.perform_operation((0,), 0, stamper(engine, done))
         engine.run()
         # The second step cannot start its CPU service before the first
         # releases the only CPU.
