@@ -102,6 +102,35 @@ class TestEventEngine:
             assert engine.events_processed == count
         assert not engine.step() and engine.events_processed == 3
 
+    @pytest.mark.parametrize("interrupt", ["stop", "raise"])
+    def test_run_and_step_share_the_cursor_of_a_batch(self, interrupt):
+        # ``run`` and ``step`` are two entries to one drain loop: a run cut
+        # off in the middle of a batch leaves its cursor for ``step``, and a
+        # step leaves it for the next run.
+        engine, fired = EventEngine(), []
+        call = caller(engine)
+
+        def first():
+            fired.append("a")
+            if interrupt == "stop":
+                engine.request_stop()
+            else:
+                raise RuntimeError("first member failed")
+
+        engine.schedule(1.0, (call, first))
+        self.batch_of(engine, fired, "bc")
+        self.batch_of(engine, fired, "z", time=2.0)
+        if interrupt == "stop":
+            engine.run()
+        else:
+            with pytest.raises(RuntimeError, match="first member failed"):
+                engine.run()
+        assert engine.step()
+        assert (fired, engine.now, engine.pending()) == (["a", "b"], 1.0, 2)
+        engine.run()
+        assert fired == ["a", "b", "c", "z"] and engine.now == 2.0
+        assert engine.events_processed == 4
+
     def test_max_events_in_the_middle_of_a_batch_keeps_the_rest_queued(self):
         engine, fired = EventEngine(), []
         self.batch_of(engine, fired, "abcd")

@@ -95,6 +95,15 @@ class TestSimulationRuns:
         with pytest.raises(SimulationError, match="build a new Simulation"):
             simulation.run()
 
+    def test_a_run_whose_queue_drains_before_the_target_raises(self, tiny_params):
+        # The engine's run returns quietly on an empty queue; the simulation
+        # decides that stopping short of ``total_completions`` is an error.
+        simulation = Simulation(tiny_params, "readwrite")
+        simulation.terminals = []
+        with pytest.raises(SimulationError, match="drained before the stop condition"):
+            simulation.run()
+        assert simulation.completions == 0 and simulation.engine.pending() == 0
+
     def test_same_seed_is_deterministic(self, tiny_params):
         first = run_simulation(tiny_params, "readwrite")
         second = run_simulation(tiny_params, "readwrite")
